@@ -166,10 +166,6 @@ def replay_trace(trace: Trace) -> DimValue:
     return DimValue(lo1 + lo2, hi)
 
 
-def _term_desc(term: Term) -> str:
-    return str(term)
-
-
 @dataclass(frozen=True)
 class ChaseResult:
     """Everything a chase established: entries, windows, and provenance.
@@ -208,10 +204,6 @@ class ChaseResult:
             return self.given[name].window(q)
         return None
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.windows) | set(self.given)))
-
     def table(self, name: str, dim_z: int | None = None) -> CohomologyTable:
         if name in self.given:
             t = self.given[name]
@@ -228,17 +220,6 @@ class ChaseResult:
 
     def explain_json(self) -> str:
         """Deterministic JSON dump of all traces, for --explain output."""
-
-        def enc_window(w: Window) -> object:
-            if w.empty:
-                return {"empty": True}
-            return {"lo": w.lo, "hi": w.hi}
-
-        def enc_value(lo: int, hi: int | None) -> object:
-            if hi == lo:
-                return lo
-            return [lo, hi]
-
         entries = []
         for key in sorted(self.entries):
             name, q, t = key
@@ -248,7 +229,7 @@ class ChaseResult:
                     "unknown": name,
                     "q": q,
                     "twist": t,
-                    "value": enc_value(tr.lo, tr.hi),
+                    "value": DimValue(tr.lo, tr.hi).to_json(),
                     "rule": tr.rule,
                     "triple": tr.triple,
                     "inputs": [
@@ -257,7 +238,7 @@ class ChaseResult:
                             "term": i.term,
                             "q": i.q,
                             "twist": i.twist,
-                            "value": enc_value(i.lo, i.hi),
+                            "value": DimValue(i.lo, i.hi).to_json(),
                         }
                         for i in tr.inputs
                     ],
@@ -266,7 +247,7 @@ class ChaseResult:
         payload = {
             "n": self.n,
             "windows": {
-                name: {str(q): enc_window(w) for q, w in sorted(rows.items())}
+                name: {str(q): w.to_json() for q, w in sorted(rows.items())}
                 for name, rows in sorted(self.windows.items())
             },
             "entries": entries,
@@ -431,7 +412,7 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
             for role, dq in _READS[pos]:
                 v = term_value(tr.term(role), q + dq, t)
                 inputs.append(
-                    TraceInput(role, _term_desc(tr.term(role)), q + dq, t, v.lo, v.hi)
+                    TraceInput(role, str(tr.term(role)), q + dq, t, v.lo, v.hi)
                 )
             kill1, keep1, kill2, keep2 = (DimValue(i.lo, i.hi) for i in inputs)
             lo1, hi1 = _forced(keep1, kill1)
@@ -499,18 +480,6 @@ def windowed_chase(triples, name: str, n: int, given=None, extra=()) -> ChaseRes
         if w is not None and w.is_finite:
             queries.append((name, q, (w.lo, w.hi)))
     return chase(triples, tuple(queries), given=given)
-
-
-def _materialized_table(
-    triples,
-    name: str,
-    n: int,
-    given=None,
-    dim_z: int | None = None,
-    extra=(),
-) -> CohomologyTable:
-    full = windowed_chase(triples, name, n, given=given, extra=extra)
-    return full.table(name, dim_z=dim_z)
 
 
 def en_complex_tangent(F: SplitBundle, n: int) -> list[ExactTriple]:
@@ -648,8 +617,8 @@ def tangent_ideal_table(F: SplitBundle, n: int, extra=()) -> CohomologyTable:
     Chases the tangent Eagon-Northcott complex and materializes every
     finite window; the scheme has dimension rank(F) - 1.
     """
-    return _materialized_table(
-        en_complex_tangent(F, n), "I_Z", n, dim_z=F.rank - 1, extra=extra
+    return windowed_chase(en_complex_tangent(F, n), "I_Z", n, extra=extra).table(
+        "I_Z", dim_z=F.rank - 1
     )
 
 
@@ -658,8 +627,8 @@ def pfaff_ideal_table(
 ) -> CohomologyTable:
     """Ideal-sheaf cohomology of the singular scheme of split Pfaff data;
     the scheme has dimension n - r - 1."""
-    return _materialized_table(
-        en_complex_pfaff(E, r, n), "I_Z", n, dim_z=n - r - 1, extra=extra
+    return windowed_chase(en_complex_pfaff(E, r, n), "I_Z", n, extra=extra).table(
+        "I_Z", dim_z=n - r - 1
     )
 
 
@@ -717,7 +686,7 @@ def omega_resolution_cohomology(res: ResolutionData) -> CohomologyTable:
     triples = [
         ExactTriple(left, middle, TableRef("I_Z"), n, label="omega-res")
     ]
-    return _materialized_table(triples, "I_Z", n, dim_z=n - 2)
+    return windowed_chase(triples, "I_Z", n).table("I_Z", dim_z=n - 2)
 
 
 def _distribution_triple(d: int, n: int) -> ExactTriple:

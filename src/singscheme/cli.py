@@ -59,7 +59,7 @@ from .forms import (
     radial_field,
     volume_contract_chain,
 )
-from .hilbert import UnstabilizedError, hilbert_profile
+from .hilbert import stable_profile
 
 
 # ---------------------------------------------------------------- output
@@ -162,6 +162,12 @@ def parse_sheaf(spec: str, n: int) -> VirtualSheaf:
     return total
 
 
+# Most twists one --twists range may hold. Every twist costs a table column
+# per cohomology row (and a chase entry per row), so a wider range is
+# refused before anything is built rather than exhausting memory.
+MAX_TWIST_RANGE = 10_000
+
+
 def _parse_twist_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", text)
     if m is None:
@@ -169,6 +175,10 @@ def _parse_twist_range(text: str) -> tuple[int, int]:
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise ValueError(f"empty twist range {text!r}")
+    if hi - lo + 1 > MAX_TWIST_RANGE:
+        raise ValueError(
+            f"twist range {text!r} holds {hi - lo + 1} twists; at most {MAX_TWIST_RANGE} are allowed"
+        )
     return lo, hi
 
 
@@ -249,14 +259,6 @@ CLASSIFICATION = (
 )
 
 
-def _split_name(twists: tuple[int, ...]) -> str:
-    parts = []
-    for a in sorted(set(twists), reverse=True):
-        m = twists.count(a)
-        parts.append(f"O({a})" if m == 1 else f"O({a})^{m}")
-    return "+".join(parts)
-
-
 # ------------------------------------------------------------- subcommands
 
 
@@ -308,21 +310,12 @@ def _cmd_split_check(args) -> int:
     return 0
 
 
-def _cmd_acm(args) -> int:
-    verdict = acm_check(_input_table(args), args.dim_z)
+def _cmd_check(args) -> int:
+    verdict = args.check(_input_table(args), args.dim_z)
     if args.json:
-        _emit_json({"check": "acm", **verdict.to_json()})
+        _emit_json({"check": args.command.removesuffix("-check"), **verdict.to_json()})
     else:
-        _print_verdict("acm", verdict)
-    return 0
-
-
-def _cmd_buchsbaum(args) -> int:
-    verdict = buchsbaum_numeric(_input_table(args), args.dim_z)
-    if args.json:
-        _emit_json({"check": "buchsbaum", **verdict.to_json()})
-    else:
-        _print_verdict("buchsbaum(numeric)", verdict)
+        _print_verdict(args.label, verdict)
     return 0
 
 
@@ -386,14 +379,15 @@ def _cmd_beilinson(args) -> int:
 def _cmd_classify(args) -> int:
     for entry in CLASSIFICATION:
         if (entry.n, entry.degree) == (args.n, args.degree):
-            text = f"{_split_name(entry.pfaff_twists)} / {entry.sing_description}"
+            pfaff = str(SplitBundle(entry.n, entry.pfaff_twists))
+            text = f"{pfaff} / {entry.sing_description}"
             if args.json:
                 _emit_json(
                     {
                         "n": entry.n,
                         "degree": entry.degree,
                         "pfaff_twists": list(entry.pfaff_twists),
-                        "pfaff": _split_name(entry.pfaff_twists),
+                        "pfaff": pfaff,
                         "sing_description": entry.sing_description,
                     }
                 )
@@ -412,17 +406,6 @@ def _infer_nvars(text: str) -> int:
     if not indices:
         raise ValueError("cannot infer the ambient dimension from the form; pass --n")
     return max(indices) + 1
-
-
-def _stable_profile(ideal, n: int):
-    t_max = n + 2 + max(ideal.degrees, default=1)
-    profile = hilbert_profile(ideal, t_max)
-    while not profile.stabilized and t_max < 40:
-        t_max = min(40, 2 * t_max)
-        profile = hilbert_profile(ideal, t_max)
-    if not profile.stabilized:
-        raise UnstabilizedError(f"hilbert function did not stabilize by t = {t_max}")
-    return profile
 
 
 def _poly_text(coeffs) -> str:
@@ -536,7 +519,7 @@ def _cmd_form_sing(args) -> int:
         degree = distribution_degree_of_form(form, n)
         head += f", distribution degree {degree}"
     ideal = coefficient_ideal(form)
-    profile = _stable_profile(ideal, n)
+    profile = stable_profile(ideal)
     lines, report = _ideal_report(ideal, profile)
 
     if args.json:
@@ -613,7 +596,7 @@ def _cmd_form_pullback(args) -> int:
         raise ValueError("degenerate chain: the contracted form vanishes; try another --seed")
     degree = distribution_degree_of_form(omega, n)
     ideal = coefficient_ideal(omega)
-    profile = _stable_profile(ideal, n)
+    profile = stable_profile(ideal)
     predicted = singular_degree_formula(n, m, tuple(d - 1 for d in degrees))
     match = profile.scheme_deg == predicted
 
@@ -695,17 +678,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_split_check)
 
-    p = sub.add_parser("acm-check", help="ACM test on an ideal-sheaf table")
-    _add_table_source(p)
-    p.add_argument("--dim-z", type=int, help="override the scheme dimension")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_acm)
-
-    p = sub.add_parser("buchsbaum-check", help="numeric Buchsbaum test on an ideal-sheaf table")
-    _add_table_source(p)
-    p.add_argument("--dim-z", type=int, help="override the scheme dimension")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_buchsbaum)
+    for name, check, label, what in (
+        ("acm-check", acm_check, "acm", "ACM test"),
+        ("buchsbaum-check", buchsbaum_numeric, "buchsbaum(numeric)", "numeric Buchsbaum test"),
+    ):
+        p = sub.add_parser(name, help=f"{what} on an ideal-sheaf table")
+        _add_table_source(p)
+        p.add_argument("--dim-z", type=int, help="override the scheme dimension")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_check, check=check, label=label)
 
     p = sub.add_parser("chase", help="materialize an ideal-sheaf table by dimension chasing")
     group = p.add_mutually_exclusive_group(required=True)

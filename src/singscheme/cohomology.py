@@ -151,6 +151,19 @@ class Window:
     def is_finite(self) -> bool:
         return not self.empty and self.lo is not None and self.hi is not None
 
+    def to_json(self) -> dict:
+        """{"empty": true}, or {"lo": .., "hi": ..} with null for an open end."""
+        if self.empty:
+            return {"empty": True}
+        return {"lo": self.lo, "hi": self.hi}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Window":
+        if data.get("empty"):
+            return cls.nothing()
+        lo, hi = data.get("lo"), data.get("hi")
+        return cls(None if lo is None else int(lo), None if hi is None else int(hi))
+
 
 def atom_window(n: int, atom: SheafAtom, q: int) -> Window:
     """Twists t where h^q(atom(t)) can be nonzero; tight on both ends."""
@@ -259,14 +272,6 @@ class VirtualSheaf:
         return "+".join(parts)
 
 
-def sheaf_dim(sheaf: VirtualSheaf, q: int, twist: int = 0) -> int:
-    return sheaf.h(q, twist)
-
-
-def sheaf_window(sheaf: VirtualSheaf, q: int) -> Window:
-    return sheaf.row_window(q)
-
-
 def tangent_sheaf(n: int) -> VirtualSheaf:
     """T as the normalized atom Omega^{n-1}(n+1)."""
     return VirtualSheaf.from_atom(n, normalize_atom(n, n - 1, n + 1))
@@ -314,14 +319,6 @@ def tensor_with_split(sheaf, bundle: SplitBundle) -> VirtualSheaf:
         for a in bundle.twists:
             pairs.append((_twist_atom(atom, a), mult))
     return VirtualSheaf.from_pairs(sheaf.n, pairs)
-
-
-def twist(sheaf: VirtualSheaf, t: int) -> VirtualSheaf:
-    return sheaf.twist(t)
-
-
-def dual_split(bundle: SplitBundle) -> SplitBundle:
-    return bundle.dual()
 
 
 @dataclass(frozen=True)
@@ -374,6 +371,17 @@ class DimValue:
         hi = "inf" if self.hi is None else str(self.hi)
         return f"[{self.lo},{hi}]"
 
+    def to_json(self):
+        """The value itself when exact, else [lo, hi] with null for no bound."""
+        return self.lo if self.is_exact else [self.lo, self.hi]
+
+    @classmethod
+    def from_json(cls, data) -> "DimValue":
+        if isinstance(data, int):
+            return cls.exact(data)
+        lo, hi = data
+        return cls(int(lo), None if hi is None else int(hi))
+
 
 @dataclass
 class CohomologyTable:
@@ -410,57 +418,29 @@ class CohomologyTable:
         return CohomologyTable(self.n, self.rows, self.windows, dim_z)
 
     def to_json(self) -> dict:
-        def enc_value(v: DimValue):
-            if v.is_exact:
-                return v.lo
-            return [v.lo, v.hi]
-
-        def enc_window(w: Window | None):
-            if w is None:
-                return None
-            if w.empty:
-                return {"empty": True}
-            return {"lo": w.lo, "hi": w.hi}
-
         return {
             "n": self.n,
             "dim_z": self.dim_z,
             "rows": {
-                str(q): {str(t): enc_value(v) for t, v in sorted(row.items())}
+                str(q): {str(t): v.to_json() for t, v in sorted(row.items())}
                 for q, row in sorted(self.rows.items())
             },
             "windows": {
-                str(q): enc_window(w) for q, w in sorted(self.windows.items())
+                str(q): None if w is None else w.to_json()
+                for q, w in sorted(self.windows.items())
             },
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyTable":
         n = int(data["n"])
-
-        def dec_value(v) -> DimValue:
-            if isinstance(v, int):
-                return DimValue.exact(v)
-            lo, hi = v
-            return DimValue(int(lo), None if hi is None else int(hi))
-
-        def dec_window(w) -> Window | None:
-            if w is None:
-                return None
-            if w.get("empty"):
-                return Window.nothing()
-            lo, hi = w.get("lo"), w.get("hi")
-            return Window(
-                None if lo is None else int(lo),
-                None if hi is None else int(hi),
-            )
-
         rows = {
-            int(q): {int(t): dec_value(v) for t, v in row.items()}
+            int(q): {int(t): DimValue.from_json(v) for t, v in row.items()}
             for q, row in data.get("rows", {}).items()
         }
         windows = {
-            int(q): dec_window(w) for q, w in data.get("windows", {}).items()
+            int(q): None if w is None else Window.from_json(w)
+            for q, w in data.get("windows", {}).items()
         }
         for q in rows:
             if not 0 <= q <= n:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohomologyTable, DimValue, Window
+from .cohomology import CohomologyTable, DimValue
 
 
 class InapplicableError(ValueError):
@@ -48,12 +48,9 @@ class Verdict:
         return self.decision == "holds"
 
     def to_json(self) -> dict:
-        def enc(v: DimValue):
-            return v.lo if v.is_exact else [v.lo, v.hi]
-
         return {
             "decision": self.decision,
-            "witnesses": [[q, t, enc(v)] for q, t, v in self.witnesses],
+            "witnesses": [[q, t, v.to_json()] for q, t, v in self.witnesses],
             "certificate": self.certificate,
         }
 
@@ -174,6 +171,20 @@ def _possible_entries(table: CohomologyTable, q: int):
     return out
 
 
+def _gap_violation(entries: dict[int, list]):
+    """First pair (p, i, vp), (q, j, vq) with p < q and (p+i) - (q+j) = 1
+    among per-row lists of (twist, value), or None."""
+    for p in entries:
+        for q in entries:
+            if p >= q:
+                continue
+            for i, vp in entries[p]:
+                for j, vq in entries[q]:
+                    if (p + i) - (q + j) == 1:
+                        return (p, i, vp), (q, j, vq)
+    return None
+
+
 def buchsbaum_numeric(
     ideal_table: CohomologyTable, dim_z: int | None = None
 ) -> Verdict:
@@ -206,18 +217,14 @@ def buchsbaum_numeric(
         )
         for q in rows
     }
-    for p in rows:
-        for q in rows:
-            if p >= q:
-                continue
-            for i, vp in definite[p]:
-                for j, vq in definite[q]:
-                    if (p + i) - (q + j) == 1:
-                        return Verdict(
-                            "fails",
-                            ((p, i, vp), (q, j, vq)),
-                            f"buchsbaum: gap condition violated, (p+i)-(q+j)=1 at p={p}, i={i}, q={q}, j={j}",
-                        )
+    gap = _gap_violation(definite)
+    if gap is not None:
+        (p, i, _), (q, j, _) = gap
+        return Verdict(
+            "fails",
+            gap,
+            f"buchsbaum: gap condition violated, (p+i)-(q+j)=1 at p={p}, i={i}, q={q}, j={j}",
+        )
 
     # For a positive verdict every row must be enumerable.
     possible: dict[int, list] = {}
@@ -231,18 +238,14 @@ def buchsbaum_numeric(
             )
         possible[q] = entries
 
-    for p in rows:
-        for q in rows:
-            if p >= q:
-                continue
-            for i, vp in possible[p]:
-                for j, vq in possible[q]:
-                    if (p + i) - (q + j) == 1:
-                        return Verdict(
-                            "undetermined",
-                            ((p, i, vp), (q, j, vq)),
-                            f"buchsbaum: possible gap-condition violation at p={p}, i={i}, q={q}, j={j}",
-                        )
+    gap = _gap_violation(possible)
+    if gap is not None:
+        (p, i, _), (q, j, _) = gap
+        return Verdict(
+            "undetermined",
+            gap,
+            f"buchsbaum: possible gap-condition violation at p={p}, i={i}, q={q}, j={j}",
+        )
 
     for q in rows:
         twists = {t for t, _ in possible[q]}

@@ -77,9 +77,6 @@ class HomogeneousPoly:
     def degree(self) -> int:
         return sum(self.terms[0][0]) if self.terms else -1
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def _check_ring(self, other: "HomogeneousPoly") -> None:
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different variable counts")
@@ -344,9 +341,9 @@ def volume_contract_chain(n: int, fields) -> PolyKForm:
     for f in reversed(fields):
         result = contract(result, f)
     if result.k >= 1 and not result.is_zero:
-        assert contract(result, radial).is_zero
-        for f in fields:
-            assert contract(result, f).is_zero
+        for f in (radial, *fields):
+            if not contract(result, f).is_zero:
+                raise RuntimeError("contraction chain is not annihilated by its fields")
     return result
 
 
@@ -413,7 +410,8 @@ def minors_ideal(one_forms) -> GradedIdeal:
     wedge_gens = set()
     for _, poly in wedge_form.coeffs:
         wedge_gens.add(poly.content_normalized())
-    assert set(minors) == wedge_gens
+    if set(minors) != wedge_gens:
+        raise RuntimeError("maximal minors differ from the wedge coefficients")
 
     if not minors:
         warnings.warn("degenerate system: all maximal minors vanish")

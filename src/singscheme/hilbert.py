@@ -5,9 +5,18 @@ piece of an ideal is the rank of the Macaulay matrix whose rows are the
 monomial multiples of the generators, computed with fraction-free integer
 elimination and deterministic pivoting. The Hilbert function is then
 HF(t) = (number of degree-t monomials) - rank, and the eventual polynomial
-is interpolated and certified by n+2 consecutive exact fits. No Groebner
-bases, no saturation; unsaturated input only shifts where stabilization
-begins, never the certified polynomial.
+is interpolated and accepted after n+2 consecutive exact fits, provided
+its leading coefficient times dim! is a positive integer (a scheme's
+degree). No Groebner bases, no saturation; unsaturated input only shifts
+where stabilization begins.
+
+Escalation has one owner, stable_profile: it starts at
+t_max = min(t_cap, n + 2 + max generator degree), widens the range by 4
+until the profile is accepted, reuses every value already computed, and
+raises UnstabilizedError at t_cap. The n+2-fit rule is a heuristic, not a
+proof: a Hilbert function can agree with a polynomial on n+2 consecutive
+twists and still leave it later. A Gotzmann persistence certificate would
+make acceptance a proof; it is not implemented.
 """
 
 from __future__ import annotations
@@ -178,49 +187,50 @@ def _profile_from_values(ideal: GradedIdeal, t_max: int, values) -> HilbertProfi
         fit_from = t
     if t_max - fit_from + 1 < n + 2:
         return HilbertProfile(ideal, t_max, stored)
-    if poly:
-        dim = len(poly) - 1
-        deg_frac = poly[-1] * factorial(dim)
-        assert deg_frac.denominator == 1 and deg_frac > 0
-        dim_deg = (dim, int(deg_frac))
-    else:
-        dim_deg = (-1, 0)
-    return HilbertProfile(
-        ideal, t_max, stored, poly, fit_from, dim_deg[0], dim_deg[1]
-    )
+    if not poly:
+        return HilbertProfile(ideal, t_max, stored, poly, fit_from, -1, 0)
+    dim = len(poly) - 1
+    deg = poly[-1] * factorial(dim)
+    if deg.denominator != 1 or deg <= 0:
+        # No scheme has this Hilbert polynomial: not stabilized yet.
+        return HilbertProfile(ideal, t_max, stored)
+    return HilbertProfile(ideal, t_max, stored, poly, fit_from, dim, int(deg))
 
 
 def hilbert_profile(ideal: GradedIdeal, t_max: int) -> HilbertProfile:
-    """Hilbert function on [0, t_max] plus the certified polynomial.
+    """Hilbert function on [0, t_max] plus the accepted polynomial.
 
     The polynomial is interpolated through the last n+1 values and accepted
-    only when at least n+2 consecutive values ending at t_max lie on it;
-    otherwise the profile comes back unstabilized (polynomial None), never
-    a guess."""
+    only when at least n+2 consecutive values ending at t_max lie on it and
+    its leading coefficient gives a positive integer degree; otherwise the
+    profile comes back unstabilized (polynomial None), never a guess."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     values = {t: hilbert_function(ideal, t) for t in range(t_max + 1)}
     return _profile_from_values(ideal, t_max, values)
 
 
-def scheme_degree_dim(ideal: GradedIdeal, t_cap: int = 40):
-    """(dimension, degree) of the subscheme cut out by the ideal.
-
-    Escalates the computed range until the profile certifies, reusing
-    already-computed values; the empty scheme reports (-1, 0)."""
+def stable_profile(ideal: GradedIdeal, t_cap: int = 40) -> HilbertProfile:
+    """The first accepted profile on the escalation described in the module
+    docstring; UnstabilizedError if none is accepted by t_cap."""
     n = ideal.nvars - 1
-    max_deg = max((g.degree for g in ideal.generators), default=0)
-    t_max = min(t_cap, n + 2 + max_deg)
+    t_max = min(t_cap, n + 2 + max(ideal.degrees, default=0))
     values: dict[int, int] = {}
     while True:
-        for t in range(t_max + 1):
-            if t not in values:
-                values[t] = hilbert_function(ideal, t)
+        for t in range(len(values), t_max + 1):
+            values[t] = hilbert_function(ideal, t)
         profile = _profile_from_values(ideal, t_max, values)
         if profile.stabilized:
-            return profile.scheme_dim, profile.scheme_deg
+            return profile
         if t_max >= t_cap:
             raise UnstabilizedError(
                 f"Hilbert function not certified polynomial by t={t_cap}"
             )
         t_max = min(t_cap, t_max + 4)
+
+
+def scheme_degree_dim(ideal: GradedIdeal, t_cap: int = 40):
+    """(dimension, degree) of the subscheme cut out by the ideal; the empty
+    scheme reports (-1, 0)."""
+    profile = stable_profile(ideal, t_cap)
+    return profile.scheme_dim, profile.scheme_deg

@@ -29,7 +29,6 @@ from singscheme.cohomology import (
     SplitBundle,
     VirtualSheaf,
     Window,
-    sheaf_dim,
     table,
     tangent_sheaf,
 )
@@ -208,7 +207,7 @@ def test_06_rank_two_pfaff_single_peak():
             assert tab.window(2) == Window(spike, spike)
             assert tab.value(2, spike) == DimValue(1, 1)
             assert tab.value(2, spike) == DimValue.exact(
-                sheaf_dim(VirtualSheaf.from_atom(n, CotangentPower(2, 0)), 2, 0)
+                VirtualSheaf.from_atom(n, CotangentPower(2, 0)).h(2, 0)
             )
             for t in range(spike - 6, spike + 7):
                 if t != spike:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from singscheme.cli import main, parse_sheaf
+from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, table, tangent_sheaf
 from singscheme.chow import pullback_degree, singular_degree_formula
 
@@ -103,6 +103,30 @@ class TestCohomologyCommand:
                            "--twists=2..1")
         assert code == 1
         assert "empty twist range" in err
+
+
+class TestTwistRangeCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cohomology", "--n", "3", "--sheaf", "T"),
+            ("split-check", "--n", "3", "--sheaf", "T", "--criterion", "horrocks"),
+            ("chase", "--n", "3", "--tangent=0,0"),
+        ],
+    )
+    def test_huge_range_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--twists=-100000000..100000000")
+        assert code == 1
+        assert out == ""
+        assert f"at most {MAX_TWIST_RANGE}" in err
+
+    def test_cap_is_inclusive(self, capsys):
+        argv = ("cohomology", "--n", "1", "--sheaf", "O(0)")
+        code, _, _ = run(capsys, *argv, f"--twists=1..{MAX_TWIST_RANGE}")
+        assert code == 0
+        code, _, err = run(capsys, *argv, f"--twists=0..{MAX_TWIST_RANGE}")
+        assert code == 1
+        assert f"holds {MAX_TWIST_RANGE + 1} twists" in err
 
 
 class TestSplitCheckCommand:

@@ -25,7 +25,6 @@ from singscheme.cohomology import (
     atom_dim,
     atom_window,
     bott_dim,
-    dual_split,
     ext_power_split,
     ext_power_tangent,
     normalize_atom,
@@ -33,7 +32,6 @@ from singscheme.cohomology import (
     table,
     tangent_sheaf,
     tensor_with_split,
-    twist,
 )
 
 
@@ -276,8 +274,9 @@ class TestPowers:
 
     def test_twist_and_dual_helpers(self):
         t = tangent_sheaf(3)
-        assert twist(t, -4) == t.twist(-4)
-        assert dual_split(SplitBundle(3, (-1, 2))) == SplitBundle(3, (1, -2))
+        assert t.twist(-4) == VirtualSheaf.from_atom(3, CotangentPower(2, 0))
+        assert all(t.twist(-4).h(q) == t.h(q, -4) for q in range(4))
+        assert SplitBundle(3, (-1, 2)).dual() == SplitBundle(3, (1, -2))
 
 
 class TestDimValue:

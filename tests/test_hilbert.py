@@ -6,13 +6,17 @@ for a complete intersection, direct monomial counts for the two-lines
 ideal); and the cross-module invariants tie degrees computed here to the
 intersection-theoretic predictions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
+import singscheme
 from singscheme.chow import pullback_degree
 from singscheme.forms import (
     GradedIdeal,
@@ -34,6 +38,7 @@ from singscheme.hilbert import (
     hilbert_profile,
     integer_matrix_rank,
     scheme_degree_dim,
+    stable_profile,
 )
 
 
@@ -41,6 +46,12 @@ def two_lines_ideal():
     w1 = parse_form("z0 dz1 - z1 dz0", 4)
     w2 = parse_form("z2 dz3 - z3 dz2", 4)
     return coefficient_ideal(wedge(w1, w2))
+
+
+def powers_ideal(d: int) -> GradedIdeal:
+    """(z0^d, z1^d) in three variables: d^2 points in the plane."""
+    gens = (HomogeneousPoly.monomial(3, (d, 0, 0)), HomogeneousPoly.monomial(3, (0, d, 0)))
+    return GradedIdeal(3, gens)
 
 
 def random_dense_field(rng, nvars, degree):
@@ -196,6 +207,42 @@ class TestProfile:
     def test_escalation_cap_raises(self):
         with pytest.raises(UnstabilizedError):
             scheme_degree_dim(two_lines_ideal(), t_cap=3)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_complete_intersection_of_powers(self, d):
+        assert scheme_degree_dim(powers_ideal(d)) == (0, d * d)
+
+    def test_impossible_polynomial_not_accepted(self):
+        # HF(7..9) = 24, 25, 25 fits -t^2/2 + 17t/2 - 11 on four twists; a
+        # negative leading coefficient is no scheme's degree
+        prof = hilbert_profile(powers_ideal(5), 9)
+        assert [prof.values[t] for t in (6, 7, 8, 9)] == [22, 24, 25, 25]
+        assert not prof.stabilized
+
+    def test_stable_profile_first_range(self):
+        # n = 3 and generator degree 2: the first range is [0, 7]
+        prof = stable_profile(two_lines_ideal())
+        assert prof == hilbert_profile(two_lines_ideal(), 7)
+
+    def test_stable_profile_escalates_by_four(self):
+        # [0, 9] is rejected, [0, 13] accepted
+        prof = stable_profile(powers_ideal(5))
+        assert prof == hilbert_profile(powers_ideal(5), 13)
+        assert (prof.scheme_dim, prof.scheme_deg, prof.stable_from) == (0, 25, 8)
+
+    def test_same_answers_without_asserts(self):
+        code = (
+            "from singscheme.forms import GradedIdeal, HomogeneousPoly as H\n"
+            "from singscheme.hilbert import scheme_degree_dim\n"
+            "print([scheme_degree_dim(GradedIdeal(3, (H.monomial(3, (d, 0, 0)),"
+            " H.monomial(3, (0, d, 0))))) for d in range(2, 8)])\n"
+        )
+        root = os.path.dirname(os.path.dirname(singscheme.__file__))
+        env = dict(os.environ, PYTHONPATH=root)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == str([(0, d * d) for d in range(2, 8)])
 
     def test_json_shape(self):
         prof = hilbert_profile(two_lines_ideal(), 8)
