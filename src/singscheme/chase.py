@@ -115,6 +115,15 @@ def _forced(keep: DimValue, kill: DimValue) -> tuple[int, int | None]:
     return lo, keep.hi
 
 
+def _solve(inputs) -> DimValue:
+    """forced(keep1, kill1) + forced(keep2, kill2) over the four reads."""
+    kill1, keep1, kill2, keep2 = (DimValue(i.lo, i.hi) for i in inputs)
+    lo1, hi1 = _forced(keep1, kill1)
+    lo2, hi2 = _forced(keep2, kill2)
+    hi = None if hi1 is None or hi2 is None else hi1 + hi2
+    return DimValue(lo1 + lo2, hi)
+
+
 @dataclass(frozen=True)
 class TraceInput:
     """One neighbor value consumed by a solve step."""
@@ -157,13 +166,7 @@ def replay_trace(trace: Trace) -> DimValue:
         return DimValue(trace.lo, trace.hi)
     if trace.rule not in ("solve-a", "solve-b", "solve-c"):
         raise ValueError(f"unknown trace rule {trace.rule!r}")
-    kill1, keep1, kill2, keep2 = (
-        DimValue(i.lo, i.hi) for i in trace.inputs
-    )
-    lo1, hi1 = _forced(keep1, kill1)
-    lo2, hi2 = _forced(keep2, kill2)
-    hi = None if hi1 is None or hi2 is None else hi1 + hi2
-    return DimValue(lo1 + lo2, hi)
+    return _solve(trace.inputs)
 
 
 @dataclass(frozen=True)
@@ -414,11 +417,7 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
                 inputs.append(
                     TraceInput(role, str(tr.term(role)), q + dq, t, v.lo, v.hi)
                 )
-            kill1, keep1, kill2, keep2 = (DimValue(i.lo, i.hi) for i in inputs)
-            lo1, hi1 = _forced(keep1, kill1)
-            lo2, hi2 = _forced(keep2, kill2)
-            hi = None if hi1 is None or hi2 is None else hi1 + hi2
-            v = DimValue(lo1 + lo2, hi)
+            v = _solve(inputs)
             values[key] = v
             traces[key] = Trace(
                 name, q, s, f"solve-{pos}", label, tuple(inputs), v.lo, v.hi

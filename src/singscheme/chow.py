@@ -4,7 +4,8 @@ Everything in this module lives in the Chow ring Z[h]/(h^{n+1}) of P^n,
 where h is the hyperplane class: total Chern classes of split bundles,
 formal differences c(B) / c(A), and the closed-form degree of the singular
 scheme of a split distribution. All coefficients are arbitrary-precision
-integers; no floating point is used anywhere.
+integers; no floating point is used anywhere. The low-degree split-Pfaff
+classification rows live here too, as data.
 """
 
 from __future__ import annotations
@@ -297,3 +298,30 @@ def porteous_singular_degree(n: int, pfaff: SplitBundle) -> int:
             f"violated): candidate degree {degree} in codimension {codim}"
         )
     return degree
+
+
+@dataclass(frozen=True)
+class ClassificationEntry:
+    """One row of the low-degree split-Pfaff classification."""
+
+    n: int
+    degree: int
+    pfaff_twists: tuple[int, ...]
+    sing_description: str
+
+
+CLASSIFICATION = (
+    ClassificationEntry(4, 2, (-2, -2, -2), "smooth projected Veronese surface"),
+    ClassificationEntry(4, 3, (-2, -2, -3), "K3 surface of genus 7"),
+    ClassificationEntry(5, 3, (-2, -2, -2, -2), "a scroll over a plane cubic surface"),
+    ClassificationEntry(5, 4, (-2, -2, -2, -3), "P(R_2) ∩ Bl_{P^2} P^8"),
+)
+
+
+def classification_entry(n: int, degree: int) -> ClassificationEntry:
+    """The CLASSIFICATION row for (n, degree), else ValueError."""
+    for entry in CLASSIFICATION:
+        if (entry.n, entry.degree) == (n, degree):
+            return entry
+    known = ", ".join(f"(n={e.n}, degree={e.degree})" for e in CLASSIFICATION)
+    raise ValueError(f"no classification row for n={n}, degree={degree}; known: {known}")

@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end: it parses and renders, the library decides.
 
 Every computation in the package is reachable from one executable:
 degree formulas, exact cohomology tables, splitting criteria, the
@@ -14,50 +14,48 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from dataclasses import asdict
 
 from .chase import (
     beilinson_split_obstruction,
     en_complex_pfaff,
     en_complex_tangent,
+    pfaff_ideal_table,
+    tangent_ideal_table,
     windowed_chase,
 )
-from .chow import pullback_degree, singular_degree_formula
+from .chow import classification_entry, pullback_degree, singular_degree_formula
 from .cohomology import (
     CohomologyTable,
-    CotangentPower,
     DimValue,
     LineBundle,
     SplitBundle,
     VirtualSheaf,
     Window,
+    normalize_atom,
     table,
-    tangent_sheaf,
 )
 from .criteria import (
+    InapplicableError,
     Verdict,
     acm_check,
     beilinson_rank_bound,
     buchsbaum_numeric,
     evans_griffith,
+    hilbert_deficiency_verdicts,
     horrocks,
     kpr,
     regularity,
 )
 from .forms import (
-    HomogeneousPoly,
-    PolyVectorField,
     coefficient_ideal,
-    constant_field,
     contract,
     distribution_degree_of_form,
     parse_form,
+    pullback_form,
     radial_field,
-    volume_contract_chain,
 )
 from .hilbert import stable_profile
 
@@ -108,12 +106,17 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _print_verdict(label: str, verdict: Verdict) -> None:
+def _report_verdict(args, label: str, head: dict, verdict: Verdict) -> int:
+    """head plus the verdict's JSON with --json, else the labelled text."""
+    if args.json:
+        _emit_json({**head, **verdict.to_json()})
+        return 0
     print(f"{label}: {_decision_word(verdict.decision)}")
     for q, t, v in verdict.witnesses:
         print(f"  witness: h^{q}(t={t}) = {_fmt_value(v)}")
     if verdict.certificate:
         print(f"  {verdict.certificate}")
+    return 0
 
 
 # ---------------------------------------------------------------- parsing
@@ -145,17 +148,15 @@ def parse_sheaf(spec: str, n: int) -> VirtualSheaf:
         if mult < 1:
             raise ValueError("multiplicity must be at least 1")
         if m.group("t"):
-            part = tangent_sheaf(n)
-            for _ in range(mult - 1):
-                part = part.direct_sum(tangent_sheaf(n))
+            atom = normalize_atom(n, n - 1, n + 1)  # T = Omega^{n-1}(n+1)
         elif m.group("p") is not None:
             p, k = int(m.group("p")), int(m.group("k"))
             if p > n:
                 raise ValueError(f"Om({p},{k}) vanishes on P^{n}")
-            atom = LineBundle(k) if p == 0 else CotangentPower(p, k)
-            part = VirtualSheaf.from_atom(n, atom, mult)
+            atom = normalize_atom(n, p, k)
         else:
-            part = VirtualSheaf.from_atom(n, LineBundle(int(m.group("a"))), mult)
+            atom = LineBundle(int(m.group("a")))
+        part = VirtualSheaf.from_atom(n, atom, mult)
         total = part if total is None else total.direct_sum(part)
     if total is None:
         raise ValueError("empty sheaf spec")
@@ -192,71 +193,51 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad integer list {text!r}") from None
 
 
-def _chase_setup(spec: str, n_flag: int | None):
-    """Resolve a chase spec 'tangent:T1,T2,..' or 'pfaff:R:T1,T2,..' into
-    (triples, n, dim_z). Tangent chases need the ambient dimension; Pfaff
-    chases infer it from the rank and the number of twists."""
-    kind, _, rest = spec.partition(":")
+def _chase_data(kind: str, text: str, r: int | None, n_flag: int | None):
+    """(bundle, r) for split chase data: tangent data F on P^n with r None,
+    or Pfaff data E of distribution rank r, which lives on P^{rank E + r}."""
     if kind == "tangent":
         if n_flag is None:
             raise ValueError("a tangent chase needs --n")
-        twists = _parse_int_list(rest)
-        bundle = SplitBundle(n_flag, twists)
-        return en_complex_tangent(bundle, n_flag), n_flag, bundle.rank - 1
+        return SplitBundle(n_flag, _parse_int_list(text)), None
+    twists = _parse_int_list(text)
+    n = len(twists) + r
+    if n_flag is not None and n_flag != n:
+        raise ValueError(
+            f"--n {n_flag} contradicts the Pfaff data: rank {r} with"
+            f" {len(twists)} twists lives on P^{n}"
+        )
+    return SplitBundle(n, twists), r
+
+
+def _chase_spec_data(spec: str, n_flag: int | None):
+    """_chase_data of a chase spec 'tangent:T1,T2,..' or 'pfaff:R:T1,T2,..'."""
+    kind, _, rest = spec.partition(":")
+    r = None
     if kind == "pfaff":
-        r_text, _, tail = rest.partition(":")
+        r_text, _, rest = rest.partition(":")
         try:
             r = int(r_text)
         except ValueError:
             raise ValueError(f"bad chase spec {spec!r}; rank must follow 'pfaff:'") from None
-        twists = _parse_int_list(tail)
-        n = len(twists) + r
-        if n_flag is not None and n_flag != n:
-            raise ValueError(
-                f"--n {n_flag} contradicts the Pfaff data: rank {r} with"
-                f" {len(twists)} twists lives on P^{n}"
-            )
-        return en_complex_pfaff(SplitBundle(n, twists), r, n), n, n - r - 1
-    raise ValueError(
-        f"bad chase spec {spec!r}; use tangent:T1,T2,... or pfaff:R:T1,T2,..."
-    )
+    elif kind != "tangent":
+        raise ValueError(
+            f"bad chase spec {spec!r}; use tangent:T1,T2,... or pfaff:R:T1,T2,..."
+        )
+    return _chase_data(kind, rest, r, n_flag)
 
 
-def _chased_table(spec: str, n_flag: int | None) -> CohomologyTable:
-    triples, n, dim_z = _chase_setup(spec, n_flag)
-    return windowed_chase(triples, "I_Z", n).table("I_Z", dim_z=dim_z)
-
-
-def _load_table(path: str) -> CohomologyTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CohomologyTable.loads(fh.read())
+def _ideal_table(bundle: SplitBundle, r: int | None, extra=()) -> CohomologyTable:
+    if r is None:
+        return tangent_ideal_table(bundle, bundle.n, extra)
+    return pfaff_ideal_table(bundle, r, bundle.n, extra)
 
 
 def _input_table(args) -> CohomologyTable:
-    if args.table is not None:
-        return _load_table(args.table)
-    return _chased_table(args.from_chase, args.n)
-
-
-# ---------------------------------------------------------------- classify
-
-
-@dataclass(frozen=True)
-class ClassificationEntry:
-    """One row of the low-degree split-Pfaff classification."""
-
-    n: int
-    degree: int
-    pfaff_twists: tuple[int, ...]
-    sing_description: str
-
-
-CLASSIFICATION = (
-    ClassificationEntry(4, 2, (-2, -2, -2), "smooth projected Veronese surface"),
-    ClassificationEntry(4, 3, (-2, -2, -3), "K3 surface of genus 7"),
-    ClassificationEntry(5, 3, (-2, -2, -2, -2), "a scroll over a plane cubic surface"),
-    ClassificationEntry(5, 4, (-2, -2, -2, -3), "P(R_2) ∩ Bl_{P^2} P^8"),
-)
+    if args.table is None:
+        return _ideal_table(*_chase_spec_data(args.from_chase, args.n))
+    with open(args.table, "r", encoding="utf-8") as fh:
+        return CohomologyTable.loads(fh.read())
 
 
 # ------------------------------------------------------------- subcommands
@@ -303,44 +284,36 @@ def _cmd_split_check(args) -> int:
         verdict = evans_griffith(tab, sheaf.rank, args.n)
     else:
         verdict = kpr(tab, sheaf.rank, args.n)
-    if args.json:
-        _emit_json({"criterion": args.criterion, **verdict.to_json()})
-    else:
-        _print_verdict(args.criterion, verdict)
-    return 0
+    return _report_verdict(args, args.criterion, {"criterion": args.criterion}, verdict)
 
 
 def _cmd_check(args) -> int:
     verdict = args.check(_input_table(args), args.dim_z)
-    if args.json:
-        _emit_json({"check": args.command.removesuffix("-check"), **verdict.to_json()})
-    else:
-        _print_verdict(args.label, verdict)
-    return 0
+    return _report_verdict(args, args.label, {"check": args.command.removesuffix("-check")}, verdict)
 
 
 def _cmd_chase(args) -> int:
     if args.tangent is not None:
-        spec = f"tangent:{args.tangent}"
+        bundle, r = _chase_data("tangent", args.tangent, None, args.n)
+    elif args.r is None:
+        raise ValueError("a Pfaff chase needs --r")
     else:
-        if args.r is None:
-            raise ValueError("a Pfaff chase needs --r")
-        spec = f"pfaff:{args.r}:{args.pfaff}"
-    triples, n, dim_z = _chase_setup(spec, args.n)
+        bundle, r = _chase_data("pfaff", args.pfaff, args.r, args.n)
     extra = ()
     if args.twists:
         lo, hi = _parse_twist_range(args.twists)
-        extra = [("I_Z", q, (lo, hi)) for q in range(n + 1)]
-    result = windowed_chase(triples, "I_Z", n, extra=extra)
+        extra = [("I_Z", q, (lo, hi)) for q in range(bundle.n + 1)]
     if args.explain:
-        print(result.explain_json())
+        n = bundle.n
+        triples = en_complex_tangent(bundle, n) if r is None else en_complex_pfaff(bundle, r, n)
+        print(windowed_chase(triples, "I_Z", n, extra=extra).explain_json())
         return 0
-    tab = result.table("I_Z", dim_z=dim_z)
+    tab = _ideal_table(bundle, r, extra)
     if args.json:
         print(tab.dumps())
         return 0
-    print(f"ideal-sheaf table on P^{n} (dim Z = {dim_z})")
-    for q in range(n + 1):
+    print(f"ideal-sheaf table on P^{tab.n} (dim Z = {tab.dim_z})")
+    for q in range(tab.n + 1):
         line = f"h^{q}: {_fmt_window(tab.window(q))}"
         row = tab.rows.get(q, {})
         shown = [(t, v) for t, v in sorted(row.items()) if (v.lo, v.hi) != (0, 0)]
@@ -377,25 +350,13 @@ def _cmd_beilinson(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    for entry in CLASSIFICATION:
-        if (entry.n, entry.degree) == (args.n, args.degree):
-            pfaff = str(SplitBundle(entry.n, entry.pfaff_twists))
-            text = f"{pfaff} / {entry.sing_description}"
-            if args.json:
-                _emit_json(
-                    {
-                        "n": entry.n,
-                        "degree": entry.degree,
-                        "pfaff_twists": list(entry.pfaff_twists),
-                        "pfaff": pfaff,
-                        "sing_description": entry.sing_description,
-                    }
-                )
-            else:
-                print(text)
-            return 0
-    known = ", ".join(f"(n={e.n}, degree={e.degree})" for e in CLASSIFICATION)
-    raise ValueError(f"no classification row for n={args.n}, degree={args.degree}; known: {known}")
+    entry = classification_entry(args.n, args.degree)
+    pfaff = str(SplitBundle(entry.n, entry.pfaff_twists))
+    if args.json:
+        _emit_json({**asdict(entry), "pfaff": pfaff})
+    else:
+        print(f"{pfaff} / {entry.sing_description}")
+    return 0
 
 
 # ------------------------------------------------------------- form tools
@@ -410,16 +371,13 @@ def _infer_nvars(text: str) -> int:
 
 def _poly_text(coeffs) -> str:
     """Render an ascending coefficient tuple as a polynomial in t."""
-    terms = []
+    out = ""
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
         if c == 0:
             continue
         a = abs(c)
-        if a.denominator == 1:
-            body = str(a.numerator)
-        else:
-            body = f"{a.numerator}/{a.denominator}"
+        body = str(a)
         if i > 0:
             var = "t" if i == 1 else f"t^{i}"
             if a == 1:
@@ -428,81 +386,49 @@ def _poly_text(coeffs) -> str:
                 body = f"{body}{var}"
             else:
                 body = f"({body}){var}"
-        terms.append(("-" if c < 0 else "+", body))
-    if not terms:
-        return "0"
-    sign, body = terms[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
+        if not out:
+            out = f"-{body}" if c < 0 else body
+        else:
+            out += f" - {body}" if c < 0 else f" + {body}"
+    return out or "0"
 
 
-def _deficiency(profile) -> list[tuple[int, int]]:
-    """Twists t >= 0 where the Hilbert function falls short of the
-    polynomial, with the shortfall. Lower bounds for h^1(I(t)) when the
-    scheme has dimension <= 1, exact in dimension 0."""
-    out = []
-    for t in range(profile.stable_from):
-        hp = sum(c * t**i for i, c in enumerate(profile.polynomial))
-        gap = hp - profile.values[t]
-        if gap > 0:
-            out.append((t, int(gap)))
-    return out
+def _ideal_summary(ideal) -> tuple[str, dict]:
+    degs = ",".join(str(d) for d in ideal.degrees)
+    line = f"ideal: {len(ideal.generators)} generators, degrees {degs}"
+    return line, {"generators": len(ideal.generators), "degrees": list(ideal.degrees)}
 
 
 def _ideal_report(ideal, profile) -> tuple[list[str], dict]:
-    """Text lines and JSON payload describing an ideal's scheme, with
-    Hilbert-deficiency ACM/Buchsbaum verdicts where they are sound."""
-    degs = ",".join(str(d) for d in ideal.degrees)
-    lines = [f"ideal: {len(ideal.generators)} generators, degrees {degs}"]
+    """Text lines and JSON payload describing an ideal's scheme, with the
+    Hilbert-deficiency ACM/Buchsbaum verdicts."""
+    ideal_line, ideal_payload = _ideal_summary(ideal)
     dim, deg = profile.scheme_dim, profile.scheme_deg
-    lines.append("scheme: empty" if dim < 0 else f"scheme: dim {dim}, degree {deg}")
-    lines.append(
+    lines = [
+        ideal_line,
+        "scheme: empty" if dim < 0 else f"scheme: dim {dim}, degree {deg}",
         f"hilbert polynomial: {_poly_text(profile.polynomial)}"
-        f" (stable from t={profile.stable_from})"
-    )
-    payload: dict = {
-        "ideal": {"generators": len(ideal.generators), "degrees": list(ideal.degrees)},
-        "hilbert": profile.to_json(),
-    }
-
-    # The deficiency trick needs dim Z <= 1: only then is HP(t) - HF(t)
-    # a lower bound for h^1(I(t)) at t >= 0.
-    if dim > 1 or dim < 0:
-        why = "empty scheme" if dim < 0 else "dim Z >= 2: Hilbert data alone cannot bound h^1"
-        lines.append(f"ACM: not computed ({why})")
+        f" (stable from t={profile.stable_from})",
+    ]
+    payload: dict = {"ideal": ideal_payload, "hilbert": profile.to_json()}
+    gaps = profile.deficiency()
+    try:
+        acm, bb = hilbert_deficiency_verdicts(dim, gaps)
+    except InapplicableError as exc:
+        lines.append(f"ACM: not computed ({exc})")
         lines.append("Buchsbaum(numeric): not computed")
         payload["acm"] = {"decision": "not computed"}
         payload["buchsbaum_numeric"] = {"decision": "not computed"}
         return lines, payload
-
-    gaps = _deficiency(profile)
-    support = [t for t, _ in gaps]
-    if gaps:
-        lines.append(f"ACM: {_decision_word('fails')}")
-        for t, gap in gaps:
-            lines.append(f"  witness: h^1(I({t})) >= {gap} (Hilbert function vs polynomial)")
-        acm = "fails"
-    else:
-        lines.append(f"ACM: {_decision_word('undetermined')}")
-        lines.append(
-            "  no deficiency at t >= 0; twists t < 0 are invisible to a Hilbert function"
-        )
-        acm = "undetermined"
-    if any(b - a == 1 for a, b in zip(support, support[1:])):
-        lines.append(f"Buchsbaum(numeric): {_decision_word('undetermined')}")
-        lines.append(f"  deficiency at consecutive twists {support}")
-        bb = "undetermined"
-    else:
-        lines.append(f"Buchsbaum(numeric): {_decision_word('holds')}")
-        if support:
-            lines.append(f"  deficiency support {support}: no consecutive twists")
-        else:
-            lines.append("  no visible deficiency module")
-        bb = "holds"
-    payload["acm"] = {"decision": acm, "deficiency": [[t, g] for t, g in gaps]}
-    payload["buchsbaum_numeric"] = {"decision": bb, "support": support}
+    lines.append(f"ACM: {_decision_word(acm.decision)}")
+    for q, t, v in acm.witnesses:
+        lines.append(f"  witness: h^{q}(I({t})) >= {v.lo} (Hilbert function vs polynomial)")
+    if acm.certificate:
+        lines.append(f"  {acm.certificate}")
+    lines.append(f"Buchsbaum(numeric): {_decision_word(bb.decision)}")
+    lines.append(f"  {bb.certificate}")
+    payload["acm"] = {"decision": acm.decision, "deficiency": [[t, g] for t, g in gaps]}
+    payload["buchsbaum_numeric"] = {"decision": bb.decision, "support": [t for t, _ in gaps]}
     return lines, payload
 
 
@@ -541,77 +467,26 @@ def _cmd_form_sing(args) -> int:
     return 0
 
 
-def _random_homogeneous(rng: random.Random, nvars: int, degree: int, window: int):
-    """Dense random form of the given degree in the first `window` variables."""
-    coeffs = {}
-    for combo in combinations_with_replacement(range(window), degree):
-        c = rng.randint(-3, 3)
-        if c:
-            expo = [0] * nvars
-            for i in combo:
-                expo[i] += 1
-            coeffs[tuple(expo)] = c
-    if not coeffs:
-        expo = [0] * nvars
-        expo[0] = degree
-        coeffs[tuple(expo)] = 1
-    return HomogeneousPoly.from_dict(nvars, coeffs)
-
-
 def _cmd_form_pullback(args) -> int:
     degrees = _parse_int_list(args.field_degrees)
     n = args.n
-    m = len(degrees)
-    if any(d < 0 for d in degrees):
-        raise ValueError("field degrees must be nonnegative")
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"need between 1 and {n - 1} fields on P^{n}")
-    k = n - m
-    nvars = n + 1
-    rng = random.Random(args.seed)
-    # Nonconstant fields live in the first window coordinates, constant
-    # fields take the remaining coordinate directions; the contraction
-    # chain is then an honest pullback along a linear projection.
-    constants = sum(1 for d in degrees if d == 0)
-    window = nvars - constants
-    if window < 2:
-        raise ValueError("too many constant fields")
-    fields = []
-    direction = window
-    for d in degrees:
-        if d == 0:
-            vec = [0] * nvars
-            vec[direction] = 1
-            direction += 1
-            fields.append(constant_field(nvars, tuple(vec)))
-        else:
-            comps = [
-                _random_homogeneous(rng, nvars, d, window) if i < window
-                else HomogeneousPoly.zero(nvars)
-                for i in range(nvars)
-            ]
-            fields.append(PolyVectorField(nvars, tuple(comps)))
-    omega = volume_contract_chain(n, fields)
-    if omega.is_zero:
-        raise ValueError("degenerate chain: the contracted form vanishes; try another --seed")
+    omega = pullback_form(n, degrees, args.seed)
     degree = distribution_degree_of_form(omega, n)
     ideal = coefficient_ideal(omega)
     profile = stable_profile(ideal)
-    predicted = singular_degree_formula(n, m, tuple(d - 1 for d in degrees))
+    predicted = singular_degree_formula(n, len(degrees), tuple(d - 1 for d in degrees))
     match = profile.scheme_deg == predicted
+    ideal_line, ideal_payload = _ideal_summary(ideal)
 
     if args.json:
         _emit_json(
             {
                 "n": n,
-                "k": k,
+                "k": omega.k,
                 "field_degrees": list(degrees),
                 "seed": args.seed,
                 "distribution_degree": degree,
-                "ideal": {
-                    "generators": len(ideal.generators),
-                    "degrees": list(ideal.degrees),
-                },
+                "ideal": ideal_payload,
                 "scheme": {"dim": profile.scheme_dim, "degree": profile.scheme_deg},
                 "formula_degree": predicted,
                 "matches_formula": match,
@@ -621,8 +496,7 @@ def _cmd_form_pullback(args) -> int:
     print(f"pullback form: {omega.k}-form on P^{n}, distribution degree {degree}")
     print(f"fields: degrees {','.join(str(d) for d in degrees)} and the radial field")
     print("radial contraction: zero")
-    degs = ",".join(str(d) for d in ideal.degrees)
-    print(f"ideal: {len(ideal.generators)} generators, degrees {degs}")
+    print(ideal_line)
     print(f"scheme: dim {profile.scheme_dim}, degree {profile.scheme_deg}")
     marker = "matches" if match else "differs"
     print(f"split-formula degree: {predicted} ({marker})")

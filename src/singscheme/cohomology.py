@@ -90,6 +90,15 @@ def atom_dim(n: int, atom: SheafAtom, q: int, twist: int = 0) -> int:
     return bott_dim(n, atom.p, atom.k + twist, q)
 
 
+def _json_value(value, kind: type, what: str):
+    """value if its JSON type is kind, int or dict; else ValueError (json
+    reads 1.5 as a float and true as a bool, and neither is an int)."""
+    if type(value) is not kind:
+        noun = "an integer" if kind is int else "an object"
+        raise ValueError(f"malformed table: {what} must be {noun}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Window:
     """Set of twists outside which a cohomology row is certified zero.
@@ -103,10 +112,7 @@ class Window:
     empty: bool = False
 
     def __post_init__(self) -> None:
-        if self.empty:
-            object.__setattr__(self, "lo", None)
-            object.__setattr__(self, "hi", None)
-        elif self.lo is not None and self.hi is not None and self.lo > self.hi:
+        if self.empty or (self.lo is not None and self.hi is not None and self.lo > self.hi):
             object.__setattr__(self, "empty", True)
             object.__setattr__(self, "lo", None)
             object.__setattr__(self, "hi", None)
@@ -159,10 +165,13 @@ class Window:
 
     @classmethod
     def from_json(cls, data: dict) -> "Window":
-        if data.get("empty"):
+        if _json_value(data, dict, "a window").get("empty"):
             return cls.nothing()
         lo, hi = data.get("lo"), data.get("hi")
-        return cls(None if lo is None else int(lo), None if hi is None else int(hi))
+        return cls(
+            None if lo is None else _json_value(lo, int, "a window end"),
+            None if hi is None else _json_value(hi, int, "a window end"),
+        )
 
 
 def atom_window(n: int, atom: SheafAtom, q: int) -> Window:
@@ -377,10 +386,11 @@ class DimValue:
 
     @classmethod
     def from_json(cls, data) -> "DimValue":
-        if isinstance(data, int):
-            return cls.exact(data)
-        lo, hi = data
-        return cls(int(lo), None if hi is None else int(hi))
+        if isinstance(data, list) and len(data) == 2:
+            lo, hi = data
+            hi = None if hi is None else _json_value(hi, int, "an upper bound")
+            return cls(_json_value(lo, int, "a lower bound"), hi)
+        return cls.exact(_json_value(data, int, "a dimension"))
 
 
 @dataclass
@@ -433,20 +443,20 @@ class CohomologyTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyTable":
-        n = int(data["n"])
+        """The one reader of the table format; ValueError on any other shape."""
+        n = _json_value(_json_value(data, dict, "a table")["n"], int, "n")
+        if n < 1:
+            raise ValueError(f"malformed table: n must be positive, got {n}")
         rows = {
-            int(q): {int(t): DimValue.from_json(v) for t, v in row.items()}
-            for q, row in data.get("rows", {}).items()
+            q: {int(t): DimValue.from_json(v) for t, v in _json_value(row, dict, f"row {q}").items()}
+            for q, row in _row_items(data, "rows", n)
         }
         windows = {
-            int(q): None if w is None else Window.from_json(w)
-            for q, w in data.get("windows", {}).items()
+            q: None if w is None else Window.from_json(w)
+            for q, w in _row_items(data, "windows", n)
         }
-        for q in rows:
-            if not 0 <= q <= n:
-                raise ValueError(f"row index {q} out of range")
         dim_z = data.get("dim_z")
-        return cls(n, rows, windows, None if dim_z is None else int(dim_z))
+        return cls(n, rows, windows, None if dim_z is None else _json_value(dim_z, int, "dim_z"))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -454,6 +464,18 @@ class CohomologyTable:
     @classmethod
     def loads(cls, text: str) -> "CohomologyTable":
         return cls.from_json(json.loads(text))
+
+
+def _row_items(data: dict, key: str, n: int):
+    """(q, value) for each entry of the per-row object data[key], with q
+    checked to lie in 0..n."""
+    out = []
+    for q, value in _json_value(data.get(key, {}), dict, repr(key)).items():
+        q = int(q)
+        if not 0 <= q <= n:
+            raise ValueError(f"{key[:-1]} index {q} out of range")
+        out.append((q, value))
+    return out
 
 
 def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:

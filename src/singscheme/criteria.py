@@ -62,18 +62,20 @@ def _row_status(table: CohomologyTable, q: int):
     for t in sorted(row):
         if row[t].definitely_nonzero:
             return "nonzero", (q, t, row[t])
-    w = table.window(q)
-    if w is None:
-        return "unknown", f"row {q} has no zero certificate"
-    if w.empty:
-        return "zero", None
-    if not w.is_finite:
-        return "unknown", f"row {q} window is unbounded"
-    for t in range(w.lo, w.hi + 1):
-        v = table.value(q, t)
-        if not v.is_zero:
-            return "unknown", f"row {q} not pinned at twist {t}"
+    entries = _possible_entries(table, q)
+    if entries is None:
+        why = "has no zero certificate" if table.window(q) is None else "window is unbounded"
+        return "unknown", f"row {q} {why}"
+    if entries:
+        return "unknown", f"row {q} not pinned at twist {entries[0][0]}"
     return "zero", None
+
+
+def _empty_range(q_lo: int, q_hi: int, label: str) -> Verdict:
+    return Verdict("holds", (), f"{label}: empty row range {q_lo}..{q_hi}")
+
+
+_NO_INTERMEDIATE_ROWS = Verdict("holds", (), "buchsbaum: no intermediate rows")
 
 
 def _vanishing_verdict(
@@ -81,9 +83,7 @@ def _vanishing_verdict(
 ) -> Verdict:
     """holds iff rows q_lo..q_hi are certified zero at every twist."""
     if q_lo > q_hi:
-        return Verdict(
-            "holds", (), f"{label}: empty row range {q_lo}..{q_hi}"
-        )
+        return _empty_range(q_lo, q_hi, label)
     witnesses = []
     blockers = []
     for q in range(q_lo, q_hi + 1):
@@ -185,6 +185,11 @@ def _gap_violation(entries: dict[int, list]):
     return None
 
 
+def _first_consecutive(twists) -> int | None:
+    """Least t with t and t + 1 both among the twists, or None."""
+    return next((t for t in sorted(twists) if t + 1 in twists), None)
+
+
 def buchsbaum_numeric(
     ideal_table: CohomologyTable, dim_z: int | None = None
 ) -> Verdict:
@@ -204,7 +209,7 @@ def buchsbaum_numeric(
     if dim_z is None:
         raise ValueError("dimension of the subscheme is required")
     if dim_z <= 0:
-        return Verdict("holds", (), "buchsbaum: no intermediate rows")
+        return _NO_INTERMEDIATE_ROWS
 
     rows = range(1, dim_z + 1)
 
@@ -248,21 +253,53 @@ def buchsbaum_numeric(
         )
 
     for q in rows:
-        twists = {t for t, _ in possible[q]}
-        for t in sorted(twists):
-            if t + 1 in twists:
-                vs = dict(possible[q])
-                return Verdict(
-                    "undetermined",
-                    ((q, t, vs[t]), (q, t + 1, vs[t + 1])),
-                    f"buchsbaum: multiplication criterion not certifiable, row {q} possibly nonzero at consecutive twists {t}, {t + 1}",
-                )
+        vs = dict(possible[q])
+        t = _first_consecutive(vs)
+        if t is not None:
+            return Verdict(
+                "undetermined",
+                ((q, t, vs[t]), (q, t + 1, vs[t + 1])),
+                f"buchsbaum: multiplication criterion not certifiable, row {q} possibly nonzero at consecutive twists {t}, {t + 1}",
+            )
 
     return Verdict(
         "holds",
         (),
         "buchsbaum: gap condition holds and all multiplication maps meet a zero group",
     )
+
+
+def hilbert_deficiency_verdicts(dim_z: int, deficiency) -> tuple[Verdict, Verdict]:
+    """ACM and numeric Buchsbaum verdicts of a scheme Z from its Hilbert
+    deficiency, the pairs (t, HP(t) - HF(t)) with a positive gap at t >= 0.
+
+    A gap bounds h^1(I_Z(t)) from below, which settles the intermediate
+    rows 1..dim Z only when dim Z <= 1 (InapplicableError otherwise, and for
+    the empty scheme). In dimension 0 the range is empty and both hold; in
+    dimension 1 a gap is an ACM failure, a clean scan is undetermined (t < 0
+    is invisible), and gaps at consecutive twists leave Buchsbaum open."""
+    if dim_z < 0:
+        raise InapplicableError("empty scheme")
+    if dim_z > 1:
+        raise InapplicableError("dim Z >= 2: Hilbert data alone cannot bound h^1")
+    if dim_z == 0:
+        return _empty_range(1, dim_z, "acm"), _NO_INTERMEDIATE_ROWS
+    if deficiency:
+        acm = Verdict("fails", tuple((1, t, DimValue(gap, None)) for t, gap in deficiency))
+    else:
+        acm = Verdict(
+            "undetermined",
+            (),
+            "no deficiency at t >= 0; twists t < 0 are invisible to a Hilbert function",
+        )
+    support = [t for t, _ in deficiency]
+    if _first_consecutive(support) is not None:
+        bb = Verdict("undetermined", (), f"deficiency at consecutive twists {support}")
+    elif support:
+        bb = Verdict("holds", (), f"deficiency support {support}: no consecutive twists")
+    else:
+        bb = Verdict("holds", (), "no visible deficiency module")
+    return acm, bb
 
 
 def regularity(ideal_table: CohomologyTable) -> int:

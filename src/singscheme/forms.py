@@ -14,11 +14,25 @@ equality is structural.
 
 from __future__ import annotations
 
+import random
 import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+
+
+def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of total degree `degree`, fixed descending order."""
+    out = []
+    for combo in combinations_with_replacement(range(nvars), degree):
+        expo = [0] * nvars
+        for i in combo:
+            expo[i] += 1
+        out.append(tuple(expo))
+    out.sort(reverse=True)
+    return out
 
 
 @dataclass(frozen=True)
@@ -347,6 +361,56 @@ def volume_contract_chain(n: int, fields) -> PolyKForm:
     return result
 
 
+def _random_poly(rng: random.Random, nvars: int, degree: int, window: int) -> HomogeneousPoly:
+    """Dense random form of the given degree in the first `window` variables,
+    coefficients in -3..3; z0^degree if every draw is zero."""
+    pad = (0,) * (nvars - window)
+    coeffs = {}
+    for expo in monomials(window, degree):
+        c = rng.randint(-3, 3)
+        if c:
+            coeffs[expo + pad] = c
+    if not coeffs:
+        coeffs[(degree,) + (0,) * (nvars - 1)] = 1
+    return HomogeneousPoly.from_dict(nvars, coeffs)
+
+
+def pullback_form(n: int, field_degrees, seed: int) -> PolyKForm:
+    """volume_contract_chain(n, fields) for 1..n-1 fields of the given
+    degrees, drawn from random.Random(seed). Nonconstant fields are dense in
+    the first window coordinates; constant fields take the remaining
+    coordinate directions, so the chain is an honest pullback along a
+    linear projection."""
+    degrees = tuple(field_degrees)
+    nvars = n + 1
+    if any(d < 0 for d in degrees):
+        raise ValueError("field degrees must be nonnegative")
+    if not 1 <= len(degrees) <= n - 1:
+        raise ValueError(f"need between 1 and {n - 1} fields on P^{n}")
+    # At most n - 1 constant fields, so window >= 2.
+    window = nvars - sum(1 for d in degrees if d == 0)
+    rng = random.Random(seed)
+    fields = []
+    direction = window
+    for d in degrees:
+        if d == 0:
+            vec = [0] * nvars
+            vec[direction] = 1
+            direction += 1
+            fields.append(constant_field(nvars, tuple(vec)))
+        else:
+            comps = [
+                _random_poly(rng, nvars, d, window) if i < window
+                else HomogeneousPoly.zero(nvars)
+                for i in range(nvars)
+            ]
+            fields.append(PolyVectorField(nvars, tuple(comps)))
+    omega = volume_contract_chain(n, fields)
+    if omega.is_zero:
+        raise ValueError("degenerate chain: the contracted form vanishes; try another --seed")
+    return omega
+
+
 def coefficient_ideal(form: PolyKForm) -> GradedIdeal:
     """Ideal of all coefficient polynomials; cuts out the locus where the
     form vanishes. Generators are content-normalized and deduplicated."""
@@ -392,8 +456,6 @@ def minors_ideal(one_forms) -> GradedIdeal:
     for f in one_forms:
         if f.k != 1 or f.nvars != nvars:
             raise ValueError("expected 1-forms in one ring")
-
-    from itertools import combinations
 
     minors: list[HomogeneousPoly] = []
     for rows in combinations(range(nvars), m):
@@ -492,20 +554,14 @@ class _Parser:
                 self.fail("empty input")
             poly, indices = self.parse_term()
             if k is None:
-                k = len(indices) if indices is not None else 0
-            term_k = len(indices) if indices is not None else 0
-            if term_k != k:
-                self.fail(f"mixed form degrees {k} and {term_k}")
-            if indices is not None:
-                canon = self._canonical_indices(indices)
-                if canon is not None:
-                    idx, parity = canon
-                    poly = poly * (sign * parity)
-                    zero = HomogeneousPoly.zero(self.nvars)
-                    chains[idx] = chains.get(idx, zero) + poly
-            else:
+                k = len(indices)
+            if len(indices) != k:
+                self.fail(f"mixed form degrees {k} and {len(indices)}")
+            canon = self._canonical_indices(indices)
+            if canon is not None:
+                idx, parity = canon
                 zero = HomogeneousPoly.zero(self.nvars)
-                chains[()] = chains.get((), zero) + poly * sign
+                chains[idx] = chains.get(idx, zero) + poly * (sign * parity)
             first = False
             if self.peek() is None:
                 break
@@ -515,31 +571,27 @@ class _Parser:
     def _canonical_indices(indices):
         if len(set(indices)) != len(indices):
             return None  # repeated dz: the term is zero
-        order = sorted(range(len(indices)), key=lambda i: indices[i])
-        inversions = sum(
-            1
-            for a in range(len(order))
-            for b in range(a + 1, len(order))
-            if order[a] > order[b]
-        )
+        inversions = sum(1 for a, b in combinations(indices, 2) if a > b)
         return tuple(sorted(indices)), (-1) ** inversions
 
-    def parse_term(self):
+    def parse_product(self) -> HomogeneousPoly | None:
+        """Factors up to the next +, -, ) or dz token; None if there are none."""
         poly = None
-        indices = None
         while True:
             tok = self.peek()
             if tok == "*":
                 self.next()
                 continue
-            if tok is None or tok in ("+", "-", ")"):
-                break
-            if tok.startswith("dz"):
-                indices = self.parse_chain()
-                break
+            if tok is None or tok in ("+", "-", ")") or tok.startswith("dz"):
+                return poly
             factor = self.parse_factor()
             poly = factor if poly is None else poly * factor
-        if poly is None and indices is None:
+
+    def parse_term(self):
+        """(coefficient, dz indices); the indices are () for a 0-form term."""
+        poly = self.parse_product()
+        indices = self.parse_chain() if (self.peek() or "").startswith("dz") else ()
+        if poly is None and not indices:
             self.fail("empty term")
         if poly is None:
             poly = HomogeneousPoly.constant(self.nvars, 1)
@@ -582,18 +634,9 @@ class _Parser:
                 sign = -1 if tok == "-" else 1
             elif not first:
                 break
-            term = None
-            while True:
-                tok = self.peek()
-                if tok == "*":
-                    self.next()
-                    continue
-                if tok is None or tok in ("+", "-", ")"):
-                    break
-                if tok.startswith("dz"):
-                    self.fail("dz inside a coefficient")
-                factor = self.parse_factor()
-                term = factor if term is None else term * factor
+            term = self.parse_product()
+            if (self.peek() or "").startswith("dz"):
+                self.fail("dz inside a coefficient")
             if term is None:
                 self.fail("empty summand in coefficient")
             term = term * sign

@@ -21,29 +21,15 @@ make acceptance a proof; it is not implemented.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 
-from .forms import GradedIdeal
+from .forms import GradedIdeal, monomials
 
 
 class UnstabilizedError(RuntimeError):
     """The Hilbert function did not reach its polynomial within the range."""
-
-
-def _monomials(nvars: int, degree: int):
-    """Exponent vectors of total degree `degree`, fixed descending order."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        expo = [0] * nvars
-        for i in combo:
-            expo[i] += 1
-        out.append(tuple(expo))
-    out.sort(reverse=True)
-    return out
 
 
 def integer_matrix_rank(rows) -> int:
@@ -88,14 +74,14 @@ def graded_piece_dim(ideal: GradedIdeal, t: int) -> int:
     if t < 0:
         raise ValueError("degree must be nonnegative")
     nvars = ideal.nvars
-    columns = {expo: i for i, expo in enumerate(_monomials(nvars, t))}
+    columns = {expo: i for i, expo in enumerate(monomials(nvars, t))}
     rows = []
     for gen in ideal.generators:
         g = gen.content_normalized()
         d = g.degree
         if d > t:
             continue
-        for mult in _monomials(nvars, t - d):
+        for mult in monomials(nvars, t - d):
             row = {}
             for expo, coeff in g.terms:
                 shifted = tuple(a + b for a, b in zip(expo, mult))
@@ -169,8 +155,17 @@ class HilbertProfile:
             "stable_from": self.stable_from,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+    def deficiency(self) -> list[tuple[int, int]]:
+        """(t, HP(t) - HF(t)) at the twists 0 <= t < stable_from where the
+        Hilbert function falls short of the polynomial."""
+        if not self.stabilized:
+            raise ValueError("an unstabilized profile has no Hilbert polynomial")
+        out = []
+        for t in range(self.stable_from):
+            gap = _poly_eval(self.polynomial, t) - self.values[t]
+            if gap > 0:
+                out.append((t, int(gap)))
+        return out
 
 
 def _profile_from_values(ideal: GradedIdeal, t_max: int, values) -> HilbertProfile:

@@ -5,12 +5,14 @@ from math import comb
 import pytest
 
 from singscheme.chow import (
+    CLASSIFICATION,
     ChowClass,
     DistributionParams,
     PorteousInapplicableError,
     SplitBundle,
     chern_difference,
     chern_total,
+    classification_entry,
     cotangent_chern,
     porteous_singular_degree,
     pullback_degree,
@@ -215,3 +217,14 @@ class TestPorteous:
                 e = SplitBundle(3, (-a, -b))
                 want = a * a + a * b + b * b - 4 * (a + b) + 6
                 assert porteous_singular_degree(3, e) == want
+
+
+class TestClassification:
+    def test_lookup_returns_each_row(self):
+        for entry in CLASSIFICATION:
+            assert classification_entry(entry.n, entry.degree) is entry
+            assert len(entry.pfaff_twists) == entry.n - 1
+
+    def test_unknown_row_names_the_known_ones(self):
+        with pytest.raises(ValueError, match=r"no classification row for n=6, degree=2; known: \(n=4, degree=2\)"):
+            classification_entry(6, 2)

@@ -11,6 +11,7 @@ import pytest
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, table, tangent_sheaf
 from singscheme.chow import pullback_degree, singular_degree_formula
+from singscheme.forms import HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -195,6 +196,33 @@ class TestTableChecks:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "rows": []}',
+            '{"n": 3, "rows": {"1": {"0": 1.5}}}',
+            "[1, 2]",
+            '{"n": 0}',
+            '{"n": 1, "dim_z": 0, "windows": {"0": {"empty": true}, "1": {"empty": true}, "4": {"empty": true}}}',
+        ],
+    )
+    @pytest.mark.parametrize("command", ["acm-check", "regularity"])
+    def test_malformed_table_shape(self, capsys, tmp_path, command, text):
+        # Each of these once printed a traceback or was read without a
+        # word (regularity then printed 0); the reader now refuses them.
+        path = tmp_path / "bad.table.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--table", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_missing_field_message_kept(self, capsys, tmp_path):
+        path = tmp_path / "bad.table.json"
+        path.write_text('{"rows": {}}')
+        code, _, err = run(capsys, "regularity", "--table", str(path))
+        assert (code, err) == (1, "error: malformed input, missing field 'n'\n")
+
 
 class TestChaseCommand:
     def test_text_summary(self, capsys):
@@ -346,6 +374,55 @@ class TestFormSing:
         assert "ACM: undetermined" in out
         assert "Buchsbaum(numeric): holds" in out
         assert "no visible deficiency module" in out
+
+    def test_dimension_zero_three_points(self, capsys, tmp_path):
+        # The three fixed points of a degree-1 foliation of P^2: a
+        # zero-dimensional scheme has no intermediate rows, so it is ACM and
+        # Buchsbaum although HP(0) - HF(0) = 2 > 0.
+        path = tmp_path / "three_points.form"
+        path.write_text("z1*z2 dz0 - 2*z0*z2 dz1 + z0*z1 dz2")
+        code, out, _ = run(capsys, "form", "sing", "--input", str(path))
+        assert code == 0
+        assert out == (
+            "form: 1-form on P^2, coefficient degree 2, distribution degree 1\n"
+            "radial contraction: zero\n"
+            "ideal: 3 generators, degrees 2,2,2\n"
+            "scheme: dim 0, degree 3\n"
+            "hilbert polynomial: 3 (stable from t=1)\n"
+            "ACM: holds\n"
+            "  acm: empty row range 1..0\n"
+            "Buchsbaum(numeric): holds\n"
+            "  buchsbaum: no intermediate rows\n"
+        )
+        code, out, _ = run(capsys, "form", "sing", "--input", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["acm"] == {"decision": "holds", "deficiency": [[0, 2]]}
+        assert payload["buchsbaum_numeric"] == {"decision": "holds", "support": [0]}
+
+    def test_dimension_zero_seven_points(self, capsys, tmp_path):
+        # Degree-2 foliation of P^2 from the quadratic field (z0^2, z1^2, z2^2):
+        # seven points, deficiency at the consecutive twists 0, 1, 2, and
+        # still ACM and Buchsbaum.
+        z = [HomogeneousPoly.variable(3, i) for i in range(3)]
+        field = PolyVectorField(3, tuple(v * v for v in z))
+        path = tmp_path / "seven_points.form"
+        path.write_text(form_str(volume_contract_chain(2, [field])))
+        code, out, _ = run(capsys, "form", "sing", "--input", str(path))
+        assert code == 0
+        assert out.splitlines()[3:] == [
+            "scheme: dim 0, degree 7",
+            "hilbert polynomial: 7 (stable from t=3)",
+            "ACM: holds",
+            "  acm: empty row range 1..0",
+            "Buchsbaum(numeric): holds",
+            "  buchsbaum: no intermediate rows",
+        ]
+        code, out, _ = run(capsys, "form", "sing", "--input", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["acm"] == {"decision": "holds", "deficiency": [[0, 6], [1, 4], [2, 1]]}
+        assert payload["buchsbaum_numeric"] == {"decision": "holds", "support": [0, 1, 2]}
 
     def test_nonprojective_form_flagged(self, capsys, tmp_path):
         path = tmp_path / "affine.form"

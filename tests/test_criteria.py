@@ -23,6 +23,7 @@ from singscheme.criteria import (
     beilinson_rank_bound,
     buchsbaum_numeric,
     evans_griffith,
+    hilbert_deficiency_verdicts,
     horrocks,
     kpr,
     regularity,
@@ -236,6 +237,44 @@ class TestBuchsbaum:
     def test_dim_zero_vacuous(self):
         t = CohomologyTable(3, {}, {}, dim_z=0)
         assert buchsbaum_numeric(t).holds
+
+
+class TestHilbertDeficiencyVerdicts:
+    @pytest.mark.parametrize(
+        "dim_z, why", [(2, "dim Z >= 2"), (3, "dim Z >= 2"), (-1, "empty scheme")]
+    )
+    def test_not_computed(self, dim_z, why):
+        with pytest.raises(InapplicableError, match=why):
+            hilbert_deficiency_verdicts(dim_z, [(0, 1)])
+
+    def test_dim_one_gaps_fail_with_every_gap(self):
+        acm, bb = hilbert_deficiency_verdicts(1, [(0, 3), (2, 1)])
+        assert acm.decision == "fails"
+        assert acm.witnesses == ((1, 0, DimValue(3, None)), (1, 2, DimValue(1, None)))
+        assert (bb.decision, bb.certificate) == (
+            "holds", "deficiency support [0, 2]: no consecutive twists"
+        )
+
+    def test_dim_one_without_gaps(self):
+        acm, bb = hilbert_deficiency_verdicts(1, [])
+        assert acm.decision == "undetermined"
+        assert "t < 0 are invisible" in acm.certificate
+        assert (bb.decision, bb.certificate) == ("holds", "no visible deficiency module")
+
+    def test_consecutive_support_leaves_buchsbaum_open(self):
+        acm, bb = hilbert_deficiency_verdicts(1, [(0, 2), (1, 1), (3, 1)])
+        assert acm.decision == "fails"
+        assert (bb.decision, bb.certificate) == (
+            "undetermined", "deficiency at consecutive twists [0, 1, 3]"
+        )
+
+    def test_dim_zero_holds_like_the_table_checks(self):
+        # No intermediate rows: the verdicts acm_check and buchsbaum_numeric
+        # give for dim Z = 0, whatever the deficiency.
+        acm, bb = hilbert_deficiency_verdicts(0, [(0, 6), (1, 4), (2, 1)])
+        empty = CohomologyTable(3, {}, {}, dim_z=0)
+        assert (acm, bb) == (acm_check(empty), buchsbaum_numeric(empty))
+        assert acm.holds and bb.holds
 
 
 class TestRegularity:

@@ -5,9 +5,11 @@ extraction, and the text grammar round trip."""
 import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from singscheme import forms
 from singscheme.forms import (
     FormParseError,
     GradedIdeal,
@@ -23,6 +25,7 @@ from singscheme.forms import (
     parse_form,
     parse_poly,
     poly_str,
+    pullback_form,
     radial_field,
     volume_contract_chain,
     volume_form,
@@ -237,6 +240,33 @@ class TestContractionChain:
     def test_too_many_fields(self):
         with pytest.raises(ValueError):
             volume_contract_chain(2, [radial_field(3)] * 3)
+
+
+class TestPullbackForm:
+    def test_same_seed_same_form(self):
+        first = pullback_form(4, (1, 1, 0), 3)
+        assert first == pullback_form(4, (1, 1, 0), 3)
+        assert first.k == 1
+        assert distribution_degree_of_form(first, 4) == 2
+        assert contract(first, constant_field(5, (0, 0, 0, 0, 1))).is_zero
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pullback_form(3, (-1, 0), 0)
+
+    @pytest.mark.parametrize("degrees", [(), (1, 0, 0)])
+    def test_field_count(self, degrees):
+        with pytest.raises(ValueError, match="between 1 and 2 fields on P\\^3"):
+            pullback_form(3, degrees, 0)
+
+    def test_degenerate_chain(self, monkeypatch):
+        # Draws that make the one linear field on P^2 the radial field
+        # itself, so the chain i_X i_R vol vanishes.
+        draws = iter([1, 0, 0, 0, 1, 0, 0, 0, 1])
+        rng = SimpleNamespace(randint=lambda lo, hi: next(draws))
+        monkeypatch.setattr(forms, "random", SimpleNamespace(Random=lambda seed: rng))
+        with pytest.raises(ValueError, match="degenerate chain"):
+            pullback_form(2, (1,), 0)
 
 
 class TestIdeals:

@@ -252,6 +252,14 @@ class TestProfile:
         assert data["stable_from"] == 1
         assert data["values"]["0"] == 1
 
+    def test_two_lines_deficiency(self):
+        # HP(0) = 2 but the two lines impose one condition in degree 0
+        assert stable_profile(two_lines_ideal()).deficiency() == [(0, 1)]
+
+    def test_deficiency_needs_polynomial(self):
+        with pytest.raises(ValueError, match="unstabilized"):
+            hilbert_profile(two_lines_ideal(), 3).deficiency()
+
     def test_values_invariant_on_unstabilized(self):
         prof = hilbert_profile(GradedIdeal(3, ()), 2)
         assert isinstance(prof, HilbertProfile)

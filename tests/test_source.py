@@ -1,6 +1,8 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import singscheme
@@ -14,3 +16,19 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_traced_benchmark_names_exist():
+    # bench/run.py --trace 1 wraps these functions by name; a rename in the
+    # package would otherwise only show up as a broken traced run.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"singscheme.{layer}"), name, None))
+    ]
+    assert missing == []
