@@ -3,18 +3,25 @@
 A long exact cohomology sequence rarely needs its maps: once enough
 neighboring terms vanish, ranks are forced. ExactTriple records a short
 exact sequence whose terms are virtual sheaves or named unknowns; chase()
-walks an ordered list of such triples, first bounding the twist support of
-every unknown row by window propagation, then materializing requested
-entries: exact where the six-term neighborhood has enough zeros, an
-interval [lo, hi] from rank-nullity otherwise. Every materialized entry
-carries a trace that replays to the same number, and every triple is
-checked for Euler-characteristic consistency at the twists it touched.
+walks an ordered list of such triples in two passes. The window pass
+orders the triples and bounds the twist support of every unknown row by
+window propagation; it runs once per chase, and windowed_chase and the
+distribution bounds pick their queries off its windows. The
+materialization pass then computes the requested entries: exact where the
+six-term neighborhood has enough zeros, an interval [lo, hi] from
+rank-nullity otherwise. Given and solved unknowns are both
+CohomologyTables, the solved ones filled in as their entries are
+materialized, so every read of an unknown is a table lookup. Every
+materialized entry carries a trace that replays to the same number, and
+every triple is checked for Euler-characteristic consistency at the
+twists it touched.
 
 On top of the engine sit the complex builders used throughout: the
-Eagon-Northcott complex of a split subsheaf of the tangent bundle, its
-analogues for split Pfaff data in dimensions 1..3, two-term resolutions of
-codimension-2 ideal sheaves, and the cohomology bounds for corank-one
-distribution sheaves derived from the ideal sequence.
+Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
+analogues for split Pfaff data in dimensions 1..3, both cut into triples
+by one resolution builder, two-term resolutions of codimension-2 ideal
+sheaves, and the cohomology bounds for corank-one distribution sheaves
+derived from the ideal sequence.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .cohomology import (
     normalize_atom,
     sym_power,
     tangent_sheaf,
+    tensor_with_split,
 )
 from .criteria import Verdict, _vanishing_verdict, acm_check, beilinson_rank_bound
 
@@ -171,55 +179,39 @@ def replay_trace(trace: Trace) -> DimValue:
 
 @dataclass(frozen=True)
 class ChaseResult:
-    """Everything a chase established: entries, windows, and provenance.
+    """Everything a chase established: entries, tables, and provenance.
 
     entries maps (unknown, q, twist) in the unknown's own twist coordinates
     to an exact value or interval; traces carries one Trace per entry.
-    Windows are complete (rows 0..n) for every solved unknown.
+    tables holds the given tables and one table per solved unknown, whose
+    windows are complete (rows 0..n) and whose rows are its materialized
+    entries; unknowns names the solved unknowns in solving order.
     """
 
     n: int
     entries: dict
     traces: dict
-    windows: dict
-    given: dict
+    tables: dict
+    unknowns: tuple
+
+    def _table(self, name: str) -> CohomologyTable:
+        """The table of name; one without entries or certificates for a
+        name that is neither given nor solved."""
+        return self.tables[name] if name in self.tables else CohomologyTable(self.n, {}, {})
 
     def value(self, name: str, q: int, twist: int) -> DimValue:
-        key = (name, q, twist)
-        if key in self.entries:
-            return self.entries[key]
-        if q < 0 or q > self.n:
-            return DimValue.exact(0)
-        if name in self.windows:
-            if not self.windows[name][q].contains(twist):
-                return DimValue.exact(0)
-            return DimValue.unknown()
-        if name in self.given:
-            return self.given[name].value(q, twist)
-        return DimValue.unknown()
+        return self._table(name).value(q, twist)
 
     def window(self, name: str, q: int) -> Window | None:
-        if q < 0 or q > self.n:
-            return Window.nothing()
-        if name in self.windows:
-            return self.windows[name][q]
-        if name in self.given:
-            return self.given[name].window(q)
-        return None
+        return self._table(name).window(q)
 
     def table(self, name: str, dim_z: int | None = None) -> CohomologyTable:
-        if name in self.given:
-            t = self.given[name]
-            if dim_z is not None and t.dim_z != dim_z:
-                return t.with_dim_z(dim_z)
-            return t
-        if name not in self.windows:
+        if name not in self.tables:
             raise ValueError(f"unknown {name!r} was never constrained")
-        rows: dict[int, dict[int, DimValue]] = {}
-        for (nm, q, t), v in self.entries.items():
-            if nm == name:
-                rows.setdefault(q, {})[t] = v
-        return CohomologyTable(self.n, rows, dict(self.windows[name]), dim_z)
+        t = self.tables[name]
+        if dim_z is not None and t.dim_z != dim_z:
+            return t.with_dim_z(dim_z)
+        return t
 
     def explain_json(self) -> str:
         """Deterministic JSON dump of all traces, for --explain output."""
@@ -250,12 +242,27 @@ class ChaseResult:
         payload = {
             "n": self.n,
             "windows": {
-                name: {str(q): w.to_json() for q, w in sorted(rows.items())}
-                for name, rows in sorted(self.windows.items())
+                name: {str(q): w.to_json() for q, w in sorted(self.tables[name].windows.items())}
+                for name in sorted(self.unknowns)
             },
             "entries": entries,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _term_window(term: Term, q: int, tables: dict) -> Window:
+    """Support window of a term's row q, in chase coordinates."""
+    if isinstance(term, VirtualSheaf):
+        return term.row_window(q)
+    w = tables[term.name].window(q)
+    return Window.everything() if w is None else w.shift(-term.offset)
+
+
+def _term_value(term: Term, q: int, t: int, tables: dict) -> DimValue:
+    """h^q of a term at chase twist t, as far as it is known."""
+    if isinstance(term, VirtualSheaf):
+        return DimValue.exact(term.h(q, t) if 0 <= q <= term.n else 0)
+    return tables[term.name].value(q, t + term.offset)
 
 
 def chase(triples, queries=(), given=None) -> ChaseResult:
@@ -271,6 +278,16 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
     alternating sum of Euler characteristics is checked to vanish whenever
     all three columns are exact; a violation (possible only with
     inconsistent supplied tables) raises InconsistentTripleError.
+    """
+    return _materialize(*_window_pass(triples, given), queries)
+
+
+def _window_pass(triples, given) -> tuple[ChaseResult, list]:
+    """Order the triples and bound the twist support of every unknown row.
+
+    Returns a ChaseResult without entries, whose tables are the given ones
+    plus one window-only table per unknown, and the plan: a (triple,
+    position, name, offset) per triple, in solving order.
     """
     triples = list(triples)
     given = dict(given or {})
@@ -290,25 +307,18 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
     if n is None:
         raise ValueError("chase needs at least one triple or given table")
 
-    queries = [tuple(q) for q in queries]
-    for q in queries:
-        if len(q) != 3:
-            raise ValueError("queries are (name, q, (lo, hi)) tuples")
-        name, deg, rng = q
-        lo, hi = rng
-        if lo > hi:
-            raise ValueError(f"empty twist range {rng} for {name!r}")
-
-    # Pass 0: ordering. Each triple defines the unique unresolved ref.
-    solved_windows: dict[str, dict[int, Window]] = {}
+    # Each triple defines the unique ref that is neither given nor solved.
+    # The support of that unknown's row lies in the union of the two rows
+    # it sits between in the long exact sequence (the keep reads of
+    # _READS), so the hull of their windows is a sound zero certificate.
+    tables = dict(given)
     plan: list[tuple[ExactTriple, str, str, int]] = []
     for tr in triples:
         fresh = [
             pos
             for pos in _POSITIONS
             if isinstance(tr.term(pos), TableRef)
-            and tr.term(pos).name not in given
-            and tr.term(pos).name not in solved_windows
+            and tr.term(pos).name not in tables
         ]
         if len(fresh) != 1:
             what = (
@@ -321,39 +331,35 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
             raise ChaseDependencyError(f"triple {tr.label or tr}: {what}")
         pos = fresh[0]
         ref = tr.term(pos)
-        solved_windows[ref.name] = {}
-        plan.append((tr, pos, ref.name, ref.offset))
-
-    def term_window(term: Term, q: int) -> Window:
-        """Support window of a term's row q, in chase coordinates."""
-        if q < 0 or q > n:
-            return Window.nothing()
-        if isinstance(term, VirtualSheaf):
-            return term.row_window(q)
-        if term.name in given:
-            w = given[term.name].window(q)
-            return Window.everything() if w is None else w.shift(-term.offset)
-        rows = solved_windows.get(term.name)
-        if not rows:
-            return Window.everything()
-        return rows[q].shift(-term.offset)
-
-    # Pass 1: window propagation, in order. Support of an unknown row is
-    # contained in the union of the two rows of the sequence it sits
-    # between, so the hull of their windows is a sound zero certificate.
-    _HULL_SOURCES = {"c": (("b", 0), ("a", 1)), "a": (("c", -1), ("b", 0)), "b": (("a", 0), ("c", 0))}
-    for tr, pos, name, offset in plan:
-        rows = {}
+        windows = {}
         for q in range(n + 1):
             parts = [
-                term_window(tr.term(p2), q + dq)
-                for p2, dq in _HULL_SOURCES[pos]
+                _term_window(tr.term(p2), q + dq, tables)
+                for p2, dq in _READS[pos][1::2]
             ]
-            rows[q] = Window.hull(*parts).shift(offset)
-        solved_windows[name] = rows
+            windows[q] = Window.hull(*parts).shift(ref.offset)
+        tables[ref.name] = CohomologyTable(n, {}, windows)
+        plan.append((tr, pos, ref.name, ref.offset))
+    unknowns = tuple(name for _, _, name, _ in plan)
+    return ChaseResult(n, {}, {}, tables, unknowns), plan
 
-    # Pass 2: requirements, walking consumers before definers.
-    req: dict[str, set[tuple[int, int]]] = {name: set() for _, _, name, _ in plan}
+
+def _materialize(result: ChaseResult, plan, queries) -> ChaseResult:
+    """Materialize the queried entries, and every entry their solves read,
+    into the window pass's result, and check each triple's Euler
+    characteristics; returns that result."""
+    n, tables = result.n, result.tables
+    queries = [tuple(q) for q in queries]
+    for q in queries:
+        if len(q) != 3:
+            raise ValueError("queries are (name, q, (lo, hi)) tuples")
+        name, deg, rng = q
+        lo, hi = rng
+        if lo > hi:
+            raise ValueError(f"empty twist range {rng} for {name!r}")
+
+    # Requirements, walking consumers before definers.
+    req: dict[str, set[tuple[int, int]]] = {name: set() for name in result.unknowns}
     unbounded: list[tuple[str, int, int]] = []
     given_reads: list[tuple[str, int, int]] = []
     for name, deg, (lo, hi) in queries:
@@ -361,7 +367,7 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
             if name in req:
                 if 0 <= deg <= n:
                     req[name].add((deg, t))
-            elif name in given:
+            elif name in tables:
                 given_reads.append((name, deg, t))
             else:
                 unbounded.append((name, deg, t))
@@ -371,57 +377,30 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
             t = s - offset
             for p2, dq in _READS[pos]:
                 other = tr.term(p2)
-                if not isinstance(other, TableRef) or other.name in given:
-                    continue
-                if other.name == name:
-                    continue
-                q2 = q + dq
-                if 0 <= q2 <= n:
-                    req[other.name].add((q2, t + other.offset))
+                if isinstance(other, TableRef) and other.name in req and 0 <= q + dq <= n:
+                    req[other.name].add((q + dq, t + other.offset))
 
-    # Pass 3: materialization, in order, plus the consistency check.
-    values: dict[tuple[str, int, int], DimValue] = {}
-    traces: dict[tuple[str, int, int], Trace] = {}
-
-    def term_value(term: Term, q: int, t: int) -> DimValue:
-        if q < 0 or q > n:
-            return DimValue.exact(0)
-        if isinstance(term, VirtualSheaf):
-            return DimValue.exact(term.h(q, t))
-        s = t + term.offset
-        if term.name in given:
-            return given[term.name].value(q, s)
-        key = (term.name, q, s)
-        if key in values:
-            return values[key]
-        rows = solved_windows.get(term.name)
-        if rows and not rows[q].contains(s):
-            return DimValue.exact(0)
-        return DimValue.unknown()
-
+    # Materialization, in order, into each unknown's table.
+    entries, traces = result.entries, result.traces
     for tr, pos, name, offset in plan:
         label = tr.label or f"0->{tr.a}->{tr.b}->{tr.c}->0"
-        rows = solved_windows[name]
+        tab = tables[name]
         for q, s in sorted(req[name]):
-            key = (name, q, s)
-            if key in values:
-                continue
             t = s - offset
-            if not rows[q].contains(s):
-                values[key] = DimValue.exact(0)
-                traces[key] = Trace(name, q, s, "window", label, (), 0, 0)
-                continue
             inputs = []
-            for role, dq in _READS[pos]:
-                v = term_value(tr.term(role), q + dq, t)
-                inputs.append(
-                    TraceInput(role, str(tr.term(role)), q + dq, t, v.lo, v.hi)
-                )
-            v = _solve(inputs)
-            values[key] = v
-            traces[key] = Trace(
-                name, q, s, f"solve-{pos}", label, tuple(inputs), v.lo, v.hi
-            )
+            if tab.window(q).contains(s):
+                for role, dq in _READS[pos]:
+                    iv = _term_value(tr.term(role), q + dq, t, tables)
+                    inputs.append(
+                        TraceInput(role, str(tr.term(role)), q + dq, t, iv.lo, iv.hi)
+                    )
+                v, rule = _solve(inputs), f"solve-{pos}"
+            else:
+                v, rule = DimValue.exact(0), "window"
+            key = (name, q, s)
+            tab.rows.setdefault(q, {})[s] = v
+            entries[key] = v
+            traces[key] = Trace(name, q, s, rule, label, tuple(inputs), v.lo, v.hi)
 
         # Euler-characteristic consistency at every twist this triple
         # materialized, wherever all three columns are exact. The solve
@@ -432,7 +411,7 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
             for p2 in _POSITIONS:
                 chi = 0
                 for q in range(n + 1):
-                    v = term_value(tr.term(p2), q, t)
+                    v = _term_value(tr.term(p2), q, t, tables)
                     if not v.is_exact:
                         chi = None
                         break
@@ -446,9 +425,8 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
                     f"chi(a)-chi(b)+chi(c) = {chis[0]}-{chis[1]}+{chis[2]} != 0"
                 )
 
-    entries = dict(values)
     for name, deg, t in given_reads:
-        v = given[name].value(deg, t)
+        v = tables[name].value(deg, t)
         entries[(name, deg, t)] = v
         traces[(name, deg, t)] = Trace(
             name, deg, t, "given", "", (), v.lo, v.hi
@@ -458,27 +436,31 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
         traces[(name, deg, t)] = Trace(
             name, deg, t, "unbounded", "", (), 0, None
         )
-
-    return ChaseResult(
-        n=n,
-        entries=entries,
-        traces=traces,
-        windows=solved_windows,
-        given=given,
-    )
+    return result
 
 
 def windowed_chase(triples, name: str, n: int, given=None, extra=()) -> ChaseResult:
-    """Chase twice: a probe run fixes the support windows, then every
+    """Chase once: the window pass fixes the support windows, then every
     finite window row of the named unknown is materialized, plus any extra
     (name, q, (lo, hi)) queries."""
-    probe = chase(triples, (), given=given)
+    result, plan = _window_pass(triples, given)
     queries = list(extra)
     for q in range(n + 1):
-        w = probe.window(name, q)
+        w = result.window(name, q)
         if w is not None and w.is_finite:
             queries.append((name, q, (w.lo, w.hi)))
-    return chase(triples, tuple(queries), given=given)
+    return _materialize(result, plan, queries)
+
+
+def _resolution_triples(terms, kernels, n: int, prefix: str) -> list[ExactTriple]:
+    """Cut 0 -> T_0 -> T_1 -> ... -> T_k -> K_k -> 0 into the triples
+    0 -> K_{i-1} -> T_i -> K_i -> 0 for i = 1..k, with K_0 = T_0; terms
+    are T_0..T_k, kernels K_1..K_k, and triple i is labelled prefix(i-1)."""
+    lefts = [terms[0], *kernels[:-1]]
+    return [
+        ExactTriple(left, middle, kernel, n, label=f"{prefix}{i}")
+        for i, (left, middle, kernel) in enumerate(zip(lefts, terms[1:], kernels))
+    ]
 
 
 def en_complex_tangent(F: SplitBundle, n: int) -> list[ExactTriple]:
@@ -495,38 +477,12 @@ def en_complex_tangent(F: SplitBundle, n: int) -> list[ExactTriple]:
         raise ValueError(f"bundle lives on P^{F.n}, not P^{n}")
     if k < 1:
         raise ValueError("need rank(F) <= n - 1")
-    c1 = F.c1
-
-    def term(j: int) -> VirtualSheaf:
-        pairs = [
-            (normalize_atom(n, r + j, w + c1), 1)
-            for w in sym_power(F, j).twists
-        ]
-        return VirtualSheaf.from_pairs(n, pairs)
-
-    if k == 1:
-        return [
-            ExactTriple(term(1), term(0), TableRef("I_Z"), n, label="en0")
-        ]
-    triples = [
-        ExactTriple(term(k), term(k - 1), TableRef(f"U{k - 2}"), n, label="en0")
+    terms = [
+        tensor_with_split(normalize_atom(n, r + j, F.c1), sym_power(F, j))
+        for j in range(k, -1, -1)
     ]
-    for i, j in enumerate(range(k - 2, 0, -1), start=1):
-        triples.append(
-            ExactTriple(
-                TableRef(f"U{j}"),
-                term(j),
-                TableRef(f"U{j - 1}"),
-                n,
-                label=f"en{i}",
-            )
-        )
-    triples.append(
-        ExactTriple(
-            TableRef("U0"), term(0), TableRef("I_Z"), n, label=f"en{k - 1}"
-        )
-    )
-    return triples
+    kernels = [TableRef(f"U{j}") for j in range(k - 2, -1, -1)] + [TableRef("I_Z")]
+    return _resolution_triples(terms, kernels, n, "en")
 
 
 def en_complex_pfaff(E: SplitBundle, r: int, n: int) -> list[ExactTriple]:
@@ -549,65 +505,16 @@ def en_complex_pfaff(E: SplitBundle, r: int, n: int) -> list[ExactTriple]:
             f"Pfaff data of dimension {r} on P^{n} needs rank {n - r}, "
             f"got {E.rank}"
         )
-    c = E.c1
-    if r == 1:
-        d = -n - c
-        return [
-            ExactTriple(
-                VirtualSheaf.from_split(E),
-                VirtualSheaf.from_atom(n, normalize_atom(n, 1, 0)),
-                TableRef("I_Z", d - 1),
-                n,
-                label="pf0",
-            )
-        ]
-
-    def omega_sum(p: int, bundle: SplitBundle | None) -> VirtualSheaf:
-        twists = (0,) if bundle is None else bundle.twists
-        return VirtualSheaf.from_pairs(
-            n, [(normalize_atom(n, p, n + 1 + c + w), 1) for w in twists]
-        )
-
-    if r == 2:
-        return [
-            ExactTriple(
-                VirtualSheaf.from_split(sym_power(E, 2).twist(n + 1 + c)),
-                omega_sum(1, E),
-                TableRef("ker1"),
-                n,
-                label="pf0",
-            ),
-            ExactTriple(
-                TableRef("ker1"),
-                omega_sum(2, None),
-                TableRef("I_Z"),
-                n,
-                label="pf1",
-            ),
-        ]
-    return [
-        ExactTriple(
-            VirtualSheaf.from_split(sym_power(E, 3).twist(n + 1 + c)),
-            omega_sum(1, sym_power(E, 2)),
-            TableRef("ker1"),
-            n,
-            label="pf0",
-        ),
-        ExactTriple(
-            TableRef("ker1"),
-            omega_sum(2, E),
-            TableRef("ker2"),
-            n,
-            label="pf1",
-        ),
-        ExactTriple(
-            TableRef("ker2"),
-            omega_sum(3, None),
-            TableRef("I_Z"),
-            n,
-            label="pf2",
-        ),
+    # The r = 1 complex is the general one twisted by -(n+1+c) = d - 1,
+    # which I_Z then carries as its offset.
+    s = 0 if r == 1 else n + 1 + E.c1
+    terms = [
+        tensor_with_split(normalize_atom(n, p, s), sym_power(E, r - p))
+        for p in range(r + 1)
     ]
+    kernels = [TableRef(f"ker{i}") for i in range(1, r)]
+    kernels.append(TableRef("I_Z", s - n - 1 - E.c1))
+    return _resolution_triples(terms, kernels, n, "pf")
 
 
 def tangent_ideal_table(F: SplitBundle, n: int, extra=()) -> CohomologyTable:
@@ -676,9 +583,7 @@ def omega_resolution_cohomology(res: ResolutionData) -> CohomologyTable:
     the ACM and Buchsbaum checks run off this table directly.
     """
     n = res.n
-    left = VirtualSheaf.from_pairs(
-        n, [(normalize_atom(n, 0, -a), 1) for a in res.left]
-    )
+    left = VirtualSheaf.from_split(SplitBundle(n, res.left).dual())
     pairs = [(normalize_atom(n, p, -k), l) for p, k, l in res.omegas]
     pairs.extend((normalize_atom(n, 0, -c), 1) for c in res.lines)
     middle = VirtualSheaf.from_pairs(n, pairs)
@@ -830,26 +735,26 @@ def distribution_cohomology_bounds(F, d: int, n: int) -> DistributionReport:
     else:
         raise TypeError("F must be a SplitBundle or an ideal-sheaf table")
 
-    probe = chase(triples, (), given=given)
+    result, plan = _window_pass(triples, given)
     queries = []
-    w0 = probe.window("F", 0)
+    w0 = result.window("F", 0)
     if w0.lo is not None and w0.lo <= -2:
         queries.append(("F", 0, (w0.lo, -2)))
-    w1 = probe.window("F", 1)
+    w1 = result.window("F", 1)
     if w1.lo is not None and w1.lo <= -d - 3:
         queries.append(("F", 1, (w1.lo, -d - 3)))
     for q in range(2, n - 1):
-        wq = probe.window("F", q)
+        wq = result.window("F", q)
         if wq.is_finite:
             queries.append(("F", q, (wq.lo, wq.hi)))
-    wt = probe.window("F", n - 1)
+    wt = result.window("F", n - 1)
     if wt.is_finite:
         queries.append(
             ("F", n - 1, (min(wt.lo, -n - 1), max(wt.hi, -n - 1)))
         )
     else:
         queries.append(("F", n - 1, (-n - 1, -n - 1)))
-    result = chase(triples, tuple(queries), given=given)
+    _materialize(result, plan, queries)
 
     f_table = result.table("F")
     ideal_table = result.table("I_Z", dim_z=n - 2)

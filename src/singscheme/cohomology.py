@@ -42,6 +42,8 @@ SheafAtom = LineBundle | CotangentPower
 
 def normalize_atom(n: int, p: int, k: int) -> SheafAtom:
     """Omega^p(k) in normal form: the edge powers fold into line bundles."""
+    if n < 1:
+        raise ValueError("ambient dimension must be positive")
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}")
     if p == 0:
@@ -200,6 +202,10 @@ class VirtualSheaf:
 
     n: int
     atoms: tuple[tuple[SheafAtom, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("ambient dimension must be positive")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "VirtualSheaf":

@@ -291,13 +291,13 @@ class GradedIdeal:
         return tuple(g.degree for g in self.generators)
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Sorted union and shuffle parity; None if indices collide."""
-    if set(left) & set(right):
-        return None, 0
-    inversions = sum(1 for i in left for j in right if i > j)
-    merged = tuple(sorted(left + right))
-    return merged, (-1) ** inversions
+def _canonical_indices(indices):
+    """(sorted indices, parity of the sorting permutation) for the wedge of
+    dz_i over indices; None when an index repeats and the wedge is zero."""
+    if len(set(indices)) != len(indices):
+        return None
+    inversions = sum(1 for a, b in combinations(indices, 2) if a > b)
+    return tuple(sorted(indices)), (-1) ** inversions
 
 
 def wedge(a: PolyKForm, b: PolyKForm) -> PolyKForm:
@@ -309,9 +309,10 @@ def wedge(a: PolyKForm, b: PolyKForm) -> PolyKForm:
     zero = HomogeneousPoly.zero(a.nvars)
     for left, f in a.coeffs:
         for right, g in b.coeffs:
-            merged, sign = _merge_sign(left, right)
-            if merged is None:
+            canon = _canonical_indices(left + right)
+            if canon is None:
                 continue
+            merged, sign = canon
             acc[merged] = acc.get(merged, zero) + (f * g) * sign
     return PolyKForm.from_dict(a.nvars, a.k + b.k, acc)
 
@@ -424,27 +425,13 @@ def coefficient_ideal(form: PolyKForm) -> GradedIdeal:
     return GradedIdeal(form.nvars, tuple(seen))
 
 
-def _det(matrix: list[list[HomogeneousPoly]], nvars: int) -> HomogeneousPoly:
-    m = len(matrix)
-    if m == 1:
-        return matrix[0][0]
-    acc = HomogeneousPoly.zero(nvars)
-    for i in range(m):
-        if matrix[i][0].is_zero:
-            continue
-        minor = [row[1:] for j, row in enumerate(matrix) if j != i]
-        term = matrix[i][0] * _det(minor, nvars)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
-
-
 def minors_ideal(one_forms) -> GradedIdeal:
     """Ideal of maximal minors of the coefficient matrix of m one-forms.
 
     The m x m minors are exactly the coefficients of the m-fold wedge of
-    the forms (verified on every call), so for an injective system this is
-    the degeneracy ideal. Linearly dependent forms give the zero ideal,
-    reported with a warning.
+    the forms, so this is the coefficient ideal of that wedge: for an
+    injective system, the degeneracy ideal. Linearly dependent forms give
+    the zero ideal, reported with a warning.
     """
     one_forms = list(one_forms)
     if not one_forms:
@@ -457,28 +444,13 @@ def minors_ideal(one_forms) -> GradedIdeal:
         if f.k != 1 or f.nvars != nvars:
             raise ValueError("expected 1-forms in one ring")
 
-    minors: list[HomogeneousPoly] = []
-    for rows in combinations(range(nvars), m):
-        matrix = [[f.coefficient((r,)) for f in one_forms] for r in rows]
-        d = _det(matrix, nvars)
-        if not d.is_zero:
-            g = d.content_normalized()
-            if g not in minors:
-                minors.append(g)
-
     wedge_form = one_forms[0]
     for f in one_forms[1:]:
         wedge_form = wedge(wedge_form, f)
-    wedge_gens = set()
-    for _, poly in wedge_form.coeffs:
-        wedge_gens.add(poly.content_normalized())
-    if set(minors) != wedge_gens:
-        raise RuntimeError("maximal minors differ from the wedge coefficients")
-
-    if not minors:
+    if wedge_form.is_zero:
         warnings.warn("degenerate system: all maximal minors vanish")
         return GradedIdeal(nvars, ())
-    return GradedIdeal(nvars, tuple(minors))
+    return coefficient_ideal(wedge_form)
 
 
 def distribution_degree_of_form(form: PolyKForm, n: int) -> int:
@@ -557,7 +529,7 @@ class _Parser:
                 k = len(indices)
             if len(indices) != k:
                 self.fail(f"mixed form degrees {k} and {len(indices)}")
-            canon = self._canonical_indices(indices)
+            canon = _canonical_indices(indices)
             if canon is not None:
                 idx, parity = canon
                 zero = HomogeneousPoly.zero(self.nvars)
@@ -566,13 +538,6 @@ class _Parser:
             if self.peek() is None:
                 break
         return PolyKForm.from_dict(self.nvars, k, chains)
-
-    @staticmethod
-    def _canonical_indices(indices):
-        if len(set(indices)) != len(indices):
-            return None  # repeated dz: the term is zero
-        inversions = sum(1 for a, b in combinations(indices, 2) if a > b)
-        return tuple(sorted(indices)), (-1) ** inversions
 
     def parse_product(self) -> HomogeneousPoly | None:
         """Factors up to the next +, -, ) or dz token; None if there are none."""

@@ -11,8 +11,10 @@ data, the pinned h^2 singleton for split Pfaff data, and the degradation
 witnesses when twist gaps break the Buchsbaum numerics.
 """
 
+import json
 from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from singscheme.chase import (
     pfaff_ideal_table,
     replay_trace,
     tangent_ideal_table,
+    windowed_chase,
 )
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
@@ -641,3 +644,69 @@ class TestSplitObstruction:
         tab = table(tangent_sheaf(4), -6, -1)
         js = beilinson_split_obstruction(tab, 3, 4).to_json()
         assert js == {"bound": 4, "rank": 3, "contradiction": True}
+
+
+# The chase specs of CHASE_SPECS in bench/workloads.py, as (bundle, r)
+# with r None for tangent data.
+GOLDEN_SPECS = {
+    "pfaff:2:-2,-2,-2": (SplitBundle(5, (-2, -2, -2)), 2),
+    "pfaff:2:-3,-2,-2": (SplitBundle(5, (-3, -2, -2)), 2),
+    "pfaff:1:-2,-2": (SplitBundle(3, (-2, -2)), 1),
+    "pfaff:3:-2,-2,-3": (SplitBundle(6, (-2, -2, -3)), 3),
+    "tangent:-1,-2": (SplitBundle(4, (-1, -2)), None),
+}
+GOLDEN_PATH = Path(__file__).with_name("chase_golden.json")
+
+
+def _spec_cases(spec, E, r):
+    n = E.n
+
+    def explain(extra):
+        triples = en_complex_tangent(E, n) if r is None else en_complex_pfaff(E, r, n)
+        return windowed_chase(triples, "I_Z", n, extra=extra).explain_json()
+
+    def ideal_table():
+        tab = tangent_ideal_table(E, n) if r is None else pfaff_ideal_table(E, r, n)
+        return tab.dumps()
+
+    twists = [("I_Z", q, (-3, 3)) for q in range(n + 1)]
+    return {
+        f"{spec} explain": lambda: explain(()),
+        f"{spec} explain -3..3": lambda: explain(twists),
+        f"{spec} table": ideal_table,
+    }
+
+
+def _report_text(rep):
+    return "\n".join(
+        [json.dumps(rep.to_json(), sort_keys=True), rep.sheaf_table.dumps(), rep.ideal_table.dumps()]
+    )
+
+
+GOLDEN_CASES = {
+    **{
+        key: case
+        for spec, (E, r) in GOLDEN_SPECS.items()
+        for key, case in _spec_cases(spec, E, r).items()
+    },
+    "omega-res two lines": lambda: omega_resolution_cohomology(two_lines_resolution()).dumps(),
+    "distribution O(0)^2 d=2": lambda: _report_text(
+        distribution_cohomology_bounds(SplitBundle(3, (0, 0)), 2, 3)
+    ),
+    "distribution two lines d=1": lambda: _report_text(
+        distribution_cohomology_bounds(omega_resolution_cohomology(two_lines_resolution()), 1, 3)
+    ),
+}
+
+
+class TestGoldenOutput:
+    """Byte identity of chase output against chase_golden.json, which holds
+    GOLDEN_CASES as computed before the engine was split into a window pass
+    and a materialization pass. Regenerate it only for an intended change
+    of output: {key: case() for key, case in GOLDEN_CASES.items()}, dumped
+    with json.dumps(..., indent=1, sort_keys=True)."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_CASES))
+    def test_matches_recorded_output(self, key):
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert GOLDEN_CASES[key]() == golden[key]

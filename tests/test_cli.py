@@ -105,6 +105,14 @@ class TestCohomologyCommand:
         assert code == 1
         assert "empty twist range" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "-1", "--sheaf", "O(1)", "--twists=-3..1"),
+        ("--n", "0", "--sheaf", "T", "--twists=0..1"),
+    ])
+    def test_ambient_dimension_below_one_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "cohomology", *argv)
+        assert (code, out, err) == (1, "", "error: ambient dimension must be positive\n")
+
 
 class TestTwistRangeCap:
     @pytest.mark.parametrize(

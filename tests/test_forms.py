@@ -73,6 +73,35 @@ def random_field(rng, nvars, degree):
     return PolyVectorField(nvars, comps)
 
 
+def cofactor_det(matrix, nvars):
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first column: the reference that minors_ideal is checked
+    against."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    acc = HomogeneousPoly.zero(nvars)
+    for i, row in enumerate(matrix):
+        minor = [r[1:] for j, r in enumerate(matrix) if j != i]
+        term = row[0] * cofactor_det(minor, nvars)
+        acc = acc + (term if i % 2 == 0 else -term)
+    return acc
+
+
+def reference_minors(one_forms):
+    """Nonzero maximal minors of the coefficient matrix, content-normalized
+    and deduplicated, with the rows taken in lexicographic order."""
+    from itertools import combinations
+
+    nvars = one_forms[0].nvars
+    out = []
+    for rows in combinations(range(nvars), len(one_forms)):
+        matrix = [[f.coefficient((r,)) for f in one_forms] for r in rows]
+        d = cofactor_det(matrix, nvars)
+        if not d.is_zero and d.content_normalized() not in out:
+            out.append(d.content_normalized())
+    return tuple(out)
+
+
 class TestPoly:
     def test_ring_operations(self):
         p = z(3, 0) + z(3, 1)
@@ -303,6 +332,28 @@ class TestIdeals:
         got = set(minors_ideal([w1, w2]).generators)
         want = set(coefficient_ideal(wedge(w1, w2)).generators)
         assert got == want
+
+    def test_minors_match_cofactor_determinants(self):
+        rng = random.Random(20)
+        systems = []
+        for n in range(2, 6):
+            for m in range(1, n + 1):
+                for _ in range(3):
+                    systems.append(
+                        [random_form(rng, n + 1, 1, rng.randint(0, 2)) for _ in range(m)]
+                    )
+        w1, w2 = two_lines_pair()
+        systems += [[w1, w2, w1.scale(3)], [w2, PolyKForm.zero(4, 1)], [PolyKForm.zero(3, 1)]]
+        degenerate = 0
+        for fs in systems:
+            want = reference_minors(fs)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = minors_ideal(fs).generators
+            assert got == want
+            assert bool(caught) == (want == ())
+            degenerate += want == ()
+        assert 3 <= degenerate < len(systems)
 
     def test_dependent_pair_warns_and_gives_zero_ideal(self):
         w1, _ = two_lines_pair()
