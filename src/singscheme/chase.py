@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .chow import SplitBundle
+from .chow import SplitBundle, check_ambient_dimension
 from .cohomology import (
     CohomologyTable,
     DimValue,
@@ -88,8 +88,7 @@ class ExactTriple:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ambient dimension must be positive")
+        check_ambient_dimension(self.n)
         for pos in _POSITIONS:
             t = self.term(pos)
             if isinstance(t, VirtualSheaf) and t.n != self.n:

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from math import comb
 
 
+def check_ambient_dimension(n: int) -> None:
+    """The one owner of the rule that P^n has dimension n >= 1."""
+    if n < 1:
+        raise ValueError("ambient dimension must be positive")
+
+
 class PorteousInapplicableError(ValueError):
     """The expected-codimension hypothesis behind a degeneracy-degree
     computation is violated (the candidate degree came out non-positive)."""
@@ -31,8 +37,7 @@ class ChowClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ambient dimension must be a positive integer")
+        check_ambient_dimension(self.n)
         if len(self.coeffs) != self.n + 1:
             raise ValueError(
                 f"expected {self.n + 1} coefficients, got {len(self.coeffs)}"
@@ -103,8 +108,7 @@ class SplitBundle:
     twists: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ambient dimension must be a positive integer")
+        check_ambient_dimension(self.n)
         if len(self.twists) < 1:
             raise ValueError("a split bundle has rank at least one")
         canon = tuple(sorted((int(a) for a in self.twists), reverse=True))

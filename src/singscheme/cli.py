@@ -56,6 +56,7 @@ from .forms import (
     parse_form,
     pullback_form,
     radial_field,
+    signed_sum,
 )
 from .hilbert import stable_profile
 
@@ -371,7 +372,7 @@ def _infer_nvars(text: str) -> int:
 
 def _poly_text(coeffs) -> str:
     """Render an ascending coefficient tuple as a polynomial in t."""
-    out = ""
+    terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
         if c == 0:
@@ -386,11 +387,8 @@ def _poly_text(coeffs) -> str:
                 body = f"{body}{var}"
             else:
                 body = f"({body}){var}"
-        if not out:
-            out = f"-{body}" if c < 0 else body
-        else:
-            out += f" - {body}" if c < 0 else f" + {body}"
-    return out or "0"
+        terms.append((c < 0, body))
+    return signed_sum(terms)
 
 
 def _ideal_summary(ideal) -> tuple[str, dict]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .chow import SplitBundle
+from .chow import SplitBundle, check_ambient_dimension
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ SheafAtom = LineBundle | CotangentPower
 
 def normalize_atom(n: int, p: int, k: int) -> SheafAtom:
     """Omega^p(k) in normal form: the edge powers fold into line bundles."""
-    if n < 1:
-        raise ValueError("ambient dimension must be positive")
+    check_ambient_dimension(n)
     if not 0 <= p <= n:
         raise ValueError(f"need 0 <= p <= n, got p={p}")
     if p == 0:
@@ -73,8 +72,7 @@ def bott_dim(n: int, p: int, k: int, q: int) -> int:
     diagonal h^p(Omega^p) = 1 at k = 0, and top cohomology for k < p - n.
     The formula is its own Serre dual: (p, k, q) -> (n-p, -k, n-q) fixes it.
     """
-    if n < 1:
-        raise ValueError("ambient dimension must be positive")
+    check_ambient_dimension(n)
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("need 0 <= p, q <= n")
     if q == 0 and k > p:
@@ -204,8 +202,7 @@ class VirtualSheaf:
     atoms: tuple[tuple[SheafAtom, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ambient dimension must be positive")
+        check_ambient_dimension(self.n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "VirtualSheaf":

@@ -6,9 +6,12 @@ monomial multiples of the generators, computed with fraction-free integer
 elimination and deterministic pivoting. The Hilbert function is then
 HF(t) = (number of degree-t monomials) - rank, and the eventual polynomial
 is interpolated and accepted after n+2 consecutive exact fits, provided
-its leading coefficient times dim! is a positive integer (a scheme's
-degree). No Groebner bases, no saturation; unsaturated input only shifts
-where stabilization begins.
+those n+2 twists all lie at or above the largest generator degree and its
+leading coefficient times dim! is a positive integer (a scheme's degree).
+Below the largest generator degree the ideal can miss whole degrees, so
+values there may match the ambient polynomial by accident. No Groebner
+bases, no saturation; unsaturated input only shifts where stabilization
+begins.
 
 Escalation has one owner, stable_profile: it starts at
 t_max = min(t_cap, n + 2 + max generator degree), widens the range by 4
@@ -171,7 +174,8 @@ class HilbertProfile:
 def _profile_from_values(ideal: GradedIdeal, t_max: int, values) -> HilbertProfile:
     n = ideal.nvars - 1
     stored = {t: values[t] for t in range(t_max + 1)}
-    if t_max < n + 2:
+    if t_max < n + 2 or t_max - n - 1 < max(ideal.degrees, default=0):
+        # Too few values, or the fitted twists start below a generator.
         return HilbertProfile(ideal, t_max, stored)
     nodes = list(range(t_max - n, t_max + 1))
     poly = _interpolate(nodes, [values[t] for t in nodes])
@@ -196,9 +200,10 @@ def hilbert_profile(ideal: GradedIdeal, t_max: int) -> HilbertProfile:
     """Hilbert function on [0, t_max] plus the accepted polynomial.
 
     The polynomial is interpolated through the last n+1 values and accepted
-    only when at least n+2 consecutive values ending at t_max lie on it and
-    its leading coefficient gives a positive integer degree; otherwise the
-    profile comes back unstabilized (polynomial None), never a guess."""
+    only when at least n+2 consecutive values ending at t_max lie on it,
+    the first of those n+2 twists is at least the largest generator degree,
+    and its leading coefficient gives a positive integer degree; otherwise
+    the profile comes back unstabilized (polynomial None), never a guess."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     values = {t: hilbert_function(ideal, t) for t in range(t_max + 1)}

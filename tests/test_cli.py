@@ -273,6 +273,15 @@ class TestChaseCommand:
         assert code == 1
         assert "contradicts" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("chase", "--tangent=0", "--n", "0"),
+        ("regularity", "--from-chase", "tangent:0", "--n", "0"),
+    ])
+    def test_chase_data_ambient_dimension_message(self, capsys, argv):
+        # the same message as cohomology: one owner for the n >= 1 rule
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: ambient dimension must be positive\n")
+
 
 class TestRegularityAndBeilinson:
     def test_regularity_generated_fixture(self, capsys):
@@ -451,6 +460,21 @@ class TestFormSing:
         code, _, err = run(capsys, "form", "sing", "--input", str(path))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_zero_denominator_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "zero_den.form"
+        path.write_text("2/0 z0 dz1")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        assert (code, out, err) == (1, "", "error: zero denominator in 2/0 (token 1)\n")
+
+    def test_fit_below_generator_degree_exits_one(self, capsys, tmp_path):
+        # degree-46 generators: every twist up to t_cap = 40 fits the ambient
+        # polynomial, which must not be reported as the scheme P^3
+        path = tmp_path / "high_degree.form"
+        path.write_text("z0^45*z1 dz2 - z0^45*z2 dz1")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path), "--n", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: Hilbert function not certified polynomial by t=40\n"
 
 
 class TestFormPullback:

@@ -265,6 +265,8 @@ class TestContractionChain:
             out = volume_contract_chain(n, fields)
             if out.k >= 1 and not out.is_zero:
                 assert contract(out, radial_field(nvars)).is_zero
+                for f in fields:
+                    assert contract(out, f).is_zero
 
     def test_too_many_fields(self):
         with pytest.raises(ValueError):
@@ -464,3 +466,5 @@ class TestGrammar:
             parse_form("(z0 dz1)", 3)
         with pytest.raises(FormParseError):
             parse_poly("z0 dz1", 3)
+        with pytest.raises(FormParseError, match="zero denominator in 2/0"):
+            parse_form("2/0 z0 dz1", 3)

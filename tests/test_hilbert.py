@@ -208,6 +208,20 @@ class TestProfile:
         with pytest.raises(UnstabilizedError):
             scheme_degree_dim(two_lines_ideal(), t_cap=3)
 
+    @pytest.mark.parametrize("d", [30, 37])
+    def test_high_degree_generator_below_cap(self, d):
+        # t_max = min(40, d + 4) leaves the n+2 fitted twists at or above d
+        ideal = GradedIdeal(3, (HomogeneousPoly.monomial(3, (d, 0, 0)),))
+        assert scheme_degree_dim(ideal) == (1, d)
+
+    @pytest.mark.parametrize("d", [39, 45])
+    def test_fit_below_generator_degree_rejected(self, d):
+        # t_cap = 40 clips the range, so the n+2 fitted twists start below d;
+        # there the ideal is empty and HF is the ambient polynomial (2, 1)
+        ideal = GradedIdeal(3, (HomogeneousPoly.monomial(3, (d, 0, 0)),))
+        with pytest.raises(UnstabilizedError):
+            scheme_degree_dim(ideal)
+
     @pytest.mark.parametrize("d", range(2, 8))
     def test_complete_intersection_of_powers(self, d):
         assert scheme_degree_dim(powers_ideal(d)) == (0, d * d)
