@@ -41,7 +41,7 @@ from .cohomology import (
     tangent_sheaf,
     tensor_with_split,
 )
-from .criteria import Verdict, _vanishing_verdict, acm_check, beilinson_rank_bound
+from .criteria import Verdict, acm_check, beilinson_rank_bound, vanishing_verdict
 
 
 class ChaseDependencyError(ValueError):
@@ -770,7 +770,7 @@ def distribution_cohomology_bounds(F, d: int, n: int) -> DistributionReport:
         "ii": _ray_vanishing(
             f_table, 1, -d - 3, f"h^1 vanishes below twist {-d - 2}"
         ),
-        "iii": _vanishing_verdict(f_table, 2, n - 2, "interior rows")
+        "iii": vanishing_verdict(f_table, 2, n - 2, "interior rows")
         if acm.holds
         else gate,
         "iv": _peak_verdict(f_table, n) if acm.holds else gate,

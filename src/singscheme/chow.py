@@ -11,6 +11,7 @@ classification rows live here too, as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
 
@@ -133,18 +134,14 @@ class SplitBundle:
             raise ValueError("bundles live on different projective spaces")
         return SplitBundle(self.n, self.twists + other.twists)
 
+    @property
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """(twist, multiplicity) for each distinct twist, descending: the one
+        place that counts equal twists."""
+        return tuple((a, len(list(run))) for a, run in groupby(self.twists))
+
     def __str__(self) -> str:
-        parts = []
-        i = 0
-        while i < len(self.twists):
-            j = i
-            while j < len(self.twists) and self.twists[j] == self.twists[i]:
-                j += 1
-            mult = j - i
-            term = f"O({self.twists[i]})"
-            parts.append(term if mult == 1 else f"{term}^{mult}")
-            i = j
-        return "+".join(parts)
+        return "+".join(f"O({a})" if m == 1 else f"O({a})^{m}" for a, m in self.counts)
 
 
 @dataclass(frozen=True)

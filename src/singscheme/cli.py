@@ -30,7 +30,6 @@ from .chow import classification_entry, pullback_degree, singular_degree_formula
 from .cohomology import (
     CohomologyTable,
     DimValue,
-    LineBundle,
     SplitBundle,
     VirtualSheaf,
     Window,
@@ -52,10 +51,10 @@ from .criteria import (
 from .forms import (
     coefficient_ideal,
     contract,
-    distribution_degree_of_form,
     parse_form,
     pullback_form,
     radial_field,
+    radial_form_degree,
     signed_sum,
 )
 from .hilbert import stable_profile
@@ -149,15 +148,14 @@ def parse_sheaf(spec: str, n: int) -> VirtualSheaf:
         if mult < 1:
             raise ValueError("multiplicity must be at least 1")
         if m.group("t"):
-            atom = normalize_atom(n, n - 1, n + 1)  # T = Omega^{n-1}(n+1)
+            p, k = n - 1, n + 1  # T = Omega^{n-1}(n+1)
         elif m.group("p") is not None:
             p, k = int(m.group("p")), int(m.group("k"))
             if p > n:
                 raise ValueError(f"Om({p},{k}) vanishes on P^{n}")
-            atom = normalize_atom(n, p, k)
         else:
-            atom = LineBundle(int(m.group("a")))
-        part = VirtualSheaf.from_atom(n, atom, mult)
+            p, k = 0, int(m.group("a"))  # O(a) = Omega^0(a)
+        part = VirtualSheaf.from_atom(n, normalize_atom(n, p, k), mult)
         total = part if total is None else total.direct_sum(part)
     if total is None:
         raise ValueError("empty sheaf spec")
@@ -317,7 +315,7 @@ def _cmd_chase(args) -> int:
     for q in range(tab.n + 1):
         line = f"h^{q}: {_fmt_window(tab.window(q))}"
         row = tab.rows.get(q, {})
-        shown = [(t, v) for t, v in sorted(row.items()) if (v.lo, v.hi) != (0, 0)]
+        shown = [(t, v) for t, v in sorted(row.items()) if not v.is_zero]
         if shown:
             line += "; " + ", ".join(f"t={t}: {_fmt_value(v)}" for t, v in shown)
         print(line)
@@ -440,7 +438,7 @@ def _cmd_form_sing(args) -> int:
     head = f"form: {form.k}-form on P^{n}, coefficient degree {form.poly_degree}"
     degree = None
     if radial_zero:
-        degree = distribution_degree_of_form(form, n)
+        degree = radial_form_degree(form, n)
         head += f", distribution degree {degree}"
     ideal = coefficient_ideal(form)
     profile = stable_profile(ideal)
@@ -469,7 +467,7 @@ def _cmd_form_pullback(args) -> int:
     degrees = _parse_int_list(args.field_degrees)
     n = args.n
     omega = pullback_form(n, degrees, args.seed)
-    degree = distribution_degree_of_form(omega, n)
+    degree = radial_form_degree(omega, n)
     ideal = coefficient_ideal(omega)
     profile = stable_profile(ideal)
     predicted = singular_degree_formula(n, len(degrees), tuple(d - 1 for d in degrees))

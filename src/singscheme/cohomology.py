@@ -1,21 +1,24 @@
 """Closed-form sheaf cohomology on P^n for a small exact calculus.
 
-The calculus is built from two kinds of atoms, line bundles O(a) and twisted
-cotangent powers Omega^p(k), closed under direct sum, twist, and Sym/Lambda
-of split parts. Every atom has a closed-form h^q at every twist, so any
-"vanishes at all twists" question is decidable: each row of an atom is
-nonzero only on an explicit window of twists (a ray, a singleton, or
-nothing), and those windows are carried on every table as certificates.
+Every atom of the calculus is a twisted cotangent power Omega^p(k); the line
+bundle O(a) is Omega^0(a), and both atom classes expose the same (p, k), so
+dimensions, windows, ranks and sort order all read (p, k) alone. Atoms are
+closed under direct sum, twist, and Sym/Lambda of split parts. Every atom
+has the closed-form h^q of bott_dim at every twist, so any "vanishes at all
+twists" question is decidable: each row of an atom is nonzero only on the
+hull of the Bott regimes that apply to it (a ray, a singleton, or nothing),
+and those windows are carried on every table as certificates.
 
 Atoms are kept in normal form: Omega^0(k) is O(k) and Omega^n(k) is
-O(k-n-1), applied eagerly so equality of sheaves is syntactic. The tangent
-bundle enters as Lambda^q T = Omega^{n-q}(n+1).
+O(k-n-1), applied eagerly so equality of sheaves is syntactic. A split
+bundle enters through SplitBundle.counts, one (twist, multiplicity) pair per
+distinct twist. The tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -24,9 +27,17 @@ from .chow import SplitBundle, check_ambient_dimension
 
 @dataclass(frozen=True)
 class LineBundle:
-    """O(a)."""
+    """O(a), which is Omega^0(a): p = 0 and k = a."""
 
     a: int
+    p = 0
+
+    @property
+    def k(self) -> int:
+        return self.a
+
+    def __str__(self) -> str:
+        return f"O({self.a})"
 
 
 @dataclass(frozen=True)
@@ -35,6 +46,9 @@ class CotangentPower:
 
     p: int
     k: int
+
+    def __str__(self) -> str:
+        return f"Om({self.p},{self.k})"
 
 
 SheafAtom = LineBundle | CotangentPower
@@ -53,15 +67,9 @@ def normalize_atom(n: int, p: int, k: int) -> SheafAtom:
     return CotangentPower(p, k)
 
 
-def _atom_sort_key(atom: SheafAtom):
-    if isinstance(atom, LineBundle):
-        return (0, 0, atom.a)
-    return (1, atom.p, atom.k)
-
-
 def _twist_atom(atom: SheafAtom, t: int) -> SheafAtom:
-    if isinstance(atom, LineBundle):
-        return LineBundle(atom.a + t)
+    if atom.p == 0:
+        return LineBundle(atom.k + t)
     return CotangentPower(atom.p, atom.k + t)
 
 
@@ -85,8 +93,6 @@ def bott_dim(n: int, p: int, k: int, q: int) -> int:
 
 
 def atom_dim(n: int, atom: SheafAtom, q: int, twist: int = 0) -> int:
-    if isinstance(atom, LineBundle):
-        return bott_dim(n, 0, atom.a + twist, q)
     return bott_dim(n, atom.p, atom.k + twist, q)
 
 
@@ -175,23 +181,17 @@ class Window:
 
 
 def atom_window(n: int, atom: SheafAtom, q: int) -> Window:
-    """Twists t where h^q(atom(t)) can be nonzero; tight on both ends."""
-    if q < 0 or q > n:
-        return Window.nothing()
-    if isinstance(atom, LineBundle):
-        if q == 0:
-            return Window(-atom.a, None)
-        if q == n:
-            return Window(None, -atom.a - n - 1)
-        return Window.nothing()
-    p, k0 = atom.p, atom.k
+    """Twists t where h^q(atom(t)) can be nonzero: the hull of the bott_dim
+    regimes (q = 0, q = p, q = n) that apply at q; tight on both ends."""
+    p, k = atom.p, atom.k
+    regimes = []
     if q == 0:
-        return Window(p - k0 + 1, None)
+        regimes.append(Window(p - k + 1, None))
     if q == p:
-        return Window(-k0, -k0)
+        regimes.append(Window(-k, -k))
     if q == n:
-        return Window(None, p - n - k0 - 1)
-    return Window.nothing()
+        regimes.append(Window(None, p - n - k - 1))
+    return Window.hull(*regimes)
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ class VirtualSheaf:
             merged[atom] = merged.get(atom, 0) + mult
         if not merged:
             raise ValueError("a virtual sheaf needs at least one atom")
-        items = tuple(sorted(merged.items(), key=lambda it: _atom_sort_key(it[0])))
+        items = tuple(sorted(merged.items(), key=lambda it: (it[0].p, it[0].k)))
         return cls(n, items)
 
     @classmethod
@@ -224,29 +224,11 @@ class VirtualSheaf:
 
     @classmethod
     def from_split(cls, bundle: SplitBundle) -> "VirtualSheaf":
-        return cls.from_pairs(
-            bundle.n, [(LineBundle(a), 1) for a in bundle.twists]
-        )
+        return cls.from_pairs(bundle.n, [(LineBundle(a), m) for a, m in bundle.counts])
 
     @property
     def rank(self) -> int:
-        total = 0
-        for atom, mult in self.atoms:
-            r = 1 if isinstance(atom, LineBundle) else comb(self.n, atom.p)
-            total += mult * r
-        return total
-
-    @property
-    def is_split(self) -> bool:
-        return all(isinstance(atom, LineBundle) for atom, _ in self.atoms)
-
-    def as_split_bundle(self) -> SplitBundle:
-        if not self.is_split:
-            raise ValueError("sheaf contains cotangent atoms; it is not split")
-        twists = []
-        for atom, mult in self.atoms:
-            twists.extend([atom.a] * mult)
-        return SplitBundle(self.n, tuple(twists))
+        return sum(m * comb(self.n, atom.p) for atom, m in self.atoms)
 
     def twist(self, t: int) -> "VirtualSheaf":
         return VirtualSheaf.from_pairs(
@@ -258,15 +240,6 @@ class VirtualSheaf:
             raise ValueError("sheaves live on different projective spaces")
         return VirtualSheaf.from_pairs(self.n, self.atoms + other.atoms)
 
-    def dual(self) -> "VirtualSheaf":
-        """Dual of a split sheaf. Duals of cotangent powers leave the
-        calculus (they are not sums of atoms), so they are rejected."""
-        if not self.is_split:
-            raise ValueError("dual is only defined for split sheaves here")
-        return VirtualSheaf.from_pairs(
-            self.n, [(LineBundle(-atom.a), m) for atom, m in self.atoms]
-        )
-
     def h(self, q: int, twist: int = 0) -> int:
         return sum(m * atom_dim(self.n, a, q, twist) for a, m in self.atoms)
 
@@ -274,14 +247,7 @@ class VirtualSheaf:
         return Window.hull(*(atom_window(self.n, a, q) for a, _ in self.atoms))
 
     def __str__(self) -> str:
-        parts = []
-        for atom, mult in self.atoms:
-            if isinstance(atom, LineBundle):
-                s = f"O({atom.a})"
-            else:
-                s = f"Om({atom.p},{atom.k})"
-            parts.append(s if mult == 1 else f"{s}^{mult}")
-        return "+".join(parts)
+        return "+".join(str(a) if m == 1 else f"{a}^{m}" for a, m in self.atoms)
 
 
 def tangent_sheaf(n: int) -> VirtualSheaf:
@@ -320,16 +286,15 @@ def ext_power_tangent(n: int, q: int) -> SheafAtom:
 
 def tensor_with_split(sheaf, bundle: SplitBundle) -> VirtualSheaf:
     """Tensor an atom or virtual sheaf with a split bundle, distributing
-    twists over atoms. Omega (x) Omega products are outside the calculus
-    and cannot be expressed here by construction."""
+    each distinct twist of bundle.counts over atoms. Omega (x) Omega
+    products are outside the calculus and cannot be expressed here by
+    construction."""
     if isinstance(sheaf, (LineBundle, CotangentPower)):
         sheaf = VirtualSheaf.from_atom(bundle.n, sheaf)
     if sheaf.n != bundle.n:
         raise ValueError("operands live on different projective spaces")
-    pairs = []
-    for atom, mult in sheaf.atoms:
-        for a in bundle.twists:
-            pairs.append((_twist_atom(atom, a), mult))
+    counts = bundle.counts
+    pairs = [(_twist_atom(atom, a), mult * m) for atom, mult in sheaf.atoms for a, m in counts]
     return VirtualSheaf.from_pairs(sheaf.n, pairs)
 
 

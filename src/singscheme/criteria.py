@@ -78,7 +78,7 @@ def _empty_range(q_lo: int, q_hi: int, label: str) -> Verdict:
 _NO_INTERMEDIATE_ROWS = Verdict("holds", (), "buchsbaum: no intermediate rows")
 
 
-def _vanishing_verdict(
+def vanishing_verdict(
     table: CohomologyTable, q_lo: int, q_hi: int, label: str
 ) -> Verdict:
     """holds iff rows q_lo..q_hi are certified zero at every twist."""
@@ -108,7 +108,7 @@ def _vanishing_verdict(
 
 def horrocks(table: CohomologyTable) -> Verdict:
     """Split iff no intermediate cohomology: rows 1..n-1 vanish."""
-    return _vanishing_verdict(table, 1, table.n - 1, "horrocks")
+    return vanishing_verdict(table, 1, table.n - 1, "horrocks")
 
 
 def evans_griffith(table: CohomologyTable, rank: int, n: int) -> Verdict:
@@ -121,7 +121,7 @@ def evans_griffith(table: CohomologyTable, rank: int, n: int) -> Verdict:
         raise InapplicableError(
             f"evans-griffith needs rank <= n, got rank {rank} on P^{n}"
         )
-    return _vanishing_verdict(table, 1, rank - 1, "evans-griffith")
+    return vanishing_verdict(table, 1, rank - 1, "evans-griffith")
 
 
 def kpr(table: CohomologyTable, rank: int, n: int) -> Verdict:
@@ -136,7 +136,7 @@ def kpr(table: CohomologyTable, rank: int, n: int) -> Verdict:
         raise InapplicableError(
             f"kpr needs rank <= {limit} on P^{n} (n {'even' if n % 2 == 0 else 'odd'}), got {rank}"
         )
-    return _vanishing_verdict(table, 2, n - 2, "kpr")
+    return vanishing_verdict(table, 2, n - 2, "kpr")
 
 
 def acm_check(
@@ -150,7 +150,7 @@ def acm_check(
         raise ValueError("dimension of the subscheme is required")
     if dim_z > ideal_table.n - 1:
         raise ValueError("a proper subscheme has dimension at most n-1")
-    return _vanishing_verdict(ideal_table, 1, dim_z, "acm")
+    return vanishing_verdict(ideal_table, 1, dim_z, "acm")
 
 
 def _possible_entries(table: CohomologyTable, q: int):

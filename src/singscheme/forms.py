@@ -445,14 +445,20 @@ def minors_ideal(one_forms) -> GradedIdeal:
 
 
 def distribution_degree_of_form(form: PolyKForm, n: int) -> int:
-    """Degree d of the twisted projective form: coefficients have degree
-    d+1 once the radial condition i_R(form) = 0 holds."""
+    """radial_form_degree, once the radial condition i_R(form) = 0 is
+    checked."""
+    if not contract(form, radial_field(form.nvars)).is_zero:
+        raise ValueError("radial contraction is nonzero; form does not descend to P^n")
+    return radial_form_degree(form, n)
+
+
+def radial_form_degree(form: PolyKForm, n: int) -> int:
+    """Degree d of a twisted projective form already known to satisfy the
+    radial condition: its coefficients have degree d+1."""
     if form.nvars != n + 1:
         raise ValueError(f"form lives on C^{form.nvars}, not C^{n + 1}")
     if form.is_zero:
         raise ValueError("zero form")
-    if not contract(form, radial_field(form.nvars)).is_zero:
-        raise ValueError("radial contraction is nonzero; form does not descend to P^n")
     e = form.poly_degree
     if e < 1:
         raise ValueError("coefficients must have positive degree")

@@ -118,6 +118,7 @@ class TestSplitBundle:
     def test_str_groups_multiplicities(self):
         assert str(SplitBundle(4, (-2, -2, -3))) == "O(-2)^2+O(-3)"
         assert str(SplitBundle(4, (1,))) == "O(1)"
+        assert SplitBundle(4, (-3, -2, -2)).counts == ((-2, 2), (-3, 1))
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):

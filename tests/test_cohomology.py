@@ -213,13 +213,12 @@ class TestVirtualSheaf:
     def test_split_round_trip_and_dual(self):
         b = SplitBundle(3, (-1, -1, 2))
         s = VirtualSheaf.from_split(b)
-        assert s.is_split
-        assert s.as_split_bundle() == b
-        assert s.dual().as_split_bundle() == b.dual()
-        with pytest.raises(ValueError):
-            tangent_sheaf(3).dual()
-        with pytest.raises(ValueError):
-            tangent_sheaf(3).as_split_bundle()
+        assert s.atoms == ((LineBundle(-1), 2), (LineBundle(2), 1))
+        assert SplitBundle(3, tuple(a.k for a, m in s.atoms for _ in range(m))) == b
+        assert s.rank == b.rank
+        dual = VirtualSheaf.from_split(b.dual())
+        assert dual.atoms == ((LineBundle(-2), 1), (LineBundle(1), 2))
+        assert dual == VirtualSheaf.from_pairs(3, [(LineBundle(-a.k), m) for a, m in s.atoms])
 
     def test_h_is_additive(self):
         s = VirtualSheaf.from_pairs(
@@ -271,6 +270,41 @@ class TestPowers:
         assert tensor_with_split(t, o) == t
         # rank multiplies
         assert tensor_with_split(t, b).rank == t.rank * b.rank
+
+    def test_merged_products_match_per_summand_reference(self):
+        # The per-summand algorithm: one pair for every summand of the
+        # bundle, equal twists left to from_pairs to merge.
+        def per_summand_tensor(sheaf, bundle):
+            return VirtualSheaf.from_pairs(bundle.n, [
+                (normalize_atom(bundle.n, atom.p, atom.k + a), mult)
+                for atom, mult in sheaf.atoms
+                for a in bundle.twists
+            ])
+
+        def per_summand_split(bundle):
+            return VirtualSheaf.from_pairs(bundle.n, [(LineBundle(a), 1) for a in bundle.twists])
+
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            base = SplitBundle(n, tuple(rng.randint(-3, 2) for _ in range(rng.randint(1, 5))))
+            j = rng.randint(0, 3)
+            bundles = [base, sym_power(base, j)]
+            if j <= base.rank:
+                bundles.append(ext_power_split(base, j))
+            pairs = [
+                (normalize_atom(n, rng.randint(0, n), rng.randint(-6, 6)), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            ]
+            sheaf = VirtualSheaf.from_pairs(n, pairs)
+            for bundle in bundles:
+                assert VirtualSheaf.from_split(bundle) == per_summand_split(bundle)
+                assert tensor_with_split(sheaf, bundle) == per_summand_tensor(sheaf, bundle)
+                atom = pairs[0][0]
+                assert tensor_with_split(atom, bundle) == per_summand_tensor(
+                    VirtualSheaf.from_atom(n, atom), bundle
+                )
+                assert sum(m for _, m in bundle.counts) == bundle.rank
 
     def test_twist_and_dual_helpers(self):
         t = tangent_sheaf(3)

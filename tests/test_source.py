@@ -18,6 +18,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_private_imports_between_modules():
+    # A name a module keeps private has no contract with its siblings; what
+    # another module needs is published under a public name.
+    found = []
+    for path in sorted(Path(singscheme.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert found == []
+
+
 def test_traced_benchmark_names_exist():
     # bench/run.py --trace 1 wraps these functions by name; a rename in the
     # package would otherwise only show up as a broken traced run.
