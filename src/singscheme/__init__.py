@@ -12,8 +12,9 @@ Subpackages are organized by calculus:
   complexes.
 - ``forms``: polynomial differential forms on C^{n+1} with exact rational
   coefficients, wedge/contraction, singular-ideal extraction.
-- ``hilbert``: Hilbert functions of graded ideals by exact Macaulay-matrix
-  ranks; the independent numeric oracle for the rest of the library.
+- ``hilbert``: exact Hilbert functions of graded ideals from a Groebner
+  basis and the Hilbert series of its leading monomials; the independent
+  numeric oracle for the rest of the library.
 - ``cli``: the ``singscheme`` command-line driver.
 """
 

@@ -57,7 +57,7 @@ from .forms import (
     radial_form_degree,
     signed_sum,
 )
-from .hilbert import stable_profile
+from .hilbert import hilbert_profile
 
 
 # ---------------------------------------------------------------- output
@@ -441,7 +441,7 @@ def _cmd_form_sing(args) -> int:
         degree = radial_form_degree(form, n)
         head += f", distribution degree {degree}"
     ideal = coefficient_ideal(form)
-    profile = stable_profile(ideal)
+    profile = hilbert_profile(ideal)
     lines, report = _ideal_report(ideal, profile)
 
     if args.json:
@@ -469,7 +469,7 @@ def _cmd_form_pullback(args) -> int:
     omega = pullback_form(n, degrees, args.seed)
     degree = radial_form_degree(omega, n)
     ideal = coefficient_ideal(omega)
-    profile = stable_profile(ideal)
+    profile = hilbert_profile(ideal)
     predicted = singular_degree_formula(n, len(degrees), tuple(d - 1 for d in degrees))
     match = profile.scheme_deg == predicted
     ideal_line, ideal_payload = _ideal_summary(ideal)

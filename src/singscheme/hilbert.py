@@ -1,25 +1,19 @@
 """Exact Hilbert functions and scheme degree/dimension from graded ideals.
 
-Everything is linear algebra per degree: the dimension of the degree-t
-piece of an ideal is the rank of the Macaulay matrix whose rows are the
-monomial multiples of the generators, computed with fraction-free integer
-elimination and deterministic pivoting. The Hilbert function is then
-HF(t) = (number of degree-t monomials) - rank, and the eventual polynomial
-is interpolated and accepted after n+2 consecutive exact fits, provided
-those n+2 twists all lie at or above the largest generator degree and its
-leading coefficient times dim! is a positive integer (a scheme's degree).
-Below the largest generator degree the ideal can miss whole degrees, so
-values there may match the ambient polynomial by accident. No Groebner
-bases, no saturation; unsaturated input only shifts where stabilization
-begins.
+S/I and S/in(I) have the same Hilbert function, so the Hilbert series of
+an ideal is that of its leading-monomial ideal in any term order. This
+module computes a Groebner basis in grevlex by a homogeneous Buchberger
+algorithm over Z: fraction-free, each remainder made primitive, S-pairs
+taken by degree (the sugar strategy for homogeneous input) and pruned by
+the Gebauer-Moeller product and chain criteria. The series of the minimal
+leading monomials is N(t)/(1-t)^(n+1); the numerator N comes from the pivot
+recursion N(J) = N(J + x_i^k) + t^k N(J : x_i^k) (Bayer-Stillman 1992,
+Bigatti 1997).
 
-Escalation has one owner, stable_profile: it starts at
-t_max = min(t_cap, n + 2 + max generator degree), widens the range by 4
-until the profile is accepted, reuses every value already computed, and
-raises UnstabilizedError at t_cap. The n+2-fit rule is a heuristic, not a
-proof: a Hilbert function can agree with a polynomial on n+2 consecutive
-twists and still leave it later. A Gotzmann persistence certificate would
-make acceptance a proof; it is not implemented.
+HF(t) is then exact at every t, and HF(t) = HP(t) for every t >= deg N - n.
+So HP is interpolated through n+1 values there; stable_from (the first
+twist from which HF = HP), the dimension and the degree are exact too. No
+saturation: an unsaturated ideal only moves stable_from.
 """
 
 from __future__ import annotations
@@ -28,74 +22,173 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .forms import GradedIdeal, monomials
+from .forms import GradedIdeal
+
+# A monomial is packed into one int, _BITS bits per variable, variable i at
+# bits [i*_BITS, (i+1)*_BITS). Among monomials of one degree, a smaller
+# packed int is the larger monomial in grevlex, products are sums, and
+# divisibility is one subtraction checked against the top bit of each field.
+_BITS = 32
+_FIELD = (1 << _BITS) - 1
+_MAX_DEGREE = 1 << (_BITS - 1)
 
 
-class UnstabilizedError(RuntimeError):
-    """The Hilbert function did not reach its polynomial within the range."""
+def _pack(expo) -> int:
+    return sum(e << (_BITS * i) for i, e in enumerate(expo))
 
 
-def integer_matrix_rank(rows) -> int:
-    """Rank of a sparse integer matrix given as dicts column -> value.
+def _unpack(m: int, nvars: int) -> tuple[int, ...]:
+    return tuple((m >> (_BITS * i)) & _FIELD for i in range(nvars))
 
-    Fraction-free: each incoming row is cross-multiplied against the pivot
-    of its least unknocked column and content-stripped, so entries stay
-    integral. Rows are consumed in order and pivots are chosen by least
-    column index; the procedure is fully deterministic.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                rank += 1
+
+def _step(p: dict, lm: int, lm_g: int, g: dict) -> dict:
+    """a*p - b*z^(lm - lm_g)*g with a, b coprime, cancelling p's term at lm;
+    p itself may be updated in place."""
+    a, b = g[lm_g], p[lm]
+    q = gcd(a, b)
+    a, b = a // q, b // q
+    if a != 1:
+        p = {m: a * c for m, c in p.items()}
+    shift = lm - lm_g
+    for m, c in g.items():
+        m += shift
+        v = p.get(m, 0) - b * c
+        if v:
+            p[m] = v
+        else:
+            del p[m]
+    return p
+
+
+def _reduce(p: dict, lms: list, polys: list, guard: int) -> dict:
+    """Top-reduce p by the basis; the primitive remainder, empty when p
+    reduces to zero."""
+    while p:
+        lm = min(p)
+        top = lm | guard
+        for lm_g, g in zip(lms, polys):
+            if (top - lm_g) & guard == guard:
+                p = _step(p, lm, lm_g, g)
                 break
-            a, b = pivot[col], row[col]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            new = {}
-            for c in set(row) | set(pivot):
-                v = row.get(c, 0) * ma - pivot.get(c, 0) * mb
-                if v:
-                    new[c] = v
-            if new:
-                content = 0
-                for v in new.values():
-                    content = gcd(content, v)
-                if content > 1:
-                    new = {c: v // content for c, v in new.items()}
-            row = new
-    return rank
+        else:
+            content = gcd(*p.values())
+            return {m: c // content for m, c in p.items()} if content > 1 else p
+    return p
 
 
-def graded_piece_dim(ideal: GradedIdeal, t: int) -> int:
-    """dim of the degree-t graded piece of the ideal."""
-    if t < 0:
-        raise ValueError("degree must be nonnegative")
-    nvars = ideal.nvars
-    columns = {expo: i for i, expo in enumerate(monomials(nvars, t))}
-    rows = []
-    for gen in ideal.generators:
-        g = gen.content_normalized()
-        d = g.degree
-        if d > t:
+def _update(pairs: list, lms: list, expos: list, guard: int) -> list:
+    """The pairs after the last basis element h joins: the chain criterion
+    on the old pairs, then one new pair per minimal lcm(h, g) and none
+    whose leading monomials are coprime (Gebauer-Moeller)."""
+    h = len(lms) - 1
+    lm_h, e_h = lms[h], expos[h]
+    lcm_with, by_lcm = [], {}
+    for g in range(h):
+        e = tuple(map(max, e_h, expos[g]))
+        lcm = _pack(e)
+        lcm_with.append(lcm)
+        coprime = lcm == lm_h + lms[g]
+        if lcm not in by_lcm or coprime:
+            by_lcm[lcm] = (sum(e), g, coprime)
+    kept = [
+        p for p in pairs
+        if ((p[1] | guard) - lm_h) & guard != guard
+        or lcm_with[p[2]] == p[1]
+        or lcm_with[p[3]] == p[1]
+    ]
+    minimal: list[int] = []
+    for lcm, (deg, g, coprime) in sorted(by_lcm.items(), key=lambda kv: kv[1][0]):
+        top = lcm | guard
+        if any((top - m) & guard == guard for m in minimal):
             continue
-        for mult in monomials(nvars, t - d):
-            row = {}
-            for expo, coeff in g.terms:
-                shifted = tuple(a + b for a, b in zip(expo, mult))
-                row[columns[shifted]] = int(coeff)
-            rows.append(row)
-    return integer_matrix_rank(rows)
+        minimal.append(lcm)
+        if not coprime:
+            kept.append((deg, lcm, g, h))
+    return kept
 
 
-def hilbert_function(ideal: GradedIdeal, t: int) -> int:
-    n = ideal.nvars - 1
-    return comb(n + t, n) - graded_piece_dim(ideal, t)
+def leading_monomials(ideal: GradedIdeal) -> list[tuple[int, ...]]:
+    """Exponent vectors of the minimal generators of the leading-monomial
+    ideal in grevlex, z0 > z1 > ..., by nondecreasing degree."""
+    nvars = ideal.nvars
+    guard = sum(1 << (_BITS * i + _BITS - 1) for i in range(nvars))
+    gens = sorted(
+        ((g.degree, {_pack(e): int(c) for e, c in g.content_normalized().terms})
+         for g in ideal.generators),
+        key=lambda dg: dg[0],
+        reverse=True,
+    )
+    lms: list[int] = []
+    polys: list[dict] = []
+    expos: list[tuple[int, ...]] = []
+    pairs: list[tuple[int, int, int, int]] = []  # (degree, lcm, i, j)
+    while gens or pairs:
+        d = min([p[0] for p in pairs] + [deg for deg, _ in gens[-1:]])
+        if d >= _MAX_DEGREE:
+            raise ValueError(f"degree {d} exceeds the monomial packing")
+        batch = []
+        for _, lcm, i, j in (p for p in pairs if p[0] == d):
+            s = {m + lcm - lms[i]: c for m, c in polys[i].items()}
+            batch.append(_step(s, lcm, lms[j], polys[j]))
+        pairs = [p for p in pairs if p[0] != d]
+        while gens and gens[-1][0] == d:
+            batch.append(gens.pop()[1])
+        for f in batch:
+            r = _reduce(f, lms, polys, guard)
+            if r:
+                lm = min(r)
+                lms.append(lm)
+                polys.append(r)
+                expos.append(_unpack(lm, nvars))
+                pairs = _update(pairs, lms, expos, guard)
+    return expos
+
+
+def _minimal(gens: list) -> list:
+    out: list = []
+    for g in sorted(gens, key=sum):
+        if not any(all(a <= b for a, b in zip(m, g)) for m in out):
+            out.append(g)
+    return out
+
+
+def _numerator(gens: list) -> list[int]:
+    """Ascending coefficients of N(t), where N(t)/(1-t)^nvars is the Hilbert
+    series of S modulo the monomials gens. The pivot is x_i^k, for the
+    variable in most generators and its least positive exponent. Then
+    J + x_i^k is x_i^k plus the generators J' free of x_i, so
+    N(J) = (1-t^k) N(J') + t^k N(J : x_i^k)."""
+    gens = _minimal(gens)
+    uses = [sum(1 for g in gens if g[i]) for i in range(len(gens[0]))] if gens else []
+    if not uses or max(uses) <= 1:
+        # pairwise coprime generators: N is the product of the (1 - t^deg)
+        out = [1]
+        for g in gens:
+            k = sum(g)
+            out = [a - (out[j - k] if j >= k else 0) for j, a in enumerate(out + [0] * k)]
+        return out
+    i = uses.index(max(uses))
+    k = min(g[i] for g in gens if g[i])
+    rest = _numerator([g for g in gens if not g[i]])
+    colon = _numerator([g[:i] + (max(g[i] - k, 0),) + g[i + 1:] for g in gens])
+    out = [0] * (max(len(rest), len(colon)) + k)
+    for j, c in enumerate(rest):
+        out[j] += c
+        out[j + k] -= c
+    for j, c in enumerate(colon):
+        out[j + k] += c
+    return out
+
+
+def _hf(numerator, n: int, t: int) -> int:
+    return sum(c * comb(t - j + n, n) for j, c in enumerate(numerator[: t + 1]))
+
+
+def _series_numerator(ideal: GradedIdeal) -> tuple[int, ...]:
+    num = _numerator(leading_monomials(ideal))
+    while num and num[-1] == 0:
+        num.pop()
+    return tuple(num)
 
 
 def _interpolate(ts, vals):
@@ -129,30 +222,25 @@ def _poly_eval(poly, t: int) -> Fraction:
 
 @dataclass(frozen=True)
 class HilbertProfile:
-    """Hilbert function values with, once certified, the eventual
-    polynomial (ascending rational coefficients), the first twist of
-    certified agreement, and the scheme's dimension and degree. The
-    polynomial is integer-valued; its coefficients are stored exactly as
-    fractions. An unstabilized profile has polynomial None."""
+    """Hilbert function values on [0, t_max] with the Hilbert polynomial
+    (ascending rational coefficients, integer-valued), the first twist from
+    which the two agree, and the scheme's dimension and degree, all exact.
+    numerator is N(t) of the Hilbert series N(t)/(1-t)^(n+1), which gives
+    HF at every twist."""
 
     ideal: GradedIdeal
     t_max: int
     values: dict
-    polynomial: tuple | None = None
-    stable_from: int | None = None
-    scheme_dim: int | None = None
-    scheme_deg: int | None = None
-
-    @property
-    def stabilized(self) -> bool:
-        return self.polynomial is not None
+    polynomial: tuple
+    stable_from: int
+    scheme_dim: int
+    scheme_deg: int
+    numerator: tuple
 
     def to_json(self) -> dict:
         return {
             "values": {str(t): v for t, v in sorted(self.values.items())},
-            "polynomial": None
-            if self.polynomial is None
-            else [str(c) for c in self.polynomial],
+            "polynomial": [str(c) for c in self.polynomial],
             "dim": self.scheme_dim,
             "deg": self.scheme_deg,
             "stable_from": self.stable_from,
@@ -161,76 +249,45 @@ class HilbertProfile:
     def deficiency(self) -> list[tuple[int, int]]:
         """(t, HP(t) - HF(t)) at the twists 0 <= t < stable_from where the
         Hilbert function falls short of the polynomial."""
-        if not self.stabilized:
-            raise ValueError("an unstabilized profile has no Hilbert polynomial")
+        n = self.ideal.nvars - 1
         out = []
         for t in range(self.stable_from):
-            gap = _poly_eval(self.polynomial, t) - self.values[t]
+            gap = _poly_eval(self.polynomial, t) - _hf(self.numerator, n, t)
             if gap > 0:
                 out.append((t, int(gap)))
         return out
 
 
-def _profile_from_values(ideal: GradedIdeal, t_max: int, values) -> HilbertProfile:
-    n = ideal.nvars - 1
-    stored = {t: values[t] for t in range(t_max + 1)}
-    if t_max < n + 2 or t_max - n - 1 < max(ideal.degrees, default=0):
-        # Too few values, or the fitted twists start below a generator.
-        return HilbertProfile(ideal, t_max, stored)
-    nodes = list(range(t_max - n, t_max + 1))
-    poly = _interpolate(nodes, [values[t] for t in nodes])
-    fit_from = t_max + 1
-    for t in range(t_max, -1, -1):
-        if _poly_eval(poly, t) != values[t]:
-            break
-        fit_from = t
-    if t_max - fit_from + 1 < n + 2:
-        return HilbertProfile(ideal, t_max, stored)
-    if not poly:
-        return HilbertProfile(ideal, t_max, stored, poly, fit_from, -1, 0)
-    dim = len(poly) - 1
-    deg = poly[-1] * factorial(dim)
-    if deg.denominator != 1 or deg <= 0:
-        # No scheme has this Hilbert polynomial: not stabilized yet.
-        return HilbertProfile(ideal, t_max, stored)
-    return HilbertProfile(ideal, t_max, stored, poly, fit_from, dim, int(deg))
+def hilbert_function(ideal: GradedIdeal, t: int) -> int:
+    """dim (S/I)_t."""
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    return _hf(_series_numerator(ideal), ideal.nvars - 1, t)
 
 
-def hilbert_profile(ideal: GradedIdeal, t_max: int) -> HilbertProfile:
-    """Hilbert function on [0, t_max] plus the accepted polynomial.
-
-    The polynomial is interpolated through the last n+1 values and accepted
-    only when at least n+2 consecutive values ending at t_max lie on it,
-    the first of those n+2 twists is at least the largest generator degree,
-    and its leading coefficient gives a positive integer degree; otherwise
-    the profile comes back unstabilized (polynomial None), never a guess."""
-    if t_max < 0:
+def hilbert_profile(ideal: GradedIdeal, t_max: int | None = None) -> HilbertProfile:
+    """The exact profile, with values on [0, t_max]; by default t_max is
+    max(n + 2 + largest generator degree, stable_from + n + 1)."""
+    if t_max is not None and t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    values = {t: hilbert_function(ideal, t) for t in range(t_max + 1)}
-    return _profile_from_values(ideal, t_max, values)
-
-
-def stable_profile(ideal: GradedIdeal, t_cap: int = 40) -> HilbertProfile:
-    """The first accepted profile on the escalation described in the module
-    docstring; UnstabilizedError if none is accepted by t_cap."""
     n = ideal.nvars - 1
-    t_max = min(t_cap, n + 2 + max(ideal.degrees, default=0))
-    values: dict[int, int] = {}
-    while True:
-        for t in range(len(values), t_max + 1):
-            values[t] = hilbert_function(ideal, t)
-        profile = _profile_from_values(ideal, t_max, values)
-        if profile.stabilized:
-            return profile
-        if t_max >= t_cap:
-            raise UnstabilizedError(
-                f"Hilbert function not certified polynomial by t={t_cap}"
-            )
-        t_max = min(t_cap, t_max + 4)
+    num = _series_numerator(ideal)
+    start = max(0, len(num) - 1 - n)
+    nodes = range(start, start + n + 1)
+    poly = _interpolate(nodes, [_hf(num, n, t) for t in nodes])
+    stable_from = start
+    while stable_from > 0 and _poly_eval(poly, stable_from - 1) == _hf(num, n, stable_from - 1):
+        stable_from -= 1
+    if t_max is None:
+        t_max = max(n + 2 + max(ideal.degrees, default=0), stable_from + n + 1)
+    values = {t: _hf(num, n, t) for t in range(t_max + 1)}
+    dim = len(poly) - 1
+    deg = int(poly[-1] * factorial(dim)) if poly else 0
+    return HilbertProfile(ideal, t_max, values, poly, stable_from, dim, deg, num)
 
 
-def scheme_degree_dim(ideal: GradedIdeal, t_cap: int = 40):
+def scheme_degree_dim(ideal: GradedIdeal):
     """(dimension, degree) of the subscheme cut out by the ideal; the empty
     scheme reports (-1, 0)."""
-    profile = stable_profile(ideal, t_cap)
+    profile = hilbert_profile(ideal)
     return profile.scheme_dim, profile.scheme_deg

@@ -467,17 +467,36 @@ class TestFormSing:
         code, out, err = run(capsys, "form", "sing", "--input", str(path))
         assert (code, out, err) == (1, "", "error: zero denominator in 2/0 (token 1)\n")
 
-    def test_fit_below_generator_degree_exits_one(self, capsys, tmp_path):
-        # degree-46 generators: every twist up to t_cap = 40 fits the ambient
-        # polynomial, which must not be reported as the scheme P^3
+    def test_generator_degree_beyond_forty(self, capsys, tmp_path):
+        # degree-46 generators: every twist up to 40 shows the ambient
+        # Hilbert function, yet the scheme is the plane z0 = 0 counted 45
+        # times (with the line z1 = z2 = 0), not P^3
         path = tmp_path / "high_degree.form"
         path.write_text("z0^45*z1 dz2 - z0^45*z2 dz1")
         code, out, err = run(capsys, "form", "sing", "--input", str(path), "--n", "3")
-        assert (code, out) == (1, "")
-        assert err == "error: Hilbert function not certified polynomial by t=40\n"
+        assert (code, err) == (0, "")
+        assert "scheme: dim 2, degree 45\n" in out
+
+    def test_degree_38_generators_on_the_plane(self, capsys, tmp_path):
+        path = tmp_path / "z0_37.form"
+        path.write_text("z0^37*z1 dz2 - z0^37*z2 dz1")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert "form: 1-form on P^2, coefficient degree 38, distribution degree 37\n" in out
+        assert "scheme: dim 1, degree 37\n" in out
 
 
 class TestFormPullback:
+    @pytest.mark.parametrize(
+        "n, degrees, dim, degree",
+        [(4, "1,1", 1, 10), (5, "1,1", 1, 15), (5, "2,1,0", 2, 26)],
+    )
+    def test_pullbacks_beyond_the_macaulay_reach(self, capsys, n, degrees, dim, degree):
+        code, out, _ = run(capsys, "form", "pullback", "--n", str(n), "--field-degrees", degrees)
+        assert code == 0
+        assert f"scheme: dim {dim}, degree {degree}\n" in out
+        assert f"split-formula degree: {degree} (matches)\n" in out
+
     def test_one_field_shape_matches_formula(self, capsys):
         code, out, _ = run(capsys, "form", "pullback", "--n", "3",
                            "--field-degrees", "1,0")

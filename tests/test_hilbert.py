@@ -1,10 +1,13 @@
 """Hilbert module tests.
 
-The elimination core is checked against a rational Gaussian elimination
-oracle; the profile machinery against closed-form Hilbert counts (Koszul
-for a complete intersection, direct monomial counts for the two-lines
-ideal); and the cross-module invariants tie degrees computed here to the
-intersection-theoretic predictions."""
+The Groebner-basis oracle is checked against an independent one kept
+here: Macaulay-matrix ranks per degree, with fraction-free integer
+elimination that is itself checked against rational Gaussian elimination.
+With sympy installed, the leading monomials are also checked against
+sympy.groebner. The profile is checked against closed-form Hilbert counts
+(Koszul for a complete intersection, direct monomial counts for the
+two-lines ideal), and the cross-module invariants tie degrees computed
+here to the intersection-theoretic predictions."""
 
 import os
 import random
@@ -12,7 +15,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -25,21 +28,80 @@ from singscheme.forms import (
     PolyVectorField,
     coefficient_ideal,
     minors_ideal,
+    monomials,
     parse_form,
     parse_poly,
+    pullback_form,
     volume_contract_chain,
     wedge,
 )
 from singscheme.hilbert import (
     HilbertProfile,
-    UnstabilizedError,
-    graded_piece_dim,
     hilbert_function,
     hilbert_profile,
-    integer_matrix_rank,
+    leading_monomials,
     scheme_degree_dim,
-    stable_profile,
 )
+
+
+def integer_matrix_rank(rows) -> int:
+    """Rank of a sparse integer matrix given as dicts column -> value.
+
+    Fraction-free: each incoming row is cross-multiplied against the pivot
+    of its least unknocked column and content-stripped, so entries stay
+    integral. Rows are consumed in order and pivots are chosen by least
+    column index; the procedure is fully deterministic.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    rank = 0
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                rank += 1
+                break
+            a, b = pivot[col], row[col]
+            g = gcd(a, b)
+            ma, mb = a // g, b // g
+            new = {}
+            for c in set(row) | set(pivot):
+                v = row.get(c, 0) * ma - pivot.get(c, 0) * mb
+                if v:
+                    new[c] = v
+            if new:
+                content = 0
+                for v in new.values():
+                    content = gcd(content, v)
+                if content > 1:
+                    new = {c: v // content for c, v in new.items()}
+            row = new
+    return rank
+
+
+def graded_piece_dim(ideal: GradedIdeal, t: int) -> int:
+    """dim of the degree-t graded piece of the ideal: the rank of the
+    Macaulay matrix whose rows are the monomial multiples of the
+    generators."""
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    nvars = ideal.nvars
+    columns = {expo: i for i, expo in enumerate(monomials(nvars, t))}
+    rows = []
+    for gen in ideal.generators:
+        g = gen.content_normalized()
+        d = g.degree
+        if d > t:
+            continue
+        for mult in monomials(nvars, t - d):
+            row = {}
+            for expo, coeff in g.terms:
+                shifted = tuple(a + b for a, b in zip(expo, mult))
+                row[columns[shifted]] = int(coeff)
+            rows.append(row)
+    return integer_matrix_rank(rows)
 
 
 def two_lines_ideal():
@@ -157,7 +219,6 @@ class TestGradedPiece:
 class TestProfile:
     def test_two_lines(self):
         prof = hilbert_profile(two_lines_ideal(), 8)
-        assert prof.stabilized
         assert prof.polynomial == (Fraction(2), Fraction(2))  # 2t + 2
         assert prof.stable_from == 1
         assert (prof.scheme_dim, prof.scheme_deg) == (1, 2)
@@ -168,7 +229,6 @@ class TestProfile:
         q2 = parse_poly("z0*z2 - z1*z3", 4)
         ideal = GradedIdeal(4, (q1, q2))
         prof = hilbert_profile(ideal, 9)
-        assert prof.stabilized
         assert prof.polynomial == (Fraction(0), Fraction(4))  # 4t
         assert (prof.scheme_dim, prof.scheme_deg) == (1, 4)
 
@@ -182,18 +242,20 @@ class TestProfile:
     def test_unit_ideal_empty_scheme(self):
         ideal = GradedIdeal(3, (HomogeneousPoly.constant(3, 1),))
         prof = hilbert_profile(ideal, 6)
-        assert prof.stabilized
         assert prof.polynomial == ()
         assert (prof.scheme_dim, prof.scheme_deg) == (-1, 0)
 
     def test_zero_ideal_whole_space(self):
         assert scheme_degree_dim(GradedIdeal(4, ())) == (3, 1)
 
-    def test_unstabilized_result_not_a_guess(self):
+    def test_short_range_profile_is_exact(self):
+        # [0, 3] holds too few values for any fit; the series gives the
+        # polynomial anyway
         prof = hilbert_profile(two_lines_ideal(), 3)
-        assert not prof.stabilized
-        assert prof.polynomial is None and prof.stable_from is None
-        assert prof.scheme_dim is None and prof.scheme_deg is None
+        assert prof.values == {0: 1, 1: 4, 2: 6, 3: 8}
+        assert prof.polynomial == (Fraction(2), Fraction(2))
+        assert prof.stable_from == 1
+        assert (prof.scheme_dim, prof.scheme_deg) == (1, 2)
 
     def test_line(self):
         ideal = GradedIdeal(
@@ -204,44 +266,42 @@ class TestProfile:
     def test_two_lines_curve_dimensions(self):
         assert scheme_degree_dim(two_lines_ideal()) == (1, 2)
 
-    def test_escalation_cap_raises(self):
-        with pytest.raises(UnstabilizedError):
-            scheme_degree_dim(two_lines_ideal(), t_cap=3)
-
     @pytest.mark.parametrize("d", [30, 37])
     def test_high_degree_generator_below_cap(self, d):
-        # t_max = min(40, d + 4) leaves the n+2 fitted twists at or above d
         ideal = GradedIdeal(3, (HomogeneousPoly.monomial(3, (d, 0, 0)),))
         assert scheme_degree_dim(ideal) == (1, d)
 
     @pytest.mark.parametrize("d", [39, 45])
-    def test_fit_below_generator_degree_rejected(self, d):
-        # t_cap = 40 clips the range, so the n+2 fitted twists start below d;
-        # there the ideal is empty and HF is the ambient polynomial (2, 1)
+    def test_generator_degree_beyond_forty(self, d):
+        # below t = d the ideal is empty and HF is the ambient polynomial;
+        # the series sees the generator at any degree
         ideal = GradedIdeal(3, (HomogeneousPoly.monomial(3, (d, 0, 0)),))
-        with pytest.raises(UnstabilizedError):
-            scheme_degree_dim(ideal)
+        assert scheme_degree_dim(ideal) == (1, d)
+        prof = hilbert_profile(ideal)
+        assert prof.stable_from == d - 2
+        assert prof.t_max == 2 + 2 + d
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_complete_intersection_of_powers(self, d):
         assert scheme_degree_dim(powers_ideal(d)) == (0, d * d)
 
-    def test_impossible_polynomial_not_accepted(self):
-        # HF(7..9) = 24, 25, 25 fits -t^2/2 + 17t/2 - 11 on four twists; a
-        # negative leading coefficient is no scheme's degree
+    def test_values_fitting_an_impossible_polynomial(self):
+        # HF(6..9) = 22, 24, 25, 25 fits -t^2/2 + 17t/2 - 11 on the last
+        # three twists; the profile on [0, 9] still has the exact polynomial
         prof = hilbert_profile(powers_ideal(5), 9)
         assert [prof.values[t] for t in (6, 7, 8, 9)] == [22, 24, 25, 25]
-        assert not prof.stabilized
+        assert prof.polynomial == (Fraction(25),)
+        assert (prof.scheme_dim, prof.scheme_deg, prof.stable_from) == (0, 25, 8)
 
-    def test_stable_profile_first_range(self):
-        # n = 3 and generator degree 2: the first range is [0, 7]
-        prof = stable_profile(two_lines_ideal())
+    def test_default_range(self):
+        # n = 3 and generator degree 2: the range is [0, 7]
+        prof = hilbert_profile(two_lines_ideal())
         assert prof == hilbert_profile(two_lines_ideal(), 7)
 
-    def test_stable_profile_escalates_by_four(self):
-        # [0, 9] is rejected, [0, 13] accepted
-        prof = stable_profile(powers_ideal(5))
-        assert prof == hilbert_profile(powers_ideal(5), 13)
+    def test_default_range_reaches_past_stable_from(self):
+        # n + 2 + 5 = 9 < stable_from + n + 1 = 11
+        prof = hilbert_profile(powers_ideal(5))
+        assert prof == hilbert_profile(powers_ideal(5), 11)
         assert (prof.scheme_dim, prof.scheme_deg, prof.stable_from) == (0, 25, 8)
 
     def test_same_answers_without_asserts(self):
@@ -268,17 +328,20 @@ class TestProfile:
 
     def test_two_lines_deficiency(self):
         # HP(0) = 2 but the two lines impose one condition in degree 0
-        assert stable_profile(two_lines_ideal()).deficiency() == [(0, 1)]
+        assert hilbert_profile(two_lines_ideal()).deficiency() == [(0, 1)]
 
-    def test_deficiency_needs_polynomial(self):
-        with pytest.raises(ValueError, match="unstabilized"):
-            hilbert_profile(two_lines_ideal(), 3).deficiency()
+    @pytest.mark.parametrize("t_max", [0, 1, 3, 7, 12])
+    def test_deficiency_does_not_depend_on_range(self, t_max):
+        # (z0^5, z1^5) falls short of 25 at t = 0..7
+        want = [(t, 25 - comb(t + 2, 2) + 2 * comb(max(t - 3, 0), 2)) for t in range(8)]
+        assert hilbert_profile(powers_ideal(5), t_max).deficiency() == want
 
-    def test_values_invariant_on_unstabilized(self):
+    def test_values_on_short_range(self):
         prof = hilbert_profile(GradedIdeal(3, ()), 2)
         assert isinstance(prof, HilbertProfile)
         assert prof.values == {0: 1, 1: 3, 2: 6}  # full ring: C(2+t, 2)
-        assert not prof.stabilized  # t_max below the certificate length
+        assert prof.polynomial == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+        assert (prof.scheme_dim, prof.scheme_deg, prof.stable_from) == (2, 1, 0)
 
 
 class TestCrossOracles:
@@ -330,6 +393,84 @@ class TestCrossOracles:
                 continue
             mi = minors_ideal([a, b])
             ci = coefficient_ideal(w)
-            for t in range(9):
+            # the series compares every twist; the Macaulay oracle the twists
+            # up to the generator degree + 4
+            assert hilbert_profile(mi).numerator == hilbert_profile(ci).numerator
+            for t in range(max(ci.degrees) + 5):
                 assert graded_piece_dim(mi, t) == graded_piece_dim(ci, t)
             done += 1
+
+
+# the (n, field degrees) shapes of the bench's form-oracle pullbacks
+ORACLE_SHAPES = (
+    (3, (1, 0)), (3, (1, 1)), (3, (2, 0)),
+    (4, (1, 0, 0)), (4, (1, 1, 0)), (4, (2, 0, 0)),
+    (5, (1, 0, 0, 0)), (5, (2, 0, 0, 0)),
+)
+
+
+def random_ideal(rng, nvars):
+    """One to four sparse homogeneous generators of degrees 1..3 with small
+    integer coefficients."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.randint(1, 3)
+        monos = monomials(nvars, d)
+        terms = {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in rng.sample(monos, min(len(monos), rng.randint(1, 4)))}
+        gens.append(HomogeneousPoly.from_dict(nvars, terms))
+    return GradedIdeal(nvars, tuple(gens))
+
+
+def chain_ideal():
+    """An ideal on P^3 whose basis needs the equal-lcm exceptions of the
+    chain criterion: without them a pair is dropped and the leading
+    monomial z2^2 z3^2 is missed (z2^2 z3^3 is found instead)."""
+    gens = (
+        {(1, 0, 2, 0): 1, (0, 1, 0, 2): -2},
+        {(1, 0, 1, 0): 2, (0, 1, 0, 1): 3, (0, 0, 1, 1): 1},
+        {(1, 1, 1, 0): -2, (1, 1, 0, 1): -3, (0, 0, 0, 3): 2},
+    )
+    return GradedIdeal(4, tuple(HomogeneousPoly.from_dict(4, g) for g in gens))
+
+
+def oracle_ideals():
+    rng = random.Random(20261018)
+    out = [random_ideal(rng, rng.randint(3, 5)) for _ in range(40)] + [chain_ideal()]
+    out += [coefficient_ideal(pullback_form(n, degrees, 0)) for n, degrees in ORACLE_SHAPES]
+    return out + [powers_ideal(d) for d in range(2, 8)]
+
+
+class TestGroebnerOracles:
+    def test_series_matches_macaulay_ranks(self):
+        for ideal in oracle_ideals():
+            n = ideal.nvars - 1
+            prof = hilbert_profile(ideal, max(ideal.degrees) + 4)
+            for t, v in prof.values.items():
+                assert v == comb(n + t, n) - graded_piece_dim(ideal, t), (ideal, t)
+
+    def test_monomial_ideals_match_direct_count(self):
+        # the basis of a monomial ideal is its generators, so this checks
+        # the series numerator on high exponents, where pivots x_i^k with
+        # k > 1 occur
+        rng = random.Random(20261019)
+        for _ in range(40):
+            nvars = rng.randint(3, 4)
+            gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(1, 6))]
+            gens = [g for g in gens if sum(g)] or [(1,) + (0,) * (nvars - 1)]
+            ideal = GradedIdeal(nvars, tuple(HomogeneousPoly.monomial(nvars, g) for g in gens))
+            prof = hilbert_profile(ideal, max(ideal.degrees) + 4)
+            for t, v in prof.values.items():
+                outside = [m for m in monomials(nvars, t) if not any(all(a <= b for a, b in zip(g, m)) for g in gens)]
+                assert v == len(outside), (gens, t)
+
+    def test_leading_monomials_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for ideal in oracle_ideals():
+            zs = sympy.symbols(f"z0:{ideal.nvars}")
+            polys = [
+                sum(int(c) * sympy.prod(z**e for z, e in zip(zs, expo)) for expo, c in g.content_normalized().terms)
+                for g in ideal.generators
+            ]
+            basis = sympy.groebner(polys, *zs, order="grevlex")
+            want = {sympy.Poly(g, *zs).monoms(order="grevlex")[0] for g in basis.exprs}
+            assert set(leading_monomials(ideal)) == want
