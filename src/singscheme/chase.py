@@ -11,10 +11,12 @@ materialization pass then computes the requested entries: exact where the
 six-term neighborhood has enough zeros, an interval [lo, hi] from
 rank-nullity otherwise. Given and solved unknowns are both
 CohomologyTables, the solved ones filled in as their entries are
-materialized, so every read of an unknown is a table lookup. Every
-materialized entry carries a trace that replays to the same number, and
-every triple is checked for Euler-characteristic consistency at the
-twists it touched.
+materialized, so every read of an unknown is a table lookup, and every
+read of a closed-form term is its sheaf's row. Materialization stores
+values only, and every triple is checked for Euler-characteristic
+consistency at the twists it touched. Each entry's trace, which replays to
+the same number, is rebuilt on first read of ChaseResult.traces from the
+plan and the filled tables, through the same reads as the solve.
 
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
@@ -27,8 +29,11 @@ derived from the ideal sequence.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+from types import MappingProxyType
 
 from .chow import SplitBundle, check_ambient_dimension
 from .cohomology import (
@@ -117,18 +122,37 @@ _READS = {
 }
 
 
-def _forced(keep: DimValue, kill: DimValue) -> tuple[int, int | None]:
-    lo = 0 if kill.hi is None else max(0, keep.lo - kill.hi)
-    return lo, keep.hi
+_ZERO = DimValue.exact(0)
 
 
-def _solve(inputs) -> DimValue:
-    """forced(keep1, kill1) + forced(keep2, kill2) over the four reads."""
-    kill1, keep1, kill2, keep2 = (DimValue(i.lo, i.hi) for i in inputs)
-    lo1, hi1 = _forced(keep1, kill1)
-    lo2, hi2 = _forced(keep2, kill2)
-    hi = None if hi1 is None or hi2 is None else hi1 + hi2
-    return DimValue(lo1 + lo2, hi)
+def _label(tr: ExactTriple) -> str:
+    return tr.label or f"0->{tr.a}->{tr.b}->{tr.c}->0"
+
+
+def _reads(tr: ExactTriple, pos: str, q: int, t: int, tables: dict) -> list:
+    """The (lo, hi) of each term that solving pos at row q and chase twist t
+    reads, in _READS order: the one reader for the solve and the traces."""
+    out = []
+    for role, dq in _READS[pos]:
+        term = tr.term(role)
+        if isinstance(term, TableRef):
+            v = tables[term.name].value(q + dq, t + term.offset)
+            out.append((v.lo, v.hi))
+        else:
+            h = term.h(q + dq, t) if 0 <= q + dq <= term.n else 0
+            out.append((h, h))
+    return out
+
+
+def _solve(reads) -> DimValue:
+    """forced(keep1, kill1) + forced(keep2, kill2) over the four (lo, hi)
+    reads, where forced(keep, kill) = [max(0, lo(keep) - hi(kill)), hi(keep)]."""
+    (_, kill1), (lo1, hi1), (_, kill2), (lo2, hi2) = reads
+    lo1 = 0 if kill1 is None else max(0, lo1 - kill1)
+    lo2 = 0 if kill2 is None else max(0, lo2 - kill2)
+    if hi1 is None or hi2 is None:
+        return DimValue(lo1 + lo2, None)
+    return _ZERO if hi1 + hi2 == 0 else DimValue(lo1 + lo2, hi1 + hi2)
 
 
 @dataclass(frozen=True)
@@ -173,7 +197,9 @@ def replay_trace(trace: Trace) -> DimValue:
         return DimValue(trace.lo, trace.hi)
     if trace.rule not in ("solve-a", "solve-b", "solve-c"):
         raise ValueError(f"unknown trace rule {trace.rule!r}")
-    return _solve(trace.inputs)
+    for i in trace.inputs:
+        DimValue(i.lo, i.hi)  # each recorded input must be a dimension
+    return _solve([(i.lo, i.hi) for i in trace.inputs])
 
 
 @dataclass(frozen=True)
@@ -181,17 +207,45 @@ class ChaseResult:
     """Everything a chase established: entries, tables, and provenance.
 
     entries maps (unknown, q, twist) in the unknown's own twist coordinates
-    to an exact value or interval; traces carries one Trace per entry.
-    tables holds the given tables and one table per solved unknown, whose
-    windows are complete (rows 0..n) and whose rows are its materialized
-    entries; unknowns names the solved unknowns in solving order.
+    to an exact value or interval. tables holds the given tables and one
+    table per solved unknown, whose windows are complete (rows 0..n) and
+    whose rows are its materialized entries; unknowns names the solved
+    unknowns in solving order, and plan holds the (triple, position, name,
+    offset) that solves each. traces, one Trace per entry, is a read-only
+    mapping built on first read from the plan and the filled tables: a solve
+    read only entries materialized before it, and none changes afterwards.
     """
 
     n: int
     entries: dict
-    traces: dict
     tables: dict
     unknowns: tuple
+    plan: tuple
+
+    @cached_property
+    def traces(self) -> Mapping:
+        solvers = {}
+        for tr, pos, name, offset in self.plan:
+            terms = {role: str(tr.term(role)) for role in _POSITIONS}
+            solvers[name] = (tr, pos, offset, _label(tr), terms)
+        traces = {}
+        for key, v in self.entries.items():
+            name, q, s = key
+            if name not in self.tables:
+                traces[key] = Trace(name, q, s, "unbounded", "", (), 0, None)
+            elif name not in solvers:
+                traces[key] = Trace(name, q, s, "given", "", (), v.lo, v.hi)
+            elif not self.tables[name].window(q).contains(s):
+                traces[key] = Trace(name, q, s, "window", solvers[name][3], (), 0, 0)
+            else:
+                tr, pos, offset, label, terms = solvers[name]
+                t = s - offset
+                inputs = tuple(
+                    TraceInput(role, terms[role], q + dq, t, lo, hi)
+                    for (role, dq), (lo, hi) in zip(_READS[pos], _reads(tr, pos, q, t, self.tables))
+                )
+                traces[key] = Trace(name, q, s, f"solve-{pos}", label, inputs, v.lo, v.hi)
+        return MappingProxyType(traces)
 
     def _table(self, name: str) -> CohomologyTable:
         """The table of name; one without entries or certificates for a
@@ -257,11 +311,19 @@ def _term_window(term: Term, q: int, tables: dict) -> Window:
     return Window.everything() if w is None else w.shift(-term.offset)
 
 
-def _term_value(term: Term, q: int, t: int, tables: dict) -> DimValue:
-    """h^q of a term at chase twist t, as far as it is known."""
+def _term_chi(term: Term, t: int, tables: dict) -> int | None:
+    """Euler characteristic of a term at chase twist t; None unless every
+    row of it is exact there."""
     if isinstance(term, VirtualSheaf):
-        return DimValue.exact(term.h(q, t) if 0 <= q <= term.n else 0)
-    return tables[term.name].value(q, t + term.offset)
+        return term.chi(t)
+    tab, s = tables[term.name], t + term.offset
+    chi = 0
+    for q in range(tab.n + 1):
+        v = tab.value(q, s)
+        if v.hi != v.lo:
+            return None
+        chi += -v.lo if q % 2 else v.lo
+    return chi
 
 
 def chase(triples, queries=(), given=None) -> ChaseResult:
@@ -278,14 +340,14 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
     all three columns are exact; a violation (possible only with
     inconsistent supplied tables) raises InconsistentTripleError.
     """
-    return _materialize(*_window_pass(triples, given), queries)
+    return _materialize(_window_pass(triples, given), queries)
 
 
-def _window_pass(triples, given) -> tuple[ChaseResult, list]:
+def _window_pass(triples, given) -> ChaseResult:
     """Order the triples and bound the twist support of every unknown row.
 
     Returns a ChaseResult without entries, whose tables are the given ones
-    plus one window-only table per unknown, and the plan: a (triple,
+    plus one window-only table per unknown, and whose plan holds a (triple,
     position, name, offset) per triple, in solving order.
     """
     triples = list(triples)
@@ -340,14 +402,14 @@ def _window_pass(triples, given) -> tuple[ChaseResult, list]:
         tables[ref.name] = CohomologyTable(n, {}, windows)
         plan.append((tr, pos, ref.name, ref.offset))
     unknowns = tuple(name for _, _, name, _ in plan)
-    return ChaseResult(n, {}, {}, tables, unknowns), plan
+    return ChaseResult(n, {}, tables, unknowns, tuple(plan))
 
 
-def _materialize(result: ChaseResult, plan, queries) -> ChaseResult:
+def _materialize(result: ChaseResult, queries) -> ChaseResult:
     """Materialize the queried entries, and every entry their solves read,
     into the window pass's result, and check each triple's Euler
-    characteristics; returns that result."""
-    n, tables = result.n, result.tables
+    characteristics; returns that result. Only values are stored."""
+    n, tables, plan = result.n, result.tables, result.plan
     queries = [tuple(q) for q in queries]
     for q in queries:
         if len(q) != 3:
@@ -357,84 +419,54 @@ def _materialize(result: ChaseResult, plan, queries) -> ChaseResult:
         if lo > hi:
             raise ValueError(f"empty twist range {rng} for {name!r}")
 
-    # Requirements, walking consumers before definers.
-    req: dict[str, set[tuple[int, int]]] = {name: set() for name in result.unknowns}
+    # Requirements per unknown and row, walking consumers before definers.
+    req: dict[str, dict[int, set[int]]] = {name: {} for name in result.unknowns}
     unbounded: list[tuple[str, int, int]] = []
     given_reads: list[tuple[str, int, int]] = []
     for name, deg, (lo, hi) in queries:
-        for t in range(lo, hi + 1):
-            if name in req:
-                if 0 <= deg <= n:
-                    req[name].add((deg, t))
-            elif name in tables:
-                given_reads.append((name, deg, t))
-            else:
-                unbounded.append((name, deg, t))
+        if name in req:
+            if 0 <= deg <= n:
+                req[name].setdefault(deg, set()).update(range(lo, hi + 1))
+        else:
+            keys = given_reads if name in tables else unbounded
+            keys.extend((name, deg, t) for t in range(lo, hi + 1))
 
     for tr, pos, name, offset in reversed(plan):
-        for q, s in sorted(req[name]):
-            t = s - offset
-            for p2, dq in _READS[pos]:
-                other = tr.term(p2)
-                if isinstance(other, TableRef) and other.name in req and 0 <= q + dq <= n:
-                    req[other.name].add((q + dq, t + other.offset))
+        for p2, dq in _READS[pos]:
+            other = tr.term(p2)
+            if isinstance(other, TableRef) and other.name in req:
+                shift = other.offset - offset
+                for q, ss in req[name].items():
+                    if 0 <= q + dq <= n:
+                        req[other.name].setdefault(q + dq, set()).update(s + shift for s in ss)
 
     # Materialization, in order, into each unknown's table.
-    entries, traces = result.entries, result.traces
+    entries = result.entries
     for tr, pos, name, offset in plan:
-        label = tr.label or f"0->{tr.a}->{tr.b}->{tr.c}->0"
         tab = tables[name]
-        for q, s in sorted(req[name]):
-            t = s - offset
-            inputs = []
-            if tab.window(q).contains(s):
-                for role, dq in _READS[pos]:
-                    iv = _term_value(tr.term(role), q + dq, t, tables)
-                    inputs.append(
-                        TraceInput(role, str(tr.term(role)), q + dq, t, iv.lo, iv.hi)
-                    )
-                v, rule = _solve(inputs), f"solve-{pos}"
-            else:
-                v, rule = DimValue.exact(0), "window"
-            key = (name, q, s)
-            tab.rows.setdefault(q, {})[s] = v
-            entries[key] = v
-            traces[key] = Trace(name, q, s, rule, label, tuple(inputs), v.lo, v.hi)
+        for q in sorted(req[name]):
+            w, row = tab.window(q), tab.rows.setdefault(q, {})
+            for s in sorted(req[name][q]):
+                v = _solve(_reads(tr, pos, q, s - offset, tables)) if w.contains(s) else _ZERO
+                row[s] = v
+                entries[(name, q, s)] = v
 
         # Euler-characteristic consistency at every twist this triple
         # materialized, wherever all three columns are exact. The solve
         # formulas are rank-nullity, so a violation can only come from
         # supplied tables that contradict their own certificates.
-        for t in sorted({s - offset for _, s in req[name]}):
-            chis = []
-            for p2 in _POSITIONS:
-                chi = 0
-                for q in range(n + 1):
-                    v = _term_value(tr.term(p2), q, t, tables)
-                    if not v.is_exact:
-                        chi = None
-                        break
-                    chi += v.lo if q % 2 == 0 else -v.lo
-                if chi is None:
-                    break
-                chis.append(chi)
-            if len(chis) == 3 and chis[0] - chis[1] + chis[2] != 0:
+        for t in sorted({s - offset for ss in req[name].values() for s in ss}):
+            chis = [_term_chi(tr.term(p2), t, tables) for p2 in _POSITIONS]
+            if None not in chis and chis[0] - chis[1] + chis[2] != 0:
                 raise InconsistentTripleError(
-                    f"triple {label} at twist {t}: "
+                    f"triple {_label(tr)} at twist {t}: "
                     f"chi(a)-chi(b)+chi(c) = {chis[0]}-{chis[1]}+{chis[2]} != 0"
                 )
 
     for name, deg, t in given_reads:
-        v = tables[name].value(deg, t)
-        entries[(name, deg, t)] = v
-        traces[(name, deg, t)] = Trace(
-            name, deg, t, "given", "", (), v.lo, v.hi
-        )
+        entries[(name, deg, t)] = tables[name].value(deg, t)
     for name, deg, t in unbounded:
         entries[(name, deg, t)] = DimValue.unknown()
-        traces[(name, deg, t)] = Trace(
-            name, deg, t, "unbounded", "", (), 0, None
-        )
     return result
 
 
@@ -442,13 +474,13 @@ def windowed_chase(triples, name: str, n: int, given=None, extra=()) -> ChaseRes
     """Chase once: the window pass fixes the support windows, then every
     finite window row of the named unknown is materialized, plus any extra
     (name, q, (lo, hi)) queries."""
-    result, plan = _window_pass(triples, given)
+    result = _window_pass(triples, given)
     queries = list(extra)
     for q in range(n + 1):
         w = result.window(name, q)
         if w is not None and w.is_finite:
             queries.append((name, q, (w.lo, w.hi)))
-    return _materialize(result, plan, queries)
+    return _materialize(result, queries)
 
 
 def _resolution_triples(terms, kernels, n: int, prefix: str) -> list[ExactTriple]:
@@ -734,7 +766,7 @@ def distribution_cohomology_bounds(F, d: int, n: int) -> DistributionReport:
     else:
         raise TypeError("F must be a SplitBundle or an ideal-sheaf table")
 
-    result, plan = _window_pass(triples, given)
+    result = _window_pass(triples, given)
     queries = []
     w0 = result.window("F", 0)
     if w0.lo is not None and w0.lo <= -2:
@@ -753,7 +785,7 @@ def distribution_cohomology_bounds(F, d: int, n: int) -> DistributionReport:
         )
     else:
         queries.append(("F", n - 1, (-n - 1, -n - 1)))
-    _materialize(result, plan, queries)
+    _materialize(result, queries)
 
     f_table = result.table("F")
     ideal_table = result.table("I_Z", dim_z=n - 2)

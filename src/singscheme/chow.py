@@ -10,8 +10,9 @@ classification rows live here too, as data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from functools import cached_property
 from math import comb
 
 
@@ -97,48 +98,65 @@ class ChowClass:
         return self * -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class SplitBundle:
     """A direct sum of line bundles O(a_1) + ... + O(a_m) on P^n.
 
-    Twists are stored sorted in descending order, so two bundles are equal
-    exactly when they are isomorphic.
+    Stored as counts: one (twist, multiplicity) pair per distinct twist,
+    descending, so two bundles are equal exactly when they are isomorphic.
+    The descending tuple of all twists is expanded only when read.
     """
 
     n: int
-    twists: tuple[int, ...]
+    counts: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        check_ambient_dimension(self.n)
-        if len(self.twists) < 1:
+    def __init__(self, n: int, twists) -> None:
+        self._set_counts(n, Counter(int(a) for a in twists))
+
+    @classmethod
+    def from_counts(cls, n: int, mults: dict[int, int]) -> "SplitBundle":
+        """The bundle (+) O(a)^m over the items (a, m) of mults, m > 0."""
+        bundle = cls.__new__(cls)
+        bundle._set_counts(n, mults)
+        return bundle
+
+    def _set_counts(self, n: int, mults: dict[int, int]) -> None:
+        check_ambient_dimension(n)
+        if not mults:
             raise ValueError("a split bundle has rank at least one")
-        canon = tuple(sorted((int(a) for a in self.twists), reverse=True))
-        object.__setattr__(self, "twists", canon)
+        if any(m <= 0 for m in mults.values()):
+            raise ValueError("multiplicities must be positive")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", tuple(sorted(mults.items(), reverse=True)))
+
+    @cached_property
+    def twists(self) -> tuple[int, ...]:
+        return tuple(a for a, m in self.counts for _ in range(m))
 
     @property
     def rank(self) -> int:
-        return len(self.twists)
+        return sum(m for _, m in self.counts)
 
     @property
     def c1(self) -> int:
-        return sum(self.twists)
+        return sum(a * m for a, m in self.counts)
 
     def twist(self, t: int) -> "SplitBundle":
-        return SplitBundle(self.n, tuple(a + t for a in self.twists))
+        return SplitBundle.from_counts(self.n, {a + t: m for a, m in self.counts})
 
     def dual(self) -> "SplitBundle":
-        return SplitBundle(self.n, tuple(-a for a in self.twists))
+        return SplitBundle.from_counts(self.n, {-a: m for a, m in self.counts})
 
     def direct_sum(self, other: "SplitBundle") -> "SplitBundle":
         if self.n != other.n:
             raise ValueError("bundles live on different projective spaces")
-        return SplitBundle(self.n, self.twists + other.twists)
+        mults = dict(self.counts)
+        for a, m in other.counts:
+            mults[a] = mults.get(a, 0) + m
+        return SplitBundle.from_counts(self.n, mults)
 
-    @property
-    def counts(self) -> tuple[tuple[int, int], ...]:
-        """(twist, multiplicity) for each distinct twist, descending: the one
-        place that counts equal twists."""
-        return tuple((a, len(list(run))) for a, run in groupby(self.twists))
+    def __repr__(self) -> str:
+        return f"SplitBundle(n={self.n!r}, twists={self.twists!r})"
 
     def __str__(self) -> str:
         return "+".join(f"O({a})" if m == 1 else f"O({a})^{m}" for a, m in self.counts)
@@ -192,10 +210,11 @@ class DistributionParams:
 
 
 def chern_total(bundle: SplitBundle) -> ChowClass:
-    """Whitney product prod_i (1 + a_i h), truncated at h^{n+1}."""
+    """Whitney product prod_a (1 + a h)^m over bundle.counts, truncated at
+    h^{n+1}."""
     acc = ChowClass.one(bundle.n)
-    for a in bundle.twists:
-        acc = acc * ChowClass.from_list(bundle.n, [1, a])
+    for a, m in bundle.counts:
+        acc = acc * ChowClass.from_list(bundle.n, [comb(m, i) * a**i for i in range(m + 1)])
     return acc
 
 

@@ -12,14 +12,18 @@ and those windows are carried on every table as certificates.
 Atoms are kept in normal form: Omega^0(k) is O(k) and Omega^n(k) is
 O(k-n-1), applied eagerly so equality of sheaves is syntactic. A split
 bundle enters through SplitBundle.counts, one (twist, multiplicity) pair per
-distinct twist. The tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1).
+distinct twist, and Sym^j and Lambda^j are convolutions over those counts.
+The tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1). A VirtualSheaf
+reads its rows per sheaf: its windows come from one pass over its atoms,
+and h^q and chi at a twist sum only the atoms that can be nonzero there.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from functools import cached_property
 from math import comb
 
 from .chow import SplitBundle, check_ambient_dimension
@@ -83,6 +87,12 @@ def bott_dim(n: int, p: int, k: int, q: int) -> int:
     check_ambient_dimension(n)
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("need 0 <= p, q <= n")
+    return _bott(n, p, k, q)
+
+
+def _bott(n: int, p: int, k: int, q: int) -> int:
+    """bott_dim without its range checks, for callers that validated n, p
+    and q once."""
     if q == 0 and k > p:
         return comb(k + n - p, k) * comb(k - 1, p)
     if q == p and k == 0:
@@ -90,10 +100,6 @@ def bott_dim(n: int, p: int, k: int, q: int) -> int:
     if q == n and k < p - n:
         return comb(p - k, -k) * comb(-k - 1, n - p)
     return 0
-
-
-def atom_dim(n: int, atom: SheafAtom, q: int, twist: int = 0) -> int:
-    return bott_dim(n, atom.p, atom.k + twist, q)
 
 
 def _json_value(value, kind: type, what: str):
@@ -180,29 +186,23 @@ class Window:
         )
 
 
-def atom_window(n: int, atom: SheafAtom, q: int) -> Window:
-    """Twists t where h^q(atom(t)) can be nonzero: the hull of the bott_dim
-    regimes (q = 0, q = p, q = n) that apply at q; tight on both ends."""
-    p, k = atom.p, atom.k
-    regimes = []
-    if q == 0:
-        regimes.append(Window(p - k + 1, None))
-    if q == p:
-        regimes.append(Window(-k, -k))
-    if q == n:
-        regimes.append(Window(None, p - n - k - 1))
-    return Window.hull(*regimes)
-
-
 @dataclass(frozen=True)
 class VirtualSheaf:
-    """Formal direct sum of atoms with positive multiplicities on P^n."""
+    """Formal direct sum of atoms with positive multiplicities on P^n.
+
+    The rows are read per sheaf, not per atom: one pass over the atoms
+    gives every row window, and h(q, t) sums only the atoms whose row q can
+    be nonzero at t. Atoms are validated once, here.
+    """
 
     n: int
     atoms: tuple[tuple[SheafAtom, int], ...]
 
     def __post_init__(self) -> None:
         check_ambient_dimension(self.n)
+        for atom, _ in self.atoms:
+            if not 0 <= atom.p <= self.n:
+                raise ValueError(f"need 0 <= p <= n, got p={atom.p}")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "VirtualSheaf":
@@ -240,11 +240,55 @@ class VirtualSheaf:
             raise ValueError("sheaves live on different projective spaces")
         return VirtualSheaf.from_pairs(self.n, self.atoms + other.atoms)
 
+    @cached_property
+    def _rows(self):
+        """(windows, edge, keys, points) from one pass over the atoms.
+
+        Each atom adds the bott_dim regimes where it can be nonzero to the
+        row windows: its q=0 ray, its q=p point and its q=n ray, each tight
+        at its finite end. edge lists (k-p, p, k, m) by ascending k-p, and
+        keys is its k-p column: an atom's q=0 row is nonzero at twist t
+        only if k-p >= -t, and its q=n row only if k-p <= -n-t. points[q]
+        maps the one twist t = -k where an atom with p = q, 0 < q < n, has
+        h^q = 1 to the summed multiplicity of such atoms.
+        """
+        n = self.n
+        parts: list[list[Window]] = [[] for _ in range(n + 1)]
+        points: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        for atom, m in self.atoms:
+            p, k = atom.p, atom.k
+            parts[0].append(Window(p - k + 1, None))
+            parts[p].append(Window(-k, -k))
+            parts[n].append(Window(None, p - n - k - 1))
+            if 0 < p < n:
+                points[p][-k] = points[p].get(-k, 0) + m
+        edge = sorted((a.k - a.p, a.p, a.k, m) for a, m in self.atoms)
+        windows = tuple(Window.hull(*ws) for ws in parts)
+        return windows, edge, [e[0] for e in edge], points
+
     def h(self, q: int, twist: int = 0) -> int:
-        return sum(m * atom_dim(self.n, a, q, twist) for a, m in self.atoms)
+        n = self.n
+        if not 0 <= q <= n:
+            raise ValueError("need 0 <= p, q <= n")
+        _, edge, keys, points = self._rows
+        if 0 < q < n:
+            return points[q].get(twist, 0)
+        if q == 0:
+            live = edge[bisect_left(keys, -twist):]
+        else:
+            live = edge[: bisect_right(keys, -n - twist)]
+        return sum(m * _bott(n, p, k + twist, q) for _, p, k, m in live)
+
+    def chi(self, twist: int = 0) -> int:
+        """Euler characteristic sum_q (-1)^q h^q at the given twist."""
+        points = self._rows[3]
+        mid = sum((-1) ** q * points[q].get(twist, 0) for q in range(1, self.n) if points[q])
+        return self.h(0, twist) + (-1) ** self.n * self.h(self.n, twist) + mid
 
     def row_window(self, q: int) -> Window:
-        return Window.hull(*(atom_window(self.n, a, q) for a, _ in self.atoms))
+        if not 0 <= q <= self.n:
+            return Window.nothing()
+        return self._rows[0][q]
 
     def __str__(self) -> str:
         return "+".join(str(a) if m == 1 else f"{a}^{m}" for a, m in self.atoms)
@@ -255,26 +299,44 @@ def tangent_sheaf(n: int) -> VirtualSheaf:
     return VirtualSheaf.from_atom(n, normalize_atom(n, n - 1, n + 1))
 
 
+def _power(bundle: SplitBundle, j: int, ways) -> SplitBundle:
+    """The j-th power of a split bundle by convolution over bundle.counts.
+
+    A summand takes i_a copies of each distinct twist a, with the i_a
+    summing to j, in the product of the ways(i_a, m_a) and has twist
+    sum_a i_a * a; the multisets themselves are never listed. layers[i]
+    maps a twist to its multiplicity among the summands that take i copies
+    of the twists seen so far; the last twist only completes layer j.
+    """
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(j)]
+    for index, (a, m) in enumerate(bundle.counts):
+        last = index == len(bundle.counts) - 1
+        for i in range(j, j - 1 if last else 0, -1):
+            target = layers[i]
+            for c in range(1, i + 1):
+                w = ways(c, m)
+                if not w:
+                    break
+                for s, mult in layers[i - c].items():
+                    s += c * a
+                    target[s] = target.get(s, 0) + w * mult
+    return SplitBundle.from_counts(bundle.n, layers[j])
+
+
 def sym_power(bundle: SplitBundle, j: int) -> SplitBundle:
-    """Sym^j of a split bundle: all j-fold twist sums with repetition."""
+    """Sym^j of a split bundle, by convolution: i copies of a twist of
+    multiplicity m can be picked in C(i+m-1, m-1) ways (stars and bars)."""
     if j < 0:
         raise ValueError("symmetric power degree must be nonnegative")
-    if j == 0:
-        return SplitBundle(bundle.n, (0,))
-    twists = tuple(
-        sum(c) for c in combinations_with_replacement(bundle.twists, j)
-    )
-    return SplitBundle(bundle.n, twists)
+    return _power(bundle, j, lambda i, m: comb(i + m - 1, m - 1))
 
 
 def ext_power_split(bundle: SplitBundle, j: int) -> SplitBundle:
-    """Lambda^j of a split bundle: j-fold twist sums without repetition."""
+    """Lambda^j of a split bundle, by convolution: i of the m copies of a
+    twist can be picked in C(m, i) ways."""
     if not 0 <= j <= bundle.rank:
         raise ValueError("exterior power degree out of range")
-    if j == 0:
-        return SplitBundle(bundle.n, (0,))
-    twists = tuple(sum(c) for c in combinations(bundle.twists, j))
-    return SplitBundle(bundle.n, twists)
+    return _power(bundle, j, lambda i, m: comb(m, i))
 
 
 def ext_power_tangent(n: int, q: int) -> SheafAtom:

@@ -551,6 +551,59 @@ class TestTracesAndDeterminism:
             replay_trace(tr)
 
 
+class TestLazyTraces:
+    """Traces are rebuilt on first read from the plan and the filled
+    tables; they must be the ones the solve would have recorded."""
+
+    @staticmethod
+    def run_pfaff(r):
+        n = r + 3
+        E = SplitBundle(n, (-2,) * (n - r - 1) + (-3,))
+        queries = [("I_Z", q, (-300, 300)) for q in range(n + 1)]
+        queries += [("G", 1, (-3, 3)), ("free", 0, (0, 2))]
+        given = {"G": CohomologyTable(n, {1: {0: DimValue(1, 4)}}, {1: Window(0, 0)})}
+        return chase(en_complex_pfaff(E, r, n), queries, given=given)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_entry_replays(self, r):
+        res = self.run_pfaff(r)
+        assert set(res.entries) == set(res.traces)
+        rules = set()
+        for key, v in res.entries.items():
+            tr = res.traces[key]
+            assert (tr.unknown, tr.q, tr.twist) == key
+            assert replay_trace(tr) == v
+            rules.add(tr.rule)
+        assert {"window", "given", "unbounded"} <= rules
+        assert any(rule.startswith("solve-") for rule in rules)
+        assert res.traces[("G", 1, 0)].lo == 1 and res.traces[("G", 1, 0)].hi == 4
+        assert res.traces[("free", 0, 1)].rule == "unbounded"
+
+    def test_mapping_protocol_agrees(self):
+        res = self.run_pfaff(2)
+        traces = res.traces
+        assert traces is res.traces
+        copy = dict(traces)
+        assert len(traces) == len(copy) == len(res.entries)
+        assert list(traces) == list(copy) == list(res.entries)
+        for key in res.entries:
+            assert key in traces and traces[key] == copy[key]
+        assert ("I_Z", 0, 10**6) not in traces
+        with pytest.raises(KeyError):
+            traces[("I_Z", 0, 10**6)]
+        with pytest.raises(TypeError):
+            traces[("I_Z", 0, 0)] = None
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_criteria_leave_the_traces_alone(self, r):
+        before = self.run_pfaff(r).explain_json()
+        res = self.run_pfaff(r)
+        tab = res.table("I_Z", dim_z=2)
+        acm_check(tab)
+        regularity(tab)
+        assert res.explain_json() == before
+
+
 class TestChasedTableSerialization:
     def test_interval_round_trip(self):
         triples = en_complex_pfaff(SplitBundle(3, (-2, -2)), 1, 3)

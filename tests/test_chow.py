@@ -124,6 +124,30 @@ class TestSplitBundle:
         with pytest.raises(ValueError):
             SplitBundle(3, ())
 
+    def test_counts_are_the_bundle(self):
+        b = SplitBundle(4, (-3, 1, -3))
+        c = SplitBundle.from_counts(4, {-3: 2, 1: 1})
+        assert b == c and hash(b) == hash(c)
+        assert c.counts == ((1, 1), (-3, 2)) and c.twists == (1, -3, -3)
+        assert repr(c) == "SplitBundle(n=4, twists=(1, -3, -3))"
+        assert b != SplitBundle(4, (1, -3)) and b != SplitBundle(5, (-3, 1, -3))
+        assert b.direct_sum(SplitBundle(4, (1, 0))) == SplitBundle(4, (1, 1, 0, -3, -3))
+        for bad in ({}, {0: 0}, {1: -1}):
+            with pytest.raises(ValueError):
+                SplitBundle.from_counts(4, bad)
+        with pytest.raises(ValueError):
+            SplitBundle.from_counts(0, {0: 1})
+
+    def test_chern_total_from_counts(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            n = rng.randint(1, 8)
+            b = SplitBundle(n, tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 7))))
+            want = ChowClass.one(n)
+            for a in b.twists:
+                want = want * ChowClass.from_list(n, [1, a])
+            assert chern_total(b) == want
+
 
 class TestDistributionParams:
     def test_basic_fields(self):

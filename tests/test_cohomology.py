@@ -10,6 +10,7 @@ formula. Window certificates are checked for soundness and tightness.
 
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 import pytest
@@ -22,8 +23,6 @@ from singscheme.cohomology import (
     LineBundle,
     VirtualSheaf,
     Window,
-    atom_dim,
-    atom_window,
     bott_dim,
     ext_power_split,
     ext_power_tangent,
@@ -55,6 +54,24 @@ def chi_omega(n: int, p: int, k: int) -> int:
 
 def chi_from_bott(n: int, p: int, k: int) -> int:
     return sum((-1) ** q * bott_dim(n, p, k, q) for q in range(n + 1))
+
+
+def atom_dim(n: int, atom, q: int, twist: int = 0) -> int:
+    return bott_dim(n, atom.p, atom.k + twist, q)
+
+
+def atom_window(n: int, atom, q: int) -> Window:
+    """The per-atom reference window: the hull of the bott_dim regimes
+    (q = 0, q = p, q = n) that apply to the atom at row q."""
+    p, k = atom.p, atom.k
+    regimes = []
+    if q == 0:
+        regimes.append(Window(p - k + 1, None))
+    if q == p:
+        regimes.append(Window(-k, -k))
+    if q == n:
+        regimes.append(Window(None, p - n - k - 1))
+    return Window.hull(*regimes)
 
 
 class TestBottDim:
@@ -166,7 +183,7 @@ class TestWindows:
                 atom = CotangentPower(rng.randint(1, n - 1), rng.randint(-10, 10))
             q = rng.randint(0, n)
             t = rng.randint(-16, 16)
-            if not atom_window(n, atom, q).contains(t):
+            if not VirtualSheaf.from_atom(n, atom).row_window(q).contains(t):
                 assert atom_dim(n, atom, q, t) == 0
 
     def test_atom_windows_tight_at_finite_ends(self):
@@ -179,7 +196,7 @@ class TestWindows:
             ]
             for atom in atoms:
                 for q in range(n + 1):
-                    w = atom_window(n, atom, q)
+                    w = VirtualSheaf.from_atom(n, atom).row_window(q)
                     if w.empty:
                         continue
                     if w.lo is not None:
@@ -191,7 +208,7 @@ class TestWindows:
 
     def test_middle_row_windows_empty_for_line_bundles(self):
         for q in range(1, 4):
-            assert atom_window(4, LineBundle(-2), q).empty
+            assert VirtualSheaf.from_atom(4, LineBundle(-2)).row_window(q).empty
 
 
 class TestVirtualSheaf:
@@ -237,6 +254,40 @@ class TestVirtualSheaf:
         )
         assert str(s) == "O(-2)^2+Om(2,1)"
 
+    def test_rows_match_per_atom_reference(self):
+        # The per-atom reference: a row window is the hull of the atom
+        # windows, h^q is the bott_dim sum over the atoms, chi the
+        # alternating sum of h^q and, independently, of chi_omega.
+        rng = random.Random(20261018)
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            pairs = [
+                (normalize_atom(n, rng.randint(0, n), rng.randint(-8, 8)), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 6))
+            ]
+            s = VirtualSheaf.from_pairs(n, pairs)
+            for q in range(-1, n + 2):
+                assert s.row_window(q) == Window.hull(*(atom_window(n, a, q) for a, _ in s.atoms))
+            for t in range(-2 * n - 10, 2 * n + 11):
+                hs = [sum(m * bott_dim(n, a.p, a.k + t, q) for a, m in s.atoms) for q in range(n + 1)]
+                assert [s.h(q, t) for q in range(n + 1)] == hs
+                assert s.chi(t) == sum((-1) ** q * h for q, h in enumerate(hs))
+                assert s.chi(t) == sum(m * chi_omega(n, a.p, a.k + t) for a, m in s.atoms)
+
+    def test_h_rejects_rows_outside_zero_to_n(self):
+        for n in (1, 3, 6):
+            s = VirtualSheaf.from_pairs(n, [(LineBundle(-n - 2), 1), (LineBundle(1), 2)])
+            for q in (-2, -1, n + 1, n + 2):
+                for t in (-n - 1, 0, 3):
+                    with pytest.raises(ValueError, match="0 <= p, q <= n"):
+                        s.h(q, t)
+
+    def test_atoms_validated_when_built(self):
+        with pytest.raises(ValueError, match="0 <= p <= n"):
+            VirtualSheaf(3, ((CotangentPower(4, 0), 1),))
+        with pytest.raises(ValueError):
+            VirtualSheaf(0, ((LineBundle(0), 1),))
+
 
 class TestPowers:
     def test_sym_power(self):
@@ -253,6 +304,30 @@ class TestPowers:
         assert ext_power_split(b, 0).twists == (0,)
         with pytest.raises(ValueError):
             ext_power_split(b, 4)
+
+    def test_powers_match_enumeration(self):
+        # The reference lists every multiset (Sym) or subset (Lambda) of
+        # the twists and sums it; the library convolves over the counts.
+        def enumerated(bundle, j, pick):
+            if j == 0:
+                return SplitBundle(bundle.n, (0,))
+            return SplitBundle(bundle.n, tuple(sum(c) for c in pick(bundle.twists, j)))
+
+        rng = random.Random(20261019)
+        for _ in range(120):
+            r = rng.randint(1, 6)
+            base = SplitBundle(rng.randint(1, 8), tuple(rng.randint(-4, 4) for _ in range(r)))
+            for j in range(9):
+                got, want = sym_power(base, j), enumerated(base, j, combinations_with_replacement)
+                pairs = [(got, want)]
+                assert len(got.twists) == comb(r + j - 1, j)
+                if j <= r:
+                    pairs.append((ext_power_split(base, j), enumerated(base, j, combinations)))
+                for got, want in pairs:
+                    assert got == want and hash(got) == hash(want)
+                    assert got.counts == want.counts
+                    assert got.twists == want.twists
+                    assert (got.rank, got.c1) == (want.rank, want.c1)
 
     def test_ext_power_tangent(self):
         assert ext_power_tangent(4, 1) == CotangentPower(3, 5)
