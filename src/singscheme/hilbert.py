@@ -22,23 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .forms import GradedIdeal
+from .forms import FIELD_BITS, GradedIdeal, pack_monomial, unpack_monomial
 
-# A monomial is packed into one int, _BITS bits per variable, variable i at
-# bits [i*_BITS, (i+1)*_BITS). Among monomials of one degree, a smaller
-# packed int is the larger monomial in grevlex, products are sums, and
-# divisibility is one subtraction checked against the top bit of each field.
-_BITS = 32
-_FIELD = (1 << _BITS) - 1
-_MAX_DEGREE = 1 << (_BITS - 1)
-
-
-def _pack(expo) -> int:
-    return sum(e << (_BITS * i) for i, e in enumerate(expo))
-
-
-def _unpack(m: int, nvars: int) -> tuple[int, ...]:
-    return tuple((m >> (_BITS * i)) & _FIELD for i in range(nvars))
+# Monomials are the kernel's packed ints (forms.pack_monomial). Generators
+# stay within its degree cap, but S-pairs can go beyond it; a field stays
+# clear of its guard bit while the pair degree is below _MAX_DEGREE.
+_MAX_DEGREE = 1 << (FIELD_BITS - 1)
 
 
 def _step(p: dict, lm: int, lm_g: int, g: dict) -> dict:
@@ -85,7 +74,7 @@ def _update(pairs: list, lms: list, expos: list, guard: int) -> list:
     lcm_with, by_lcm = [], {}
     for g in range(h):
         e = tuple(map(max, e_h, expos[g]))
-        lcm = _pack(e)
+        lcm = pack_monomial(e)
         lcm_with.append(lcm)
         coprime = lcm == lm_h + lms[g]
         if lcm not in by_lcm or coprime:
@@ -111,10 +100,9 @@ def leading_monomials(ideal: GradedIdeal) -> list[tuple[int, ...]]:
     """Exponent vectors of the minimal generators of the leading-monomial
     ideal in grevlex, z0 > z1 > ..., by nondecreasing degree."""
     nvars = ideal.nvars
-    guard = sum(1 << (_BITS * i + _BITS - 1) for i in range(nvars))
+    guard = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars))
     gens = sorted(
-        ((g.degree, {_pack(e): int(c) for e, c in g.content_normalized().terms})
-         for g in ideal.generators),
+        ((g.degree, dict(g.content_normalized().packed)) for g in ideal.generators),
         key=lambda dg: dg[0],
         reverse=True,
     )
@@ -139,7 +127,7 @@ def leading_monomials(ideal: GradedIdeal) -> list[tuple[int, ...]]:
                 lm = min(r)
                 lms.append(lm)
                 polys.append(r)
-                expos.append(_unpack(lm, nvars))
+                expos.append(unpack_monomial(lm, nvars))
                 pairs = _update(pairs, lms, expos, guard)
     return expos
 

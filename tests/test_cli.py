@@ -11,7 +11,7 @@ import pytest
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, table, tangent_sheaf
 from singscheme.chow import pullback_degree, singular_degree_formula
-from singscheme.forms import HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from singscheme.forms import MAX_DEGREE, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -466,6 +466,19 @@ class TestFormSing:
         path.write_text("2/0 z0 dz1")
         code, out, err = run(capsys, "form", "sing", "--input", str(path))
         assert (code, out, err) == (1, "", "error: zero denominator in 2/0 (token 1)\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("z0^100000000 dz1 - z1^100000000 dz0", f"power 100000000 exceeds the degree cap of {MAX_DEGREE} (token 3)"),
+            (f"z0^{MAX_DEGREE} z1 dz0", f"polynomial degree {MAX_DEGREE + 1} exceeds the cap of {MAX_DEGREE}"),
+        ],
+    )
+    def test_degree_over_the_cap_exits_one(self, capsys, tmp_path, text, message):
+        path = tmp_path / "huge.form"
+        path.write_text(text)
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_generator_degree_beyond_forty(self, capsys, tmp_path):
         # degree-46 generators: every twist up to 40 shows the ambient

@@ -5,6 +5,7 @@ extraction, and the text grammar round trip."""
 import random
 import warnings
 from fractions import Fraction
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -127,6 +128,138 @@ class TestPoly:
         p = HomogeneousPoly.from_dict(2, {(1, 0): Fraction(-2, 3), (0, 1): Fraction(-4, 3)})
         g = p.content_normalized()
         assert g == HomogeneousPoly.from_dict(2, {(1, 0): 1, (0, 1): 2})
+
+
+# The tuple-key/Fraction kernel the packed one replaced, kept as the
+# reference: a polynomial is {exponent tuple: nonzero Fraction}.
+def ref_poly(pairs):
+    out = {}
+    for expo, c in pairs:
+        out[tuple(expo)] = out.get(tuple(expo), Fraction(0)) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    return ref_poly(
+        (tuple(x + y for x, y in zip(e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()
+    )
+
+
+def ref_terms(a):
+    return tuple(sorted(a.items(), reverse=True))
+
+
+def ref_content_normalized(a):
+    if not a:
+        return a
+    num = gcd(*(c.numerator for c in a.values()))
+    den = lcm(*(c.denominator for c in a.values()))
+    scale = Fraction(den, num) * (-1 if ref_terms(a)[0][1] < 0 else 1)
+    return {e: c * scale for e, c in a.items()}
+
+
+def random_pairs(rng, nvars, degree):
+    """Up to six (exponent, coefficient) pairs of one degree, repeats and
+    zeros allowed; about a third of the coefficients are p/q fractions."""
+    pairs = []
+    for _ in range(rng.randint(0, 6)):
+        expo = [0] * nvars
+        for _ in range(degree):
+            expo[rng.randrange(nvars)] += 1
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.35 else rng.randint(-3, 3)
+        pairs.append((tuple(expo), c))
+    return pairs
+
+
+class TestReferenceKernel:
+    def test_arithmetic_matches_reference(self):
+        rng = random.Random(2610)
+        for _ in range(400):
+            nvars = rng.randint(1, 6)
+            da, db = rng.randint(0, 4), rng.randint(0, 4)
+            pa, pb, pc = random_pairs(rng, nvars, da), random_pairs(rng, nvars, db), random_pairs(rng, nvars, da)
+            a, b, c = (HomogeneousPoly.from_dict(nvars, p) for p in (pa, pb, pc))
+            ra, rb, rc = ref_poly(pa), ref_poly(pb), ref_poly(pc)
+            k = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+            cases = [
+                (a, ra),
+                (a + c, ref_poly(list(ra.items()) + list(rc.items()))),
+                (a - c, ref_poly(list(ra.items()) + [(e, -v) for e, v in rc.items()])),
+                (-a, {e: -v for e, v in ra.items()}),
+                (a * b, ref_mul(ra, rb)),
+                (a * k, ref_poly((e, v * k) for e, v in ra.items())),
+                (k * a, ref_poly((e, v * k) for e, v in ra.items())),
+                (a.content_normalized(), ref_content_normalized(ra)),
+            ]
+            for got, want in cases:
+                assert got.terms == ref_terms(want)
+                assert got.degree == (sum(next(iter(want))) if want else -1)
+                assert got.is_zero == (not want)
+                assert got == HomogeneousPoly.from_dict(nvars, want)
+                # an integral coefficient is stored as int, any other as Fraction
+                assert all((type(v) is int) == (Fraction(v).denominator == 1) for _, v in got.terms)
+
+    def test_terms_order_is_lex_descending(self):
+        p = HomogeneousPoly.from_dict(3, {(0, 0, 2): 1, (1, 1, 0): 2, (0, 2, 0): 3, (2, 0, 0): 4, (1, 0, 1): 5})
+        assert [e for e, _ in p.terms] == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)]
+
+    def test_integral_fraction_meets_int(self):
+        two = HomogeneousPoly.from_dict(3, {(1, 0, 0): Fraction(2, 1)})
+        also_two = HomogeneousPoly.from_dict(3, {(1, 0, 0): 2})
+        halves = z(3, 0) * Fraction(1, 2)
+        assert two == also_two and hash(two) == hash(also_two)
+        assert halves + halves == z(3, 0) and hash(halves + halves) == hash(z(3, 0))
+        assert two * Fraction(1, 2) == z(3, 0)
+        assert {two, also_two, halves * 4} == {also_two}
+        assert type((halves * 2).terms[0][1]) is int
+
+    def test_rejections_match_reference(self):
+        with pytest.raises(ValueError, match=r"bad exponent vector \(1, 0\) for 3 variables"):
+            HomogeneousPoly.from_dict(3, {(1, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            HomogeneousPoly.from_dict(2, [((2, -1), 1)])
+        with pytest.raises(ValueError, match=r"not homogeneous: degrees \[1, 2\]"):
+            HomogeneousPoly.from_dict(2, [((1, 0), 1), ((1, 1), Fraction(1, 2))])
+        with pytest.raises(ValueError, match=r"not homogeneous: degrees \[1, 2\]"):
+            z(2, 0) + z(2, 0) * z(2, 1)
+        with pytest.raises(ValueError, match="different variable counts"):
+            z(2, 0) + z(3, 0)
+        with pytest.raises(ValueError, match="different variable counts"):
+            z(2, 0) * z(3, 0)
+        with pytest.raises(ValueError, match="coefficient in wrong ring"):
+            PolyKForm.from_dict(3, 1, {(0,): z(2, 0)})
+        # a zero coefficient is dropped before its exponent is looked at
+        assert HomogeneousPoly.from_dict(2, {(1, 0, 5): 0}).is_zero
+        # terms at one index tuple merge, and cancel, before their degrees are compared
+        w = PolyKForm.from_dict(2, 1, [((0,), z(2, 0)), ((0,), z(2, 1) * z(2, 1)), ((0,), -z(2, 1) * z(2, 1))])
+        assert w.coefficient((0,)) == z(2, 0)
+
+
+class TestDegreeCap:
+    def test_cap_is_enforced_before_building(self):
+        top = HomogeneousPoly.monomial(2, (forms.MAX_DEGREE, 0))
+        assert top.degree == forms.MAX_DEGREE
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            HomogeneousPoly.monomial(2, (forms.MAX_DEGREE, 1))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            HomogeneousPoly.monomial(2, (10**12, 0))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            top * z(2, 1)
+        assert (top * 3).degree == forms.MAX_DEGREE
+
+    def test_parser_power_cap(self):
+        assert parse_poly(f"z1^{forms.MAX_DEGREE}", 2) == HomogeneousPoly.monomial(2, (0, forms.MAX_DEGREE))
+        assert parse_poly("z1^0003 z0", 2) == parse_poly("z0 z1^3", 2)
+        with pytest.raises(FormParseError, match="power 100000000 exceeds the degree cap"):
+            parse_form("z0^100000000 dz1 - z1^100000000 dz0", 2)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            parse_form(f"z0^{forms.MAX_DEGREE} z1 dz0", 2)
+
+    def test_no_packed_field_carries(self):
+        # the cap keeps each exponent below the guard bit of its field
+        assert forms.MAX_DEGREE < 1 << (forms.FIELD_BITS - 1)
+        p = HomogeneousPoly.monomial(3, (0, forms.MAX_DEGREE - 1, 0)) * z(3, 1)
+        assert p.terms == (((0, forms.MAX_DEGREE, 0), 1),)
 
 
 class TestWedge:
@@ -438,6 +571,16 @@ class TestGrammar:
     def test_fractional_coefficients(self):
         form = parse_form("3/2*z0 dz1 - z1 dz0", 4)
         assert form.coefficient((1,)) == z(4, 0) * Fraction(3, 2)
+
+    def test_half_coefficient_round_trip(self):
+        form = PolyKForm.from_dict(4, 2, {
+            (0, 1): z(4, 2) * Fraction(1, 2) - z(4, 3),
+            (2, 3): z(4, 0) * Fraction(-1, 2),
+        })
+        text = form_str(form)
+        assert text == "(1/2*z2 - z3) dz0^dz1 - 1/2*z0 dz2^dz3"
+        assert parse_form(text, 4) == form
+        assert form_str(parse_form(text, 4)) == text
 
     def test_powers(self):
         p = parse_poly("z0^2*z1 - 2*z2^3", 3)
