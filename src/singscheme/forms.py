@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 # Monomial packing (Monagan-Pearce 2009): the exponent of z_i sits in bits
@@ -33,10 +33,13 @@ from math import gcd, lcm
 # bit of each field stays clear: divisibility is one subtraction checked
 # against those guard bits. Among monomials of one degree, a smaller packed
 # int is the larger monomial in grevlex with z0 > z1 > ... The cap bounds
-# the work of one input too: `form sing` on z0^d dz1 - z1 z0^(d-1) dz0 takes
-# 0.5 s at d = 1000 and 1.8 s at d = 3000, the Hilbert values growing as d^2.
+# the work of one input too: `form sing` on z0^d dz1 - z1 z0^(d-1) dz0 on P^2
+# takes about 0.1 s at d = 999. MAX_VARIABLES bounds the ring and MAX_TERMS
+# the size of a product, both checked before anything is built.
 FIELD_BITS = 16
 MAX_DEGREE = 1000
+MAX_VARIABLES = 1000
+MAX_TERMS = 100_000
 _FIELD = (1 << FIELD_BITS) - 1
 
 
@@ -52,6 +55,12 @@ def _check_degree(degree: int) -> None:
     """Raise ValueError when a polynomial degree exceeds MAX_DEGREE."""
     if degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree {degree} exceeds the cap of {MAX_DEGREE}")
+
+
+def _check_variables(nvars: int) -> None:
+    """Raise ValueError when a ring has more than MAX_VARIABLES variables."""
+    if nvars > MAX_VARIABLES:
+        raise ValueError(f"{nvars} variables exceed the cap of {MAX_VARIABLES}")
 
 
 def _canonical(packed: dict) -> dict:
@@ -188,6 +197,12 @@ class HomogeneousPoly:
             big, small = self.packed, other.packed
             if len(big) < len(small):
                 big, small = small, big
+            # the product has at most min(len * len, C(degree + n, n)) terms
+            if len(big) * len(small) > MAX_TERMS and comb(degree + self.nvars - 1, degree) > MAX_TERMS:
+                raise ValueError(
+                    f"product of {len(big)}- and {len(small)}-term polynomials"
+                    f" exceeds the cap of {MAX_TERMS} terms"
+                )
             if len(small) == 1:
                 (m2, c2), = small.items()
                 out = {m1 + m2: c1 * c2 for m1, c1 in big.items()}
@@ -478,12 +493,16 @@ def pullback_form(n: int, field_degrees, seed: int) -> PolyKForm:
     linear projection."""
     degrees = tuple(field_degrees)
     nvars = n + 1
+    _check_variables(nvars)
     if any(d < 0 for d in degrees):
         raise ValueError("field degrees must be nonnegative")
     if not 1 <= len(degrees) <= n - 1:
         raise ValueError(f"need between 1 and {n - 1} fields on P^{n}")
     # At most n - 1 constant fields, so window >= 2.
     window = nvars - sum(1 for d in degrees if d == 0)
+    top = max(degrees)
+    if comb(top + window - 1, top) > MAX_TERMS:
+        raise ValueError(f"a dense degree-{top} field on {window} variables exceeds the cap of {MAX_TERMS} terms")
     rng = random.Random(seed)
     fields = []
     direction = window
@@ -735,6 +754,7 @@ class _Parser:
 
 
 def parse_form(text: str, nvars: int) -> PolyKForm:
+    _check_variables(nvars)
     tokens = _tokenize(text)
     if not tokens:
         raise FormParseError("empty input")

@@ -10,17 +10,19 @@ leading monomials is N(t)/(1-t)^(n+1); the numerator N comes from the pivot
 recursion N(J) = N(J + x_i^k) + t^k N(J : x_i^k) (Bayer-Stillman 1992,
 Bigatti 1997).
 
-HF(t) is then exact at every t, and HF(t) = HP(t) for every t >= deg N - n.
-So HP is interpolated through n+1 values there; stable_from (the first
-twist from which HF = HP), the dimension and the degree are exact too. No
-saturation: an unsaturated ideal only moves stable_from.
+The rest is exact integer arithmetic on N: HF is n+1 running sums of N, HP
+comes from the Taylor coefficients of N at t = 1, and the gap
+HP(t) - HF(t) = (-1)^n sum_{j > t+n} N_j C(j-t-1, n) gives stable_from (the
+first twist from which HF = HP) and the deficiency. No saturation: an
+unsaturated ideal only moves stable_from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from itertools import accumulate
+from math import gcd, lcm
 
 from .forms import FIELD_BITS, GradedIdeal, pack_monomial, unpack_monomial
 
@@ -96,13 +98,19 @@ def _update(pairs: list, lms: list, expos: list, guard: int) -> list:
     return kept
 
 
+def _integral(packed: dict) -> dict:
+    """A copy with integer coefficients; _reduce makes remainders primitive."""
+    den = lcm(*(c.denominator for c in packed.values() if type(c) is not int))
+    return {m: int(c * den) for m, c in packed.items()} if den > 1 else dict(packed)
+
+
 def leading_monomials(ideal: GradedIdeal) -> list[tuple[int, ...]]:
     """Exponent vectors of the minimal generators of the leading-monomial
     ideal in grevlex, z0 > z1 > ..., by nondecreasing degree."""
     nvars = ideal.nvars
     guard = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars))
     gens = sorted(
-        ((g.degree, dict(g.content_normalized().packed)) for g in ideal.generators),
+        ((g.degree, _integral(g.packed)) for g in ideal.generators),
         key=lambda dg: dg[0],
         reverse=True,
     )
@@ -168,10 +176,6 @@ def _numerator(gens: list) -> list[int]:
     return out
 
 
-def _hf(numerator, n: int, t: int) -> int:
-    return sum(c * comb(t - j + n, n) for j, c in enumerate(numerator[: t + 1]))
-
-
 def _series_numerator(ideal: GradedIdeal) -> tuple[int, ...]:
     num = _numerator(leading_monomials(ideal))
     while num and num[-1] == 0:
@@ -179,33 +183,40 @@ def _series_numerator(ideal: GradedIdeal) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _interpolate(ts, vals):
-    """Newton interpolation; ascending Fraction coefficients, stripped."""
-    m = len(ts)
-    coef = [Fraction(v) for v in vals]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (ts[i] - ts[i - j])
-    poly = [Fraction(0)] * m
-    basis = [Fraction(1)]
-    for i in range(m):
-        for d, c in enumerate(basis):
-            poly[d] += coef[i] * c
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for d, c in enumerate(basis):
-            nxt[d] -= c * ts[i]
-            nxt[d + 1] += c
-        basis = nxt
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
+def _running_sums(coeffs, n: int, length: int) -> list[int]:
+    """The first `length` coefficients of coeffs(t) / (1-t)^(n+1)."""
+    out = list(coeffs[:length]) + [0] * (length - len(coeffs))
+    for _ in range(n + 1):
+        out = list(accumulate(out))
+    return out
 
 
-def _poly_eval(poly, t: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * t + c
-    return acc
+def _gaps(num, n: int) -> list[int]:
+    """HP(t) - HF(t) for t < stable_from: running sums of N[n+1:] from the top."""
+    tail = num[:n:-1]
+    gaps = [-g if n % 2 else g for g in reversed(_running_sums(tail, n, len(tail)))]
+    while gaps and not gaps[-1]:
+        gaps.pop()
+    return gaps
+
+
+def _hilbert_polynomial(num, n: int) -> tuple[tuple, int, int]:
+    """(HP, dim, degree). N(t) = sum_i e_i (1-t)^i, e_i being N(1) after i
+    divisions by 1 - t. With e_c the first nonzero e_i, dim = n - c, the
+    degree is e_c and HP(t) = sum_{i <= n} e_i C(t + n - i, n - i), expanded
+    by Horner's rule on dim! C(t + m, m) = (dim!/m!) (t + 1) ... (t + m)."""
+    e, q = [], list(num)
+    for _ in range(n + 1):
+        e.append(sum(q))
+        q = [s - e[-1] for s in accumulate(q)][:-1]
+    dim = n - next((i for i, v in enumerate(e) if v), n + 1)
+    if dim < 0:
+        return (), -1, 0
+    acc, scale = [e[n - dim]], 1
+    for m in range(dim, 0, -1):
+        scale *= m
+        acc = [m * acc[0] + e[n - m + 1] * scale] + [a + m * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
+    return tuple(Fraction(a, scale) for a in acc), dim, e[n - dim]
 
 
 @dataclass(frozen=True)
@@ -237,20 +248,14 @@ class HilbertProfile:
     def deficiency(self) -> list[tuple[int, int]]:
         """(t, HP(t) - HF(t)) at the twists 0 <= t < stable_from where the
         Hilbert function falls short of the polynomial."""
-        n = self.ideal.nvars - 1
-        out = []
-        for t in range(self.stable_from):
-            gap = _poly_eval(self.polynomial, t) - _hf(self.numerator, n, t)
-            if gap > 0:
-                out.append((t, int(gap)))
-        return out
+        return [(t, g) for t, g in enumerate(_gaps(self.numerator, self.ideal.nvars - 1)) if g > 0]
 
 
 def hilbert_function(ideal: GradedIdeal, t: int) -> int:
     """dim (S/I)_t."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    return _hf(_series_numerator(ideal), ideal.nvars - 1, t)
+    return _running_sums(_series_numerator(ideal), ideal.nvars - 1, t + 1)[t]
 
 
 def hilbert_profile(ideal: GradedIdeal, t_max: int | None = None) -> HilbertProfile:
@@ -260,17 +265,11 @@ def hilbert_profile(ideal: GradedIdeal, t_max: int | None = None) -> HilbertProf
         raise ValueError("t_max must be nonnegative")
     n = ideal.nvars - 1
     num = _series_numerator(ideal)
-    start = max(0, len(num) - 1 - n)
-    nodes = range(start, start + n + 1)
-    poly = _interpolate(nodes, [_hf(num, n, t) for t in nodes])
-    stable_from = start
-    while stable_from > 0 and _poly_eval(poly, stable_from - 1) == _hf(num, n, stable_from - 1):
-        stable_from -= 1
+    poly, dim, deg = _hilbert_polynomial(num, n)
+    stable_from = len(_gaps(num, n))
     if t_max is None:
         t_max = max(n + 2 + max(ideal.degrees, default=0), stable_from + n + 1)
-    values = {t: _hf(num, n, t) for t in range(t_max + 1)}
-    dim = len(poly) - 1
-    deg = int(poly[-1] * factorial(dim)) if poly else 0
+    values = dict(enumerate(_running_sums(num, n, t_max + 1)))
     return HilbertProfile(ideal, t_max, values, poly, stable_from, dim, deg, num)
 
 

@@ -11,7 +11,7 @@ import pytest
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, table, tangent_sheaf
 from singscheme.chow import pullback_degree, singular_degree_formula
-from singscheme.forms import MAX_DEGREE, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from singscheme.forms import MAX_DEGREE, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -480,6 +480,29 @@ class TestFormSing:
         code, out, err = run(capsys, "form", "sing", "--input", str(path))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("z0 dz1 - z1 dz0", ("--n", str(MAX_VARIABLES))),
+            (f"z{MAX_VARIABLES} dz0 - z0 dz{MAX_VARIABLES}", ()),
+        ],
+    )
+    def test_variables_over_the_cap_exit_one(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "wide.form"
+        path.write_text(text)
+        code, out, err = run(capsys, "form", "sing", "--input", str(path), *argv)
+        message = f"{MAX_VARIABLES + 1} variables exceed the cap of {MAX_VARIABLES}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_product_over_the_term_cap_exits_one(self, capsys, tmp_path):
+        # 30 linear factors in 6 variables: C(35, 5) = 324,632 terms; the
+        # product is refused at the 24th factor, C(29, 5) = 118,755
+        path = tmp_path / "many_terms.form"
+        path.write_text("(z0+z1+z2+z3+z4+z5)" * 30 + " dz1")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        message = f"product of 98280- and 6-term polynomials exceeds the cap of {MAX_TERMS} terms"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_generator_degree_beyond_forty(self, capsys, tmp_path):
         # degree-46 generators: every twist up to 40 shows the ambient
         # Hilbert function, yet the scheme is the plane z0 = 0 counted 45
@@ -555,6 +578,11 @@ class TestFormPullback:
                            "--field-degrees", "1,0", "--seed", "7")
         assert code == 0
         assert "radial contraction: zero" in out
+
+    def test_variables_over_the_cap_exit_one(self, capsys):
+        code, out, err = run(capsys, "form", "pullback", "--n", str(MAX_VARIABLES), "--field-degrees", "1")
+        message = f"{MAX_VARIABLES + 1} variables exceed the cap of {MAX_VARIABLES}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_too_many_fields(self, capsys):
         code, _, err = run(capsys, "form", "pullback", "--n", "3",

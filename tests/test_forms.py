@@ -262,6 +262,51 @@ class TestDegreeCap:
         assert p.terms == (((0, forms.MAX_DEGREE, 0), 1),)
 
 
+def dense(nvars, degree):
+    return HomogeneousPoly.from_dict(nvars, {e: 1 for e in forms.monomials(nvars, degree)})
+
+
+class TestVariableCap:
+    def test_parser_rejects_a_ring_over_the_cap(self):
+        top = forms.MAX_VARIABLES - 1
+        form = parse_form(f"z{top} dz0 - z0 dz{top}", forms.MAX_VARIABLES)
+        assert form.nvars == forms.MAX_VARIABLES
+        with pytest.raises(ValueError, match=f"{forms.MAX_VARIABLES + 1} variables exceed the cap"):
+            parse_form("z0 dz1 - z1 dz0", forms.MAX_VARIABLES + 1)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            parse_poly("z0", 10**9)
+
+    def test_pullback_rejects_a_ring_over_the_cap(self):
+        with pytest.raises(ValueError, match=f"{forms.MAX_VARIABLES + 1} variables exceed the cap"):
+            pullback_form(forms.MAX_VARIABLES, (1,), 0)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            pullback_form(10**9, (1, 0), 0)
+
+
+class TestTermCap:
+    def test_product_over_the_cap_is_rejected_before_building(self):
+        # 1540 x 1540 products, landing in the C(25, 19) = 177,100 sextics
+        # of 20 variables
+        cubic = dense(20, 3)
+        with pytest.raises(ValueError, match=f"product of 1540- and 1540-term polynomials exceeds the cap of {forms.MAX_TERMS} terms"):
+            cubic * cubic
+
+    def test_long_factors_with_a_small_product_pass(self):
+        # 210 x 1540 products, but only C(24, 19) = 42,504 quintics
+        assert len(dense(20, 2).packed) * len(dense(20, 3).packed) > forms.MAX_TERMS
+        assert len((dense(20, 2) * dense(20, 3)).packed) == 42_504
+        # two variables: at most degree + 1 terms, however long the factors
+        a = dense(2, 500)
+        assert len((a * a).packed) == 1001
+
+    def test_dense_pullback_field_over_the_cap(self):
+        with pytest.raises(ValueError, match="dense degree-1000000 field on 7 variables exceeds the cap"):
+            pullback_form(6, (1_000_000,), 0)
+        # one constant field leaves 6 variables: C(29, 5) = 118,755 sextic terms
+        with pytest.raises(ValueError, match="dense degree-24 field on 6 variables exceeds the cap"):
+            pullback_form(6, (24, 0), 0)
+
+
 class TestWedge:
     def test_basis_product(self):
         nvars = 4

@@ -7,7 +7,9 @@ With sympy installed, the leading monomials are also checked against
 sympy.groebner. The profile is checked against closed-form Hilbert counts
 (Koszul for a complete intersection, direct monomial counts for the
 two-lines ideal), and the cross-module invariants tie degrees computed
-here to the intersection-theoretic predictions."""
+here to the intersection-theoretic predictions. The integer profile read
+off the series numerator is checked against Newton interpolation of HF
+and per-twist HF sums, kept here as the reference."""
 
 import os
 import random
@@ -15,7 +17,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -474,3 +476,126 @@ class TestGroebnerOracles:
             basis = sympy.groebner(polys, *zs, order="grevlex")
             want = {sympy.Poly(g, *zs).monoms(order="grevlex")[0] for g in basis.exprs}
             assert set(leading_monomials(ideal)) == want
+
+
+def reference_hf(num, n, t):
+    """HF(t) = sum_j N_j C(t - j + n, n), summed afresh for each t."""
+    return sum(c * comb(t - j + n, n) for j, c in enumerate(num[: t + 1]))
+
+
+def newton_interpolate(ts, vals):
+    """Newton interpolation; ascending Fraction coefficients, stripped."""
+    m = len(ts)
+    coef = [Fraction(v) for v in vals]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (ts[i] - ts[i - j])
+    poly = [Fraction(0)] * m
+    basis = [Fraction(1)]
+    for i in range(m):
+        for d, c in enumerate(basis):
+            poly[d] += coef[i] * c
+        nxt = [Fraction(0)] * (len(basis) + 1)
+        for d, c in enumerate(basis):
+            nxt[d] -= c * ts[i]
+            nxt[d + 1] += c
+        basis = nxt
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)
+
+
+def poly_eval(poly, t):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * t + c
+    return acc
+
+
+def reference_profile(num, n, t_max):
+    """(polynomial, stable_from, dim, degree, values, deficiency): HP is
+    interpolated through n+1 twists from deg N - n on, where HF = HP, and
+    stable_from walks down from there while HP and HF agree."""
+    start = max(0, len(num) - 1 - n)
+    nodes = range(start, start + n + 1)
+    poly = newton_interpolate(nodes, [reference_hf(num, n, t) for t in nodes])
+    stable_from = start
+    while stable_from > 0 and poly_eval(poly, stable_from - 1) == reference_hf(num, n, stable_from - 1):
+        stable_from -= 1
+    dim = len(poly) - 1
+    deg = int(poly[-1] * factorial(dim)) if poly else 0
+    values = {t: reference_hf(num, n, t) for t in range(t_max + 1)}
+    gaps = [(t, poly_eval(poly, t) - reference_hf(num, n, t)) for t in range(stable_from)]
+    return poly, stable_from, dim, deg, values, [(t, int(g)) for t, g in gaps if g > 0]
+
+
+def random_monomial_ideal(rng, nvars):
+    gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(1, 5))]
+    gens = [g for g in gens if sum(g)] or [(0,) * (nvars - 1) + (2,)]
+    return GradedIdeal(nvars, tuple(HomogeneousPoly.monomial(nvars, g) for g in gens))
+
+
+def seven_points_ideal():
+    zs = [HomogeneousPoly.variable(3, i) for i in range(3)]
+    return coefficient_ideal(volume_contract_chain(2, [PolyVectorField(3, tuple(v * v for v in zs))]))
+
+
+def profile_corpus():
+    rng = random.Random(20261020)
+    out = [random_monomial_ideal(rng, nvars) for nvars in (2, 3, 4, 5) for _ in range(25)]
+    out += [coefficient_ideal(pullback_form(n, degrees, 0)) for n, degrees in ORACLE_SHAPES]
+    out += [powers_ideal(d) for d in range(2, 8)]
+    out += [
+        GradedIdeal(3, (HomogeneousPoly.constant(3, 1),)),  # N = 0
+        GradedIdeal(3, tuple(HomogeneousPoly.variable(3, i) for i in range(3))),  # finite length
+        two_lines_ideal(),
+        coefficient_ideal(parse_form("z1*z2 dz0 - 2*z0*z2 dz1 + z0*z1 dz2", 3)),
+        seven_points_ideal(),
+    ]
+    return out
+
+
+class TestIntegerProfile:
+    def test_matches_interpolation_reference(self):
+        dims, deficient = set(), 0
+        for ideal in profile_corpus():
+            prof = hilbert_profile(ideal)
+            want = reference_profile(prof.numerator, ideal.nvars - 1, prof.t_max)
+            got = (prof.polynomial, prof.stable_from, prof.scheme_dim, prof.scheme_deg, prof.values, prof.deficiency())
+            assert got == want, ideal
+            assert all(type(c) is Fraction for c in prof.polynomial)
+            dims.add(prof.scheme_dim)
+            deficient += bool(want[-1])
+        assert dims == {-1, 0, 1, 2, 3} and deficient >= 10
+
+    def test_hilbert_function_matches_reference(self):
+        for ideal in profile_corpus()[::7]:
+            num = hilbert_profile(ideal).numerator
+            for t in (0, 1, 4, 11):
+                assert hilbert_function(ideal, t) == reference_hf(num, ideal.nvars - 1, t)
+
+    def test_codimension_two_plane_in_p300(self):
+        prof = hilbert_profile(coefficient_ideal(parse_form("z300 dz0 - z0 dz300", 301)))
+        assert (prof.scheme_dim, prof.scheme_deg, prof.stable_from) == (298, 1, 0)
+        assert prof.numerator == (1, -2, 1)
+        assert prof.deficiency() == []
+        # S/(z0, z300) is a polynomial ring in 299 variables
+        assert prof.values == {t: comb(t + 298, 298) for t in range(prof.t_max + 1)}
+        assert prof.polynomial[-1] == Fraction(1, factorial(298))
+        for t in (-298, -150, -1, 0, 1, 7, 400):
+            assert poly_eval(prof.polynomial, t) == (comb(t + 298, 298) if t >= 0 else 0)
+
+    def test_degree_999_plane_curve(self):
+        # (z0^999, z0^998 z1): the curve z0^998 = 0 with an embedded point
+        prof = hilbert_profile(coefficient_ideal(parse_form("z0^999 dz1 - z1*z0^998 dz0", 3)))
+        assert (prof.scheme_dim, prof.scheme_deg, prof.stable_from) == (1, 998, 998)
+        assert prof.polynomial == (Fraction(-496504), Fraction(998))
+        assert prof.deficiency() == [(996, 1), (997, 1)]
+        assert prof.t_max == 1003
+        assert [prof.values[t] for t in (0, 997, 998, 1003)] == [1, 498501, 499500, 504490]
+
+    def test_fractional_generators_keep_their_leading_monomials(self):
+        rng = random.Random(20261021)
+        for ideal in oracle_ideals()[::3]:
+            scaled = tuple(g * Fraction(rng.choice((-5, -1, 2, 7)), rng.choice((3, 4, 9))) for g in ideal.generators)
+            assert leading_monomials(GradedIdeal(ideal.nvars, scaled)) == leading_monomials(ideal)
