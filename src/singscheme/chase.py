@@ -14,9 +14,11 @@ CohomologyTables, the solved ones filled in as their entries are
 materialized, so every read of an unknown is a table lookup, and every
 read of a closed-form term is its sheaf's row. Materialization stores
 values only, and every triple is checked for Euler-characteristic
-consistency at the twists it touched. Each entry's trace, which replays to
-the same number, is rebuilt on first read of ChaseResult.traces from the
-plan and the filled tables, through the same reads as the solve.
+consistency at the twists it touched where the check can fail: all of them
+when tables are given, else those where the one end row that the solve
+cannot balance is nonzero. Each entry's trace, which replays to the same
+number, is rebuilt on first read of ChaseResult.traces from the plan and
+the filled tables, through the same reads as the solve.
 
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
@@ -46,7 +48,7 @@ from .cohomology import (
     tangent_sheaf,
     tensor_with_split,
 )
-from .criteria import Verdict, acm_check, beilinson_rank_bound, vanishing_verdict
+from .criteria import Verdict, acm_check, beilinson_rank_bound, possible_entries, vanishing_verdict
 
 
 class ChaseDependencyError(ValueError):
@@ -326,6 +328,24 @@ def _term_chi(term: Term, t: int, tables: dict) -> int | None:
     return chi
 
 
+def _end_possibly_nonzero(tr: ExactTriple, pos: str, t: int, tables: dict) -> bool:
+    """Whether the end row that a solve of pos leaves out of the Euler
+    balance can be nonzero at chase twist t.
+
+    With every column exact, solving c leaves chi(a) - chi(b) + chi(c) =
+    h^0(a), solving a leaves (-1)^n h^n(c), and solving b balances. A
+    nonzero end is closed-form data that no short exact sequence realizes,
+    such as h^0(a(t)) > 0 = h^0(b(t)).
+    """
+    if pos == "b":
+        return False
+    role, q = ("a", 0) if pos == "c" else ("c", tr.n)
+    term = tr.term(role)
+    if isinstance(term, TableRef):
+        return tables[term.name].value(q, t + term.offset).possibly_nonzero
+    return term.h(q, t) > 0
+
+
 def chase(triples, queries=(), given=None) -> ChaseResult:
     """Solve an ordered list of exact triples for their unknowns.
 
@@ -336,9 +356,13 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
     on an inclusive twist range, in the unknown's own coordinates. A query
     against a name no triple constrains is answered [0, inf) and flagged
     "unbounded". On every triple, at every twist it materialized, the
-    alternating sum of Euler characteristics is checked to vanish whenever
-    all three columns are exact; a violation (possible only with
-    inconsistent supplied tables) raises InconsistentTripleError.
+    alternating sum of Euler characteristics must vanish whenever all three
+    columns are exact; a violation raises InconsistentTripleError. Given
+    tables that contradict their own certificates can cause one at any
+    twist. Without them only closed-form data that no short exact sequence
+    realizes can, and only where the one end row that the solve cannot
+    balance is nonzero, so only those twists are checked; the tests
+    recompute the identity at every twist.
     """
     return _materialize(_window_pass(triples, given), queries)
 
@@ -442,6 +466,7 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
 
     # Materialization, in order, into each unknown's table.
     entries = result.entries
+    has_given = any(name not in req for name in tables)
     for tr, pos, name, offset in plan:
         tab = tables[name]
         for q in sorted(req[name]):
@@ -452,10 +477,12 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
                 entries[(name, q, s)] = v
 
         # Euler-characteristic consistency at every twist this triple
-        # materialized, wherever all three columns are exact. The solve
-        # formulas are rank-nullity, so a violation can only come from
-        # supplied tables that contradict their own certificates.
-        for t in sorted({s - offset for ss in req[name].values() for s in ss}):
+        # materialized, wherever all three columns are exact; without given
+        # tables it can only fail where the end row is nonzero.
+        twists = sorted({s - offset for ss in req[name].values() for s in ss})
+        if not has_given:
+            twists = [t for t in twists if _end_possibly_nonzero(tr, pos, t, tables)]
+        for t in twists:
             chis = [_term_chi(tr.term(p2), t, tables) for p2 in _POSITIONS]
             if None not in chis and chis[0] - chis[1] + chis[2] != 0:
                 raise InconsistentTripleError(
@@ -638,26 +665,21 @@ def _distribution_triple(d: int, n: int) -> ExactTriple:
 def _ray_vanishing(tab: CohomologyTable, q: int, cutoff: int, label: str) -> Verdict:
     """holds iff h^q vanishes at every twist <= cutoff."""
     w = tab.window(q)
-    if w is None:
-        return Verdict(
-            "undetermined", (), f"{label}: row {q} has no zero certificate"
-        )
-    if w.empty or (w.lo is not None and w.lo > cutoff):
+    entries = possible_entries(tab, q, hi=cutoff)
+    if entries is None:
+        why = "has no zero certificate" if w is None else "unbounded below"
+        return Verdict("undetermined", (), f"{label}: row {q} {why}")
+    if w.empty or w.lo > cutoff:
         return Verdict(
             "holds", (), f"{label}: window clears all twists <= {cutoff}"
         )
-    if w.lo is None:
-        return Verdict(
-            "undetermined", (), f"{label}: row {q} unbounded below"
-        )
-    for s in range(w.lo, cutoff + 1):
-        v = tab.value(q, s)
+    if entries:
+        s, v = entries[0]
         if v.definitely_nonzero:
             return Verdict("fails", ((q, s, v),), label)
-        if not v.is_zero:
-            return Verdict(
-                "undetermined", ((q, s, v),), f"{label}: twist {s} not pinned"
-            )
+        return Verdict(
+            "undetermined", ((q, s, v),), f"{label}: twist {s} not pinned"
+        )
     return Verdict(
         "holds", (), f"{label}: twists {w.lo}..{cutoff} materialized zero"
     )
@@ -666,24 +688,21 @@ def _ray_vanishing(tab: CohomologyTable, q: int, cutoff: int, label: str) -> Ver
 def _peak_verdict(tab: CohomologyTable, n: int) -> Verdict:
     """Row n-1 supported only at -n-1, with value at most 1 there."""
     q = n - 1
-    w = tab.window(q)
-    if w is None or (not w.empty and not w.is_finite):
+    entries = possible_entries(tab, q)
+    if entries is None:
         return Verdict(
             "undetermined", (), "top intermediate row window is not finite"
         )
-    if not w.empty:
-        for t in range(w.lo, w.hi + 1):
-            if t == -n - 1:
-                continue
-            v = tab.value(q, t)
-            if v.definitely_nonzero:
-                return Verdict(
-                    "fails", ((q, t, v),), "support away from twist -n-1"
-                )
-            if not v.is_zero:
-                return Verdict(
-                    "undetermined", ((q, t, v),), f"twist {t} not pinned"
-                )
+    away = [(t, v) for t, v in entries if t != -n - 1]
+    if away:
+        t, v = away[0]
+        if v.definitely_nonzero:
+            return Verdict(
+                "fails", ((q, t, v),), "support away from twist -n-1"
+            )
+        return Verdict(
+            "undetermined", ((q, t, v),), f"twist {t} not pinned"
+        )
     peak = tab.value(q, -n - 1)
     if peak.lo >= 2:
         return Verdict("fails", ((q, -n - 1, peak),), "value exceeds 1")

@@ -1,11 +1,12 @@
 """Exact intersection arithmetic on projective n-space.
 
-Everything in this module lives in the Chow ring Z[h]/(h^{n+1}) of P^n,
-where h is the hyperplane class: total Chern classes of split bundles,
-formal differences c(B) / c(A), and the closed-form degree of the singular
-scheme of a split distribution. All coefficients are arbitrary-precision
-integers; no floating point is used anywhere. The low-degree split-Pfaff
-classification rows live here too, as data.
+Split bundles on P^n, stored as their twist counts, and the closed-form
+degree of the singular scheme of a split distribution: one coefficient of
+the Chern series c(T)/c(F) in the Chow ring Z[h]/(h^{n+1}), read off as a
+sum of complete homogeneous polynomials in the twists. The Porteous degree
+of split Pfaff data is the same coefficient up to sign. All coefficients
+are arbitrary-precision integers; no floating point is used anywhere. The
+low-degree split-Pfaff classification rows live here too, as data.
 """
 
 from __future__ import annotations
@@ -25,77 +26,6 @@ def check_ambient_dimension(n: int) -> None:
 class PorteousInapplicableError(ValueError):
     """The expected-codimension hypothesis behind a degeneracy-degree
     computation is violated (the candidate degree came out non-positive)."""
-
-
-@dataclass(frozen=True)
-class ChowClass:
-    """Truncated integer polynomial c_0 + c_1*h + ... + c_n*h^n.
-
-    Multiplication truncates at h^{n+1} = 0. Instances are immutable and
-    hashable; arithmetic always returns new objects.
-    """
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_ambient_dimension(self.n)
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError(
-                f"expected {self.n + 1} coefficients, got {len(self.coeffs)}"
-            )
-
-    @classmethod
-    def from_list(cls, n: int, seq) -> "ChowClass":
-        """Build a class from any coefficient iterable, padding with zeros
-        and discarding terms beyond h^n."""
-        coeffs = list(seq)[: n + 1]
-        coeffs += [0] * (n + 1 - len(coeffs))
-        return cls(n, tuple(int(c) for c in coeffs))
-
-    @classmethod
-    def one(cls, n: int) -> "ChowClass":
-        return cls.from_list(n, [1])
-
-    def coefficient(self, i: int) -> int:
-        """Coefficient of h^i; zero outside 0..n."""
-        if 0 <= i <= self.n:
-            return self.coeffs[i]
-        return 0
-
-    def _require_same_ring(self, other: "ChowClass") -> None:
-        if self.n != other.n:
-            raise ValueError("classes live on different projective spaces")
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        self._require_same_ring(other)
-        return ChowClass(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        self._require_same_ring(other)
-        return ChowClass(
-            self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ChowClass(self.n, tuple(other * a for a in self.coeffs))
-        self._require_same_ring(other)
-        out = [0] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            # truncation: terms with i + j > n vanish
-            for j in range(self.n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return ChowClass(self.n, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ChowClass":
-        return self * -1
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -209,47 +139,6 @@ class DistributionParams:
         return cls(n, r, r - n - 1 - pfaff.c1)
 
 
-def chern_total(bundle: SplitBundle) -> ChowClass:
-    """Whitney product prod_a (1 + a h)^m over bundle.counts, truncated at
-    h^{n+1}."""
-    acc = ChowClass.one(bundle.n)
-    for a, m in bundle.counts:
-        acc = acc * ChowClass.from_list(bundle.n, [comb(m, i) * a**i for i in range(m + 1)])
-    return acc
-
-
-def tangent_chern(n: int) -> ChowClass:
-    """c(T) = (1 + h)^{n+1} via the Euler sequence."""
-    return ChowClass.from_list(n, [comb(n + 1, i) for i in range(n + 1)])
-
-
-def cotangent_chern(n: int) -> ChowClass:
-    """c(Omega^1) = (1 - h)^{n+1}."""
-    return ChowClass.from_list(
-        n, [(-1) ** i * comb(n + 1, i) for i in range(n + 1)]
-    )
-
-
-def chern_difference(num: ChowClass, den: ChowClass) -> ChowClass:
-    """Power-series quotient num / den truncated at h^{n+1}.
-
-    The denominator must have constant term 1 (it is a total Chern class),
-    which keeps the quotient integral. Satisfies num == result * den after
-    truncation.
-    """
-    num._require_same_ring(den)
-    if den.coefficient(0) != 1:
-        raise ValueError("denominator must have constant term 1")
-    n = num.n
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        acc = num.coefficient(i)
-        for j in range(1, i + 1):
-            acc -= den.coefficient(j) * out[i - j]
-        out[i] = acc
-    return ChowClass(n, tuple(out))
-
-
 def _complete_homogeneous(max_degree: int, values) -> list[int]:
     """h_0, ..., h_{max_degree} of the given integers, where h_i is the sum
     of all degree-i monomials with repetition (coefficient of x^i in
@@ -299,7 +188,9 @@ def pullback_degree(n: int, k: int, d: int) -> int:
 def porteous_singular_degree(n: int, pfaff: SplitBundle) -> int:
     """Degree of the degeneracy locus of a Pfaff system E -> Omega^1 with
     split E, by Porteous: the h^codim coefficient of c(Omega^1)/c(E) where
-    codim = n - rank(E) + 1.
+    codim = n - rank(E) + 1. Substituting h -> -h turns c(Omega^1)/c(E)
+    into c(T)/c(E*), so the coefficient is (-1)^codim times the degree
+    formula with the twists of E as its entries.
 
     Raises PorteousInapplicableError when the coefficient is non-positive,
     since then the expected-codimension hypothesis behind the formula
@@ -309,9 +200,8 @@ def porteous_singular_degree(n: int, pfaff: SplitBundle) -> int:
         raise ValueError("bundle does not live on P^n")
     if pfaff.rank > n - 1:
         raise ValueError("Pfaff bundle rank must be at most n-1")
-    codim = min(n, n - pfaff.rank + 1)
-    quotient = chern_difference(cotangent_chern(n), chern_total(pfaff))
-    degree = quotient.coefficient(codim)
+    codim = n - pfaff.rank + 1
+    degree = (-1) ** codim * singular_degree_formula(n, pfaff.rank, pfaff.twists)
     if degree <= 0:
         raise PorteousInapplicableError(
             "formula inapplicable (expected-codimension hypothesis "

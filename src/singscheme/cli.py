@@ -56,6 +56,7 @@ from .forms import (
     radial_field,
     radial_form_degree,
     signed_sum,
+    variable_index,
 )
 from .hilbert import hilbert_profile
 
@@ -362,7 +363,7 @@ def _cmd_classify(args) -> int:
 
 
 def _infer_nvars(text: str) -> int:
-    indices = [int(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
+    indices = [variable_index(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
     if not indices:
         raise ValueError("cannot infer the ambient dimension from the form; pass --n")
     return max(indices) + 1

@@ -62,7 +62,7 @@ def _row_status(table: CohomologyTable, q: int):
     for t in sorted(row):
         if row[t].definitely_nonzero:
             return "nonzero", (q, t, row[t])
-    entries = _possible_entries(table, q)
+    entries = possible_entries(table, q)
     if entries is None:
         why = "has no zero certificate" if table.window(q) is None else "window is unbounded"
         return "unknown", f"row {q} {why}"
@@ -153,18 +153,25 @@ def acm_check(
     return vanishing_verdict(ideal_table, 1, dim_z, "acm")
 
 
-def _possible_entries(table: CohomologyTable, q: int):
-    """Twists where row q is possibly nonzero, enumerated from a finite
-    window; None if the row cannot be enumerated."""
-    w = table.window(q)
-    if w is None:
-        return None
-    if w.empty:
-        return []
-    if not w.is_finite:
-        return None
+def possible_entries(
+    table: CohomologyTable, q: int, lo: int | None = None, hi: int | None = None
+):
+    """(twist, value) pairs, ascending, where row q is possibly nonzero at
+    twists lo..hi. An open end (None) stops at the row's window: an empty
+    window leaves nothing, and None means the twists cannot be enumerated
+    (no window, or one unbounded on an open end)."""
+    if lo is None or hi is None:
+        w = table.window(q)
+        if w is None:
+            return None
+        if w.empty:
+            return []
+        lo = w.lo if lo is None else lo
+        hi = w.hi if hi is None else hi
+        if lo is None or hi is None:
+            return None
     out = []
-    for t in range(w.lo, w.hi + 1):
+    for t in range(lo, hi + 1):
         v = table.value(q, t)
         if v.possibly_nonzero:
             out.append((t, v))
@@ -234,7 +241,7 @@ def buchsbaum_numeric(
     # For a positive verdict every row must be enumerable.
     possible: dict[int, list] = {}
     for q in rows:
-        entries = _possible_entries(ideal_table, q)
+        entries = possible_entries(ideal_table, q)
         if entries is None:
             return Verdict(
                 "undetermined",
@@ -355,34 +362,27 @@ def beilinson_rank_bound(table: CohomologyTable, n: int) -> int:
     if n < 4:
         raise InapplicableError("rank bound needs n >= 4")
 
-    w0 = table.window(0)
-    if w0 is None:
+    entries = possible_entries(table, 0, hi=-2)
+    if entries is None:
+        why = "has no zero certificate" if table.window(0) is None else "unbounded below"
+        raise InapplicableError(f"clause (i) not certifiable: row 0 {why}")
+    if entries:
         raise InapplicableError(
-            "clause (i) not certifiable: row 0 has no zero certificate"
+            f"clause (i) fails: h^0 at twist {entries[0][0]} not certified zero"
         )
-    if not w0.empty:
-        if w0.lo is None:
-            raise InapplicableError(
-                "clause (i) not certifiable: row 0 unbounded below"
-            )
-        for s in range(w0.lo, -1):
-            if not table.value(0, s).is_zero:
-                raise InapplicableError(
-                    f"clause (i) fails: h^0 at twist {s} not certified zero"
-                )
 
     for q in range(2, n - 1):
-        for s in range(-n - 2, -1):
-            if not table.value(q, s).is_zero:
-                raise InapplicableError(
-                    f"clause (ii) fails: h^{q} at twist {s} not certified zero"
-                )
-
-    for s in [-n - 2, *range(-n, -1)]:
-        if not table.value(n - 1, s).is_zero:
+        entries = possible_entries(table, q, -n - 2, -2)
+        if entries:
             raise InapplicableError(
-                f"clause (iii) fails: h^{n - 1} at twist {s} not certified zero"
+                f"clause (ii) fails: h^{q} at twist {entries[0][0]} not certified zero"
             )
+
+    entries = [(s, v) for s, v in possible_entries(table, n - 1, -n - 2, -2) if s != -n - 1]
+    if entries:
+        raise InapplicableError(
+            f"clause (iii) fails: h^{n - 1} at twist {entries[0][0]} not certified zero"
+        )
 
     a = table.value(n - 1, -n - 1)
     if not a.is_exact:

@@ -63,6 +63,18 @@ def _check_variables(nvars: int) -> None:
         raise ValueError(f"{nvars} variables exceed the cap of {MAX_VARIABLES}")
 
 
+def variable_index(digits: str) -> int:
+    """The index that the digits of a z<i> or dz<i> token spell. An index
+    with more digits than MAX_VARIABLES is over the cap whatever its value,
+    so it is refused before int() reads all of it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_VARIABLES)):
+        raise ValueError(
+            f"a variable index of {len(digits)} digits exceeds the cap of {MAX_VARIABLES} variables"
+        )
+    return int(digits)
+
+
 def _canonical(packed: dict) -> dict:
     """Drop zero coefficients and store integral ones as int."""
     return {
@@ -697,7 +709,7 @@ class _Parser:
             return HomogeneousPoly.constant(self.nvars, c)
         if tok[0] != "z":
             self.fail(f"unexpected token {tok!r}")
-        i = int(tok[1:])
+        i = variable_index(tok[1:])
         if i >= self.nvars:
             self.fail(f"variable z{i} out of range for {self.nvars} variables")
         if self.peek() != "^":
@@ -740,7 +752,7 @@ class _Parser:
         while True:
             if tok is None or not tok.startswith("dz"):
                 self.fail(f"expected dz token, got {tok!r}")
-            i = int(tok[2:])
+            i = variable_index(tok[2:])
             if i >= self.nvars:
                 self.fail(f"dz{i} out of range for {self.nvars} variables")
             indices.append(i)

@@ -763,3 +763,88 @@ class TestGoldenOutput:
     def test_matches_recorded_output(self, key):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert GOLDEN_CASES[key]() == golden[key]
+
+
+def _chi(result, term, t):
+    """Euler characteristic of a triple's term at chase twist t, read off
+    the chase's tables; None unless every row of it is exact there."""
+    if isinstance(term, VirtualSheaf):
+        return term.chi(t)
+    tab = result.tables[term.name]
+    values = [tab.value(q, t + term.offset) for q in range(result.n + 1)]
+    if not all(v.is_exact for v in values):
+        return None
+    return sum((-1) ** q * v.lo for q, v in enumerate(values))
+
+
+def _euler_checks(result):
+    """Assert chi(a) - chi(b) + chi(c) = 0 on every planned triple at every
+    twist it materialized, wherever all three columns are exact; returns
+    how many (triple, twist) pairs were checked."""
+    checked = 0
+    for tr, _, name, offset in result.plan:
+        for t in sorted({s - offset for key, _, s in result.entries if key == name}):
+            chis = [_chi(result, tr.term(pos), t) for pos in "abc"]
+            if None in chis:
+                continue
+            assert chis[0] - chis[1] + chis[2] == 0, (tr.label, t, chis)
+            checked += 1
+    return checked
+
+
+EULER_SPECS = {
+    **GOLDEN_SPECS,
+    **{
+        f"tangent:n={n}:shift={s}": (SplitBundle(n, tuple(range(s - 3, s + 3))), None)
+        for n, s in ((9, 0), (9, 3), (10, 2), (12, 3))
+    },
+}
+
+
+class TestEulerIdentity:
+    """Without given tables the chase checks Euler characteristics only
+    where the end row of a triple's long exact sequence can be nonzero;
+    here the identity is recomputed, through public reads, at every twist
+    of chases whose values all come from the solve."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["bare", "-20..20"])
+    @pytest.mark.parametrize("spec", sorted(EULER_SPECS))
+    def test_every_chased_triple_balances(self, spec, wide):
+        E, r = EULER_SPECS[spec]
+        n = E.n
+        triples = en_complex_tangent(E, n) if r is None else en_complex_pfaff(E, r, n)
+        extra = [("I_Z", q, (-20, 20)) for q in range(n + 1)] if wide else []
+        checked = _euler_checks(windowed_chase(triples, "I_Z", n, extra=extra))
+        assert checked > 0 or not wide
+
+    @pytest.mark.parametrize("F", [(0, 0), (1, 0), (0, 0, 0), (1, 1, -1), (0, 0, 0, 0)])
+    def test_distribution_triple_balances(self, F):
+        # 0 -> F -> T -> I_Z(d+2) -> 0 solves position a, where the
+        # Eagon-Northcott triples solve position c
+        n = len(F) + 1
+        d = (n - 1) - sum(F)
+        triples = en_complex_tangent(SplitBundle(n, F), n) + [
+            ExactTriple(TableRef("F"), tangent_sheaf(n), TableRef("I_Z", d + 2), n, label="distribution")
+        ]
+        result = chase(triples, [("F", q, (-20, 20)) for q in range(n + 1)])
+        assert _euler_checks(result) > 0
+
+    @pytest.mark.parametrize(
+        "n, shift, message",
+        [
+            (7, 0, "triple en0 at twist 9: chi(a)-chi(b)+chi(c) = 1-0+0 != 0"),
+            (7, 3, "triple en0 at twist -12: chi(a)-chi(b)+chi(c) = 1-0+0 != 0"),
+            (8, 1, "triple en0 at twist 0: chi(a)-chi(b)+chi(c) = 11-0+-10 != 0"),
+            (8, 2, "triple en0 at twist -8: chi(a)-chi(b)+chi(c) = 11--1+-11 != 0"),
+        ],
+    )
+    def test_unrealizable_tangent_data_raises(self, n, shift, message):
+        # O(shift + 2) cannot sit in T, and at the reported twist h^0 of the
+        # first Eagon-Northcott term is positive where the next one has no
+        # sections: no short exact sequence has these terms, and no table
+        # is given, so only the closed-form data can be at fault
+        E = SplitBundle(n, tuple(range(shift - 3, shift + 3)))
+        extra = [("I_Z", q, (-20, 20)) for q in range(n + 1)]
+        with pytest.raises(InconsistentTripleError) as exc:
+            windowed_chase(en_complex_tangent(E, n), "I_Z", n, extra=extra)
+        assert str(exc.value) == message

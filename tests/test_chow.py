@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -6,19 +7,132 @@ import pytest
 
 from singscheme.chow import (
     CLASSIFICATION,
-    ChowClass,
     DistributionParams,
     PorteousInapplicableError,
     SplitBundle,
-    chern_difference,
-    chern_total,
+    check_ambient_dimension,
     classification_entry,
-    cotangent_chern,
     porteous_singular_degree,
     pullback_degree,
     singular_degree_formula,
-    tangent_chern,
 )
+
+
+# The truncated Chow ring Z[h]/(h^{n+1}) of P^n and the Chern classes of
+# split bundles in it: the reference that the closed-form degree formula
+# and the Porteous degree are checked against.
+
+
+@dataclass(frozen=True)
+class ChowClass:
+    """Truncated integer polynomial c_0 + c_1*h + ... + c_n*h^n.
+
+    Multiplication truncates at h^{n+1} = 0. Instances are immutable and
+    hashable; arithmetic always returns new objects.
+    """
+
+    n: int
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        check_ambient_dimension(self.n)
+        if len(self.coeffs) != self.n + 1:
+            raise ValueError(
+                f"expected {self.n + 1} coefficients, got {len(self.coeffs)}"
+            )
+
+    @classmethod
+    def from_list(cls, n: int, seq) -> "ChowClass":
+        """Build a class from any coefficient iterable, padding with zeros
+        and discarding terms beyond h^n."""
+        coeffs = list(seq)[: n + 1]
+        coeffs += [0] * (n + 1 - len(coeffs))
+        return cls(n, tuple(int(c) for c in coeffs))
+
+    @classmethod
+    def one(cls, n: int) -> "ChowClass":
+        return cls.from_list(n, [1])
+
+    def coefficient(self, i: int) -> int:
+        """Coefficient of h^i; zero outside 0..n."""
+        if 0 <= i <= self.n:
+            return self.coeffs[i]
+        return 0
+
+    def _require_same_ring(self, other: "ChowClass") -> None:
+        if self.n != other.n:
+            raise ValueError("classes live on different projective spaces")
+
+    def __add__(self, other: "ChowClass") -> "ChowClass":
+        self._require_same_ring(other)
+        return ChowClass(
+            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __sub__(self, other: "ChowClass") -> "ChowClass":
+        self._require_same_ring(other)
+        return ChowClass(
+            self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return ChowClass(self.n, tuple(other * a for a in self.coeffs))
+        self._require_same_ring(other)
+        out = [0] * (self.n + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            # truncation: terms with i + j > n vanish
+            for j in range(self.n + 1 - i):
+                out[i + j] += a * other.coeffs[j]
+        return ChowClass(self.n, tuple(out))
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "ChowClass":
+        return self * -1
+
+
+def chern_total(bundle: SplitBundle) -> ChowClass:
+    """Whitney product prod_a (1 + a h)^m over bundle.counts, truncated at
+    h^{n+1}."""
+    acc = ChowClass.one(bundle.n)
+    for a, m in bundle.counts:
+        acc = acc * ChowClass.from_list(bundle.n, [comb(m, i) * a**i for i in range(m + 1)])
+    return acc
+
+
+def tangent_chern(n: int) -> ChowClass:
+    """c(T) = (1 + h)^{n+1} via the Euler sequence."""
+    return ChowClass.from_list(n, [comb(n + 1, i) for i in range(n + 1)])
+
+
+def cotangent_chern(n: int) -> ChowClass:
+    """c(Omega^1) = (1 - h)^{n+1}."""
+    return ChowClass.from_list(
+        n, [(-1) ** i * comb(n + 1, i) for i in range(n + 1)]
+    )
+
+
+def chern_difference(num: ChowClass, den: ChowClass) -> ChowClass:
+    """Power-series quotient num / den truncated at h^{n+1}.
+
+    The denominator must have constant term 1 (it is a total Chern class),
+    which keeps the quotient integral. Satisfies num == result * den after
+    truncation.
+    """
+    num._require_same_ring(den)
+    if den.coefficient(0) != 1:
+        raise ValueError("denominator must have constant term 1")
+    n = num.n
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        acc = num.coefficient(i)
+        for j in range(1, i + 1):
+            acc -= den.coefficient(j) * out[i - j]
+        out[i] = acc
+    return ChowClass(n, tuple(out))
 
 
 def random_class(rng, n):
@@ -232,6 +346,29 @@ class TestPorteous:
     def test_rank_gate(self):
         with pytest.raises(ValueError):
             porteous_singular_degree(3, SplitBundle(3, (-1, -1, -1)))
+
+    def test_matches_cotangent_quotient_on_a_grid(self):
+        # Porteous is the h^codim coefficient of c(Omega^1)/c(E) with
+        # codim = n - rank + 1, refused exactly where it is not positive
+        cases = 0
+        for n in range(2, 8):
+            omega = cotangent_chern(n)
+            for rank in range(1, n):
+                codim = n - rank + 1
+                for tw in combinations_with_replacement(range(-5, 3), rank):
+                    e = SplitBundle(n, tw)
+                    want = chern_difference(omega, chern_total(e)).coefficient(codim)
+                    if want > 0:
+                        assert porteous_singular_degree(n, e) == want
+                    else:
+                        with pytest.raises(PorteousInapplicableError) as exc:
+                            porteous_singular_degree(n, e)
+                        assert str(exc.value) == (
+                            "formula inapplicable (expected-codimension hypothesis "
+                            f"violated): candidate degree {want} in codimension {codim}"
+                        )
+                    cases += 1
+        assert cases == 4998
 
     def test_rank_two_closed_form_on_p3(self):
         # degeneracy curve of two generic twisted 1-forms O(-a), O(-b):

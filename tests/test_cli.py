@@ -494,6 +494,19 @@ class TestFormSing:
         message = f"{MAX_VARIABLES + 1} variables exceed the cap of {MAX_VARIABLES}"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [(), ("--n", "3")])
+    @pytest.mark.parametrize(
+        "text",
+        ["z" + "1" * 5000 + " dz0 - z0 dz1", "z1 dz" + "1" * 5000 + " - z0 dz1"],
+        ids=["z", "dz"],
+    )
+    def test_index_with_too_many_digits_exits_one(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "huge_index.form"
+        path.write_text(text)
+        code, out, err = run(capsys, "form", "sing", "--input", str(path), *argv)
+        message = f"a variable index of 5000 digits exceeds the cap of {MAX_VARIABLES} variables"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_product_over_the_term_cap_exits_one(self, capsys, tmp_path):
         # 30 linear factors in 6 variables: C(35, 5) = 324,632 terms; the
         # product is refused at the 24th factor, C(29, 5) = 118,755

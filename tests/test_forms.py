@@ -276,6 +276,20 @@ class TestVariableCap:
         with pytest.raises(ValueError, match="exceed the cap"):
             parse_poly("z0", 10**9)
 
+    def test_parser_rejects_an_index_with_too_many_digits(self):
+        # a 5,000-digit index is refused on its digit count, before int()
+        # would hit the interpreter's 4300-digit conversion limit
+        huge = "1" * 5000
+        message = f"a variable index of 5000 digits exceeds the cap of {forms.MAX_VARIABLES} variables"
+        for text in (f"z{huge} dz0 - z0 dz1", f"z1 dz{huge} - z0 dz1"):
+            with pytest.raises(ValueError) as exc:
+                parse_form(text, 4)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forms.variable_index(huge)
+        assert forms.variable_index("0" * 5000 + "7") == 7
+        assert forms.variable_index(str(forms.MAX_VARIABLES)) == forms.MAX_VARIABLES
+
     def test_pullback_rejects_a_ring_over_the_cap(self):
         with pytest.raises(ValueError, match=f"{forms.MAX_VARIABLES + 1} variables exceed the cap"):
             pullback_form(forms.MAX_VARIABLES, (1,), 0)
