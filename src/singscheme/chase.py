@@ -23,9 +23,8 @@ the filled tables, through the same reads as the solve.
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
 analogues for split Pfaff data in dimensions 1..3, both cut into triples
-by one resolution builder, two-term resolutions of codimension-2 ideal
-sheaves, and the cohomology bounds for corank-one distribution sheaves
-derived from the ideal sequence.
+by one resolution builder, and the cohomology bounds for corank-one
+distribution sheaves derived from the ideal sequence.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from types import MappingProxyType
 
 from .chow import SplitBundle, check_ambient_dimension
@@ -48,7 +46,7 @@ from .cohomology import (
     tangent_sheaf,
     tensor_with_split,
 )
-from .criteria import Verdict, acm_check, beilinson_rank_bound, possible_entries, vanishing_verdict
+from .criteria import Verdict, acm_check, possible_entries, vanishing_verdict
 
 
 class ChaseDependencyError(ValueError):
@@ -497,13 +495,13 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
     return result
 
 
-def windowed_chase(triples, name: str, n: int, given=None, extra=()) -> ChaseResult:
+def windowed_chase(triples, name: str, extra=()) -> ChaseResult:
     """Chase once: the window pass fixes the support windows, then every
     finite window row of the named unknown is materialized, plus any extra
     (name, q, (lo, hi)) queries."""
-    result = _window_pass(triples, given)
+    result = _window_pass(triples, None)
     queries = list(extra)
-    for q in range(n + 1):
+    for q in range(result.n + 1):
         w = result.window(name, q)
         if w is not None and w.is_finite:
             queries.append((name, q, (w.lo, w.hi)))
@@ -581,7 +579,7 @@ def tangent_ideal_table(F: SplitBundle, n: int, extra=()) -> CohomologyTable:
     Chases the tangent Eagon-Northcott complex and materializes every
     finite window; the scheme has dimension rank(F) - 1.
     """
-    return windowed_chase(en_complex_tangent(F, n), "I_Z", n, extra=extra).table(
+    return windowed_chase(en_complex_tangent(F, n), "I_Z", extra).table(
         "I_Z", dim_z=F.rank - 1
     )
 
@@ -591,64 +589,9 @@ def pfaff_ideal_table(
 ) -> CohomologyTable:
     """Ideal-sheaf cohomology of the singular scheme of split Pfaff data;
     the scheme has dimension n - r - 1."""
-    return windowed_chase(en_complex_pfaff(E, r, n), "I_Z", n, extra=extra).table(
+    return windowed_chase(en_complex_pfaff(E, r, n), "I_Z", extra).table(
         "I_Z", dim_z=n - r - 1
     )
-
-
-@dataclass(frozen=True)
-class ResolutionData:
-    """Two-term resolution of a codimension-2 ideal sheaf,
-
-        0 -> (+) O(-a_i) -> ((+) Omega^{p_j}(-k_j)^{l_j}) (+) ((+) O(-c_s)) -> I_Y -> 0.
-
-    left lists the a_i, omegas the (p_j, k_j, l_j), lines the c_s. The
-    middle's rank must exceed the left's by exactly one, the codimension-2
-    normalization of an ideal-sheaf resolution.
-    """
-
-    n: int
-    left: tuple[int, ...]
-    omegas: tuple[tuple[int, int, int], ...]
-    lines: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("codimension-2 resolutions need n >= 3")
-        object.__setattr__(self, "left", tuple(int(a) for a in self.left))
-        object.__setattr__(
-            self, "omegas", tuple((int(p), int(k), int(l)) for p, k, l in self.omegas)
-        )
-        object.__setattr__(self, "lines", tuple(int(c) for c in self.lines))
-        mid = len(self.lines)
-        for p, _, l in self.omegas:
-            if not 1 <= p <= self.n - 1:
-                raise ValueError(f"Omega power {p} out of range 1..{self.n - 1}")
-            if l < 1:
-                raise ValueError("summand multiplicities must be positive")
-            mid += l * comb(self.n, p)
-        if mid - len(self.left) != 1:
-            raise ValueError(
-                f"rank(middle) - rank(left) must be 1, got {mid - len(self.left)}"
-            )
-
-
-def omega_resolution_cohomology(res: ResolutionData) -> CohomologyTable:
-    """Chase h^p(I_Y(q)) out of a two-term resolution.
-
-    Exact where one side vanishes, an interval otherwise; rows 1..n-2
-    always end up inside finite windows and are materialized in full, so
-    the ACM and Buchsbaum checks run off this table directly.
-    """
-    n = res.n
-    left = VirtualSheaf.from_split(SplitBundle(n, res.left).dual())
-    pairs = [(normalize_atom(n, p, -k), l) for p, k, l in res.omegas]
-    pairs.extend((normalize_atom(n, 0, -c), 1) for c in res.lines)
-    middle = VirtualSheaf.from_pairs(n, pairs)
-    triples = [
-        ExactTriple(left, middle, TableRef("I_Z"), n, label="omega-res")
-    ]
-    return windowed_chase(triples, "I_Z", n).table("I_Z", dim_z=n - 2)
 
 
 def _distribution_triple(d: int, n: int) -> ExactTriple:
@@ -835,37 +778,3 @@ def distribution_cohomology_bounds(F, d: int, n: int) -> DistributionReport:
         ideal_table=ideal_table,
     )
 
-
-@dataclass(frozen=True)
-class SplitObstruction:
-    """Outcome of the rank-bound obstruction against splitting."""
-
-    bound: int
-    rank: int
-
-    @property
-    def contradiction(self) -> bool:
-        return self.bound > self.rank
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "rank": self.rank,
-            "contradiction": self.contradiction,
-        }
-
-
-def beilinson_split_obstruction(
-    f_table: CohomologyTable, rank: int, n: int
-) -> SplitObstruction:
-    """Test a rank budget against the Beilinson-type bound.
-
-    If the table satisfies the bound's hypotheses, any sheaf with that
-    cohomology has rank at least n * h^{n-1}(F(-n-1)); a budget below the
-    bound is a contradiction (the sheaf cannot exist, e.g. a hypothetical
-    split corank-one tangent sheaf). Raises InapplicableError when the
-    hypotheses are not certified by the table.
-    """
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    return SplitObstruction(beilinson_rank_bound(f_table, n), rank)

@@ -19,7 +19,6 @@ import sys
 from dataclasses import asdict
 
 from .chase import (
-    beilinson_split_obstruction,
     en_complex_pfaff,
     en_complex_tangent,
     pfaff_ideal_table,
@@ -55,6 +54,7 @@ from .forms import (
     pullback_form,
     radial_field,
     radial_form_degree,
+    read_number,
     signed_sum,
     variable_index,
 )
@@ -145,17 +145,18 @@ def parse_sheaf(spec: str, n: int) -> VirtualSheaf:
                 f"bad sheaf spec {chunk.strip()!r}; grammar: O(a), Om(p,k), T,"
                 " sums with '+', powers with '^m'"
             )
-        mult = int(m.group("m") or 1)
+        mult = read_number(m.group("m") or "1", "a multiplicity")
         if mult < 1:
             raise ValueError("multiplicity must be at least 1")
         if m.group("t"):
             p, k = n - 1, n + 1  # T = Omega^{n-1}(n+1)
         elif m.group("p") is not None:
-            p, k = int(m.group("p")), int(m.group("k"))
+            p = read_number(m.group("p"), "a cotangent power")
+            k = read_number(m.group("k"), "a twist")
             if p > n:
                 raise ValueError(f"Om({p},{k}) vanishes on P^{n}")
         else:
-            p, k = 0, int(m.group("a"))  # O(a) = Omega^0(a)
+            p, k = 0, read_number(m.group("a"), "a twist")  # O(a) = Omega^0(a)
         part = VirtualSheaf.from_atom(n, normalize_atom(n, p, k), mult)
         total = part if total is None else total.direct_sum(part)
     if total is None:
@@ -173,7 +174,7 @@ def _parse_twist_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", text)
     if m is None:
         raise ValueError(f"bad twist range {text!r}; expected lo..hi")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = (read_number(m.group(i), "a twist") for i in (1, 2))
     if lo > hi:
         raise ValueError(f"empty twist range {text!r}")
     if hi - lo + 1 > MAX_TWIST_RANGE:
@@ -306,7 +307,7 @@ def _cmd_chase(args) -> int:
     if args.explain:
         n = bundle.n
         triples = en_complex_tangent(bundle, n) if r is None else en_complex_pfaff(bundle, r, n)
-        print(windowed_chase(triples, "I_Z", n, extra=extra).explain_json())
+        print(windowed_chase(triples, "I_Z", extra).explain_json())
         return 0
     tab = _ideal_table(bundle, r, extra)
     if args.json:
@@ -337,12 +338,14 @@ def _cmd_beilinson(args) -> int:
         else:
             print(bound)
         return 0
-    obstruction = beilinson_split_obstruction(tab, args.rank, tab.n)
+    if args.rank < 1:
+        raise ValueError("rank must be positive")
+    contradiction = bound > args.rank
     if args.json:
-        _emit_json(obstruction.to_json())
+        _emit_json({"bound": bound, "rank": args.rank, "contradiction": contradiction})
         return 0
     print(bound)
-    if obstruction.contradiction:
+    if contradiction:
         print(f"contradiction: no rank-{args.rank} sheaf realizes this table")
     else:
         print(f"compatible with rank {args.rank}")

@@ -75,6 +75,23 @@ def variable_index(digits: str) -> int:
     return int(digits)
 
 
+# Python's own default limit on the digits of an int read from a string
+# (sys.int_info.default_max_str_digits), for each side of a fraction alike.
+MAX_LITERAL_DIGITS = 4300
+
+
+def read_number(text: str, what: str) -> int | Fraction:
+    """The int, or the Fraction of an a/b literal, that text spells. A side
+    of more than MAX_LITERAL_DIGITS digits is refused by its digit count
+    before int() or Fraction() reads it; the message names what was read,
+    not its digits."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        digits = max(len(side.lstrip("-")) for side in text.split("/"))
+        if digits > MAX_LITERAL_DIGITS:
+            raise ValueError(f"{what} of {digits} digits exceeds the cap of {MAX_LITERAL_DIGITS} digits")
+    return Fraction(text) if "/" in text else int(text)
+
+
 def _canonical(packed: dict) -> dict:
     """Drop zero coefficients and store integral ones as int."""
     return {
@@ -703,7 +720,7 @@ class _Parser:
             self.fail("unexpected token None")
         if tok[0].isdigit():
             try:
-                c = Fraction(tok) if "/" in tok else int(tok)
+                c = read_number(tok, "a coefficient")
             except ZeroDivisionError:
                 self.fail(f"zero denominator in {tok}")
             return HomogeneousPoly.constant(self.nvars, c)

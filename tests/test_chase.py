@@ -23,15 +23,12 @@ from singscheme.chase import (
     ChaseResult,
     ExactTriple,
     InconsistentTripleError,
-    ResolutionData,
     TableRef,
     Trace,
-    beilinson_split_obstruction,
     chase,
     distribution_cohomology_bounds,
     en_complex_pfaff,
     en_complex_tangent,
-    omega_resolution_cohomology,
     pfaff_ideal_table,
     replay_trace,
     tangent_ideal_table,
@@ -51,6 +48,7 @@ from singscheme.cohomology import (
 from singscheme.criteria import (
     InapplicableError,
     acm_check,
+    beilinson_rank_bound,
     buchsbaum_numeric,
     regularity,
 )
@@ -60,9 +58,17 @@ def O(n, *twists):
     return VirtualSheaf.from_split(SplitBundle(n, twists))
 
 
-def two_lines_resolution():
+def resolution_table(left, middle):
+    """h^q(I_Z(t)) chased out of a two-term resolution 0 -> left -> middle
+    -> I_Z -> 0 of a codimension-2 ideal sheaf."""
+    n = left.n
+    triples = [ExactTriple(left, middle, TableRef("I_Z"), n)]
+    return windowed_chase(triples, "I_Z").table("I_Z", dim_z=n - 2)
+
+
+def two_lines_table():
     """0 -> O(-2)^2 -> Omega^1 -> I_Z -> 0 for two disjoint lines in P^3."""
-    return ResolutionData(3, left=(2, 2), omegas=((1, 0, 1),))
+    return resolution_table(O(3, -2, -2), VirtualSheaf.from_atom(3, CotangentPower(1, 0)))
 
 
 def two_lines_truth(q, t):
@@ -94,24 +100,6 @@ class TestExactTriple:
     def test_bad_dimension(self):
         with pytest.raises(ValueError, match="positive"):
             ExactTriple(TableRef("A"), O(3, 0), TableRef("X"), 0)
-
-
-class TestResolutionData:
-    def test_rank_gap_must_be_one(self):
-        with pytest.raises(ValueError, match="must be 1"):
-            ResolutionData(3, left=(2,), omegas=((1, 0, 1),))
-
-    def test_omega_power_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ResolutionData(3, left=(2, 2), omegas=((3, 0, 1),))
-
-    def test_multiplicity_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            ResolutionData(3, left=(2, 2), omegas=((1, 0, 0),), lines=(1, 2, 3))
-
-    def test_needs_codimension_two(self):
-        with pytest.raises(ValueError, match="n >= 3"):
-            ResolutionData(2, left=(2, 2), omegas=((1, 0, 1),))
 
 
 class TestChaseValidation:
@@ -205,7 +193,7 @@ class TestTwoLines:
     """The one chase whose full answer is known in closed form."""
 
     def test_materialized_table(self):
-        tab = omega_resolution_cohomology(two_lines_resolution())
+        tab = two_lines_table()
         assert tab.n == 3
         assert tab.dim_z == 1
         assert tab.window(1) == Window(0, 0)
@@ -217,7 +205,7 @@ class TestTwoLines:
         assert tab.window(3) == Window(None, -3)
 
     def test_windows_sound_against_truth(self):
-        tab = omega_resolution_cohomology(two_lines_resolution())
+        tab = two_lines_table()
         for q in range(4):
             w = tab.window(q)
             for t in range(-9, 9):
@@ -250,12 +238,23 @@ class TestTwoLines:
     def test_matches_pfaff_builder(self):
         # The resolution is exactly the dimension-1 Pfaff complex of
         # O(-2)^2 on P^3, so both roads must produce the same table.
-        via_res = omega_resolution_cohomology(two_lines_resolution())
+        via_res = two_lines_table()
         via_pfaff = pfaff_ideal_table(SplitBundle(3, (-2, -2)), 1, 3)
         assert via_res.to_json() == via_pfaff.to_json()
 
+    @pytest.mark.parametrize("E", list(combinations_with_replacement((-4, -3, -2), 2)))
+    def test_twisted_resolution_matches_pfaff_builder(self, E):
+        # 0 -> E(-s) -> Omega^1(-s) -> I_Z -> 0 with s = -4 - c1(E), the
+        # offset en_complex_pfaff gives I_Z, is the r = 1 Pfaff complex of
+        # E = O(a)+O(b) on P^3
+        s = -4 - sum(E)
+        via_res = resolution_table(
+            O(3, *(a - s for a in E)), VirtualSheaf.from_atom(3, CotangentPower(1, -s))
+        )
+        assert via_res.dumps() == pfaff_ideal_table(SplitBundle(3, E), 1, 3).dumps()
+
     def test_verdicts(self):
-        tab = omega_resolution_cohomology(two_lines_resolution())
+        tab = two_lines_table()
         acm = acm_check(tab)
         assert acm.decision == "fails"
         assert acm.witnesses == ((1, 0, DimValue.exact(1)),)
@@ -266,8 +265,7 @@ class TestKoszulConic:
     def test_complete_intersection_is_acm(self):
         # 0 -> O(-3) -> O(-1)+O(-2) -> I -> 0, the Koszul resolution of a
         # plane conic in P^3; its h^1 row must be certified empty.
-        res = ResolutionData(3, left=(3,), omegas=(), lines=(1, 2))
-        tab = omega_resolution_cohomology(res)
+        tab = resolution_table(O(3, -3), O(3, -1, -2))
         assert tab.window(1) == Window.nothing()
         assert acm_check(tab).decision == "holds"
         assert buchsbaum_numeric(tab).decision == "holds"
@@ -652,7 +650,7 @@ class TestDistributionBounds:
         assert js["degree"] == 2
 
     def test_fixture_table_gates_the_acm_items(self):
-        tab = omega_resolution_cohomology(two_lines_resolution())
+        tab = two_lines_table()
         rep = distribution_cohomology_bounds(tab, 1, 3)
         assert rep.items["i"].holds
         assert rep.items["ii"].holds
@@ -675,28 +673,21 @@ class TestDistributionBounds:
 
 
 class TestSplitObstruction:
+    """The converse of Theorem 1: a rank below the Beilinson bound is a
+    contradiction."""
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_tangent_bundle_saturates_the_bound(self, n):
         tab = table(tangent_sheaf(n), -n - 2, -1)
-        obs = beilinson_split_obstruction(tab, n - 1, n)
-        assert obs.bound == n
-        assert obs.contradiction
-        assert not beilinson_split_obstruction(tab, n, n).contradiction
+        bound = beilinson_rank_bound(tab, n)
+        assert bound == n
+        assert bound > n - 1
+        assert not bound > n
 
     def test_small_n_inapplicable(self):
         tab = table(tangent_sheaf(3), -5, -1)
         with pytest.raises(InapplicableError):
-            beilinson_split_obstruction(tab, 2, 3)
-
-    def test_rank_must_be_positive(self):
-        tab = table(tangent_sheaf(4), -6, -1)
-        with pytest.raises(ValueError, match="positive"):
-            beilinson_split_obstruction(tab, 0, 4)
-
-    def test_json(self):
-        tab = table(tangent_sheaf(4), -6, -1)
-        js = beilinson_split_obstruction(tab, 3, 4).to_json()
-        assert js == {"bound": 4, "rank": 3, "contradiction": True}
+            beilinson_rank_bound(tab, 3)
 
 
 # The chase specs of CHASE_SPECS in bench/workloads.py, as (bundle, r)
@@ -716,7 +707,7 @@ def _spec_cases(spec, E, r):
 
     def explain(extra):
         triples = en_complex_tangent(E, n) if r is None else en_complex_pfaff(E, r, n)
-        return windowed_chase(triples, "I_Z", n, extra=extra).explain_json()
+        return windowed_chase(triples, "I_Z", extra=extra).explain_json()
 
     def ideal_table():
         tab = tangent_ideal_table(E, n) if r is None else pfaff_ideal_table(E, r, n)
@@ -742,12 +733,12 @@ GOLDEN_CASES = {
         for spec, (E, r) in GOLDEN_SPECS.items()
         for key, case in _spec_cases(spec, E, r).items()
     },
-    "omega-res two lines": lambda: omega_resolution_cohomology(two_lines_resolution()).dumps(),
+    "omega-res two lines": lambda: two_lines_table().dumps(),
     "distribution O(0)^2 d=2": lambda: _report_text(
         distribution_cohomology_bounds(SplitBundle(3, (0, 0)), 2, 3)
     ),
     "distribution two lines d=1": lambda: _report_text(
-        distribution_cohomology_bounds(omega_resolution_cohomology(two_lines_resolution()), 1, 3)
+        distribution_cohomology_bounds(two_lines_table(), 1, 3)
     ),
 }
 
@@ -814,7 +805,7 @@ class TestEulerIdentity:
         n = E.n
         triples = en_complex_tangent(E, n) if r is None else en_complex_pfaff(E, r, n)
         extra = [("I_Z", q, (-20, 20)) for q in range(n + 1)] if wide else []
-        checked = _euler_checks(windowed_chase(triples, "I_Z", n, extra=extra))
+        checked = _euler_checks(windowed_chase(triples, "I_Z", extra=extra))
         assert checked > 0 or not wide
 
     @pytest.mark.parametrize("F", [(0, 0), (1, 0), (0, 0, 0), (1, 1, -1), (0, 0, 0, 0)])
@@ -846,5 +837,5 @@ class TestEulerIdentity:
         E = SplitBundle(n, tuple(range(shift - 3, shift + 3)))
         extra = [("I_Z", q, (-20, 20)) for q in range(n + 1)]
         with pytest.raises(InconsistentTripleError) as exc:
-            windowed_chase(en_complex_tangent(E, n), "I_Z", n, extra=extra)
+            windowed_chase(en_complex_tangent(E, n), "I_Z", extra=extra)
         assert str(exc.value) == message

@@ -11,7 +11,7 @@ import pytest
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, table, tangent_sheaf
 from singscheme.chow import pullback_degree, singular_degree_formula
-from singscheme.forms import MAX_DEGREE, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from singscheme.forms import MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -71,6 +71,24 @@ class TestSheafGrammar:
         with pytest.raises(ValueError, match="at least 1"):
             parse_sheaf("O(1)^0", 3)
 
+    @pytest.mark.parametrize(
+        "spec, what",
+        [
+            ("O({})", "a twist"),
+            ("O(-{})", "a twist"),
+            ("Om(1,{})", "a twist"),
+            ("Om({},1)", "a cotangent power"),
+            ("O(1)^{}", "a multiplicity"),
+        ],
+    )
+    def test_integer_with_too_many_digits(self, capsys, spec, what):
+        spec = spec.format("1" * 5000)
+        message = f"{what} of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_sheaf(spec, 3)
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", spec, "--twists=0..1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_cli_reports_grammar_error(self, capsys):
         code, _, err = run(capsys, "cohomology", "--n", "3", "--sheaf", "Q(3)",
                            "--twists", "0..1")
@@ -128,6 +146,13 @@ class TestTwistRangeCap:
         assert code == 1
         assert out == ""
         assert f"at most {MAX_TWIST_RANGE}" in err
+
+    @pytest.mark.parametrize("twists", ["0..{}", "-{}..0"])
+    def test_twist_with_too_many_digits(self, capsys, twists):
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", "T",
+                             "--twists=" + twists.format("1" * 5000))
+        message = f"a twist of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_cap_is_inclusive(self, capsys):
         argv = ("cohomology", "--n", "1", "--sheaf", "O(0)")
@@ -311,6 +336,22 @@ class TestRegularityAndBeilinson:
                            "--rank", "4", "--json")
         assert code == 0
         assert json.loads(out) == {"bound": 4, "rank": 4, "contradiction": False}
+        code, out, _ = run(capsys, "beilinson-bound", "--table", str(path),
+                           "--rank", "3", "--json")
+        assert code == 0
+        assert json.loads(out) == {"bound": 4, "rank": 3, "contradiction": True}
+
+    def test_rank_must_be_positive(self, capsys, tmp_path):
+        path = tmp_path / "t.table.json"
+        path.write_text(table(tangent_sheaf(4), -6, -1).dumps())
+        code, out, err = run(capsys, "beilinson-bound", "--table", str(path), "--rank", "0")
+        assert (code, out, err) == (1, "", "error: rank must be positive\n")
+
+    def test_inapplicable_table_is_reported_before_the_rank(self, capsys, tmp_path):
+        path = tmp_path / "t3.table.json"
+        path.write_text(table(tangent_sheaf(3), -5, -1).dumps())
+        code, out, err = run(capsys, "beilinson-bound", "--table", str(path), "--rank", "0")
+        assert (code, out, err) == (1, "", "error: rank bound needs n >= 4\n")
 
 
 class TestClassifyCommand:
@@ -506,6 +547,30 @@ class TestFormSing:
         code, out, err = run(capsys, "form", "sing", "--input", str(path), *argv)
         message = f"a variable index of 5000 digits exceeds the cap of {MAX_VARIABLES} variables"
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [(), ("--n", "3")])
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("1" * 5000 + " z0 dz1 - z1 dz0", "a coefficient"),
+            ("1" * 5000 + "/3 z0 dz1 - z1 dz0", "a coefficient"),
+        ],
+        ids=["integer", "numerator"],
+    )
+    def test_coefficient_with_too_many_digits_exits_one(self, capsys, tmp_path, text, what, argv):
+        path = tmp_path / "huge_coefficient.form"
+        path.write_text(text)
+        code, out, err = run(capsys, "form", "sing", "--input", str(path), *argv)
+        message = f"{what} of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_a_4000_digit_coefficient_still_runs(self, capsys, tmp_path):
+        path = tmp_path / "long_coefficient.form"
+        path.write_text("1" * 4000 + " z0 dz1 - " + "1" * 4000 + " z1 dz0")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path), "--n", "2")
+        assert (code, err) == (0, "")
+        assert "radial contraction: zero\n" in out
+        assert "scheme: dim 0, degree 1\n" in out
 
     def test_product_over_the_term_cap_exits_one(self, capsys, tmp_path):
         # 30 linear factors in 6 variables: C(35, 5) = 324,632 terms; the

@@ -290,6 +290,32 @@ class TestVariableCap:
         assert forms.variable_index("0" * 5000 + "7") == 7
         assert forms.variable_index(str(forms.MAX_VARIABLES)) == forms.MAX_VARIABLES
 
+    def test_parser_rejects_a_coefficient_with_too_many_digits(self):
+        # refused on its digit count, before int() or Fraction() would hit
+        # the interpreter's own conversion limit; the digits are not echoed
+        huge = "1" * 5000
+        cases = {
+            f"{huge} z0 dz1 - z1 dz0": "a coefficient of 5000 digits",
+            f"{huge}/3 z0 dz1 - z1 dz0": "a coefficient of 5000 digits",
+            f"z0 dz1 - 3/{huge} z1 dz0": "a coefficient of 5000 digits",
+        }
+        for text, what in cases.items():
+            with pytest.raises(ValueError) as exc:
+                parse_form(text, 2)
+            assert str(exc.value) == f"{what} exceeds the cap of {forms.MAX_LITERAL_DIGITS} digits"
+
+    def test_a_4000_digit_coefficient_still_parses(self):
+        c = "1" * 4000
+        assert form_str(parse_form(f"{c} z0 dz1 - z1 dz0", 2)) == f"-z1 dz0 + {c}*z0 dz1"
+        assert form_str(parse_form(f"{c}/3 z0 dz1 - z1 dz0", 2)) == f"-z1 dz0 + {c}/3*z0 dz1"
+
+    def test_read_number_counts_digits_as_written_without_the_sign(self):
+        top = "9" * forms.MAX_LITERAL_DIGITS
+        assert forms.read_number("-" + top, "a twist") == -int(top)
+        for text in ("-" + top + "9", "0" + top):
+            with pytest.raises(ValueError, match=f"^a twist of {forms.MAX_LITERAL_DIGITS + 1} digits exceeds"):
+                forms.read_number(text, "a twist")
+
     def test_pullback_rejects_a_ring_over_the_cap(self):
         with pytest.raises(ValueError, match=f"{forms.MAX_VARIABLES + 1} variables exceed the cap"):
             pullback_form(forms.MAX_VARIABLES, (1,), 0)
