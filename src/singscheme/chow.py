@@ -23,6 +23,27 @@ def check_ambient_dimension(n: int) -> None:
         raise ValueError("ambient dimension must be positive")
 
 
+# Python's own default limit on the digits of an int read from a string
+# (sys.int_info.default_max_str_digits), for each side of a fraction alike.
+MAX_LITERAL_DIGITS = 4300
+
+
+def read_number(text: str, what: str):
+    """The int, or the Fraction of an a/b literal, that text spells. A side
+    of more than MAX_LITERAL_DIGITS digits is refused by its digit count
+    before int() or Fraction() reads it; the message names what was read,
+    not its digits. It lives in the one module every command imports, so
+    reading a number loads nothing more."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        digits = max(len(side.lstrip("-")) for side in text.split("/"))
+        if digits > MAX_LITERAL_DIGITS:
+            raise ValueError(f"{what} of {digits} digits exceeds the cap of {MAX_LITERAL_DIGITS} digits")
+    if "/" in text:
+        from fractions import Fraction
+        return Fraction(text)
+    return int(text)
+
+
 class PorteousInapplicableError(ValueError):
     """The expected-codimension hypothesis behind a degeneracy-degree
     computation is violated (the candidate degree came out non-positive)."""
@@ -73,9 +94,6 @@ class SplitBundle:
 
     def twist(self, t: int) -> "SplitBundle":
         return SplitBundle.from_counts(self.n, {a + t: m for a, m in self.counts})
-
-    def dual(self) -> "SplitBundle":
-        return SplitBundle.from_counts(self.n, {-a: m for a, m in self.counts})
 
     def direct_sum(self, other: "SplitBundle") -> "SplitBundle":
         if self.n != other.n:

@@ -7,6 +7,11 @@ the Beilinson rank bound, the low-degree classification table, and the
 polynomial-form tools (singular-scheme analysis and the pullback
 construction). Output is plain text by default, JSON with --json, and
 byte-identical across runs of the same invocation.
+
+Each subcommand imports the library modules it runs inside its own
+handler, not at the top of this module, because every command is a fresh
+process: `degree` then compiles `chow` alone, never the polynomial-form
+and Hilbert code that only `form` needs.
 """
 
 from __future__ import annotations
@@ -17,48 +22,6 @@ import os
 import re
 import sys
 from dataclasses import asdict
-
-from .chase import (
-    en_complex_pfaff,
-    en_complex_tangent,
-    pfaff_ideal_table,
-    tangent_ideal_table,
-    windowed_chase,
-)
-from .chow import classification_entry, pullback_degree, singular_degree_formula
-from .cohomology import (
-    CohomologyTable,
-    DimValue,
-    SplitBundle,
-    VirtualSheaf,
-    Window,
-    normalize_atom,
-    table,
-)
-from .criteria import (
-    InapplicableError,
-    Verdict,
-    acm_check,
-    beilinson_rank_bound,
-    buchsbaum_numeric,
-    evans_griffith,
-    hilbert_deficiency_verdicts,
-    horrocks,
-    kpr,
-    regularity,
-)
-from .forms import (
-    coefficient_ideal,
-    contract,
-    parse_form,
-    pullback_form,
-    radial_field,
-    radial_form_degree,
-    read_number,
-    signed_sum,
-    variable_index,
-)
-from .hilbert import hilbert_profile
 
 
 # ---------------------------------------------------------------- output
@@ -81,7 +44,7 @@ def _decision_word(decision: str) -> str:
     return decision
 
 
-def _fmt_value(v: DimValue) -> str:
+def _fmt_value(v) -> str:
     if v.lo == v.hi:
         return str(v.lo)
     if v.hi is None:
@@ -89,7 +52,7 @@ def _fmt_value(v: DimValue) -> str:
     return f"{v.lo}..{v.hi}"
 
 
-def _fmt_window(w: Window | None) -> str:
+def _fmt_window(w) -> str:
     if w is None:
         return "no certified window"
     if w.empty:
@@ -103,11 +66,22 @@ def _fmt_window(w: Window | None) -> str:
     return f"nonzero only for {w.lo} <= t <= {w.hi}"
 
 
+def _check_printable(cells) -> None:
+    """Refuse, by name, the first (q, t, value) cell holding a number of
+    more than MAX_LITERAL_DIGITS digits: str() would refuse it mid-output,
+    with a message that names no value."""
+    from .chow import MAX_LITERAL_DIGITS
+    limit = 10**MAX_LITERAL_DIGITS
+    for q, t, v in cells:
+        if v.lo >= limit or (v.hi is not None and v.hi >= limit):
+            raise ValueError(f"h^{q}(t={t}) is too long to print: more than {MAX_LITERAL_DIGITS} digits")
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _report_verdict(args, label: str, head: dict, verdict: Verdict) -> int:
+def _report_verdict(args, label: str, head: dict, verdict) -> int:
     """head plus the verdict's JSON with --json, else the labelled text."""
     if args.json:
         _emit_json({**head, **verdict.to_json()})
@@ -135,9 +109,11 @@ _TERM = re.compile(
 )
 
 
-def parse_sheaf(spec: str, n: int) -> VirtualSheaf:
-    """Parse 'O(-2)^3+Om(1,4)+T' into a virtual sheaf on P^n."""
-    total: VirtualSheaf | None = None
+def parse_sheaf(spec: str, n: int):
+    """Parse 'O(-2)^3+Om(1,4)+T' into a VirtualSheaf on P^n."""
+    from .chow import read_number
+    from .cohomology import VirtualSheaf, normalize_atom
+    total = None
     for chunk in spec.split("+"):
         m = _TERM.match(chunk)
         if m is None:
@@ -171,6 +147,7 @@ MAX_TWIST_RANGE = 10_000
 
 
 def _parse_twist_range(text: str) -> tuple[int, int]:
+    from .chow import read_number
     m = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", text)
     if m is None:
         raise ValueError(f"bad twist range {text!r}; expected lo..hi")
@@ -197,6 +174,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _chase_data(kind: str, text: str, r: int | None, n_flag: int | None):
     """(bundle, r) for split chase data: tangent data F on P^n with r None,
     or Pfaff data E of distribution rank r, which lives on P^{rank E + r}."""
+    from .chow import SplitBundle
     if kind == "tangent":
         if n_flag is None:
             raise ValueError("a tangent chase needs --n")
@@ -228,13 +206,15 @@ def _chase_spec_data(spec: str, n_flag: int | None):
     return _chase_data(kind, rest, r, n_flag)
 
 
-def _ideal_table(bundle: SplitBundle, r: int | None, extra=()) -> CohomologyTable:
+def _ideal_table(bundle, r: int | None, extra=()):
+    from .chase import pfaff_ideal_table, tangent_ideal_table
     if r is None:
         return tangent_ideal_table(bundle, bundle.n, extra)
     return pfaff_ideal_table(bundle, r, bundle.n, extra)
 
 
-def _input_table(args) -> CohomologyTable:
+def _input_table(args):
+    from .cohomology import CohomologyTable
     if args.table is None:
         return _ideal_table(*_chase_spec_data(args.from_chase, args.n))
     with open(args.table, "r", encoding="utf-8") as fh:
@@ -245,34 +225,41 @@ def _input_table(args) -> CohomologyTable:
 
 
 def _cmd_degree(args) -> int:
+    from .chow import singular_degree_formula
     print(singular_degree_formula(args.n, args.r, _parse_int_list(args.d_list)))
     return 0
 
 
 def _cmd_pullback_degree(args) -> int:
+    from .chow import pullback_degree
     print(pullback_degree(args.n, args.k, args.d))
     return 0
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import table
     sheaf = parse_sheaf(args.sheaf, args.n)
     lo, hi = _parse_twist_range(args.twists)
     tab = table(sheaf, lo, hi)
     if args.json:
+        _check_printable((q, t, v) for q, row in sorted(tab.rows.items()) for t, v in sorted(row.items()))
         print(tab.dumps())
         return 0
-    print(f"h^q(F(t)) on P^{args.n} for F = {sheaf}")
     cols = list(range(lo, hi + 1))
+    values = [[tab.value(q, t) for t in cols] for q in range(args.n + 1)]
+    _check_printable((q, t, v) for q, row in enumerate(values) for t, v in zip(cols, row))
     grid = [["t"] + [str(t) for t in cols]]
-    for q in range(args.n + 1):
-        grid.append([f"h^{q}"] + [_fmt_value(tab.value(q, t)) for t in cols])
+    grid += [[f"h^{q}"] + [_fmt_value(v) for v in row] for q, row in enumerate(values)]
     widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
+    print(f"h^q(F(t)) on P^{args.n} for F = {sheaf}")
     for row in grid:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
     return 0
 
 
 def _cmd_split_check(args) -> int:
+    from .cohomology import table
+    from .criteria import evans_griffith, horrocks, kpr
     sheaf = parse_sheaf(args.sheaf, args.n)
     if args.twists:
         lo, hi = _parse_twist_range(args.twists)
@@ -289,11 +276,13 @@ def _cmd_split_check(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    verdict = args.check(_input_table(args), args.dim_z)
+    from . import criteria
+    verdict = getattr(criteria, args.check)(_input_table(args), args.dim_z)
     return _report_verdict(args, args.label, {"check": args.command.removesuffix("-check")}, verdict)
 
 
 def _cmd_chase(args) -> int:
+    from .chase import en_complex_pfaff, en_complex_tangent, windowed_chase
     if args.tangent is not None:
         bundle, r = _chase_data("tangent", args.tangent, None, args.n)
     elif args.r is None:
@@ -325,11 +314,13 @@ def _cmd_chase(args) -> int:
 
 
 def _cmd_regularity(args) -> int:
+    from .criteria import regularity
     print(regularity(_input_table(args)))
     return 0
 
 
 def _cmd_beilinson(args) -> int:
+    from .criteria import beilinson_rank_bound
     tab = _input_table(args)
     bound = beilinson_rank_bound(tab, tab.n)
     if args.rank is None:
@@ -353,6 +344,7 @@ def _cmd_beilinson(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .chow import SplitBundle, classification_entry
     entry = classification_entry(args.n, args.degree)
     pfaff = str(SplitBundle(entry.n, entry.pfaff_twists))
     if args.json:
@@ -366,6 +358,7 @@ def _cmd_classify(args) -> int:
 
 
 def _infer_nvars(text: str) -> int:
+    from .forms import variable_index
     indices = [variable_index(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
     if not indices:
         raise ValueError("cannot infer the ambient dimension from the form; pass --n")
@@ -374,6 +367,7 @@ def _infer_nvars(text: str) -> int:
 
 def _poly_text(coeffs) -> str:
     """Render an ascending coefficient tuple as a polynomial in t."""
+    from .forms import signed_sum
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
@@ -402,6 +396,7 @@ def _ideal_summary(ideal) -> tuple[str, dict]:
 def _ideal_report(ideal, profile) -> tuple[list[str], dict]:
     """Text lines and JSON payload describing an ideal's scheme, with the
     Hilbert-deficiency ACM/Buchsbaum verdicts."""
+    from .criteria import InapplicableError, hilbert_deficiency_verdicts
     ideal_line, ideal_payload = _ideal_summary(ideal)
     dim, deg = profile.scheme_dim, profile.scheme_deg
     lines = [
@@ -433,6 +428,8 @@ def _ideal_report(ideal, profile) -> tuple[list[str], dict]:
 
 
 def _cmd_form_sing(args) -> int:
+    from .forms import coefficient_ideal, contract, parse_form, radial_field, radial_form_degree
+    from .hilbert import hilbert_profile
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     nvars = args.n + 1 if args.n is not None else _infer_nvars(text)
@@ -468,6 +465,9 @@ def _cmd_form_sing(args) -> int:
 
 
 def _cmd_form_pullback(args) -> int:
+    from .chow import singular_degree_formula
+    from .forms import coefficient_ideal, pullback_form, radial_form_degree
+    from .hilbert import hilbert_profile
     degrees = _parse_int_list(args.field_degrees)
     n = args.n
     omega = pullback_form(n, degrees, args.seed)
@@ -553,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_split_check)
 
     for name, check, label, what in (
-        ("acm-check", acm_check, "acm", "ACM test"),
-        ("buchsbaum-check", buchsbaum_numeric, "buchsbaum(numeric)", "numeric Buchsbaum test"),
+        ("acm-check", "acm_check", "acm", "ACM test"),
+        ("buchsbaum-check", "buchsbaum_numeric", "buchsbaum(numeric)", "numeric Buchsbaum test"),
     ):
         p = sub.add_parser(name, help=f"{what} on an ideal-sheaf table")
         _add_table_source(p)

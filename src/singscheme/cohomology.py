@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .chow import SplitBundle, check_ambient_dimension
+from .chow import SplitBundle, check_ambient_dimension, read_number
 
 
 @dataclass(frozen=True)
@@ -493,7 +493,7 @@ class CohomologyTable:
 
     @classmethod
     def loads(cls, text: str) -> "CohomologyTable":
-        return cls.from_json(json.loads(text))
+        return cls.from_json(json.loads(text, parse_int=lambda s: read_number(s, "a table entry")))
 
 
 def _row_items(data: dict, key: str, n: int):

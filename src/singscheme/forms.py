@@ -25,6 +25,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
+# The one literal reader, shared with every command; the parser's cap is
+# importable from here too.
+from .chow import MAX_LITERAL_DIGITS, read_number
+
 
 # Monomial packing (Monagan-Pearce 2009): the exponent of z_i sits in bits
 # [i*FIELD_BITS, (i+1)*FIELD_BITS) of one int, so a monomial product is one
@@ -73,23 +77,6 @@ def variable_index(digits: str) -> int:
             f"a variable index of {len(digits)} digits exceeds the cap of {MAX_VARIABLES} variables"
         )
     return int(digits)
-
-
-# Python's own default limit on the digits of an int read from a string
-# (sys.int_info.default_max_str_digits), for each side of a fraction alike.
-MAX_LITERAL_DIGITS = 4300
-
-
-def read_number(text: str, what: str) -> int | Fraction:
-    """The int, or the Fraction of an a/b literal, that text spells. A side
-    of more than MAX_LITERAL_DIGITS digits is refused by its digit count
-    before int() or Fraction() reads it; the message names what was read,
-    not its digits."""
-    if len(text) > MAX_LITERAL_DIGITS:
-        digits = max(len(side.lstrip("-")) for side in text.split("/"))
-        if digits > MAX_LITERAL_DIGITS:
-            raise ValueError(f"{what} of {digits} digits exceeds the cap of {MAX_LITERAL_DIGITS} digits")
-    return Fraction(text) if "/" in text else int(text)
 
 
 def _canonical(packed: dict) -> dict:

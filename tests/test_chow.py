@@ -103,6 +103,11 @@ def chern_total(bundle: SplitBundle) -> ChowClass:
     return acc
 
 
+def dual(bundle: SplitBundle) -> SplitBundle:
+    """The dual bundle: every twist negated, multiplicities kept."""
+    return SplitBundle.from_counts(bundle.n, {-a: m for a, m in bundle.counts})
+
+
 def tangent_chern(n: int) -> ChowClass:
     """c(T) = (1 + h)^{n+1} via the Euler sequence."""
     return ChowClass.from_list(n, [comb(n + 1, i) for i in range(n + 1)])
@@ -226,7 +231,7 @@ class TestSplitBundle:
 
     def test_dual_and_twist(self):
         b = SplitBundle(3, (-2, -3))
-        assert b.dual().twists == (3, 2)
+        assert dual(b).twists == (3, 2)
         assert b.twist(2).twists == (0, -1)
 
     def test_str_groups_multiplicities(self):

@@ -5,6 +5,10 @@ codes are asserted directly; SINGSCHEME_COLOR=0 keeps output stable.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,27 @@ class TestCohomologyCommand:
         code, out, err = run(capsys, "cohomology", *argv)
         assert (code, out, err) == (1, "", "error: ambient dimension must be positive\n")
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_value_too_long_to_print(self, capsys, flags):
+        # h^0(O(a)) on P^3 is C(a+3, 3): about 12,900 digits for a twist of
+        # 4,300 ones, more than str() converts.
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf",
+                             f"O({'1' * MAX_LITERAL_DIGITS})", "--twists=0..0", *flags)
+        message = f"h^0(t=0) is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_longest_printable_value_is_printed(self, capsys, flags):
+        # h^0(O(0)^m) on P^1 at t=0 is m: 4,300 nines print, one more does not.
+        sheaf = f"O(0)^{'9' * MAX_LITERAL_DIGITS}"
+        argv = ("cohomology", "--n", "1", "--twists=0..0", *flags)
+        code, out, err = run(capsys, *argv, "--sheaf", sheaf)
+        assert (code, err) == (0, "")
+        assert "9" * MAX_LITERAL_DIGITS in out
+        code, out, err = run(capsys, *argv, "--sheaf", sheaf + "+O(0)")
+        message = f"h^0(t=0) is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestTwistRangeCap:
     @pytest.mark.parametrize(
@@ -249,6 +274,13 @@ class TestTableChecks:
         assert (code, out) == (1, "")
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    def test_entry_with_too_many_digits(self, capsys, tmp_path):
+        path = tmp_path / "huge.table.json"
+        path.write_text('{"n": 1, "rows": {"0": {"0": ' + "1" * 5000 + "}}}")
+        code, out, err = run(capsys, "regularity", "--table", str(path))
+        message = f"a table entry of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_field_message_kept(self, capsys, tmp_path):
         path = tmp_path / "bad.table.json"
@@ -702,3 +734,45 @@ class TestUsageAndColor:
                            "pfaff:2:-2,-2,-2")
         assert code == 0
         assert "\x1b[" not in out
+
+
+# The library modules one command loads in a fresh interpreter, beyond
+# singscheme.cli itself. Each handler imports what it runs, so a one-shot
+# process compiles only these; a module-level import in cli.py would show
+# up here as an extra name.
+PFAFF = "pfaff:2:-2,-2,-2"
+IMPORT_SETS = [
+    (("degree", "--n", "3", "--r", "1", "--d-list", "1"), {"chow"}),
+    (("pullback-degree", "--n", "3", "--k", "2", "--d", "2"), {"chow"}),
+    (("classify", "--n", "4", "--degree", "2"), {"chow"}),
+    (("cohomology", "--n", "3", "--sheaf", "O(-1)+O(-2)", "--twists=-1..2"), {"chow", "cohomology"}),
+    (("split-check", "--n", "3", "--sheaf", "Om(1,0)", "--criterion", "horrocks"),
+     {"chow", "cohomology", "criteria"}),
+    (("beilinson-bound", "--table", "t4.table.json", "--rank", "3"), {"chow", "cohomology", "criteria"}),
+    (("chase", "--pfaff=-2,-2,-2", "--r", "2"), {"chow", "cohomology", "criteria", "chase"}),
+    (("acm-check", "--from-chase", PFAFF), {"chow", "cohomology", "criteria", "chase"}),
+    (("buchsbaum-check", "--from-chase", PFAFF), {"chow", "cohomology", "criteria", "chase"}),
+    (("regularity", "--from-chase", "tangent:0,0", "--n", "3"), {"chow", "cohomology", "criteria", "chase"}),
+    (("form", "pullback", "--n", "3", "--field-degrees", "1,0"), {"chow", "forms", "hilbert"}),
+    (("form", "sing", "--input", "two_lines.form"), {"chow", "cohomology", "criteria", "forms", "hilbert"}),
+]
+CHILD = (
+    "import json, sys\n"
+    "from singscheme.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('singscheme.'))]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, modules", IMPORT_SETS, ids=[" ".join(w for w in a[:2] if not w.startswith("-")) for a, _ in IMPORT_SETS]
+)
+def test_command_imports_only_what_it_runs(tmp_path, argv, modules):
+    (tmp_path / "t4.table.json").write_text(table(tangent_sheaf(4), -6, -1).dumps())
+    (tmp_path / "two_lines.form").write_text(TWO_LINES_FORM + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "SINGSCHEME_COLOR": "0"}
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, proc.stderr) == (0, "")
+    assert set(loaded) == {f"singscheme.{m}" for m in modules | {"cli"}}

@@ -32,6 +32,7 @@ from singscheme.cohomology import (
     tangent_sheaf,
     tensor_with_split,
 )
+from test_chow import dual
 
 
 def chi_line(n: int, a: int) -> int:
@@ -233,9 +234,9 @@ class TestVirtualSheaf:
         assert s.atoms == ((LineBundle(-1), 2), (LineBundle(2), 1))
         assert SplitBundle(3, tuple(a.k for a, m in s.atoms for _ in range(m))) == b
         assert s.rank == b.rank
-        dual = VirtualSheaf.from_split(b.dual())
-        assert dual.atoms == ((LineBundle(-2), 1), (LineBundle(1), 2))
-        assert dual == VirtualSheaf.from_pairs(3, [(LineBundle(-a.k), m) for a, m in s.atoms])
+        s_dual = VirtualSheaf.from_split(dual(b))
+        assert s_dual.atoms == ((LineBundle(-2), 1), (LineBundle(1), 2))
+        assert s_dual == VirtualSheaf.from_pairs(3, [(LineBundle(-a.k), m) for a, m in s.atoms])
 
     def test_h_is_additive(self):
         s = VirtualSheaf.from_pairs(
@@ -385,7 +386,7 @@ class TestPowers:
         t = tangent_sheaf(3)
         assert t.twist(-4) == VirtualSheaf.from_atom(3, CotangentPower(2, 0))
         assert all(t.twist(-4).h(q) == t.h(q, -4) for q in range(4))
-        assert SplitBundle(3, (-1, 2)).dual() == SplitBundle(3, (1, -2))
+        assert dual(SplitBundle(3, (-1, 2))) == SplitBundle(3, (1, -2))
 
 
 class TestDimValue:
