@@ -7,18 +7,20 @@ walks an ordered list of such triples in two passes. The window pass
 orders the triples and bounds the twist support of every unknown row by
 window propagation; it runs once per chase, and windowed_chase and the
 distribution bounds pick their queries off its windows. The
-materialization pass then computes the requested entries: exact where the
-six-term neighborhood has enough zeros, an interval [lo, hi] from
-rank-nullity otherwise. Given and solved unknowns are both
-CohomologyTables, the solved ones filled in as their entries are
-materialized, so every read of an unknown is a table lookup, and every
-read of a closed-form term is its sheaf's row. Materialization stores
-values only, and every triple is checked for Euler-characteristic
-consistency at the twists it touched where the check can fail: all of them
+materialization pass then computes the requested entries a row at a time:
+exact where the six-term neighborhood has enough zeros, an interval
+[lo, hi] from rank-nullity otherwise. Given and solved unknowns are both
+CohomologyTables, the solved ones filled in as their rows are
+materialized. A row's solve reads each of its four columns once, over the
+twists the row's window holds: an unknown's column from its table's row,
+a closed-form term's from its sheaf's h_row. Materialization stores values
+only, and every triple is checked for Euler-characteristic consistency,
+row-wise, at the twists it touched where the check can fail: all of them
 when tables are given, else those where the one end row that the solve
-cannot balance is nonzero. Each entry's trace, which replays to the same
-number, is rebuilt on first read of ChaseResult.traces from the plan and
-the filled tables, through the same reads as the solve.
+cannot balance is nonzero, read as one row. Each entry's trace, which
+replays to the same number, is rebuilt on first read of ChaseResult.traces
+from the plan and the filled tables, through the same row reads as the
+solve.
 
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
@@ -30,6 +32,7 @@ distribution sheaves derived from the ideal sequence.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,19 +132,15 @@ def _label(tr: ExactTriple) -> str:
     return tr.label or f"0->{tr.a}->{tr.b}->{tr.c}->0"
 
 
-def _reads(tr: ExactTriple, pos: str, q: int, t: int, tables: dict) -> list:
-    """The (lo, hi) of each term that solving pos at row q and chase twist t
-    reads, in _READS order: the one reader for the solve and the traces."""
-    out = []
-    for role, dq in _READS[pos]:
-        term = tr.term(role)
-        if isinstance(term, TableRef):
-            v = tables[term.name].value(q + dq, t + term.offset)
-            out.append((v.lo, v.hi))
-        else:
-            h = term.h(q + dq, t) if 0 <= q + dq <= term.n else 0
-            out.append((h, h))
-    return out
+def _read_row(term: Term, q: int, ts: list, tables: dict) -> list:
+    """The (lo, hi) of a term's row q at each chase twist of the strictly
+    ascending list ts: a table's row dict, or a sheaf's h_row. The one
+    reader for the solve, the Euler check and the traces."""
+    if isinstance(term, VirtualSheaf):
+        return [(h, h) for h in (term.h_row(q, ts) if 0 <= q <= term.n else [0] * len(ts))]
+    tab, off = tables[term.name], term.offset
+    row = tab.rows.get(q, {})
+    return [(v.lo, v.hi) for v in (row.get(t + off) or tab.value(q, t + off) for t in ts)]
 
 
 def _solve(reads) -> DimValue:
@@ -212,8 +211,9 @@ class ChaseResult:
     whose rows are its materialized entries; unknowns names the solved
     unknowns in solving order, and plan holds the (triple, position, name,
     offset) that solves each. traces, one Trace per entry, is a read-only
-    mapping built on first read from the plan and the filled tables: a solve
-    read only entries materialized before it, and none changes afterwards.
+    mapping built on first read from the plan and the filled tables, each
+    row read as its solve read it: a solve read only entries materialized
+    before it, and none changes afterwards.
     """
 
     n: int
@@ -224,10 +224,20 @@ class ChaseResult:
 
     @cached_property
     def traces(self) -> Mapping:
-        solvers = {}
+        solvers, inputs = {}, {}
         for tr, pos, name, offset in self.plan:
             terms = {role: str(tr.term(role)) for role in _POSITIONS}
-            solvers[name] = (tr, pos, offset, _label(tr), terms)
+            solvers[name] = (_label(tr), pos)
+            tab = self.tables[name]
+            for q, row in tab.rows.items():
+                ss = [s for s in sorted(row) if tab.window(q).contains(s)]
+                ts = [s - offset for s in ss]
+                cols = [_read_row(tr.term(role), q + dq, ts, self.tables) for role, dq in _READS[pos]]
+                for s, t, reads in zip(ss, ts, zip(*cols)):
+                    inputs[name, q, s] = tuple(
+                        TraceInput(role, terms[role], q + dq, t, lo, hi)
+                        for (role, dq), (lo, hi) in zip(_READS[pos], reads)
+                    )
         traces = {}
         for key, v in self.entries.items():
             name, q, s = key
@@ -235,16 +245,11 @@ class ChaseResult:
                 traces[key] = Trace(name, q, s, "unbounded", "", (), 0, None)
             elif name not in solvers:
                 traces[key] = Trace(name, q, s, "given", "", (), v.lo, v.hi)
-            elif not self.tables[name].window(q).contains(s):
-                traces[key] = Trace(name, q, s, "window", solvers[name][3], (), 0, 0)
+            elif key not in inputs:
+                traces[key] = Trace(name, q, s, "window", solvers[name][0], (), 0, 0)
             else:
-                tr, pos, offset, label, terms = solvers[name]
-                t = s - offset
-                inputs = tuple(
-                    TraceInput(role, terms[role], q + dq, t, lo, hi)
-                    for (role, dq), (lo, hi) in zip(_READS[pos], _reads(tr, pos, q, t, self.tables))
-                )
-                traces[key] = Trace(name, q, s, f"solve-{pos}", label, inputs, v.lo, v.hi)
+                label, pos = solvers[name]
+                traces[key] = Trace(name, q, s, f"solve-{pos}", label, inputs[key], v.lo, v.hi)
         return MappingProxyType(traces)
 
     def _table(self, name: str) -> CohomologyTable:
@@ -311,37 +316,16 @@ def _term_window(term: Term, q: int, tables: dict) -> Window:
     return Window.everything() if w is None else w.shift(-term.offset)
 
 
-def _term_chi(term: Term, t: int, tables: dict) -> int | None:
-    """Euler characteristic of a term at chase twist t; None unless every
-    row of it is exact there."""
+def _chi_row(term: Term, ts: list, tables: dict) -> list:
+    """Euler characteristic of a term at each chase twist of the strictly
+    ascending list ts; None where some row of it is not exact."""
     if isinstance(term, VirtualSheaf):
-        return term.chi(t)
-    tab, s = tables[term.name], t + term.offset
-    chi = 0
-    for q in range(tab.n + 1):
-        v = tab.value(q, s)
-        if v.hi != v.lo:
-            return None
-        chi += -v.lo if q % 2 else v.lo
-    return chi
-
-
-def _end_possibly_nonzero(tr: ExactTriple, pos: str, t: int, tables: dict) -> bool:
-    """Whether the end row that a solve of pos leaves out of the Euler
-    balance can be nonzero at chase twist t.
-
-    With every column exact, solving c leaves chi(a) - chi(b) + chi(c) =
-    h^0(a), solving a leaves (-1)^n h^n(c), and solving b balances. A
-    nonzero end is closed-form data that no short exact sequence realizes,
-    such as h^0(a(t)) > 0 = h^0(b(t)).
-    """
-    if pos == "b":
-        return False
-    role, q = ("a", 0) if pos == "c" else ("c", tr.n)
-    term = tr.term(role)
-    if isinstance(term, TableRef):
-        return tables[term.name].value(q, t + term.offset).possibly_nonzero
-    return term.h(q, t) > 0
+        return term.chi_row(ts)
+    cols = zip(*(_read_row(term, q, ts, tables) for q in range(tables[term.name].n + 1)))
+    return [
+        None if any(lo != hi for lo, hi in col) else sum((-1) ** q * lo for q, (lo, _) in enumerate(col))
+        for col in cols
+    ]
 
 
 def chase(triples, queries=(), given=None) -> ChaseResult:
@@ -462,30 +446,46 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
                     if 0 <= q + dq <= n:
                         req[other.name].setdefault(q + dq, set()).update(s + shift for s in ss)
 
-    # Materialization, in order, into each unknown's table.
+    # Materialization, in order, a row at a time into each unknown's
+    # table: the entries inside the row's window solve from four column
+    # reads, and those outside it are certified zero.
     entries = result.entries
     has_given = any(name not in req for name in tables)
     for tr, pos, name, offset in plan:
         tab = tables[name]
         for q in sorted(req[name]):
             w, row = tab.window(q), tab.rows.setdefault(q, {})
-            for s in sorted(req[name][q]):
-                v = _solve(_reads(tr, pos, q, s - offset, tables)) if w.contains(s) else _ZERO
-                row[s] = v
-                entries[(name, q, s)] = v
+            ss = sorted(req[name][q])
+            i, j = (len(ss), len(ss)) if w.empty else (0, len(ss))
+            if w.lo is not None:
+                i = bisect_left(ss, w.lo)
+            if w.hi is not None:
+                j = bisect_right(ss, w.hi)
+            ts = [s - offset for s in ss[i:j]]
+            cols = [_read_row(tr.term(role), q + dq, ts, tables) for role, dq in _READS[pos]]
+            values = [_ZERO] * i + list(map(_solve, zip(*cols))) + [_ZERO] * (len(ss) - j)
+            row.update(zip(ss, values))
+            entries.update(((name, q, s), v) for s, v in zip(ss, values))
 
         # Euler-characteristic consistency at every twist this triple
-        # materialized, wherever all three columns are exact; without given
-        # tables it can only fail where the end row is nonzero.
+        # materialized, wherever all three columns are exact. Without given
+        # tables it can fail only where the end row the solve leaves out of
+        # the balance is nonzero: h^0(a) for a solve of c, h^n(c) for one
+        # of a, none for b. Such a twist has closed-form data that no short
+        # exact sequence realizes, such as h^0(a(t)) > 0 = h^0(b(t)).
         twists = sorted({s - offset for ss in req[name].values() for s in ss})
         if not has_given:
-            twists = [t for t in twists if _end_possibly_nonzero(tr, pos, t, tables)]
-        for t in twists:
-            chis = [_term_chi(tr.term(p2), t, tables) for p2 in _POSITIONS]
-            if None not in chis and chis[0] - chis[1] + chis[2] != 0:
+            role, q = ("a", 0) if pos == "c" else ("c", n)
+            end = _read_row(tr.term(role), q, twists, tables) if pos != "b" else []
+            twists = [t for t, (_, hi) in zip(twists, end) if hi is None or hi > 0]
+        if not twists:
+            continue
+        chis = [_chi_row(tr.term(p2), twists, tables) for p2 in _POSITIONS]
+        for t, a, b, c in zip(twists, *chis):
+            if None not in (a, b, c) and a - b + c != 0:
                 raise InconsistentTripleError(
                     f"triple {_label(tr)} at twist {t}: "
-                    f"chi(a)-chi(b)+chi(c) = {chis[0]}-{chis[1]}+{chis[2]} != 0"
+                    f"chi(a)-chi(b)+chi(c) = {a}-{b}+{c} != 0"
                 )
 
     for name, deg, t in given_reads:

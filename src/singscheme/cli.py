@@ -66,15 +66,17 @@ def _fmt_window(w) -> str:
     return f"nonzero only for {w.lo} <= t <= {w.hi}"
 
 
-def _check_printable(cells) -> None:
-    """Refuse, by name, the first (q, t, value) cell holding a number of
-    more than MAX_LITERAL_DIGITS digits: str() would refuse it mid-output,
-    with a message that names no value."""
+def _check_printable(cells, name: str = "h^{}(t={})") -> None:
+    """Refuse, by name, the first (*key, value) cell whose value, an int or
+    a DimValue, holds a number of more than MAX_LITERAL_DIGITS digits: str()
+    would refuse it mid-output, with a message that names no value. name
+    formats the key."""
     from .chow import MAX_LITERAL_DIGITS
     limit = 10**MAX_LITERAL_DIGITS
-    for q, t, v in cells:
-        if v.lo >= limit or (v.hi is not None and v.hi >= limit):
-            raise ValueError(f"h^{q}(t={t}) is too long to print: more than {MAX_LITERAL_DIGITS} digits")
+    for *key, v in cells:
+        lo, hi = (v, v) if isinstance(v, int) else (v.lo, v.hi)
+        if abs(lo) >= limit or (hi is not None and hi >= limit):
+            raise ValueError(f"{name.format(*key)} is too long to print: more than {MAX_LITERAL_DIGITS} digits")
 
 
 def _emit_json(payload: dict) -> None:
@@ -162,13 +164,15 @@ def _parse_twist_range(text: str) -> tuple[int, int]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [s for s in text.split(",") if s.strip()]
+    """The comma-separated integers of text, each read by read_number, so
+    an entry of too many digits gets the cap message."""
+    from .chow import read_number
+    items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ValueError("empty integer list")
-    try:
-        return tuple(int(s) for s in items)
-    except ValueError:
-        raise ValueError(f"bad integer list {text!r}") from None
+    if not all((s[1:] if s[0] in "+-" else s).isdecimal() for s in items):
+        raise ValueError(f"bad integer list {text!r}")
+    return tuple(read_number(s, "a list entry") for s in items)
 
 
 def _chase_data(kind: str, text: str, r: int | None, n_flag: int | None):
@@ -226,7 +230,9 @@ def _input_table(args):
 
 def _cmd_degree(args) -> int:
     from .chow import singular_degree_formula
-    print(singular_degree_formula(args.n, args.r, _parse_int_list(args.d_list)))
+    degree = singular_degree_formula(args.n, args.r, _parse_int_list(args.d_list))
+    _check_printable([(degree,)], "the degree")
+    print(degree)
     return 0
 
 

@@ -16,6 +16,13 @@ distinct twist, and Sym^j and Lambda^j are convolutions over those counts.
 The tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1). A VirtualSheaf
 reads its rows per sheaf: its windows come from one pass over its atoms,
 and h^q and chi at a twist sum only the atoms that can be nonzero there.
+
+Rows are read a list of twists at a time. The h^0 formula of Omega^p(u),
+C(u+n-p, u) C(u-1, p) read as a polynomial in u, is chi(Omega^p(u)) and
+vanishes on [-(n-p), -1] and [1, p]. So outside a band around the twists
+-k of the atoms, rows 0 and n are +-chi, the middle rows are zero, and
+chi(F(t)) is an integer polynomial of degree <= n in t: h_row reads it off
+forward differences and calls the per-twist h inside the band only.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, islice, repeat
 from math import comb
 
 from .chow import SplitBundle, check_ambient_dimension, read_number
@@ -285,6 +293,52 @@ class VirtualSheaf:
         mid = sum((-1) ** q * points[q].get(twist, 0) for q in range(1, self.n) if points[q])
         return self.h(0, twist) + (-1) ** self.n * self.h(self.n, twist) + mid
 
+    def chi_row(self, twists) -> list[int]:
+        """chi at each twist of a strictly ascending list, in int adds: each
+        run of consecutive twists, where t - index is constant, extends the
+        forward differences of its first n+1 values, since chi(F(t)) is a
+        polynomial of degree <= n in t."""
+        out, i = [], 0
+        while i < len(twists):
+            j = bisect_right(range(len(twists)), twists[i] - i, lo=i, key=lambda m: twists[m] - m)
+            diffs, d = [], [self.chi(t) for t in twists[i : min(j, i + self.n + 1)]]
+            while d:
+                diffs.append(d[0])
+                d = [b - a for a, b in zip(d, d[1:])]
+            row = repeat(diffs.pop())
+            for c in reversed(diffs):
+                row = accumulate(row, initial=c)
+            out += islice(row, j - i)
+            i = j
+        return out
+
+    @cached_property
+    def _edges(self) -> tuple[int, int]:
+        """The first twist with h^0 = chi (every k + t >= 1) and the last
+        with h^n = (-1)^n chi (every k + t <= -1)."""
+        ks = [atom.k for atom, _ in self.atoms]
+        return 1 - min(ks), -1 - max(ks)
+
+    def h_row(self, q: int, twists) -> list[int]:
+        """h^q at each twist of a strictly ascending list: +-chi_row beyond
+        the band edge, the per-twist h inside the band, zero outside the
+        window."""
+        n = self.n
+        if not 0 <= q <= n:
+            raise ValueError("need 0 <= p, q <= n")
+        if 0 < q < n:
+            points = self._rows[3][q]
+            return [points.get(t, 0) for t in twists]
+        w, (first, last) = self._rows[0][q], self._edges
+        if q == 0:
+            j = bisect_left(twists, first)
+            i = min(j, bisect_left(twists, w.lo))
+            return [0] * i + [self.h(0, t) for t in twists[i:j]] + self.chi_row(twists[j:])
+        j = bisect_right(twists, last)
+        i = max(j, bisect_right(twists, w.hi))
+        tops = [(-1) ** n * c for c in self.chi_row(twists[:j])]
+        return tops + [self.h(n, t) for t in twists[j:i]] + [0] * (len(twists) - i)
+
     def row_window(self, q: int) -> Window:
         if not 0 <= q <= self.n:
             return Window.nothing()
@@ -478,7 +532,7 @@ class CohomologyTable:
         if n < 1:
             raise ValueError(f"malformed table: n must be positive, got {n}")
         rows = {
-            q: {int(t): DimValue.from_json(v) for t, v in _json_value(row, dict, f"row {q}").items()}
+            q: {_json_key(t): DimValue.from_json(v) for t, v in _json_value(row, dict, f"row {q}").items()}
             for q, row in _row_items(data, "rows", n)
         }
         windows = {
@@ -496,12 +550,18 @@ class CohomologyTable:
         return cls.from_json(json.loads(text, parse_int=lambda s: read_number(s, "a table entry")))
 
 
+def _json_key(text: str) -> int:
+    """An object key of the table format, a twist or a row index, read by
+    read_number under the table cap; int() refuses an a/b key."""
+    return int(text) if "/" in text else read_number(text, "a table entry")
+
+
 def _row_items(data: dict, key: str, n: int):
     """(q, value) for each entry of the per-row object data[key], with q
     checked to lie in 0..n."""
     out = []
     for q, value in _json_value(data.get(key, {}), dict, repr(key)).items():
-        q = int(q)
+        q = _json_key(q)
         if not 0 <= q <= n:
             raise ValueError(f"{key[:-1]} index {q} out of range")
         out.append((q, value))
@@ -526,5 +586,6 @@ def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
         ts = set(range(twist_lo, twist_hi + 1))
         if w.is_finite:
             ts.update(range(w.lo, w.hi + 1))
-        rows[q] = {t: DimValue.exact(sheaf.h(q, t)) for t in sorted(ts)}
+        ts = sorted(ts)
+        rows[q] = dict(zip(ts, map(DimValue.exact, sheaf.h_row(q, ts))))
     return CohomologyTable(n, rows, windows)

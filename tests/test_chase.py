@@ -19,12 +19,14 @@ from pathlib import Path
 import pytest
 
 from singscheme.chase import (
+    _READS,
     ChaseDependencyError,
     ChaseResult,
     ExactTriple,
     InconsistentTripleError,
     TableRef,
     Trace,
+    _solve,
     chase,
     distribution_cohomology_bounds,
     en_complex_pfaff,
@@ -600,6 +602,49 @@ class TestLazyTraces:
         acm_check(tab)
         regularity(tab)
         assert res.explain_json() == before
+
+
+def per_entry_rows(result):
+    """The rows of each unknown of result, materialized one entry at a time:
+    each entry result holds is solved on its own from the four reads of
+    _READS, in plan order, with per-twist sheaf reads h(q, t) and table
+    lookups value(q, t). The reference for the row-at-a-time solve."""
+    tables = {name: CohomologyTable(result.n, {}, result.tables[name].windows) for name in result.unknowns}
+    for tr, pos, name, offset in result.plan:
+        tab = tables[name]
+        for _, q, s in sorted(key for key in result.entries if key[0] == name):
+            t, reads = s - offset, []
+            for role, dq in _READS[pos]:
+                term = tr.term(role)
+                if isinstance(term, TableRef):
+                    v = tables[term.name].value(q + dq, t + term.offset)
+                    reads.append((v.lo, v.hi))
+                else:
+                    h = term.h(q + dq, t) if 0 <= q + dq <= result.n else 0
+                    reads.append((h, h))
+            tab.rows.setdefault(q, {})[s] = _solve(reads) if tab.window(q).contains(s) else DimValue.exact(0)
+    return {name: tab.rows for name, tab in tables.items()}
+
+
+PFAFF_GRID = [
+    (r, twists)
+    for r in (1, 2, 3)
+    for rank in (2, 3)
+    for twists in combinations_with_replacement((-4, -3, -2), rank)
+]
+
+
+class TestRowMaterialization:
+    """windowed_chase solves a row at a time; its tables must be the ones
+    the per-entry solve gives, over wide twist ranges."""
+
+    @pytest.mark.parametrize("r, twists", PFAFF_GRID, ids=[f"r={r}:{t}" for r, t in PFAFF_GRID])
+    def test_rows_equal_per_entry_solve(self, r, twists):
+        n = len(twists) + r
+        queries = [("I_Z", q, (-300, 300)) for q in range(n + 1)]
+        result = windowed_chase(en_complex_pfaff(SplitBundle(n, twists), r, n), "I_Z", queries)
+        assert per_entry_rows(result) == {name: result.tables[name].rows for name in result.unknowns}
+        assert len(result.entries) >= 601 * (n + 1)
 
 
 class TestChasedTableSerialization:

@@ -54,6 +54,23 @@ class TestDegreeCommands:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_list_entry_with_too_many_digits(self, capsys):
+        code, out, err = run(capsys, "degree", "--n", "3", "--r", "1", "--d-list", "1" * 5000)
+        message = f"a list entry of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_degree_too_long_to_print(self, capsys):
+        # an entry of 4,300 ones is under the literal cap, but the degree,
+        # cubic in it, has about 12,900 digits
+        code, out, err = run(capsys, "degree", "--n", "3", "--r", "1", "--d-list", "1" * MAX_LITERAL_DIGITS)
+        message = f"the degree is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_malformed_list_entry(self, capsys):
+        for text in ("1,x", "1/2", "1,--1", "+"):
+            code, out, err = run(capsys, "degree", "--n", "3", "--r", "1", "--d-list", text)
+            assert (code, out, err) == (1, "", f"error: bad integer list {text!r}\n")
+
 
 class TestSheafGrammar:
     def test_spec_example_parses(self):
@@ -278,6 +295,18 @@ class TestTableChecks:
     def test_entry_with_too_many_digits(self, capsys, tmp_path):
         path = tmp_path / "huge.table.json"
         path.write_text('{"n": 1, "rows": {"0": {"0": ' + "1" * 5000 + "}}}")
+        code, out, err = run(capsys, "regularity", "--table", str(path))
+        message = f"a table entry of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 1, "rows": {"0": {"KEY": 0}}}', '{"n": 1, "windows": {"KEY": null}}'],
+        ids=["twist", "row index"],
+    )
+    def test_key_with_too_many_digits(self, capsys, tmp_path, text):
+        path = tmp_path / "huge-key.table.json"
+        path.write_text(text.replace("KEY", "1" * 5000))
         code, out, err = run(capsys, "regularity", "--table", str(path))
         message = f"a table entry of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
         assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -275,6 +275,36 @@ class TestVirtualSheaf:
                 assert s.chi(t) == sum((-1) ** q * h for q, h in enumerate(hs))
                 assert s.chi(t) == sum(m * chi_omega(n, a.p, a.k + t) for a, m in s.atoms)
 
+    def test_rows_read_as_lists_match_per_twist_reads(self):
+        # h_row and chi_row against the per-twist h and chi, on twist lists
+        # that cross both band edges (1 - min k for h^0, -1 - max k for
+        # h^n): one long run, runs cut short of n+1 twists by gaps, and a
+        # sparse random list.
+        rng = random.Random(20261019)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            pairs = [
+                (normalize_atom(n, rng.randint(0, n), rng.randint(-10, 10)), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 5))
+            ]
+            s = VirtualSheaf.from_pairs(n, pairs)
+            ks = [a.k for a, _ in s.atoms]
+            lo, hi = -1 - max(ks) - rng.randint(0, 3 * n + 8), 1 - min(ks) + rng.randint(0, 3 * n + 8)
+            run = list(range(lo, hi + 1))
+            short, t = [], lo
+            while t <= hi:
+                length = rng.randint(1, n)
+                short += range(t, min(t + length, hi + 1))
+                t += length + rng.randint(1, 3)
+            sparse = sorted(rng.sample(run, rng.randint(0, len(run))))
+            for ts in (run, short, sparse, []):
+                assert s.chi_row(ts) == [s.chi(t) for t in ts]
+                for q in range(n + 1):
+                    assert s.h_row(q, ts) == [s.h(q, t) for t in ts]
+            for q in (-1, n + 1):
+                with pytest.raises(ValueError, match="0 <= p, q <= n"):
+                    s.h_row(q, run)
+
     def test_h_rejects_rows_outside_zero_to_n(self):
         for n in (1, 3, 6):
             s = VirtualSheaf.from_pairs(n, [(LineBundle(-n - 2), 1), (LineBundle(1), 2)])
