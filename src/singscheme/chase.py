@@ -7,20 +7,17 @@ walks an ordered list of such triples in two passes. The window pass
 orders the triples and bounds the twist support of every unknown row by
 window propagation; it runs once per chase, and windowed_chase and the
 distribution bounds pick their queries off its windows. The
-materialization pass then computes the requested entries a row at a time:
-exact where the six-term neighborhood has enough zeros, an interval
-[lo, hi] from rank-nullity otherwise. Given and solved unknowns are both
-CohomologyTables, the solved ones filled in as their rows are
-materialized. A row's solve reads each of its four columns once, over the
-twists the row's window holds: an unknown's column from its table's row,
-a closed-form term's from its sheaf's h_row. Materialization stores values
-only, and every triple is checked for Euler-characteristic consistency,
-row-wise, at the twists it touched where the check can fail: all of them
-when tables are given, else those where the one end row that the solve
-cannot balance is nonzero, read as one row. Each entry's trace, which
-replays to the same number, is rebuilt on first read of ChaseResult.traces
-from the plan and the filled tables, through the same row reads as the
-solve.
+materialization pass then writes the requested rows of the solved
+unknowns, once each, into their CohomologyTables, the one store of the
+values: exact where the six-term neighborhood has enough zeros, an
+interval [lo, hi] from rank-nullity otherwise. A row's solve reads each
+of its four columns once, over the twists the row's window holds: a
+table's row, or a closed-form sheaf's h_row. Every triple is checked for
+Euler-characteristic consistency, row-wise, where the check can fail: at
+every twist it touched when tables are given, else where the one end row
+that the solve cannot balance is nonzero. ChaseResult.entries and its
+traces, which replay to the same numbers through the solve's own row
+reads, are read off the plan and the tables on first read.
 
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
@@ -143,6 +140,21 @@ def _read_row(term: Term, q: int, ts: list, tables: dict) -> list:
     return [(v.lo, v.hi) for v in (row.get(t + off) or tab.value(q, t + off) for t in ts)]
 
 
+def _row_reads(step, q: int, ss: list, tables: dict):
+    """For the plan step (triple, position, name, offset) and ss, strictly
+    ascending twists of row q of the unknown it solves: the twists of ss
+    that the row's window holds, and at each of them the four (lo, hi)
+    reads of _READS. The one row read of the solve and the traces."""
+    tr, pos, name, offset = step
+    w = tables[name].window(q)
+    i = 0 if w.lo is None else bisect_left(ss, w.lo)
+    j = len(ss) if w.hi is None else bisect_right(ss, w.hi)
+    inside = [] if w.empty else ss[i:j]
+    ts = [s - offset for s in inside]
+    cols = [_read_row(tr.term(role), q + dq, ts, tables) for role, dq in _READS[pos]]
+    return inside, list(zip(*cols))
+
+
 def _solve(reads) -> DimValue:
     """forced(keep1, kill1) + forced(keep2, kill2) over the four (lo, hi)
     reads, where forced(keep, kill) = [max(0, lo(keep) - hi(kill)), hi(keep)]."""
@@ -171,9 +183,8 @@ class Trace:
     """Provenance of one materialized entry.
 
     rule is one of solve-a / solve-b / solve-c (derived via the fixed
-    four-input rank-nullity formula), window (outside the certified
-    support), given (read off a supplied table), or unbounded (queried
-    unknown that no triple constrains).
+    four-input rank-nullity formula) or window (outside the certified
+    support).
     """
 
     unknown: str
@@ -190,10 +201,6 @@ def replay_trace(trace: Trace) -> DimValue:
     """Recompute a trace's value from its recorded inputs."""
     if trace.rule == "window":
         return DimValue.exact(0)
-    if trace.rule == "unbounded":
-        return DimValue.unknown()
-    if trace.rule == "given":
-        return DimValue(trace.lo, trace.hi)
     if trace.rule not in ("solve-a", "solve-b", "solve-c"):
         raise ValueError(f"unknown trace rule {trace.rule!r}")
     for i in trace.inputs:
@@ -203,65 +210,56 @@ def replay_trace(trace: Trace) -> DimValue:
 
 @dataclass(frozen=True)
 class ChaseResult:
-    """Everything a chase established: entries, tables, and provenance.
+    """Everything a chase established, kept as its tables and plan.
 
-    entries maps (unknown, q, twist) in the unknown's own twist coordinates
-    to an exact value or interval. tables holds the given tables and one
-    table per solved unknown, whose windows are complete (rows 0..n) and
-    whose rows are its materialized entries; unknowns names the solved
-    unknowns in solving order, and plan holds the (triple, position, name,
-    offset) that solves each. traces, one Trace per entry, is a read-only
-    mapping built on first read from the plan and the filled tables, each
-    row read as its solve read it: a solve read only entries materialized
-    before it, and none changes afterwards.
+    tables holds the given tables and one table per solved unknown, whose
+    windows are complete (rows 0..n) and whose rows, written once each in
+    ascending twists, are the one store of the solved values; plan holds
+    the (triple, position, name, offset) that solves each unknown, in
+    solving order, and unknowns their names. entries, (unknown, q, twist)
+    in the unknown's own coordinates to a value, in plan order, then q,
+    then twist, and traces, one Trace per entry, are read-only mappings
+    built on first read; the traces read each row as its solve did.
     """
 
     n: int
-    entries: dict
     tables: dict
-    unknowns: tuple
     plan: tuple
+
+    @property
+    def unknowns(self) -> tuple:
+        return tuple(name for _, _, name, _ in self.plan)
+
+    @cached_property
+    def entries(self) -> Mapping:
+        entries = {}
+        for name in self.unknowns:
+            for q, row in self.tables[name].rows.items():
+                entries.update(((name, q, s), v) for s, v in row.items())
+        return MappingProxyType(entries)
 
     @cached_property
     def traces(self) -> Mapping:
-        solvers, inputs = {}, {}
-        for tr, pos, name, offset in self.plan:
-            terms = {role: str(tr.term(role)) for role in _POSITIONS}
-            solvers[name] = (_label(tr), pos)
-            tab = self.tables[name]
-            for q, row in tab.rows.items():
-                ss = [s for s in sorted(row) if tab.window(q).contains(s)]
-                ts = [s - offset for s in ss]
-                cols = [_read_row(tr.term(role), q + dq, ts, self.tables) for role, dq in _READS[pos]]
-                for s, t, reads in zip(ss, ts, zip(*cols)):
-                    inputs[name, q, s] = tuple(
-                        TraceInput(role, terms[role], q + dq, t, lo, hi)
-                        for (role, dq), (lo, hi) in zip(_READS[pos], reads)
-                    )
         traces = {}
-        for key, v in self.entries.items():
-            name, q, s = key
-            if name not in self.tables:
-                traces[key] = Trace(name, q, s, "unbounded", "", (), 0, None)
-            elif name not in solvers:
-                traces[key] = Trace(name, q, s, "given", "", (), v.lo, v.hi)
-            elif key not in inputs:
-                traces[key] = Trace(name, q, s, "window", solvers[name][0], (), 0, 0)
-            else:
-                label, pos = solvers[name]
-                traces[key] = Trace(name, q, s, f"solve-{pos}", label, inputs[key], v.lo, v.hi)
+        for step in self.plan:
+            tr, pos, name, offset = step
+            label, terms = _label(tr), {role: str(tr.term(role)) for role in _POSITIONS}
+            for q, row in self.tables[name].rows.items():
+                solved = dict(zip(*_row_reads(step, q, list(row), self.tables)))
+                for s, v in row.items():
+                    inputs = tuple(
+                        TraceInput(role, terms[role], q + dq, s - offset, lo, hi)
+                        for (role, dq), (lo, hi) in zip(_READS[pos], solved.get(s, ()))
+                    )
+                    rule = f"solve-{pos}" if s in solved else "window"
+                    traces[name, q, s] = Trace(name, q, s, rule, label, inputs, v.lo, v.hi)
         return MappingProxyType(traces)
 
-    def _table(self, name: str) -> CohomologyTable:
-        """The table of name; one without entries or certificates for a
-        name that is neither given nor solved."""
-        return self.tables[name] if name in self.tables else CohomologyTable(self.n, {}, {})
-
     def value(self, name: str, q: int, twist: int) -> DimValue:
-        return self._table(name).value(q, twist)
+        return self.table(name).value(q, twist)
 
     def window(self, name: str, q: int) -> Window | None:
-        return self._table(name).window(q)
+        return self.table(name).window(q)
 
     def table(self, name: str, dim_z: int | None = None) -> CohomologyTable:
         if name not in self.tables:
@@ -334,10 +332,10 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
     Each triple must introduce exactly one unknown not yet solved (its
     other TableRefs must point at given tables or at unknowns solved by
     earlier triples); anything else raises ChaseDependencyError. queries
-    is an iterable of (name, q, (lo, hi)) asking for the unknown's values
-    on an inclusive twist range, in the unknown's own coordinates. A query
-    against a name no triple constrains is answered [0, inf) and flagged
-    "unbounded". On every triple, at every twist it materialized, the
+    is an iterable of (name, q, (lo, hi)) asking for an unknown's values
+    on an inclusive twist range, in the unknown's own coordinates; a query
+    on a name that no triple solves, a given table's included, raises
+    ValueError. On every triple, at every twist it materialized, the
     alternating sum of Euler characteristics must vanish whenever all three
     columns are exact; a violation raises InconsistentTripleError. Given
     tables that contradict their own certificates can cause one at any
@@ -352,8 +350,8 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
 def _window_pass(triples, given) -> ChaseResult:
     """Order the triples and bound the twist support of every unknown row.
 
-    Returns a ChaseResult without entries, whose tables are the given ones
-    plus one window-only table per unknown, and whose plan holds a (triple,
+    Returns a ChaseResult whose tables are the given ones plus one
+    window-only table per unknown, and whose plan holds a (triple,
     position, name, offset) per triple, in solving order.
     """
     triples = list(triples)
@@ -407,35 +405,29 @@ def _window_pass(triples, given) -> ChaseResult:
             windows[q] = Window.hull(*parts).shift(ref.offset)
         tables[ref.name] = CohomologyTable(n, {}, windows)
         plan.append((tr, pos, ref.name, ref.offset))
-    unknowns = tuple(name for _, _, name, _ in plan)
-    return ChaseResult(n, {}, tables, unknowns, tuple(plan))
+    return ChaseResult(n, tables, tuple(plan))
 
 
 def _materialize(result: ChaseResult, queries) -> ChaseResult:
     """Materialize the queried entries, and every entry their solves read,
     into the window pass's result, and check each triple's Euler
-    characteristics; returns that result. Only values are stored."""
+    characteristics; returns that result. Only values are stored, in the
+    solved unknowns' tables."""
     n, tables, plan = result.n, result.tables, result.plan
-    queries = [tuple(q) for q in queries]
-    for q in queries:
-        if len(q) != 3:
-            raise ValueError("queries are (name, q, (lo, hi)) tuples")
-        name, deg, rng = q
-        lo, hi = rng
-        if lo > hi:
-            raise ValueError(f"empty twist range {rng} for {name!r}")
 
     # Requirements per unknown and row, walking consumers before definers.
     req: dict[str, dict[int, set[int]]] = {name: {} for name in result.unknowns}
-    unbounded: list[tuple[str, int, int]] = []
-    given_reads: list[tuple[str, int, int]] = []
-    for name, deg, (lo, hi) in queries:
-        if name in req:
-            if 0 <= deg <= n:
-                req[name].setdefault(deg, set()).update(range(lo, hi + 1))
-        else:
-            keys = given_reads if name in tables else unbounded
-            keys.extend((name, deg, t) for t in range(lo, hi + 1))
+    for query in map(tuple, queries):
+        if len(query) != 3:
+            raise ValueError("queries are (name, q, (lo, hi)) tuples")
+        name, deg, rng = query
+        lo, hi = rng
+        if lo > hi:
+            raise ValueError(f"empty twist range {rng} for {name!r}")
+        if name not in req:
+            raise ValueError(f"query names {name!r}, which no triple of the chase solves")
+        if 0 <= deg <= n:
+            req[name].setdefault(deg, set()).update(range(lo, hi + 1))
 
     for tr, pos, name, offset in reversed(plan):
         for p2, dq in _READS[pos]:
@@ -449,23 +441,15 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
     # Materialization, in order, a row at a time into each unknown's
     # table: the entries inside the row's window solve from four column
     # reads, and those outside it are certified zero.
-    entries = result.entries
     has_given = any(name not in req for name in tables)
-    for tr, pos, name, offset in plan:
-        tab = tables[name]
+    for step in plan:
+        tr, pos, name, offset = step
         for q in sorted(req[name]):
-            w, row = tab.window(q), tab.rows.setdefault(q, {})
             ss = sorted(req[name][q])
-            i, j = (len(ss), len(ss)) if w.empty else (0, len(ss))
-            if w.lo is not None:
-                i = bisect_left(ss, w.lo)
-            if w.hi is not None:
-                j = bisect_right(ss, w.hi)
-            ts = [s - offset for s in ss[i:j]]
-            cols = [_read_row(tr.term(role), q + dq, ts, tables) for role, dq in _READS[pos]]
-            values = [_ZERO] * i + list(map(_solve, zip(*cols))) + [_ZERO] * (len(ss) - j)
-            row.update(zip(ss, values))
-            entries.update(((name, q, s), v) for s, v in zip(ss, values))
+            inside, reads = _row_reads(step, q, ss, tables)
+            row = dict.fromkeys(ss, _ZERO)
+            row.update(zip(inside, map(_solve, reads)))
+            tables[name].rows[q] = row
 
         # Euler-characteristic consistency at every twist this triple
         # materialized, wherever all three columns are exact. Without given
@@ -487,11 +471,6 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
                     f"triple {_label(tr)} at twist {t}: "
                     f"chi(a)-chi(b)+chi(c) = {a}-{b}+{c} != 0"
                 )
-
-    for name, deg, t in given_reads:
-        entries[(name, deg, t)] = tables[name].value(deg, t)
-    for name, deg, t in unbounded:
-        entries[(name, deg, t)] = DimValue.unknown()
     return result
 
 

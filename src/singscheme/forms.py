@@ -27,7 +27,7 @@ from math import comb, gcd, lcm
 
 # The one literal reader, shared with every command; the parser's cap is
 # importable from here too.
-from .chow import MAX_LITERAL_DIGITS, read_number
+from .chow import read_number
 
 
 # Monomial packing (Monagan-Pearce 2009): the exponent of z_i sits in bits

@@ -14,8 +14,8 @@ import pytest
 
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, table, tangent_sheaf
-from singscheme.chow import pullback_degree, singular_degree_formula
-from singscheme.forms import MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from singscheme.chow import MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
+from singscheme.forms import MAX_DEGREE, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from singscheme import forms
+from singscheme.chow import MAX_LITERAL_DIGITS, read_number
 from singscheme.forms import (
     FormParseError,
     GradedIdeal,
@@ -302,7 +303,7 @@ class TestVariableCap:
         for text, what in cases.items():
             with pytest.raises(ValueError) as exc:
                 parse_form(text, 2)
-            assert str(exc.value) == f"{what} exceeds the cap of {forms.MAX_LITERAL_DIGITS} digits"
+            assert str(exc.value) == f"{what} exceeds the cap of {MAX_LITERAL_DIGITS} digits"
 
     def test_a_4000_digit_coefficient_still_parses(self):
         c = "1" * 4000
@@ -310,11 +311,11 @@ class TestVariableCap:
         assert form_str(parse_form(f"{c}/3 z0 dz1 - z1 dz0", 2)) == f"-z1 dz0 + {c}/3*z0 dz1"
 
     def test_read_number_counts_digits_as_written_without_the_sign(self):
-        top = "9" * forms.MAX_LITERAL_DIGITS
-        assert forms.read_number("-" + top, "a twist") == -int(top)
+        top = "9" * MAX_LITERAL_DIGITS
+        assert read_number("-" + top, "a twist") == -int(top)
         for text in ("-" + top + "9", "0" + top):
-            with pytest.raises(ValueError, match=f"^a twist of {forms.MAX_LITERAL_DIGITS + 1} digits exceeds"):
-                forms.read_number(text, "a twist")
+            with pytest.raises(ValueError, match=f"^a twist of {MAX_LITERAL_DIGITS + 1} digits exceeds"):
+                read_number(text, "a twist")
 
     def test_pullback_rejects_a_ring_over_the_cap(self):
         with pytest.raises(ValueError, match=f"{forms.MAX_VARIABLES + 1} variables exceed the cap"):

@@ -1,9 +1,10 @@
-"""The README's command-line examples, run as written.
+"""The README's examples, run as written.
 
 Every `$ singscheme ...` line of the README is run in-process through
 main(argv), in a directory holding the two files the examples read, and
 its stdout must equal, line for line, the lines the README shows under
-it (up to the next blank line, comment, command or fence).
+it (up to the next blank line, comment, command or fence). Every
+```python block is executed in a fresh namespace.
 """
 
 import shlex
@@ -34,7 +35,23 @@ def readme_examples():
     return examples
 
 
+def readme_python_blocks():
+    """The body of each ```python block of the README."""
+    blocks, body = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if body is None:
+            if line.strip() == "```python":
+                body = []
+        elif line.strip() == "```":
+            blocks.append("\n".join(body) + "\n")
+            body = None
+        else:
+            body.append(line)
+    return blocks
+
+
 EXAMPLES = readme_examples()
+PYTHON_BLOCKS = readme_python_blocks()
 
 
 def test_readme_has_examples():
@@ -51,3 +68,12 @@ def test_readme_command_output(command, shown, capsys, tmp_path, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out.splitlines() == shown
+
+
+def test_readme_has_python_blocks():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})

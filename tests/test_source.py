@@ -34,6 +34,24 @@ def test_no_private_imports_between_modules():
     assert found == []
 
 
+def test_sibling_imports_are_used():
+    # A name imported from a sibling module and never referenced is either
+    # dead or a re-export; an alias of that kind hides which module owns
+    # the name.
+    found = []
+    for path in sorted(Path(singscheme.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+        ]
+    assert found == []
+
+
 def test_traced_benchmark_names_exist():
     # bench/run.py --trace 1 wraps these functions by name; a rename in the
     # package would otherwise only show up as a broken traced run.
