@@ -5,25 +5,24 @@ neighboring terms vanish, ranks are forced. ExactTriple records a short
 exact sequence whose terms are virtual sheaves or named unknowns; chase()
 walks an ordered list of such triples in two passes. The window pass
 orders the triples and bounds the twist support of every unknown row by
-window propagation; it runs once per chase, and windowed_chase and the
-distribution bounds pick their queries off its windows. The
-materialization pass then writes the requested rows of the solved
-unknowns, once each, into their CohomologyTables, the one store of the
-values: exact where the six-term neighborhood has enough zeros, an
-interval [lo, hi] from rank-nullity otherwise. A row's solve reads each
-of its four columns once, over the twists the row's window holds: a
-table's row, or a closed-form sheaf's h_row. Every triple is checked for
-Euler-characteristic consistency, row-wise, where the check can fail: at
-every twist it touched when tables are given, else where the one end row
-that the solve cannot balance is nonzero. ChaseResult.entries and its
-traces, which replay to the same numbers through the solve's own row
-reads, are read off the plan and the tables on first read.
+window propagation; it runs once per chase, and windowed_chase picks
+its queries off its windows. The materialization pass then writes the
+requested rows of the solved unknowns, once each, into their
+CohomologyTables, the one store of the values: exact where the six-term
+neighborhood has enough zeros, an interval [lo, hi] from rank-nullity
+otherwise. A row's solve reads each of its four columns once, over the
+twists the row's window holds: a table's row, or a closed-form sheaf's
+h_row. Every triple is checked for Euler-characteristic consistency,
+row-wise, where the check can fail: at every twist it touched when
+tables are given, else where the one end row that the solve cannot
+balance is nonzero. ChaseResult.entries and its traces, which replay to
+the same numbers through the solve's own row reads, are read off the
+plan and the tables on first read.
 
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
 analogues for split Pfaff data in dimensions 1..3, both cut into triples
-by one resolution builder, and the cohomology bounds for corank-one
-distribution sheaves derived from the ideal sequence.
+by one resolution builder.
 """
 
 from __future__ import annotations
@@ -43,10 +42,8 @@ from .cohomology import (
     Window,
     normalize_atom,
     sym_power,
-    tangent_sheaf,
     tensor_with_split,
 )
-from .criteria import Verdict, acm_check, possible_entries, vanishing_verdict
 
 
 class ChaseDependencyError(ValueError):
@@ -570,190 +567,5 @@ def pfaff_ideal_table(
     the scheme has dimension n - r - 1."""
     return windowed_chase(en_complex_pfaff(E, r, n), "I_Z", extra).table(
         "I_Z", dim_z=n - r - 1
-    )
-
-
-def _distribution_triple(d: int, n: int) -> ExactTriple:
-    """0 -> F -> T -> I_Z(d+2) -> 0 for a corank-one distribution of degree d."""
-    return ExactTriple(
-        TableRef("F"),
-        tangent_sheaf(n),
-        TableRef("I_Z", d + 2),
-        n,
-        label="distribution",
-    )
-
-
-def _ray_vanishing(tab: CohomologyTable, q: int, cutoff: int, label: str) -> Verdict:
-    """holds iff h^q vanishes at every twist <= cutoff."""
-    w = tab.window(q)
-    entries = possible_entries(tab, q, hi=cutoff)
-    if entries is None:
-        why = "has no zero certificate" if w is None else "unbounded below"
-        return Verdict("undetermined", (), f"{label}: row {q} {why}")
-    if w.empty or w.lo > cutoff:
-        return Verdict(
-            "holds", (), f"{label}: window clears all twists <= {cutoff}"
-        )
-    if entries:
-        s, v = entries[0]
-        if v.definitely_nonzero:
-            return Verdict("fails", ((q, s, v),), label)
-        return Verdict(
-            "undetermined", ((q, s, v),), f"{label}: twist {s} not pinned"
-        )
-    return Verdict(
-        "holds", (), f"{label}: twists {w.lo}..{cutoff} materialized zero"
-    )
-
-
-def _peak_verdict(tab: CohomologyTable, n: int) -> Verdict:
-    """Row n-1 supported only at -n-1, with value at most 1 there."""
-    q = n - 1
-    entries = possible_entries(tab, q)
-    if entries is None:
-        return Verdict(
-            "undetermined", (), "top intermediate row window is not finite"
-        )
-    away = [(t, v) for t, v in entries if t != -n - 1]
-    if away:
-        t, v = away[0]
-        if v.definitely_nonzero:
-            return Verdict(
-                "fails", ((q, t, v),), "support away from twist -n-1"
-            )
-        return Verdict(
-            "undetermined", ((q, t, v),), f"twist {t} not pinned"
-        )
-    peak = tab.value(q, -n - 1)
-    if peak.lo >= 2:
-        return Verdict("fails", ((q, -n - 1, peak),), "value exceeds 1")
-    if peak.hi is not None and peak.hi <= 1:
-        return Verdict(
-            "holds",
-            ((q, -n - 1, peak),),
-            "supported only at -n-1 and bounded by 1 there",
-        )
-    return Verdict(
-        "undetermined", ((q, -n - 1, peak),), "no upper bound at -n-1"
-    )
-
-
-@dataclass(frozen=True)
-class DistributionReport:
-    """Cohomology bounds for the tangent sheaf of a corank-one distribution.
-
-    items maps "i".."iv" to verdicts: (i) h^0(F(p)) = 0 for p <= -2;
-    (ii) h^1(F(p)) = 0 for p <= -d-3; and, under the hypothesis that the
-    singular scheme is ACM of dimension n-2, (iii) rows 2..n-2 vanish
-    identically and (iv) h^{n-1}(F(p)) is supported at p = -n-1 with value
-    at most 1. sheaf_table carries the chased bounds on F itself.
-    """
-
-    n: int
-    degree: int
-    acm: Verdict
-    items: dict
-    sheaf_table: CohomologyTable
-    ideal_table: CohomologyTable
-
-    @property
-    def holds(self) -> bool:
-        return all(v.holds for v in self.items.values())
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "acm": self.acm.to_json(),
-            "items": {k: v.to_json() for k, v in sorted(self.items.items())},
-            "holds": self.holds,
-        }
-
-
-def distribution_cohomology_bounds(F, d: int, n: int) -> DistributionReport:
-    """Bounds on h^q(F(p)) for a corank-one distribution of degree d.
-
-    F is the rank n-1 tangent sheaf, supplied either as a SplitBundle
-    (its singular-scheme table is chased from the tangent Eagon-Northcott
-    complex) or indirectly as the ideal-sheaf table of the singular
-    scheme. Everything flows from the single sequence
-    0 -> F -> T -> I_Z(d+2) -> 0; items (iii) and (iv) additionally need
-    the scheme to be ACM and are reported undetermined when that
-    hypothesis is not certified.
-    """
-    if n < 3:
-        raise ValueError("corank-one bounds need n >= 3")
-    if d < 0:
-        raise ValueError("distribution degree is nonnegative")
-    if isinstance(F, SplitBundle):
-        if F.n != n:
-            raise ValueError(f"bundle lives on P^{F.n}, not P^{n}")
-        if F.rank != n - 1:
-            raise ValueError(
-                f"corank-one data needs rank {n - 1}, got {F.rank}"
-            )
-        if d != (n - 1) - F.c1:
-            raise ValueError(
-                f"twists give degree {(n - 1) - F.c1}, not {d}"
-            )
-        triples = en_complex_tangent(F, n) + [_distribution_triple(d, n)]
-        given = {}
-    elif isinstance(F, CohomologyTable):
-        if F.n != n:
-            raise ValueError(f"table lives on P^{F.n}, not P^{n}")
-        triples = [_distribution_triple(d, n)]
-        given = {"I_Z": F}
-    else:
-        raise TypeError("F must be a SplitBundle or an ideal-sheaf table")
-
-    result = _window_pass(triples, given)
-    queries = []
-    w0 = result.window("F", 0)
-    if w0.lo is not None and w0.lo <= -2:
-        queries.append(("F", 0, (w0.lo, -2)))
-    w1 = result.window("F", 1)
-    if w1.lo is not None and w1.lo <= -d - 3:
-        queries.append(("F", 1, (w1.lo, -d - 3)))
-    for q in range(2, n - 1):
-        wq = result.window("F", q)
-        if wq.is_finite:
-            queries.append(("F", q, (wq.lo, wq.hi)))
-    wt = result.window("F", n - 1)
-    if wt.is_finite:
-        queries.append(
-            ("F", n - 1, (min(wt.lo, -n - 1), max(wt.hi, -n - 1)))
-        )
-    else:
-        queries.append(("F", n - 1, (-n - 1, -n - 1)))
-    _materialize(result, queries)
-
-    f_table = result.table("F")
-    ideal_table = result.table("I_Z", dim_z=n - 2)
-    acm = acm_check(ideal_table, n - 2)
-
-    gate = Verdict(
-        "undetermined",
-        (),
-        f"needs the singular scheme ACM of dimension {n - 2}; "
-        f"acm check came back {acm.decision}",
-    )
-    items = {
-        "i": _ray_vanishing(f_table, 0, -2, "no sections below twist -1"),
-        "ii": _ray_vanishing(
-            f_table, 1, -d - 3, f"h^1 vanishes below twist {-d - 2}"
-        ),
-        "iii": vanishing_verdict(f_table, 2, n - 2, "interior rows")
-        if acm.holds
-        else gate,
-        "iv": _peak_verdict(f_table, n) if acm.holds else gate,
-    }
-    return DistributionReport(
-        n=n,
-        degree=d,
-        acm=acm,
-        items=items,
-        sheaf_table=f_table,
-        ideal_table=ideal_table,
     )
 

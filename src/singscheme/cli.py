@@ -53,8 +53,6 @@ def _fmt_value(v) -> str:
 
 
 def _fmt_window(w) -> str:
-    if w is None:
-        return "no certified window"
     if w.empty:
         return "zero at every twist"
     if w.lo is None and w.hi is None:

@@ -28,7 +28,6 @@ from singscheme.chase import (
     Trace,
     _solve,
     chase,
-    distribution_cohomology_bounds,
     en_complex_pfaff,
     en_complex_tangent,
     pfaff_ideal_table,
@@ -52,7 +51,9 @@ from singscheme.criteria import (
     acm_check,
     beilinson_rank_bound,
     buchsbaum_numeric,
+    possible_entries,
     regularity,
+    vanishing_verdict,
 )
 
 
@@ -131,11 +132,21 @@ class TestChaseValidation:
         t2 = ExactTriple(O(4, -1), O(4, -1, 0), TableRef("Y"), 4)
         with pytest.raises(ValueError, match="different projective spaces"):
             chase([t1, t2])
+        t3 = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
+        with pytest.raises(ValueError, match="lives on P\\^3, chase on P\\^2"):
+            chase([t3], given={"A": zero_table(3)})
+
+    def test_given_must_be_a_table(self):
+        t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
+        with pytest.raises(ValueError, match="is not a cohomology table"):
+            chase([t], given={"A": 42})
 
     def test_bad_query_range(self):
         t1 = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
         with pytest.raises(ValueError, match="empty twist range"):
             chase([t1], [("X", 0, (2, 1))])
+        with pytest.raises(ValueError, match="queries are \\(name, q, \\(lo, hi\\)\\) tuples"):
+            chase([t1], [("X", 0)])
 
 
 def zero_table(n):
@@ -188,6 +199,16 @@ class TestDegenerateAndUnbounded:
         t = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
         with pytest.raises(ValueError, match="'Y'"):
             chase([t], [("X", 0, (0, 0)), ("Y", 1, (0, 2))])
+
+    def test_uncertified_given_solves_open_ended(self):
+        # 0 -> A -> O(-1) -> X -> 0 with nothing known of A: h^1(A) and
+        # h^2(A) bound neither h^0(X) nor h^1(X) from above
+        t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
+        res = chase([t], [("X", q, (-2, 2)) for q in (0, 1)], given={"A": CohomologyTable(2, {}, {})})
+        assert len(res.entries) == 10
+        for key, v in res.entries.items():
+            assert v == DimValue(0, None), key
+            assert replay_trace(res.traces[key]) == v, key
 
     def test_unconstrained_reads_raise(self):
         t = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
@@ -375,6 +396,8 @@ class TestPfaffComplexTerms:
             en_complex_pfaff(SplitBundle(7, (-2,) * 3), 4, 7)
         with pytest.raises(ValueError, match="needs rank 3"):
             en_complex_pfaff(SplitBundle(5, (-2, -2)), 2, 5)
+        with pytest.raises(ValueError, match="bundle lives on P\\^4, not P\\^3"):
+            en_complex_pfaff(SplitBundle(4, (-2, -2)), 1, 3)
 
     def test_nonzero_offset_chases_in_own_coordinates(self):
         # degree 2 data on P^4: the unknown is I_Z(1), so the h^1 singleton
@@ -703,58 +726,52 @@ class TestChasedTableSerialization:
             res.table("nonsense")
 
 
+def distribution_triple(d, n):
+    """0 -> F -> T -> I_Z(d+2) -> 0 for a corank-one distribution of degree d."""
+    return ExactTriple(TableRef("F"), tangent_sheaf(n), TableRef("I_Z", d + 2), n, label="distribution")
+
+
+def split_distribution_chase(twists):
+    """The distribution triple after the tangent Eagon-Northcott complex of
+    split F = (+) O(twists) on P^{rank F + 1}: every finite window row of F,
+    and its row n-1 at -n-1."""
+    n = len(twists) + 1
+    F = SplitBundle(n, twists)
+    triples = en_complex_tangent(F, n) + [distribution_triple((n - 1) - F.c1, n)]
+    return windowed_chase(triples, "F", extra=[("F", n - 1, (-n - 1, -n - 1))])
+
+
+def two_lines_distribution_chase():
+    """The distribution triple of degree 1 over the two-lines table; row 2
+    of F, with window -4..-3, is its one finite window row."""
+    return chase([distribution_triple(1, 3)], [("F", 2, (-4, -3))], given={"I_Z": two_lines_table()})
+
+
 class TestDistributionBounds:
+    """The ACM => bounds step of Theorem 1, read off the chased F: (i)
+    h^0(F(p)) = 0 for p <= -2; (ii) h^1(F(p)) = 0 for p <= -d-3; and, with
+    Z ACM of dimension n-2, (iii) rows 2..n-2 vanish and (iv) h^{n-1}(F(p))
+    lives at p = -n-1 only, with value at most 1 there."""
+
     def test_split_data_all_items_hold(self):
-        cases = [
-            (3, (0, 0)),
-            (3, (1, 1)),
-            (4, (1, 0, 0)),
-            (5, (0, 0, 0, 0)),
-            (5, (1, 1, 1, 1)),
-            (6, (-1, 0, 1, 0, 0)),
-        ]
-        for n, twists in cases:
-            F = SplitBundle(n, twists)
-            d = (n - 1) - F.c1
-            rep = distribution_cohomology_bounds(F, d, n)
-            assert rep.acm.holds, (n, twists)
-            for item in ("i", "ii", "iii", "iv"):
-                assert rep.items[item].holds, (n, twists, item)
-            assert rep.holds
-            assert rep.ideal_table.dim_z == n - 2
-            # the only possible h^{n-1} support is the anticanonical twist
-            assert rep.sheaf_table.window(n - 1) == Window(-n - 1, -n - 1)
-            peak = rep.sheaf_table.value(n - 1, -n - 1)
-            assert peak.hi is not None and peak.hi <= 1
+        for twists in [(0, 0), (1, 1), (1, 0, 0), (0, 0, 0, 0), (1, 1, 1, 1), (-1, 0, 1, 0, 0)]:
+            n, d = len(twists) + 1, len(twists) - sum(twists)
+            result = split_distribution_chase(twists)
+            f = result.table("F")
+            assert acm_check(result.table("I_Z", dim_z=n - 2)).holds, twists
+            assert possible_entries(f, 0, hi=-2) == [], twists
+            assert possible_entries(f, 1, hi=-d - 3) == [], twists
+            assert vanishing_verdict(f, 2, n - 2, "interior rows").holds, twists
+            assert f.window(n - 1) == Window(-n - 1, -n - 1), twists
+            assert f.value(n - 1, -n - 1).hi <= 1, twists
 
-    def test_report_json_shape(self):
-        rep = distribution_cohomology_bounds(SplitBundle(3, (0, 0)), 2, 3)
-        js = rep.to_json()
-        assert js["holds"] is True
-        assert set(js["items"]) == {"i", "ii", "iii", "iv"}
-        assert js["degree"] == 2
-
-    def test_fixture_table_gates_the_acm_items(self):
-        tab = two_lines_table()
-        rep = distribution_cohomology_bounds(tab, 1, 3)
-        assert rep.items["i"].holds
-        assert rep.items["ii"].holds
-        assert rep.items["iii"].decision == "undetermined"
-        assert rep.items["iv"].decision == "undetermined"
-        assert rep.acm.decision == "fails"
-        assert not rep.holds
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n >= 3"):
-            distribution_cohomology_bounds(SplitBundle(2, (0,)), 1, 2)
-        with pytest.raises(ValueError, match="rank 3"):
-            distribution_cohomology_bounds(SplitBundle(4, (0, 0)), 1, 4)
-        with pytest.raises(ValueError, match="degree"):
-            distribution_cohomology_bounds(SplitBundle(3, (0, 0)), 5, 3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            distribution_cohomology_bounds(SplitBundle(3, (2, 2)), -2, 3)
-        with pytest.raises(TypeError):
-            distribution_cohomology_bounds(42, 1, 3)
+    def test_fixture_table_meets_the_ray_bounds_only(self):
+        result = two_lines_distribution_chase()
+        f = result.table("F")
+        assert f.window(2) == Window(-4, -3)
+        assert possible_entries(f, 0, hi=-2) == []
+        assert possible_entries(f, 1, hi=-4) == []
+        assert acm_check(result.table("I_Z", dim_z=1)).decision == "fails"
 
 
 class TestSplitObstruction:
@@ -806,10 +823,8 @@ def _spec_cases(spec, E, r):
     }
 
 
-def _report_text(rep):
-    return "\n".join(
-        [json.dumps(rep.to_json(), sort_keys=True), rep.sheaf_table.dumps(), rep.ideal_table.dumps()]
-    )
+def _distribution_text(result):
+    return "\n".join([result.table("F").dumps(), result.table("I_Z", dim_z=result.n - 2).dumps()])
 
 
 GOLDEN_CASES = {
@@ -819,12 +834,8 @@ GOLDEN_CASES = {
         for key, case in _spec_cases(spec, E, r).items()
     },
     "omega-res two lines": lambda: two_lines_table().dumps(),
-    "distribution O(0)^2 d=2": lambda: _report_text(
-        distribution_cohomology_bounds(SplitBundle(3, (0, 0)), 2, 3)
-    ),
-    "distribution two lines d=1": lambda: _report_text(
-        distribution_cohomology_bounds(two_lines_table(), 1, 3)
-    ),
+    "distribution O(0)^2 d=2": lambda: _distribution_text(split_distribution_chase((0, 0))),
+    "distribution two lines d=1": lambda: _distribution_text(two_lines_distribution_chase()),
 }
 
 
@@ -899,9 +910,7 @@ class TestEulerIdentity:
         # Eagon-Northcott triples solve position c
         n = len(F) + 1
         d = (n - 1) - sum(F)
-        triples = en_complex_tangent(SplitBundle(n, F), n) + [
-            ExactTriple(TableRef("F"), tangent_sheaf(n), TableRef("I_Z", d + 2), n, label="distribution")
-        ]
+        triples = en_complex_tangent(SplitBundle(n, F), n) + [distribution_triple(d, n)]
         result = chase(triples, [("F", q, (-20, 20)) for q in range(n + 1)])
         assert _euler_checks(result) > 0
 

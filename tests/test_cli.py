@@ -70,6 +70,8 @@ class TestDegreeCommands:
         for text in ("1,x", "1/2", "1,--1", "+"):
             code, out, err = run(capsys, "degree", "--n", "3", "--r", "1", "--d-list", text)
             assert (code, out, err) == (1, "", f"error: bad integer list {text!r}\n")
+        code, out, err = run(capsys, "degree", "--n", "3", "--r", "1", "--d-list", ",")
+        assert (code, out, err) == (1, "", "error: empty integer list\n")
 
 
 class TestSheafGrammar:
@@ -143,6 +145,10 @@ class TestCohomologyCommand:
                            "--twists=2..1")
         assert code == 1
         assert "empty twist range" in err
+
+    def test_malformed_range_rejected(self, capsys):
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", "T", "--twists=1-2")
+        assert (code, out, err) == (1, "", "error: bad twist range '1-2'; expected lo..hi\n")
 
     @pytest.mark.parametrize("argv", [
         ("--n", "-1", "--sheaf", "O(1)", "--twists=-3..1"),
@@ -263,6 +269,17 @@ class TestTableChecks:
         code, _, err = run(capsys, "acm-check", "--from-chase", "tangent:-1,-2")
         assert code == 1
         assert "needs --n" in err
+
+    @pytest.mark.parametrize(
+        "spec, why",
+        [
+            ("pfaff:x:-2,-2", "rank must follow 'pfaff:'"),
+            ("foo:-2", "use tangent:T1,T2,... or pfaff:R:T1,T2,..."),
+        ],
+    )
+    def test_bad_chase_spec(self, capsys, spec, why):
+        code, out, err = run(capsys, "acm-check", "--from-chase", spec)
+        assert (code, out, err) == (1, "", f"error: bad chase spec {spec!r}; {why}\n")
 
     def test_malformed_table_file(self, capsys, tmp_path):
         path = tmp_path / "junk.table.json"
@@ -401,6 +418,10 @@ class TestRegularityAndBeilinson:
                            "--rank", "3", "--json")
         assert code == 0
         assert json.loads(out) == {"bound": 4, "rank": 3, "contradiction": True}
+        code, out, _ = run(capsys, "beilinson-bound", "--table", str(path), "--rank", "4")
+        assert (code, out.splitlines()) == (0, ["4", "compatible with rank 4"])
+        code, out, _ = run(capsys, "beilinson-bound", "--table", str(path), "--json")
+        assert (code, json.loads(out)) == (0, {"bound": 4})
 
     def test_rank_must_be_positive(self, capsys, tmp_path):
         path = tmp_path / "t.table.json"
@@ -555,6 +576,12 @@ class TestFormSing:
         code, _, err = run(capsys, "form", "sing", "--input", "/nonexistent.form")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_form_without_variables_needs_n(self, capsys, tmp_path):
+        path = tmp_path / "constant.form"
+        path.write_text("7")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        assert (code, out, err) == (1, "", "error: cannot infer the ambient dimension from the form; pass --n\n")
 
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.form"
@@ -778,7 +805,7 @@ IMPORT_SETS = [
     (("split-check", "--n", "3", "--sheaf", "Om(1,0)", "--criterion", "horrocks"),
      {"chow", "cohomology", "criteria"}),
     (("beilinson-bound", "--table", "t4.table.json", "--rank", "3"), {"chow", "cohomology", "criteria"}),
-    (("chase", "--pfaff=-2,-2,-2", "--r", "2"), {"chow", "cohomology", "criteria", "chase"}),
+    (("chase", "--pfaff=-2,-2,-2", "--r", "2"), {"chow", "cohomology", "chase"}),
     (("acm-check", "--from-chase", PFAFF), {"chow", "cohomology", "criteria", "chase"}),
     (("buchsbaum-check", "--from-chase", PFAFF), {"chow", "cohomology", "criteria", "chase"}),
     (("regularity", "--from-chase", "tangent:0,0", "--n", "3"), {"chow", "cohomology", "criteria", "chase"}),

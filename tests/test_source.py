@@ -52,6 +52,39 @@ def test_sibling_imports_are_used():
     assert found == []
 
 
+# The sibling modules each package module may import from, following the
+# pipeline chow -> cohomology -> chase -> criteria, with forms -> hilbert
+# beside it; None lets cli import any module, which it does inside its
+# handlers. A module missing here may import no sibling.
+LAYERS = {
+    "__init__": set(),
+    "chow": set(),
+    "cohomology": {"chow"},
+    "criteria": {"cohomology"},
+    "chase": {"chow", "cohomology"},
+    "forms": {"chow"},
+    "hilbert": {"forms"},
+    "cli": None,
+}
+
+
+def test_module_layers():
+    found = []
+    for path in sorted(Path(singscheme.__file__).parent.glob("*.py")):
+        allowed = LAYERS.get(path.stem, set())
+        if allowed is None:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} -> {module}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for module in ([node.module] if node.module else [alias.name for alias in node.names])
+            if module not in allowed
+        ]
+    assert found == []
+
+
 def test_traced_benchmark_names_exist():
     # bench/run.py --trace 1 wraps these functions by name; a rename in the
     # package would otherwise only show up as a broken traced run.
