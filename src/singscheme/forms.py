@@ -12,7 +12,9 @@ coefficients that are ints, or Fractions where not integral; its degree is
 at most MAX_DEGREE. Exponent vectors appear only at the edges: from_dict,
 the terms view, and printing. Forms map strictly increasing index tuples
 to polynomials, so the antisymmetric representation is canonical and
-equality is structural.
+equality is structural. One product kernel, _accumulate, is behind *,
+contract and wedge: each adds its products in place, one dict per output
+polynomial, after one check of the caps (_check_product).
 """
 
 from __future__ import annotations
@@ -77,6 +79,29 @@ def variable_index(digits: str) -> int:
             f"a variable index of {len(digits)} digits exceeds the cap of {MAX_VARIABLES} variables"
         )
     return int(digits)
+
+
+def _check_product(nvars: int, degree: int, len_a: int, len_b: int) -> None:
+    """Raise ValueError when a product of degree `degree` from len_a- and
+    len_b-term factors would exceed MAX_DEGREE or MAX_TERMS."""
+    _check_degree(degree)
+    # the product has at most min(len_a * len_b, C(degree + n, n)) terms
+    if len_a * len_b > MAX_TERMS and comb(degree + nvars - 1, degree) > MAX_TERMS:
+        raise ValueError(
+            f"product of {max(len_a, len_b)}- and {min(len_a, len_b)}-term polynomials"
+            f" exceeds the cap of {MAX_TERMS} terms"
+        )
+
+
+def _accumulate(out: dict, a: dict, b: dict, sign: int) -> dict:
+    """Add sign * c1 * c2 at m1 + m2 to out for each term pair of a and b."""
+    get = out.get
+    for m2, c2 in b.items():
+        c2 *= sign
+        for m1, c1 in a.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return out
 
 
 def _canonical(packed: dict) -> dict:
@@ -209,27 +234,8 @@ class HomogeneousPoly:
             if not self.packed or not other.packed:
                 return HomogeneousPoly.zero(self.nvars)
             degree = self.degree + other.degree
-            _check_degree(degree)
-            big, small = self.packed, other.packed
-            if len(big) < len(small):
-                big, small = small, big
-            # the product has at most min(len * len, C(degree + n, n)) terms
-            if len(big) * len(small) > MAX_TERMS and comb(degree + self.nvars - 1, degree) > MAX_TERMS:
-                raise ValueError(
-                    f"product of {len(big)}- and {len(small)}-term polynomials"
-                    f" exceeds the cap of {MAX_TERMS} terms"
-                )
-            if len(small) == 1:
-                (m2, c2), = small.items()
-                out = {m1 + m2: c1 * c2 for m1, c1 in big.items()}
-            else:
-                out = {}
-                get = out.get
-                for m2, c2 in small.items():
-                    for m1, c1 in big.items():
-                        m = m1 + m2
-                        out[m] = get(m, 0) + c1 * c2
-            return HomogeneousPoly(self.nvars, degree, _canonical(out))
+            _check_product(self.nvars, degree, len(self.packed), len(other.packed))
+            return HomogeneousPoly(self.nvars, degree, _canonical(_accumulate({}, self.packed, other.packed, 1)))
         c = other if type(other) is int else Fraction(other)
         if c == 0:
             return HomogeneousPoly.zero(self.nvars)
@@ -436,18 +442,29 @@ def _canonical_indices(indices):
     return tuple(sorted(indices)), (-1) ** inversions
 
 
+def _form_of_sums(nvars: int, k: int, degree: int, sums: dict) -> PolyKForm:
+    """The k-form of packed sums of degree `degree` at strictly increasing
+    index tuples; valid by construction, so only zero sums are dropped."""
+    return PolyKForm(nvars, k, tuple(
+        (idx, HomogeneousPoly(nvars, degree, packed))
+        for idx, raw in sorted(sums.items())
+        if (packed := _canonical(raw))
+    ))
+
+
 def wedge(a: PolyKForm, b: PolyKForm) -> PolyKForm:
     if a.nvars != b.nvars:
         raise ValueError("forms in different variable counts")
     if a.k + b.k > a.nvars:
         raise ValueError(f"wedge degree {a.k}+{b.k} exceeds {a.nvars}")
-    products = (
-        (canon[0], (f * g) * canon[1])
-        for left, f in a.coeffs
-        for right, g in b.coeffs
-        if (canon := _canonical_indices(left + right)) is not None
-    )
-    return PolyKForm.from_dict(a.nvars, a.k + b.k, products)
+    degree = a.poly_degree + b.poly_degree
+    sums: dict = {}
+    for left, f in a.coeffs:
+        for right, g in b.coeffs:
+            if (canon := _canonical_indices(left + right)) is not None:
+                _check_product(a.nvars, degree, len(f.packed), len(g.packed))
+                _accumulate(sums.setdefault(canon[0], {}), f.packed, g.packed, canon[1])
+    return _form_of_sums(a.nvars, a.k + b.k, degree, sums)
 
 
 def contract(form: PolyKForm, field: PolyVectorField) -> PolyKForm:
@@ -456,13 +473,14 @@ def contract(form: PolyKForm, field: PolyVectorField) -> PolyKForm:
         raise ValueError("form and field in different variable counts")
     if form.k < 1:
         raise ValueError("cannot contract a 0-form")
-    terms = (
-        (indices[:pos] + indices[pos + 1 :], (poly * comp) * ((-1) ** pos))
-        for indices, poly in form.coeffs
-        for pos, comp in enumerate(field.components[i] for i in indices)
-        if not comp.is_zero
-    )
-    return PolyKForm.from_dict(form.nvars, form.k - 1, terms)
+    degree = form.poly_degree + field.degree
+    sums: dict = {}
+    for indices, poly in form.coeffs:
+        for pos, i in enumerate(indices):
+            if comp := field.components[i].packed:
+                _check_product(form.nvars, degree, len(poly.packed), len(comp))
+                _accumulate(sums.setdefault(indices[:pos] + indices[pos + 1 :], {}), poly.packed, comp, (-1) ** pos)
+    return _form_of_sums(form.nvars, form.k - 1, degree, sums)
 
 
 def volume_contract_chain(n: int, fields) -> PolyKForm:
@@ -611,17 +629,16 @@ _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|dz\d+|z\d+|[+\-*^()])")
 
 
 def _tokenize(text: str):
-    out = []
+    """The tokens of text, in one pass. Tokens hold no whitespace and never
+    overlap, so they cover text when their lengths add up to its count of
+    other characters; otherwise the match is walked to where it fails."""
+    tokens = _TOKEN.findall(text)
+    if sum(map(len, tokens)) == len("".join(text.split())):
+        return tokens
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise FormParseError(f"unexpected character at position {pos}: {text[pos]!r}")
-            break
-        out.append(m.group(1))
+    while m := _TOKEN.match(text, pos):
         pos = m.end()
-    return out
+    raise FormParseError(f"unexpected character at position {pos}: {text[pos]!r}")
 
 
 class _Parser:
@@ -674,17 +691,61 @@ class _Parser:
         return PolyKForm.from_dict(self.nvars, k, terms)
 
     def parse_product(self) -> HomogeneousPoly | None:
-        """Factors up to the next +, -, ) or dz token; None if there are none."""
-        poly = None
+        """Factors up to the next +, -, ) or dz token; None if there are none.
+        Numbers and powers z_i^e fold into one (packed monomial, coefficient,
+        degree) term; only a parenthesized sum takes a polynomial product. The
+        written degree is capped even at coefficient 0; a zero sum adds 0."""
+        poly, found = None, False
+        mono, coeff, degree, written = 0, 1, 0, 0
         while True:
-            tok = self.peek()
+            tok = self.next()
             if tok == "*":
-                self.next()
                 continue
             if tok is None or tok in ("+", "-", ")") or tok.startswith("dz"):
-                return poly
-            factor = self.parse_factor()
-            poly = factor if poly is None else poly * factor
+                self.pos -= 1
+                break
+            found = True
+            if tok == "(":
+                factor = self.parse_poly_sum()
+                if self.next() != ")":
+                    self.fail("missing )")
+                term = self.one_term(mono, coeff, degree)
+                poly = (term if poly is None else poly * term) * factor
+                mono, coeff, degree = 0, 1, 0
+                written += max(factor.degree, 0)
+            elif tok[0].isdigit():
+                try:
+                    coeff *= read_number(tok, "a coefficient")
+                except ZeroDivisionError:
+                    self.fail(f"zero denominator in {tok}")
+            elif tok[0] != "z":
+                self.fail(f"unexpected token {tok!r}")
+            else:
+                i = variable_index(tok[1:])
+                if i >= self.nvars:
+                    self.fail(f"variable z{i} out of range for {self.nvars} variables")
+                e = 1
+                if self.peek() == "^":
+                    self.next()
+                    power = self.next()
+                    if power is None or not power.isdigit():
+                        self.fail("expected an integer power")
+                    digits = power.lstrip("0") or "0"
+                    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                        self.fail(f"power {digits} exceeds the degree cap of {MAX_DEGREE}")
+                    e = int(digits)
+                mono += e << (FIELD_BITS * i)
+                degree += e
+                written += e
+            _check_degree(written)
+        if not found:
+            return None
+        term = self.one_term(mono, coeff, degree)
+        return term if poly is None else poly * term
+
+    def one_term(self, mono: int, coeff, degree: int) -> HomogeneousPoly:
+        packed = _canonical({mono: coeff})
+        return HomogeneousPoly(self.nvars, degree if packed else -1, packed)
 
     def parse_term(self):
         """(coefficient, dz indices); the indices are () for a 0-form term."""
@@ -695,38 +756,6 @@ class _Parser:
         if poly is None:
             poly = HomogeneousPoly.constant(self.nvars, 1)
         return poly, indices
-
-    def parse_factor(self) -> HomogeneousPoly:
-        tok = self.next()
-        if tok == "(":
-            poly = self.parse_poly_sum()
-            if self.next() != ")":
-                self.fail("missing )")
-            return poly
-        if tok is None:
-            self.fail("unexpected token None")
-        if tok[0].isdigit():
-            try:
-                c = read_number(tok, "a coefficient")
-            except ZeroDivisionError:
-                self.fail(f"zero denominator in {tok}")
-            return HomogeneousPoly.constant(self.nvars, c)
-        if tok[0] != "z":
-            self.fail(f"unexpected token {tok!r}")
-        i = variable_index(tok[1:])
-        if i >= self.nvars:
-            self.fail(f"variable z{i} out of range for {self.nvars} variables")
-        if self.peek() != "^":
-            return HomogeneousPoly.variable(self.nvars, i)
-        self.next()
-        power = self.next()
-        if power is None or not power.isdigit():
-            self.fail("expected an integer power")
-        digits = power.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-            self.fail(f"power {digits} exceeds the degree cap of {MAX_DEGREE}")
-        e = int(digits)
-        return HomogeneousPoly(self.nvars, e, {e << (FIELD_BITS * i): 1})
 
     def parse_poly_sum(self) -> HomogeneousPoly:
         summands = []

@@ -590,6 +590,19 @@ class TestFormSing:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("z0 dz1 z1 dz0", "expected + or - before 'z1' (token 2)"),
+            ("z0 @ dz1", "unexpected character at position 2: ' '"),
+        ],
+    )
+    def test_malformed_form_error_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "malformed.form"
+        path.write_text(text)
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_zero_denominator_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "zero_den.form"
         path.write_text("2/0 z0 dz1")

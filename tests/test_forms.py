@@ -5,6 +5,7 @@ extraction, and the text grammar round trip."""
 import random
 import warnings
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from types import SimpleNamespace
 
@@ -61,8 +62,6 @@ def random_poly(rng, nvars, degree):
 
 
 def random_form(rng, nvars, k, degree):
-    from itertools import combinations
-
     pool = list(combinations(range(nvars), k))
     coeffs = {}
     for idx in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
@@ -92,8 +91,6 @@ def cofactor_det(matrix, nvars):
 def reference_minors(one_forms):
     """Nonzero maximal minors of the coefficient matrix, content-normalized
     and deduplicated, with the rows taken in lexicographic order."""
-    from itertools import combinations
-
     nvars = one_forms[0].nvars
     out = []
     for rows in combinations(range(nvars), len(one_forms)):
@@ -256,6 +253,29 @@ class TestDegreeCap:
         with pytest.raises(ValueError, match="exceeds the cap"):
             parse_form(f"z0^{forms.MAX_DEGREE} z1 dz0", 2)
 
+    def test_parser_caps_the_written_degree_whatever_the_coefficient(self):
+        # a zero coefficient does not waive the cap, wherever it is written
+        message = f"polynomial degree {forms.MAX_DEGREE + 1} exceeds the cap of {forms.MAX_DEGREE}"
+        for text in (
+            f"0 z0^{forms.MAX_DEGREE} z1 dz0 + z1 dz0",
+            f"z0^{forms.MAX_DEGREE} z1 0 dz0",
+            f"z0^{forms.MAX_DEGREE} 0 z1 dz0",
+            f"0 z0^{forms.MAX_DEGREE - 1} (z0 + z1) z1 dz0",
+        ):
+            with pytest.raises(ValueError) as exc:
+                parse_form(text, 2)
+            assert str(exc.value) == message
+        assert parse_form(f"0 z0^{forms.MAX_DEGREE} dz0 + z1 dz0", 2) == parse_form("z1 dz0", 2)
+
+    def test_contract_checks_the_degree_before_building(self):
+        top = PolyKForm.from_dict(2, 1, {(0,): HomogeneousPoly.monomial(2, (forms.MAX_DEGREE, 0))})
+        linear = PolyVectorField(2, (z(2, 1), z(2, 0)))
+        with pytest.raises(ValueError) as exc:
+            contract(top, linear)
+        assert str(exc.value) == f"polynomial degree {forms.MAX_DEGREE + 1} exceeds the cap of {forms.MAX_DEGREE}"
+        with pytest.raises(ValueError, match=f"^polynomial degree {forms.MAX_DEGREE + 1} exceeds"):
+            wedge(top, one_form(2, {1: z(2, 1)}))
+
     def test_no_packed_field_carries(self):
         # the cap keeps each exponent below the guard bit of its field
         assert forms.MAX_DEGREE < 1 << (forms.FIELD_BITS - 1)
@@ -331,6 +351,19 @@ class TestTermCap:
         cubic = dense(20, 3)
         with pytest.raises(ValueError, match=f"product of 1540- and 1540-term polynomials exceeds the cap of {forms.MAX_TERMS} terms"):
             cubic * cubic
+
+    def test_contract_and_wedge_check_the_cap_before_building(self):
+        cubic = dense(20, 3)
+        # the message of test_product_over_the_cap_is_rejected_before_building
+        message = f"product of 1540- and 1540-term polynomials exceeds the cap of {forms.MAX_TERMS} terms"
+        form = one_form(20, {0: cubic})
+        field = PolyVectorField(20, (cubic,) + (HomogeneousPoly.zero(20),) * 19)
+        with pytest.raises(ValueError) as exc:
+            contract(form, field)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            wedge(form, one_form(20, {1: cubic}))
+        assert str(exc.value) == message
 
     def test_long_factors_with_a_small_product_pass(self):
         # 210 x 1540 products, but only C(24, 19) = 42,504 quintics
@@ -438,6 +471,112 @@ class TestContract:
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             contract(PolyKForm.zero(3, 0), radial_field(3))
+
+
+# The sum-of-products wedge and contraction that the in-place ones
+# replaced, kept as the reference: every term is its own product, merged
+# by PolyKForm.from_dict.
+def sort_with_parity(indices):
+    """(sorted indices, sign of the sorting permutation), None on a repeat."""
+    if len(set(indices)) != len(indices):
+        return None
+    inversions = sum(1 for a in range(len(indices)) for b in range(a) if indices[b] > indices[a])
+    return tuple(sorted(indices)), (-1) ** inversions
+
+
+def ref_wedge(a, b):
+    return PolyKForm.from_dict(a.nvars, a.k + b.k, (
+        (canon[0], (f * g) * canon[1])
+        for left, f in a.coeffs
+        for right, g in b.coeffs
+        if (canon := sort_with_parity(left + right)) is not None
+    ))
+
+
+def ref_contract(form, field):
+    return PolyKForm.from_dict(form.nvars, form.k - 1, (
+        (indices[:pos] + indices[pos + 1:], (poly * field.components[i]) * (-1) ** pos)
+        for indices, poly in form.coeffs
+        for pos, i in enumerate(indices)
+    ))
+
+
+def fraction_form(rng, nvars, k, degree):
+    """Up to four random index tuples with random_pairs coefficients, so
+    some are p/q fractions, some integral Fractions and some zero."""
+    pool = list(combinations(range(nvars), k))
+    picked = rng.sample(pool, min(len(pool), rng.randint(0, 4)))
+    return PolyKForm.from_dict(
+        nvars, k, {idx: HomogeneousPoly.from_dict(nvars, random_pairs(rng, nvars, degree)) for idx in picked}
+    )
+
+
+def fraction_field(rng, nvars, degree):
+    return PolyVectorField(
+        nvars, tuple(HomogeneousPoly.from_dict(nvars, random_pairs(rng, nvars, degree)) for _ in range(nvars))
+    )
+
+
+def assert_canonical(form):
+    """The PolyKForm invariants: strictly increasing index tuples of length
+    k in strictly increasing order, nonzero coefficients of one degree, and
+    every integral coefficient stored as int."""
+    indices = [idx for idx, _ in form.coeffs]
+    assert indices == sorted(set(indices))
+    assert {p.degree for _, p in form.coeffs} <= {form.poly_degree}
+    for idx, poly in form.coeffs:
+        assert len(idx) == form.k and list(idx) == sorted(set(idx))
+        assert poly.packed and poly.nvars == form.nvars
+        for c in poly.packed.values():
+            assert c != 0
+            assert type(c) is int or c.denominator != 1
+
+
+class TestInPlaceProducts:
+    def test_wedge_and_contract_match_the_reference(self):
+        rng = random.Random(2618)
+        zeros = 0
+        for _ in range(300):
+            nvars = rng.randint(2, 5)
+            ka = rng.randint(1, nvars - 1)
+            kb = rng.randint(0, nvars - ka)
+            a = fraction_form(rng, nvars, ka, rng.randint(0, 3))
+            b = fraction_form(rng, nvars, kb, rng.randint(0, 3))
+            x = fraction_field(rng, nvars, rng.randint(0, 2))
+            for got, want in ((wedge(a, b), ref_wedge(a, b)), (contract(a, x), ref_contract(a, x))):
+                assert got == want
+                assert_canonical(got)
+            # the closure identities: contractions that cancel to zero
+            twice = contract(contract(a, x), x) if ka >= 2 else None
+            square = wedge(a, a) if ka % 2 == 1 and 2 * ka <= nvars else None
+            for form in (twice, square):
+                if form is not None:
+                    assert form.is_zero and form.coeffs == ()
+                    zeros += 1
+        assert zeros > 100
+
+    def test_chain_closure_with_fraction_fields(self):
+        rng = random.Random(2619)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            fields = [fraction_field(rng, n + 1, rng.randint(0, 2)) for _ in range(rng.randint(1, n - 1))]
+            out = volume_contract_chain(n, fields)
+            assert_canonical(out)
+            for x in [radial_field(n + 1), *fields]:
+                assert contract(out, x) == ref_contract(out, x)
+                assert contract(out, x).is_zero
+
+    def test_integral_fractions_are_stored_as_int(self):
+        half = PolyKForm.from_dict(3, 1, {(0,): z(3, 1) * Fraction(1, 2), (1,): z(3, 0) * Fraction(3, 2)})
+        x = PolyVectorField(3, (z(3, 0) * 2, z(3, 1) * Fraction(2, 3), HomogeneousPoly.zero(3)))
+        # 1/2 z1 * 2 z0 + 3/2 z0 * 2/3 z1 = 2 z0 z1
+        got = contract(half, x)
+        assert got.coeffs == (((), HomogeneousPoly.from_dict(3, {(1, 1, 0): 2})),)
+        assert_canonical(got)
+        # 1/2 z1 * 2 = z1 and 3/2 z0 * 2 = 3 z0
+        got = wedge(half, PolyKForm.from_dict(3, 1, {(2,): HomogeneousPoly.constant(3, 2)}))
+        assert got == PolyKForm.from_dict(3, 2, {(0, 2): z(3, 1), (1, 2): z(3, 0) * 3})
+        assert_canonical(got)
 
 
 class TestContractionChain:
@@ -697,3 +836,61 @@ class TestGrammar:
             parse_poly("z0 dz1", 3)
         with pytest.raises(FormParseError, match="zero denominator in 2/0"):
             parse_form("2/0 z0 dz1", 3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input"),
+            ("   ", "empty input"),
+            ("z0 dz1 z1 dz0", "expected + or - before 'z1' (token 2)"),
+            ("z0 ) dz1", "expected + or - before ')' (token 1)"),
+            ("z0 dz1 + z1", "mixed form degrees 1 and 0 (token 4)"),
+            ("z0 dz1 + + z1 dz0", "empty term (token 3)"),
+            ("z0 dz1 -", "empty term (token 3)"),
+            ("(z0 z1", "missing ) (token 4)"),
+            ("z0 dz1 + ^ z1 dz0", "unexpected token '^' (token 4)"),
+            ("z9 dz0", "variable z9 out of range for 3 variables (token 1)"),
+            ("dz9", "dz9 out of range for 3 variables (token 1)"),
+            ("z0^ dz1", "expected an integer power (token 3)"),
+            ("z0^z1 dz1", "expected an integer power (token 3)"),
+            ("dz0^2", "dz factors cannot carry powers (token 3)"),
+            ("dz0^z1", "expected dz token, got 'z1' (token 3)"),
+            ("(z0 dz1)", "dz inside a coefficient (token 2)"),
+            ("(z0 + ) dz1", "empty summand in coefficient (token 3)"),
+            # the position and character are those where the token match
+            # fails, which is the space before the bad character
+            ("z0 @ dz1", "unexpected character at position 2: ' '"),
+            ("z0@ dz1", "unexpected character at position 2: '@'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(FormParseError) as exc:
+            parse_form(text, 3)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a stray character after valid tokens
+            ("z0 dz1 @", "unexpected character at position 6: ' '"),
+            ("z0 dz1@", "unexpected character at position 6: '@'"),
+            ("z0 dz1 - z1 dz0!", "unexpected character at position 15: '!'"),
+            ("z0 dz1 é", "unexpected character at position 6: ' '"),
+            ("dzx", "unexpected character at position 0: 'd'"),
+            ("z0 dzx", "unexpected character at position 2: ' '"),
+            ("z", "unexpected character at position 0: 'z'"),
+            ("z0 dz1 - z dz0", "unexpected character at position 8: ' '"),
+            ("1/", "unexpected character at position 1: '/'"),
+            ("z0 dz1 - 1/", "unexpected character at position 10: '/'"),
+            ("1/ z0 dz1", "unexpected character at position 1: '/'"),
+        ],
+    )
+    def test_tokenizer_names_the_first_uncovered_character(self, text, message):
+        with pytest.raises(FormParseError) as exc:
+            parse_form(text, 3)
+        assert str(exc.value) == message
+
+    def test_any_unicode_whitespace_separates_tokens(self):
+        want = parse_form("z0 dz1 - z1 dz0", 3)
+        for space in ("\u00a0", "\u2009", "\u3000", "\t", "\n"):
+            assert parse_form(f"z0{space}dz1 - z1{space}dz0{space}", 3) == want
