@@ -15,9 +15,9 @@ twists the row's window holds: a table's row, or a closed-form sheaf's
 h_row. Every triple is checked for Euler-characteristic consistency,
 row-wise, where the check can fail: at every twist it touched when
 tables are given, else where the one end row that the solve cannot
-balance is nonzero. ChaseResult.entries and its traces, which replay to
-the same numbers through the solve's own row reads, are read off the
-plan and the tables on first read.
+balance is nonzero. ChaseResult.entries and the --explain payload, whose
+entries replay to the same numbers through the solve's own row reads,
+are read off the plan and the tables.
 
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
@@ -129,7 +129,7 @@ def _label(tr: ExactTriple) -> str:
 def _read_row(term: Term, q: int, ts: list, tables: dict) -> list:
     """The (lo, hi) of a term's row q at each chase twist of the strictly
     ascending list ts: a table's row dict, or a sheaf's h_row. The one
-    reader for the solve, the Euler check and the traces."""
+    reader for the solve, the Euler check and the --explain payload."""
     if isinstance(term, VirtualSheaf):
         return [(h, h) for h in (term.h_row(q, ts) if 0 <= q <= term.n else [0] * len(ts))]
     tab, off = tables[term.name], term.offset
@@ -141,7 +141,7 @@ def _row_reads(step, q: int, ss: list, tables: dict):
     """For the plan step (triple, position, name, offset) and ss, strictly
     ascending twists of row q of the unknown it solves: the twists of ss
     that the row's window holds, and at each of them the four (lo, hi)
-    reads of _READS. The one row read of the solve and the traces."""
+    reads of _READS. The one row read of the solve and the payload."""
     tr, pos, name, offset = step
     w = tables[name].window(q)
     i = 0 if w.lo is None else bisect_left(ss, w.lo)
@@ -163,46 +163,17 @@ def _solve(reads) -> DimValue:
     return _ZERO if hi1 + hi2 == 0 else DimValue(lo1 + lo2, hi1 + hi2)
 
 
-@dataclass(frozen=True)
-class TraceInput:
-    """One neighbor value consumed by a solve step."""
-
-    role: str
-    term: str
-    q: int
-    twist: int
-    lo: int
-    hi: int | None
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Provenance of one materialized entry.
-
-    rule is one of solve-a / solve-b / solve-c (derived via the fixed
-    four-input rank-nullity formula) or window (outside the certified
-    support).
-    """
-
-    unknown: str
-    q: int
-    twist: int
-    rule: str
-    triple: str
-    inputs: tuple[TraceInput, ...]
-    lo: int
-    hi: int | None
-
-
-def replay_trace(trace: Trace) -> DimValue:
-    """Recompute a trace's value from its recorded inputs."""
-    if trace.rule == "window":
-        return DimValue.exact(0)
-    if trace.rule not in ("solve-a", "solve-b", "solve-c"):
-        raise ValueError(f"unknown trace rule {trace.rule!r}")
-    for i in trace.inputs:
-        DimValue(i.lo, i.hi)  # each recorded input must be a dimension
-    return _solve([(i.lo, i.hi) for i in trace.inputs])
+def replay_trace(entry: dict) -> DimValue:
+    """Recompute the value of one entry of the --explain payload from the
+    inputs it records: zero for the window rule, else the solve of its four
+    reads."""
+    rule = entry["rule"]
+    if rule == "window":
+        return _ZERO
+    if rule not in ("solve-a", "solve-b", "solve-c"):
+        raise ValueError(f"unknown trace rule {rule!r}")
+    reads = [DimValue.from_json(i["value"]) for i in entry["inputs"]]
+    return _solve([(v.lo, v.hi) for v in reads])
 
 
 @dataclass(frozen=True)
@@ -215,8 +186,8 @@ class ChaseResult:
     the (triple, position, name, offset) that solves each unknown, in
     solving order, and unknowns their names. entries, (unknown, q, twist)
     in the unknown's own coordinates to a value, in plan order, then q,
-    then twist, and traces, one Trace per entry, are read-only mappings
-    built on first read; the traces read each row as its solve did.
+    then twist, is a read-only mapping built on first read. explain_json
+    gives the provenance of every entry, reading each row as its solve did.
     """
 
     n: int
@@ -235,29 +206,6 @@ class ChaseResult:
                 entries.update(((name, q, s), v) for s, v in row.items())
         return MappingProxyType(entries)
 
-    @cached_property
-    def traces(self) -> Mapping:
-        traces = {}
-        for step in self.plan:
-            tr, pos, name, offset = step
-            label, terms = _label(tr), {role: str(tr.term(role)) for role in _POSITIONS}
-            for q, row in self.tables[name].rows.items():
-                solved = dict(zip(*_row_reads(step, q, list(row), self.tables)))
-                for s, v in row.items():
-                    inputs = tuple(
-                        TraceInput(role, terms[role], q + dq, s - offset, lo, hi)
-                        for (role, dq), (lo, hi) in zip(_READS[pos], solved.get(s, ()))
-                    )
-                    rule = f"solve-{pos}" if s in solved else "window"
-                    traces[name, q, s] = Trace(name, q, s, rule, label, inputs, v.lo, v.hi)
-        return MappingProxyType(traces)
-
-    def value(self, name: str, q: int, twist: int) -> DimValue:
-        return self.table(name).value(q, twist)
-
-    def window(self, name: str, q: int) -> Window | None:
-        return self.table(name).window(q)
-
     def table(self, name: str, dim_z: int | None = None) -> CohomologyTable:
         if name not in self.tables:
             raise ValueError(f"unknown {name!r} was never constrained")
@@ -267,31 +215,26 @@ class ChaseResult:
         return t
 
     def explain_json(self) -> str:
-        """Deterministic JSON dump of all traces, for --explain output."""
+        """The --explain payload, as deterministic JSON: n, every unknown's
+        windows, and one entry per chased value, sorted by (unknown, q,
+        twist), with its rule, its triple and the four reads its solve made
+        (none for the window rule); replay_trace recomputes each entry."""
         entries = []
-        for key in sorted(self.entries):
-            name, q, t = key
-            tr = self.traces[key]
-            entries.append(
-                {
-                    "unknown": name,
-                    "q": q,
-                    "twist": t,
-                    "value": DimValue(tr.lo, tr.hi).to_json(),
-                    "rule": tr.rule,
-                    "triple": tr.triple,
-                    "inputs": [
-                        {
-                            "role": i.role,
-                            "term": i.term,
-                            "q": i.q,
-                            "twist": i.twist,
-                            "value": DimValue(i.lo, i.hi).to_json(),
-                        }
-                        for i in tr.inputs
-                    ],
-                }
-            )
+        for step in self.plan:
+            tr, pos, name, offset = step
+            label, terms = _label(tr), {role: str(tr.term(role)) for role in _POSITIONS}
+            for q, row in self.tables[name].rows.items():
+                solved = dict(zip(*_row_reads(step, q, list(row), self.tables)))
+                for s, v in row.items():
+                    inputs = [
+                        {"role": role, "term": terms[role], "q": q + dq, "twist": s - offset,
+                         "value": DimValue(lo, hi).to_json()}
+                        for (role, dq), (lo, hi) in zip(_READS[pos], solved.get(s, ()))
+                    ]
+                    rule = f"solve-{pos}" if s in solved else "window"
+                    entries.append({"unknown": name, "q": q, "twist": s, "value": v.to_json(),
+                                    "rule": rule, "triple": label, "inputs": inputs})
+        entries.sort(key=lambda e: (e["unknown"], e["q"], e["twist"]))
         payload = {
             "n": self.n,
             "windows": {
@@ -339,7 +282,9 @@ def chase(triples, queries=(), given=None) -> ChaseResult:
     twist. Without them only closed-form data that no short exact sequence
     realizes can, and only where the one end row that the solve cannot
     balance is nonzero, so only those twists are checked; the tests
-    recompute the identity at every twist.
+    recompute the identity at every twist. The result's explain_json is
+    the provenance of every value it holds, each entry replayable by
+    replay_trace.
     """
     return _materialize(_window_pass(triples, given), queries)
 
@@ -478,7 +423,7 @@ def windowed_chase(triples, name: str, extra=()) -> ChaseResult:
     result = _window_pass(triples, None)
     queries = list(extra)
     for q in range(result.n + 1):
-        w = result.window(name, q)
+        w = result.table(name).window(q)
         if w is not None and w.is_finite:
             queries.append((name, q, (w.lo, w.hi)))
     return _materialize(result, queries)

@@ -310,16 +310,16 @@ def hilbert_deficiency_verdicts(dim_z: int, deficiency) -> tuple[Verdict, Verdic
 
 
 def regularity(ideal_table: CohomologyTable) -> int:
-    """Least m with h^q(I(m-q)) = 0 for all q > 0, stably so.
+    """Least m with h^q(I(m-q)) = 0 for all q > 0, stably so; it can be
+    negative (O(5) is -5-regular).
 
     Each row's contribution is top_q + q + 1 where top_q is the largest
-    twist at which the row can be nonzero. Rows are scanned downward from
-    the window's upper edge through materialized exact zeros; the first
-    twist not pinned to zero is taken as top_q, so on tables with interval
-    entries the result is a safe upper bound."""
-    n = ideal_table.n
-    best = None
-    for q in range(1, n + 1):
+    twist of the row's possible_entries. A window open below is read from
+    the first twist under the materialized row, which is not pinned to
+    zero, so on tables with interval entries the result is a safe upper
+    bound."""
+    tops = []
+    for q in range(1, ideal_table.n + 1):
         w = ideal_table.window(q)
         if w is None:
             raise ValueError(
@@ -331,20 +331,11 @@ def regularity(ideal_table: CohomologyTable) -> int:
             raise ValueError(
                 f"row {q} is unbounded above; regularity is undecidable"
             )
-        t = w.hi
-        top = None
-        while w.lo is None or t >= w.lo:
-            if ideal_table.value(q, t).is_zero:
-                t -= 1
-                continue
-            top = t
-            break
-        if top is None:
-            continue
-        cand = top + q + 1
-        if best is None or cand > best:
-            best = cand
-    return 0 if best is None else best
+        lo = w.lo if w.lo is not None else min([w.hi, *ideal_table.rows.get(q, {})]) - 1
+        entries = possible_entries(ideal_table, q, lo, w.hi)
+        if entries:
+            tops.append(entries[-1][0] + q + 1)
+    return max(tops, default=0)
 
 
 def beilinson_rank_bound(table: CohomologyTable, n: int) -> int:

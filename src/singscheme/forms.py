@@ -631,13 +631,15 @@ _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|dz\d+|z\d+|[+\-*^()])")
 def _tokenize(text: str):
     """The tokens of text, in one pass. Tokens hold no whitespace and never
     overlap, so they cover text when their lengths add up to its count of
-    other characters; otherwise the match is walked to where it fails."""
+    other characters; otherwise the match is walked to where it fails, and
+    the first character there that is not whitespace is named."""
     tokens = _TOKEN.findall(text)
     if sum(map(len, tokens)) == len("".join(text.split())):
         return tokens
     pos = 0
     while m := _TOKEN.match(text, pos):
         pos = m.end()
+    pos = len(text) - len(text[pos:].lstrip())
     raise FormParseError(f"unexpected character at position {pos}: {text[pos]!r}")
 
 

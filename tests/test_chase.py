@@ -4,7 +4,7 @@ The solver itself is checked three ways: against hand-computed long exact
 sequence values for the ideal sheaf of two disjoint lines in P^3 (where
 the true table is known in closed form), against the rank-nullity zero
 built into every exact triple (the Euler consistency guard), and by
-replaying every emitted trace. The complex builders are checked at the
+replaying every entry of the --explain payload. The complex builders are checked at the
 level of terms (which Omega powers, which twists) and then at the level
 of chased output: intermediate rows certified empty for split tangent
 data, the pinned h^2 singleton for split Pfaff data, and the degradation
@@ -25,7 +25,6 @@ from singscheme.chase import (
     ExactTriple,
     InconsistentTripleError,
     TableRef,
-    Trace,
     _solve,
     chase,
     en_complex_pfaff,
@@ -155,6 +154,16 @@ def zero_table(n):
     )
 
 
+def explained(result):
+    """The entries of result's --explain payload by (unknown, q, twist),
+    each checked to replay on its own to the value printed with it."""
+    entries = {}
+    for entry in json.loads(result.explain_json())["entries"]:
+        assert replay_trace(entry) == DimValue.from_json(entry["value"]), entry
+        entries[entry["unknown"], entry["q"], entry["twist"]] = entry
+    return entries
+
+
 class TestDegenerateAndUnbounded:
     def test_zero_kernel_copies_middle(self):
         # 0 -> 0 -> B -> X -> 0 forces h^q(X) = h^q(B) exactly.
@@ -169,7 +178,7 @@ class TestDegenerateAndUnbounded:
         )
         for q in range(4):
             for tw in range(-6, 5):
-                v = res.value("X", q, tw)
+                v = res.table("X").value(q, tw)
                 assert v.is_exact, (q, tw)
                 assert v.lo == b.h(q, tw), (q, tw)
 
@@ -184,7 +193,7 @@ class TestDegenerateAndUnbounded:
         )
         for q in range(4):
             for tw in range(-5, 4):
-                assert res.value("X", q, tw) == DimValue.exact(b.h(q, tw))
+                assert res.table("X").value(q, tw) == DimValue.exact(b.h(q, tw))
 
     def test_query_on_given_name(self):
         # a given table is an input of the chase, not something it solves
@@ -193,7 +202,7 @@ class TestDegenerateAndUnbounded:
         with pytest.raises(ValueError, match="'zero'"):
             chase([t], [("zero", 1, (0, 0))], given={"zero": zero_table(3)})
         res = chase([t], [("X", 1, (0, 0))], given={"zero": zero_table(3)})
-        assert res.value("zero", 1, 0) == DimValue.exact(0)
+        assert res.table("zero").value(1, 0) == DimValue.exact(0)
 
     def test_unconstrained_query_raises(self):
         t = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
@@ -206,17 +215,17 @@ class TestDegenerateAndUnbounded:
         t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
         res = chase([t], [("X", q, (-2, 2)) for q in (0, 1)], given={"A": CohomologyTable(2, {}, {})})
         assert len(res.entries) == 10
+        assert set(explained(res)) == set(res.entries)
         for key, v in res.entries.items():
             assert v == DimValue(0, None), key
-            assert replay_trace(res.traces[key]) == v, key
 
     def test_unconstrained_reads_raise(self):
         t = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
         res = chase([t], [("X", 1, (0, 2))])
         with pytest.raises(ValueError, match="'Y' was never constrained"):
-            res.value("Y", 1, 0)
+            res.table("Y").value(1, 0)
         with pytest.raises(ValueError, match="'Y' was never constrained"):
-            res.window("Y", 1)
+            res.table("Y").window(1)
         with pytest.raises(ValueError, match="'Y' was never constrained"):
             windowed_chase([t], "Y")
 
@@ -257,14 +266,15 @@ class TestTwoLines:
             triples,
             [("I_Z", 2, (-3, -2)), ("I_Z", 3, (-4, -3)), ("I_Z", 1, (0, 0))],
         )
-        assert res.value("I_Z", 1, 0) == DimValue.exact(1)
-        assert res.value("I_Z", 2, -2) == DimValue.exact(2)
-        v = res.value("I_Z", 2, -3)
+        tab = res.table("I_Z")
+        assert tab.value(1, 0) == DimValue.exact(1)
+        assert tab.value(2, -2) == DimValue.exact(2)
+        v = tab.value(2, -3)
         assert (v.lo, v.hi) == (4, 8)
         assert v.lo <= two_lines_truth(2, -3) <= v.hi
-        v = res.value("I_Z", 3, -3)
+        v = tab.value(3, -3)
         assert (v.lo, v.hi) == (0, 4)
-        v = res.value("I_Z", 3, -4)
+        v = tab.value(3, -4)
         assert v.lo <= two_lines_truth(3, -4) <= v.hi
 
     def test_matches_pfaff_builder(self):
@@ -419,8 +429,8 @@ class TestSplitTangentGrid:
                 ):
                     res = chase(en_complex_tangent(SplitBundle(n, twists), n))
                     for p in range(1, r):
-                        assert res.window("I_Z", p).empty, (r, n, twists, p)
-                        v = res.value("I_Z", p, -1)
+                        assert res.table("I_Z").window(p).empty, (r, n, twists, p)
+                        v = res.table("I_Z").value(p, -1)
                         assert v == DimValue.exact(0)
 
     def test_first_nonzero_row_value_when_corank_one(self):
@@ -543,7 +553,7 @@ class TestEulerGuard:
         )
         t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
         res = chase([t], [("X", 0, (0, 0))], given={"A": good})
-        assert res.value("X", 0, 0) == DimValue.exact(1)
+        assert res.table("X").value(0, 0) == DimValue.exact(1)
 
 
 class TestTracesAndDeterminism:
@@ -558,10 +568,10 @@ class TestTracesAndDeterminism:
 
     def test_every_entry_has_a_replayable_trace(self):
         res = self.run_once()
-        assert set(res.entries) == set(res.traces)
-        for key, tr in res.traces.items():
-            assert (tr.unknown, tr.q, tr.twist) == key
-            assert replay_trace(tr) == res.entries[key]
+        entries = explained(res)
+        assert set(entries) == set(res.entries)
+        for key, entry in entries.items():
+            assert DimValue.from_json(entry["value"]) == res.entries[key]
 
     def test_repeat_runs_agree_to_the_byte(self):
         assert self.run_once().explain_json() == self.run_once().explain_json()
@@ -578,14 +588,13 @@ class TestTracesAndDeterminism:
         assert solve and all(len(e["inputs"]) == 4 for e in solve)
 
     def test_replay_rejects_unknown_rule(self):
-        tr = Trace("X", 0, 0, "guess", "", (), 0, None)
-        with pytest.raises(ValueError, match="unknown trace rule"):
-            replay_trace(tr)
+        with pytest.raises(ValueError, match="unknown trace rule 'guess'"):
+            replay_trace({"rule": "guess", "inputs": []})
 
 
 class TestLazyTraces:
-    """Traces are rebuilt on first read from the plan and the filled
-    tables; they must be the ones the solve would have recorded."""
+    """The --explain payload is built from the plan and the filled tables;
+    its entries must be the ones the solve would have recorded."""
 
     @staticmethod
     def run_pfaff(r):
@@ -597,30 +606,13 @@ class TestLazyTraces:
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_every_entry_replays(self, r):
         res = self.run_pfaff(r)
-        assert set(res.entries) == set(res.traces)
-        rules = set()
+        entries = explained(res)
+        assert set(entries) == set(res.entries)
         for key, v in res.entries.items():
-            tr = res.traces[key]
-            assert (tr.unknown, tr.q, tr.twist) == key
-            assert replay_trace(tr) == v
-            rules.add(tr.rule)
+            assert DimValue.from_json(entries[key]["value"]) == v
+        rules = {entry["rule"] for entry in entries.values()}
         assert "window" in rules
         assert any(rule.startswith("solve-") for rule in rules)
-
-    def test_mapping_protocol_agrees(self):
-        res = self.run_pfaff(2)
-        traces = res.traces
-        assert traces is res.traces
-        copy = dict(traces)
-        assert len(traces) == len(copy) == len(res.entries)
-        assert list(traces) == list(copy) == list(res.entries)
-        for key in res.entries:
-            assert key in traces and traces[key] == copy[key]
-        assert ("I_Z", 0, 10**6) not in traces
-        with pytest.raises(KeyError):
-            traces[("I_Z", 0, 10**6)]
-        with pytest.raises(TypeError):
-            traces[("I_Z", 0, 0)] = None
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_criteria_leave_the_traces_alone(self, r):

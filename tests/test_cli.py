@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from singscheme.chase import replay_trace
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
-from singscheme.cohomology import CohomologyTable, table, tangent_sheaf
+from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_sheaf
 from singscheme.chow import MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
 from singscheme.forms import MAX_DEGREE, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
@@ -366,6 +367,17 @@ class TestChaseCommand:
         code, second, _ = run(capsys, "chase", "--pfaff=-2,-2", "--r", "1", "--explain")
         assert (code, second) == (0, first)
 
+    @pytest.mark.parametrize("data", [("--pfaff=-2,-2,-2", "--r", "2"), ("--tangent=-1,-2", "--n", "4")])
+    def test_explain_entries_replay(self, capsys, data):
+        # the README's promise: each printed entry replays on its own to
+        # the value printed with it
+        code, out, _ = run(capsys, "chase", *data, "--explain", "--twists=-3..3")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert {e["rule"] for e in entries} >= {"window", "solve-c"}
+        for entry in entries:
+            assert replay_trace(entry) == DimValue.from_json(entry["value"]), entry
+
     def test_pfaff_needs_rank(self, capsys):
         code, _, err = run(capsys, "chase", "--pfaff=-2,-2")
         assert code == 1
@@ -594,7 +606,7 @@ class TestFormSing:
         "text, message",
         [
             ("z0 dz1 z1 dz0", "expected + or - before 'z1' (token 2)"),
-            ("z0 @ dz1", "unexpected character at position 2: ' '"),
+            ("z0 @ dz1", "unexpected character at position 3: '@'"),
         ],
     )
     def test_malformed_form_error_line(self, capsys, tmp_path, text, message):

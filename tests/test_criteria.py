@@ -3,9 +3,11 @@ the cotangent powers, hand-built fixtures for the ACM/Buchsbaum/regularity
 paths, and the hypothesis gates of the rank bound."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
+from singscheme.chase import pfaff_ideal_table
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
     CohomologyTable,
@@ -277,27 +279,69 @@ class TestHilbertDeficiencyVerdicts:
         assert acm.holds and bb.holds
 
 
+def scanned_regularity(ideal_table):
+    """regularity by its former downward scan, the reference: each row from
+    its window's upper edge down through exact zeros to the first twist
+    not pinned to zero, which gives top_q."""
+    best = None
+    for q in range(1, ideal_table.n + 1):
+        w = ideal_table.window(q)
+        if w.empty:
+            continue
+        t = w.hi
+        while (w.lo is None or t >= w.lo) and ideal_table.value(q, t).is_zero:
+            t -= 1
+        if w.lo is None or t >= w.lo:
+            best = t + q + 1 if best is None else max(best, t + q + 1)
+    return 0 if best is None else best
+
+
+def checked_regularity(ideal_table):
+    """regularity(ideal_table), asserted equal to the reference scan."""
+    reg = regularity(ideal_table)
+    assert reg == scanned_regularity(ideal_table)
+    return reg
+
+
 class TestRegularity:
     def test_structure_sheaf_table(self):
         t = table(VirtualSheaf.from_split(SplitBundle(4, (0,))), -6, 2)
-        assert regularity(t) == 0
+        assert checked_regularity(t) == 0
 
     def test_two_disjoint_lines(self):
-        assert regularity(two_disjoint_lines_table()) == 2
+        assert checked_regularity(two_disjoint_lines_table()) == 2
 
     def test_twisted_line_bundle(self):
         # O(a) is (-a)-regular
         for n in (2, 3, 4):
             for a in (-3, 0, 5):
                 t = table(VirtualSheaf.from_split(SplitBundle(n, (a,))), -1, 1)
-                assert regularity(t) == -a
+                assert checked_regularity(t) == -a
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("wide", [False, True], ids=["windows", "-20..20"])
+    def test_agrees_with_scan_on_pfaff_grid(self, r, wide):
+        # the rows above dim Z are open below; with the wide queries they are
+        # materialized, and read from the first twist under them
+        for rank in (2, 3):
+            n = r + rank
+            extra = [("I_Z", q, (-20, 20)) for q in range(n + 1)] if wide else ()
+            for twists in combinations_with_replacement((-4, -3, -2), rank):
+                checked_regularity(pfaff_ideal_table(SplitBundle(n, twists), r, n, extra))
+
+    def test_open_row_of_materialized_zeros(self):
+        # under the materialized zeros the row is not pinned, so its top is
+        # the twist just below them: top_2 = -4
+        zeros = {t: DimValue.exact(0) for t in range(-3, 1)}
+        windows = {1: Window.nothing(), 2: Window(None, 0), 3: Window.nothing()}
+        assert checked_regularity(CohomologyTable(3, {2: zeros}, windows)) == -1
 
     def test_uncertified_row_raises(self):
         t = CohomologyTable(3, {}, {1: None})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row 1 has no zero certificate"):
             regularity(t)
         t2 = CohomologyTable(3, {}, {1: Window(0, None), 2: Window.nothing(), 3: Window.nothing()})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row 1 is unbounded above"):
             regularity(t2)
 
     def test_monotone_under_mutation(self):
@@ -306,7 +350,7 @@ class TestRegularity:
             n = rng.randint(2, 6)
             twists = [rng.randint(-4, 4) for _ in range(rng.randint(1, n))]
             t = split_table(n, twists)
-            base = regularity(t)
+            base = checked_regularity(t)
             q = rng.randint(1, n)
             w = t.window(q)
             old_top = w.hi if (w is not None and not w.empty) else -q - 1
@@ -318,7 +362,7 @@ class TestRegularity:
                 w if w is not None else Window.nothing(), Window(t_new, t_new)
             )
             mutated = CohomologyTable(n, rows, windows)
-            assert regularity(mutated) >= base
+            assert checked_regularity(mutated) >= base
             assert regularity(mutated) >= t_new + q + 1
 
 

@@ -857,9 +857,9 @@ class TestGrammar:
             ("dz0^z1", "expected dz token, got 'z1' (token 3)"),
             ("(z0 dz1)", "dz inside a coefficient (token 2)"),
             ("(z0 + ) dz1", "empty summand in coefficient (token 3)"),
-            # the position and character are those where the token match
-            # fails, which is the space before the bad character
-            ("z0 @ dz1", "unexpected character at position 2: ' '"),
+            # the position and character are those of the bad character,
+            # past any whitespace before it
+            ("z0 @ dz1", "unexpected character at position 3: '@'"),
             ("z0@ dz1", "unexpected character at position 2: '@'"),
         ],
     )
@@ -872,14 +872,14 @@ class TestGrammar:
         "text, message",
         [
             # a stray character after valid tokens
-            ("z0 dz1 @", "unexpected character at position 6: ' '"),
+            ("z0 dz1 @", "unexpected character at position 7: '@'"),
             ("z0 dz1@", "unexpected character at position 6: '@'"),
             ("z0 dz1 - z1 dz0!", "unexpected character at position 15: '!'"),
-            ("z0 dz1 é", "unexpected character at position 6: ' '"),
+            ("z0 dz1 é", "unexpected character at position 7: 'é'"),
             ("dzx", "unexpected character at position 0: 'd'"),
-            ("z0 dzx", "unexpected character at position 2: ' '"),
+            ("z0 dzx", "unexpected character at position 3: 'd'"),
             ("z", "unexpected character at position 0: 'z'"),
-            ("z0 dz1 - z dz0", "unexpected character at position 8: ' '"),
+            ("z0 dz1 - z dz0", "unexpected character at position 9: 'z'"),
             ("1/", "unexpected character at position 1: '/'"),
             ("z0 dz1 - 1/", "unexpected character at position 10: '/'"),
             ("1/ z0 dz1", "unexpected character at position 1: '/'"),
