@@ -112,7 +112,7 @@ _TERM = re.compile(
 def parse_sheaf(spec: str, n: int):
     """Parse 'O(-2)^3+Om(1,4)+T' into a VirtualSheaf on P^n."""
     from .chow import read_number
-    from .cohomology import VirtualSheaf, normalize_atom
+    from .cohomology import VirtualSheaf, ext_power_tangent, normalize_atom
     total = None
     for chunk in spec.split("+"):
         m = _TERM.match(chunk)
@@ -125,15 +125,16 @@ def parse_sheaf(spec: str, n: int):
         if mult < 1:
             raise ValueError("multiplicity must be at least 1")
         if m.group("t"):
-            p, k = n - 1, n + 1  # T = Omega^{n-1}(n+1)
+            atom = ext_power_tangent(n, 1)
         elif m.group("p") is not None:
             p = read_number(m.group("p"), "a cotangent power")
             k = read_number(m.group("k"), "a twist")
             if p > n:
                 raise ValueError(f"Om({p},{k}) vanishes on P^{n}")
+            atom = normalize_atom(n, p, k)
         else:
-            p, k = 0, read_number(m.group("a"), "a twist")  # O(a) = Omega^0(a)
-        part = VirtualSheaf.from_atom(n, normalize_atom(n, p, k), mult)
+            atom = normalize_atom(n, 0, read_number(m.group("a"), "a twist"))  # O(a) = Omega^0(a)
+        part = VirtualSheaf.from_atom(n, atom, mult)
         total = part if total is None else total.direct_sum(part)
     if total is None:
         raise ValueError("empty sheaf spec")
@@ -361,14 +362,6 @@ def _cmd_classify(args) -> int:
 # ------------------------------------------------------------- form tools
 
 
-def _infer_nvars(text: str) -> int:
-    from .forms import variable_index
-    indices = [variable_index(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
-    if not indices:
-        raise ValueError("cannot infer the ambient dimension from the form; pass --n")
-    return max(indices) + 1
-
-
 def _poly_text(coeffs) -> str:
     """Render an ascending coefficient tuple as a polynomial in t."""
     from .forms import signed_sum
@@ -436,10 +429,9 @@ def _cmd_form_sing(args) -> int:
     from .hilbert import hilbert_profile
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    nvars = args.n + 1 if args.n is not None else _infer_nvars(text)
-    form = parse_form(text, nvars)
-    n = nvars - 1
-    radial_zero = contract(form, radial_field(nvars)).is_zero
+    form = parse_form(text, None if args.n is None else args.n + 1)
+    n = form.nvars - 1
+    radial_zero = contract(form, radial_field(form.nvars)).is_zero
     head = f"form: {form.k}-form on P^{n}, coefficient degree {form.poly_degree}"
     degree = None
     if radial_zero:

@@ -349,8 +349,8 @@ class VirtualSheaf:
 
 
 def tangent_sheaf(n: int) -> VirtualSheaf:
-    """T as the normalized atom Omega^{n-1}(n+1)."""
-    return VirtualSheaf.from_atom(n, normalize_atom(n, n - 1, n + 1))
+    """The tangent sheaf, Lambda^1 T, as a virtual sheaf."""
+    return VirtualSheaf.from_atom(n, ext_power_tangent(n, 1))
 
 
 def _power(bundle: SplitBundle, j: int, ways) -> SplitBundle:
@@ -394,7 +394,9 @@ def ext_power_split(bundle: SplitBundle, j: int) -> SplitBundle:
 
 
 def ext_power_tangent(n: int, q: int) -> SheafAtom:
-    """Lambda^q T = Omega^{n-q}(n+1), in normal form."""
+    """Lambda^q T = Omega^{n-q}(n+1), in normal form: the one owner of
+    that identity."""
+    check_ambient_dimension(n)
     if not 0 <= q <= n:
         raise ValueError("need 0 <= q <= n")
     return normalize_atom(n, n - q, n + 1)

@@ -313,11 +313,11 @@ def regularity(ideal_table: CohomologyTable) -> int:
     """Least m with h^q(I(m-q)) = 0 for all q > 0, stably so; it can be
     negative (O(5) is -5-regular).
 
-    Each row's contribution is top_q + q + 1 where top_q is the largest
-    twist of the row's possible_entries. A window open below is read from
-    the first twist under the materialized row, which is not pinned to
-    zero, so on tables with interval entries the result is a safe upper
-    bound."""
+    Each row's contribution is top_q + q + 1 where top_q is the first
+    possibly nonzero twist read down from the window's upper edge. A window
+    open below is read down to the first twist under the materialized row,
+    which is not pinned to zero, so on tables with interval entries the
+    result is a safe upper bound."""
     tops = []
     for q in range(1, ideal_table.n + 1):
         w = ideal_table.window(q)
@@ -332,9 +332,9 @@ def regularity(ideal_table: CohomologyTable) -> int:
                 f"row {q} is unbounded above; regularity is undecidable"
             )
         lo = w.lo if w.lo is not None else min([w.hi, *ideal_table.rows.get(q, {})]) - 1
-        entries = possible_entries(ideal_table, q, lo, w.hi)
-        if entries:
-            tops.append(entries[-1][0] + q + 1)
+        top = next((t for t in range(w.hi, lo - 1, -1) if ideal_table.value(q, t).possibly_nonzero), None)
+        if top is not None:
+            tops.append(top + q + 1)
     return max(tops, default=0)
 
 

@@ -27,9 +27,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
-# The one literal reader, shared with every command; the parser's cap is
-# importable from here too.
-from .chow import read_number
+# The one literal reader and the one n >= 1 rule, shared with every command;
+# the parser's cap is importable from here too.
+from .chow import check_ambient_dimension, read_number
 
 
 # Monomial packing (Monagan-Pearce 2009): the exponent of z_i sits in bits
@@ -64,7 +64,8 @@ def _check_degree(degree: int) -> None:
 
 
 def _check_variables(nvars: int) -> None:
-    """Raise ValueError when a ring has more than MAX_VARIABLES variables."""
+    """Raise ValueError unless 2 <= nvars <= MAX_VARIABLES: P^n needs n >= 1."""
+    check_ambient_dimension(nvars - 1)
     if nvars > MAX_VARIABLES:
         raise ValueError(f"{nvars} variables exceed the cap of {MAX_VARIABLES}")
 
@@ -646,70 +647,61 @@ def _tokenize(text: str):
 class _Parser:
     """Terms are <poly factors> <dz chain>, joined by + and -. Polynomial
     factors are numbers, variables with optional ^power, and parenthesized
-    sums; * between factors is optional. dz indices wedge with ^."""
+    sums; * between factors is optional. dz indices wedge with ^. The token
+    list ends in None, where every read either stops or fails."""
 
     def __init__(self, tokens, nvars: int):
-        self.tokens = tokens
+        self.tokens = [*tokens, None]
         self.pos = 0
         self.nvars = nvars
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
     def fail(self, message: str):
         raise FormParseError(f"{message} (token {self.pos})")
 
     def parse_form(self) -> PolyKForm:
+        tokens = self.tokens
         terms = []
         k = None
-        first = True
         while True:
-            sign = 1
-            tok = self.peek()
+            tok = tokens[self.pos]
+            sign = -1 if tok == "-" else 1
             if tok in ("+", "-"):
-                self.next()
-                sign = -1 if tok == "-" else 1
-            elif not first:
+                self.pos += 1
+            elif k is not None:
                 self.fail(f"expected + or - before {tok!r}")
-            elif tok is None:
-                self.fail("empty input")
-            poly, indices = self.parse_term()
-            if k is None:
-                k = len(indices)
+            poly = self.parse_product()
+            indices = self.parse_chain() if (tokens[self.pos] or "").startswith("dz") else ()
+            if poly is None and not indices:
+                self.fail("empty term")
+            k = len(indices) if k is None else k
             if len(indices) != k:
                 self.fail(f"mixed form degrees {k} and {len(indices)}")
-            canon = _canonical_indices(indices)
-            if canon is not None:
-                idx, parity = canon
-                terms.append((idx, poly * (sign * parity)))
-            first = False
-            if self.peek() is None:
-                break
-        return PolyKForm.from_dict(self.nvars, k, terms)
+            if (canon := _canonical_indices(indices)) is not None:
+                coeff = HomogeneousPoly.constant(self.nvars, 1) if poly is None else poly
+                terms.append((canon[0], coeff * (sign * canon[1])))
+            if tokens[self.pos] is None:
+                return PolyKForm.from_dict(self.nvars, k, terms)
 
     def parse_product(self) -> HomogeneousPoly | None:
         """Factors up to the next +, -, ) or dz token; None if there are none.
         Numbers and powers z_i^e fold into one (packed monomial, coefficient,
         degree) term; only a parenthesized sum takes a polynomial product. The
         written degree is capped even at coefficient 0; a zero sum adds 0."""
+        tokens = self.tokens
         poly, found = None, False
         mono, coeff, degree, written = 0, 1, 0, 0
         while True:
-            tok = self.next()
+            tok = tokens[self.pos]
+            if tok is None or tok in ("+", "-", ")") or tok.startswith("dz"):
+                break
+            self.pos += 1
             if tok == "*":
                 continue
-            if tok is None or tok in ("+", "-", ")") or tok.startswith("dz"):
-                self.pos -= 1
-                break
             found = True
             if tok == "(":
                 factor = self.parse_poly_sum()
-                if self.next() != ")":
+                self.pos += 1
+                if tokens[self.pos - 1] != ")":
                     self.fail("missing )")
                 term = self.one_term(mono, coeff, degree)
                 poly = (term if poly is None else poly * term) * factor
@@ -727,10 +719,10 @@ class _Parser:
                 if i >= self.nvars:
                     self.fail(f"variable z{i} out of range for {self.nvars} variables")
                 e = 1
-                if self.peek() == "^":
-                    self.next()
-                    power = self.next()
-                    if power is None or not power.isdigit():
+                if tokens[self.pos] == "^":
+                    power = tokens[self.pos + 1]
+                    self.pos += 2
+                    if not (power or "").isdigit():
                         self.fail("expected an integer power")
                     digits = power.lstrip("0") or "0"
                     if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
@@ -749,60 +741,50 @@ class _Parser:
         packed = _canonical({mono: coeff})
         return HomogeneousPoly(self.nvars, degree if packed else -1, packed)
 
-    def parse_term(self):
-        """(coefficient, dz indices); the indices are () for a 0-form term."""
-        poly = self.parse_product()
-        indices = self.parse_chain() if (self.peek() or "").startswith("dz") else ()
-        if poly is None and not indices:
-            self.fail("empty term")
-        if poly is None:
-            poly = HomogeneousPoly.constant(self.nvars, 1)
-        return poly, indices
-
     def parse_poly_sum(self) -> HomogeneousPoly:
         summands = []
-        first = True
         while True:
-            sign = 1
-            tok = self.peek()
+            tok = self.tokens[self.pos]
+            sign = -1 if tok == "-" else 1
             if tok in ("+", "-"):
-                self.next()
-                sign = -1 if tok == "-" else 1
-            elif not first:
-                break
+                self.pos += 1
             term = self.parse_product()
-            if (self.peek() or "").startswith("dz"):
+            if (self.tokens[self.pos] or "").startswith("dz"):
                 self.fail("dz inside a coefficient")
             if term is None:
                 self.fail("empty summand in coefficient")
             summands.append(term * sign)
-            first = False
-            if self.peek() not in ("+", "-"):
-                break
-        return _sum(self.nvars, summands)
+            if self.tokens[self.pos] not in ("+", "-"):
+                return _sum(self.nvars, summands)
 
     def parse_chain(self):
         indices = []
-        tok = self.next()
         while True:
-            if tok is None or not tok.startswith("dz"):
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            if not (tok or "").startswith("dz"):
                 self.fail(f"expected dz token, got {tok!r}")
             i = variable_index(tok[2:])
             if i >= self.nvars:
                 self.fail(f"dz{i} out of range for {self.nvars} variables")
             indices.append(i)
-            if self.peek() != "^":
-                break
-            self.next()
-            tok = self.next()
-            if tok is not None and re.fullmatch(r"\d+", tok):
+            if self.tokens[self.pos] != "^":
+                return tuple(indices)
+            self.pos += 1
+            if (self.tokens[self.pos] or "").isdigit():
+                self.pos += 1
                 self.fail("dz factors cannot carry powers")
-        return tuple(indices)
 
 
-def parse_form(text: str, nvars: int) -> PolyKForm:
-    _check_variables(nvars)
+def parse_form(text: str, nvars: int | None = None) -> PolyKForm:
+    """The form that text spells on C^nvars. Without nvars the ring is the
+    smallest that holds every z<i> and dz<i> of the text."""
     tokens = _tokenize(text)
+    if nvars is None:
+        nvars = 1 + max((variable_index(t.lstrip("dz")) for t in tokens if t[0] in "dz"), default=-1)
+        if nvars == 0:
+            raise FormParseError("cannot infer the ambient dimension from the form; pass --n")
+    _check_variables(nvars)
     if not tokens:
         raise FormParseError("empty input")
     return _Parser(tokens, nvars).parse_form()

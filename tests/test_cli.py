@@ -595,6 +595,21 @@ class TestFormSing:
         code, out, err = run(capsys, "form", "sing", "--input", str(path))
         assert (code, out, err) == (1, "", "error: cannot infer the ambient dimension from the form; pass --n\n")
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("z0 dz1 - z1 dz0", ("--n", "0")),
+            ("z0 dz1 - z1 dz0", ("--n", "-3")),
+            ("z0 dz0", ()),
+            ("z0", ()),
+        ],
+    )
+    def test_ambient_dimension_below_one_exits_one(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "p0.form"
+        path.write_text(text)
+        code, out, err = run(capsys, "form", "sing", "--input", str(path), *argv)
+        assert (code, out, err) == (1, "", "error: ambient dimension must be positive\n")
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.form"
         path.write_text("z0 dz1 +")
@@ -774,6 +789,11 @@ class TestFormPullback:
         code, out, err = run(capsys, "form", "pullback", "--n", str(MAX_VARIABLES), "--field-degrees", "1")
         message = f"{MAX_VARIABLES + 1} variables exceed the cap of {MAX_VARIABLES}"
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_ambient_dimension_below_one_exits_one(self, capsys, n):
+        code, out, err = run(capsys, "form", "pullback", "--n", n, "--field-degrees", "1")
+        assert (code, out, err) == (1, "", "error: ambient dimension must be positive\n")
 
     def test_too_many_fields(self, capsys):
         code, _, err = run(capsys, "form", "pullback", "--n", "3",

@@ -2,11 +2,14 @@
 the worked two-quadric fixture, contraction-chain closure, ideal
 extraction, and the text grammar round trip."""
 
+import json
 import random
+import re
 import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -342,6 +345,56 @@ class TestVariableCap:
             pullback_form(forms.MAX_VARIABLES, (1,), 0)
         with pytest.raises(ValueError, match="exceed the cap"):
             pullback_form(10**9, (1, 0), 0)
+
+
+# The two forms the README shows, and the contraction chains of
+# forms_golden.json.
+README_FORMS = [
+    "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2",
+    "z1*z2 dz0 - 2*z0*z2 dz1 + z0*z1 dz2",
+]
+GOLDEN_FORMS = [
+    text for key, text in json.loads(Path(__file__).with_name("forms_golden.json").read_text()).items()
+    if key.startswith("chain ")
+]
+
+
+class TestAmbientRing:
+    @pytest.mark.parametrize("text", README_FORMS + GOLDEN_FORMS)
+    def test_ring_is_inferred_from_the_highest_index(self, text):
+        top = max(int(i) for i in re.findall(r"z(\d+)", text))
+        form = parse_form(text)
+        assert form.nvars == top + 1
+        assert form == parse_form(text, top + 1)
+
+    @pytest.mark.parametrize("text", ["7", "3/2 - 1", "", " \n"])
+    def test_no_variable_leaves_the_ring_unknown(self, text):
+        with pytest.raises(FormParseError) as exc:
+            parse_form(text)
+        assert str(exc.value) == "cannot infer the ambient dimension from the form; pass --n"
+
+    @pytest.mark.parametrize(
+        "text, nvars",
+        [
+            ("z0 dz0", None),
+            ("z0", None),
+            ("dz0", None),
+            ("z0^", None),
+            ("z0 dz1 - z1 dz0", 1),
+            ("z0 dz1 - z1 dz0", 0),
+            ("z0 dz1 - z1 dz0", -2),
+        ],
+    )
+    def test_parser_refuses_p0_and_below(self, text, nvars):
+        with pytest.raises(ValueError) as exc:
+            parse_form(text, nvars)
+        assert str(exc.value) == "ambient dimension must be positive"
+
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_pullback_refuses_p0_and_below(self, n):
+        with pytest.raises(ValueError) as exc:
+            pullback_form(n, (1,), 0)
+        assert str(exc.value) == "ambient dimension must be positive"
 
 
 class TestTermCap:
@@ -857,6 +910,15 @@ class TestGrammar:
             ("dz0^z1", "expected dz token, got 'z1' (token 3)"),
             ("(z0 dz1)", "dz inside a coefficient (token 2)"),
             ("(z0 + ) dz1", "empty summand in coefficient (token 3)"),
+            # input that ends in the middle of a term
+            ("z0^", "expected an integer power (token 3)"),
+            ("dz0^", "expected dz token, got None (token 3)"),
+            ("(", "empty summand in coefficient (token 1)"),
+            ("z0 (", "empty summand in coefficient (token 2)"),
+            ("(z0", "missing ) (token 3)"),
+            ("-", "empty term (token 1)"),
+            ("dz0 ^ ^", "expected dz token, got '^' (token 3)"),
+            ("((z0) dz1", "dz inside a coefficient (token 4)"),
             # the position and character are those of the bad character,
             # past any whitespace before it
             ("z0 @ dz1", "unexpected character at position 3: '@'"),
