@@ -42,6 +42,7 @@ from .cohomology import (
     Window,
     normalize_atom,
     sym_power,
+    sym_powers,
     tensor_with_split,
 )
 
@@ -454,8 +455,9 @@ def en_complex_tangent(F: SplitBundle, n: int) -> list[ExactTriple]:
         raise ValueError(f"bundle lives on P^{F.n}, not P^{n}")
     if k < 1:
         raise ValueError("need rank(F) <= n - 1")
+    syms = sym_powers(F, k)
     terms = [
-        tensor_with_split(normalize_atom(n, r + j, F.c1), sym_power(F, j))
+        tensor_with_split(normalize_atom(n, r + j, F.c1), syms[j])
         for j in range(k, -1, -1)
     ]
     kernels = [TableRef(f"U{j}") for j in range(k - 2, -1, -1)] + [TableRef("I_Z")]

@@ -12,8 +12,9 @@ and those windows are carried on every table as certificates.
 Atoms are kept in normal form: Omega^0(k) is O(k) and Omega^n(k) is
 O(k-n-1), applied eagerly so equality of sheaves is syntactic. A split
 bundle enters through SplitBundle.counts, one (twist, multiplicity) pair per
-distinct twist, and Sym^j and Lambda^j are convolutions over those counts.
-The tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1). A VirtualSheaf
+distinct twist; its Sym^j (or Lambda^j) for all j <= k at once are the
+layers of a generating function, one in-place sweep per summand. The
+tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1). A VirtualSheaf
 reads its rows per sheaf: its windows come from one pass over its atoms,
 and h^q and chi at a twist sum only the atoms that can be nonzero there.
 
@@ -218,7 +219,7 @@ class VirtualSheaf:
         for atom, mult in pairs:
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
-            if isinstance(atom, CotangentPower):
+            if isinstance(atom, CotangentPower) and not 0 < atom.p < n:
                 atom = normalize_atom(n, atom.p, atom.k)
             merged[atom] = merged.get(atom, 0) + mult
         if not merged:
@@ -250,35 +251,42 @@ class VirtualSheaf:
 
     @cached_property
     def _rows(self):
-        """(windows, edge, keys, points) from one pass over the atoms.
+        """(windows, edge, keys, points, mid, edges), one pass over the atoms.
 
-        Each atom adds the bott_dim regimes where it can be nonzero to the
-        row windows: its q=0 ray, its q=p point and its q=n ray, each tight
-        at its finite end. edge lists (k-p, p, k, m) by ascending k-p, and
-        keys is its k-p column: an atom's q=0 row is nonzero at twist t
-        only if k-p >= -t, and its q=n row only if k-p <= -n-t. points[q]
-        maps the one twist t = -k where an atom with p = q, 0 < q < n, has
-        h^q = 1 to the summed multiplicity of such atoms.
+        points[p] maps each -k of the atoms Omega^p(k) to their summed
+        multiplicity: row p for 0 < p < n, where h^p = 1 exactly there. The
+        extreme keys of each points[p] give every row window, since an atom
+        lives on row 0 from -k+p+1 on, on row n up to -k+p-n-1, and at -k
+        on row p. mid maps t to the middle rows' share of chi(t). edge lists
+        (k-p, p, k, m) by ascending k-p, keys its k-p column: an atom's q=0
+        row is nonzero at twist t only if k-p >= -t, its q=n row only if
+        k-p <= -n-t. edges are the first twist with h^0 = chi (every k+t >=
+        1) and the last with h^n = (-1)^n chi (every k+t <= -1).
         """
         n = self.n
-        parts: list[list[Window]] = [[] for _ in range(n + 1)]
         points: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        mid: dict[int, int] = {}
         for atom, m in self.atoms:
-            p, k = atom.p, atom.k
-            parts[0].append(Window(p - k + 1, None))
-            parts[p].append(Window(-k, -k))
-            parts[n].append(Window(None, p - n - k - 1))
-            if 0 < p < n:
-                points[p][-k] = points[p].get(-k, 0) + m
+            row, t = points[atom.p], -atom.k
+            row[t] = row.get(t, 0) + m
+            if 0 < atom.p < n:
+                mid[t] = mid.get(t, 0) + (-1) ** atom.p * m
+        live = [(p, row) for p, row in enumerate(points) if row]
+        empty = Window.nothing()
+        windows = (
+            Window(min(min(row) + p + (p > 0) for p, row in live), None),
+            *(Window(min(row), max(row)) if row else empty for row in points[1:n]),
+            Window(None, max(max(row) + p - n - (p < n) for p, row in live)),
+        )
         edge = sorted((a.k - a.p, a.p, a.k, m) for a, m in self.atoms)
-        windows = tuple(Window.hull(*ws) for ws in parts)
-        return windows, edge, [e[0] for e in edge], points
+        edges = 1 + max(max(row) for _, row in live), min(min(row) for _, row in live) - 1
+        return windows, edge, [e[0] for e in edge], points, mid, edges
 
     def h(self, q: int, twist: int = 0) -> int:
         n = self.n
         if not 0 <= q <= n:
             raise ValueError("need 0 <= p, q <= n")
-        _, edge, keys, points = self._rows
+        _, edge, keys, points, _, _ = self._rows
         if 0 < q < n:
             return points[q].get(twist, 0)
         if q == 0:
@@ -289,35 +297,30 @@ class VirtualSheaf:
 
     def chi(self, twist: int = 0) -> int:
         """Euler characteristic sum_q (-1)^q h^q at the given twist."""
-        points = self._rows[3]
-        mid = sum((-1) ** q * points[q].get(twist, 0) for q in range(1, self.n) if points[q])
-        return self.h(0, twist) + (-1) ** self.n * self.h(self.n, twist) + mid
+        return self.h(0, twist) + (-1) ** self.n * self.h(self.n, twist) + self._rows[4].get(twist, 0)
 
     def chi_row(self, twists) -> list[int]:
         """chi at each twist of a strictly ascending list, in int adds: each
-        run of consecutive twists, where t - index is constant, extends the
-        forward differences of its first n+1 values, since chi(F(t)) is a
-        polynomial of degree <= n in t."""
+        run of consecutive twists, where t - index is constant, reads its
+        first n+1 values and extends their forward differences past them,
+        since chi(F(t)) is a polynomial of degree <= n in t."""
         out, i = [], 0
         while i < len(twists):
             j = bisect_right(range(len(twists)), twists[i] - i, lo=i, key=lambda m: twists[m] - m)
-            diffs, d = [], [self.chi(t) for t in twists[i : min(j, i + self.n + 1)]]
-            while d:
-                diffs.append(d[0])
-                d = [b - a for a, b in zip(d, d[1:])]
-            row = repeat(diffs.pop())
-            for c in reversed(diffs):
-                row = accumulate(row, initial=c)
-            out += islice(row, j - i)
+            seeds = [self.chi(t) for t in twists[i : min(j, i + self.n + 1)]]
+            if len(seeds) == j - i:
+                out += seeds
+            else:
+                diffs, d = [], seeds
+                while d:
+                    diffs.append(d[0])
+                    d = [b - a for a, b in zip(d, d[1:])]
+                row = repeat(diffs.pop())
+                for c in reversed(diffs):
+                    row = accumulate(row, initial=c)
+                out += islice(row, j - i)
             i = j
         return out
-
-    @cached_property
-    def _edges(self) -> tuple[int, int]:
-        """The first twist with h^0 = chi (every k + t >= 1) and the last
-        with h^n = (-1)^n chi (every k + t <= -1)."""
-        ks = [atom.k for atom, _ in self.atoms]
-        return 1 - min(ks), -1 - max(ks)
 
     def h_row(self, q: int, twists) -> list[int]:
         """h^q at each twist of a strictly ascending list: +-chi_row beyond
@@ -326,10 +329,10 @@ class VirtualSheaf:
         n = self.n
         if not 0 <= q <= n:
             raise ValueError("need 0 <= p, q <= n")
+        windows, _, _, points, _, (first, last) = self._rows
         if 0 < q < n:
-            points = self._rows[3][q]
-            return [points.get(t, 0) for t in twists]
-        w, (first, last) = self._rows[0][q], self._edges
+            return [points[q].get(t, 0) for t in twists]
+        w = windows[q]
         if q == 0:
             j = bisect_left(twists, first)
             i = min(j, bisect_left(twists, w.lo))
@@ -353,44 +356,39 @@ def tangent_sheaf(n: int) -> VirtualSheaf:
     return VirtualSheaf.from_atom(n, ext_power_tangent(n, 1))
 
 
-def _power(bundle: SplitBundle, j: int, ways) -> SplitBundle:
-    """The j-th power of a split bundle by convolution over bundle.counts.
+def _power_layers(bundle: SplitBundle, k: int, exterior: bool) -> list[SplitBundle]:
+    """Degrees 0..k of prod_a (1 - x y^a)^(-m_a), the generating function
+    of Sym, or of prod_a (1 + x y^a)^(m_a), that of Lambda. Each copy of a
+    twist a multiplies in its factor with one in-place sweep layers[i] +=
+    y^a layers[i-1]: ascending in i for Sym, so that layer i-1 already
+    holds every power of the factor, and descending for Lambda."""
+    if k < 0 or exterior and k > bundle.rank:
+        raise ValueError("exterior power degree out of range" if exterior else "symmetric power degree must be nonnegative")
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+    order = range(k, 0, -1) if exterior else range(1, k + 1)
+    for a, m in bundle.counts:
+        for _ in range(m):
+            for i in order:
+                target = layers[i]
+                for s, mult in layers[i - 1].items():
+                    s += a
+                    target[s] = target.get(s, 0) + mult
+    return [SplitBundle.from_counts(bundle.n, layer) for layer in layers]
 
-    A summand takes i_a copies of each distinct twist a, with the i_a
-    summing to j, in the product of the ways(i_a, m_a) and has twist
-    sum_a i_a * a; the multisets themselves are never listed. layers[i]
-    maps a twist to its multiplicity among the summands that take i copies
-    of the twists seen so far; the last twist only completes layer j.
-    """
-    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(j)]
-    for index, (a, m) in enumerate(bundle.counts):
-        last = index == len(bundle.counts) - 1
-        for i in range(j, j - 1 if last else 0, -1):
-            target = layers[i]
-            for c in range(1, i + 1):
-                w = ways(c, m)
-                if not w:
-                    break
-                for s, mult in layers[i - c].items():
-                    s += c * a
-                    target[s] = target.get(s, 0) + w * mult
-    return SplitBundle.from_counts(bundle.n, layers[j])
+
+def sym_powers(bundle: SplitBundle, k: int) -> list[SplitBundle]:
+    """Sym^0 .. Sym^k of a split bundle, from one generating-function sweep."""
+    return _power_layers(bundle, k, False)
 
 
 def sym_power(bundle: SplitBundle, j: int) -> SplitBundle:
-    """Sym^j of a split bundle, by convolution: i copies of a twist of
-    multiplicity m can be picked in C(i+m-1, m-1) ways (stars and bars)."""
-    if j < 0:
-        raise ValueError("symmetric power degree must be nonnegative")
-    return _power(bundle, j, lambda i, m: comb(i + m - 1, m - 1))
+    """Sym^j of a split bundle: the last layer of sym_powers."""
+    return sym_powers(bundle, j)[j]
 
 
 def ext_power_split(bundle: SplitBundle, j: int) -> SplitBundle:
-    """Lambda^j of a split bundle, by convolution: i of the m copies of a
-    twist can be picked in C(m, i) ways."""
-    if not 0 <= j <= bundle.rank:
-        raise ValueError("exterior power degree out of range")
-    return _power(bundle, j, lambda i, m: comb(m, i))
+    """Lambda^j of a split bundle: the last layer of the Lambda sweep."""
+    return _power_layers(bundle, j, True)[j]
 
 
 def ext_power_tangent(n: int, q: int) -> SheafAtom:

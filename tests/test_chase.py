@@ -11,6 +11,7 @@ data, the pinned h^2 singleton for split Pfaff data, and the degradation
 witnesses when twist gaps break the Buchsbaum numerics.
 """
 
+import hashlib
 import json
 from itertools import combinations_with_replacement
 from math import comb
@@ -42,8 +43,11 @@ from singscheme.cohomology import (
     LineBundle,
     VirtualSheaf,
     Window,
+    normalize_atom,
+    sym_power,
     table,
     tangent_sheaf,
+    tensor_with_split,
 )
 from singscheme.criteria import (
     InapplicableError,
@@ -350,6 +354,33 @@ class TestTangentComplexTerms:
         F = SplitBundle(4, (-2, 1))
         last = en_complex_tangent(F, 4)[-1]
         assert last.b.atoms == ((CotangentPower(2, -1), 1),)
+
+    def test_terms_match_per_degree_sym_powers(self):
+        # The complex reads all its Sym^j from one sym_powers call; each
+        # term must equal the one built from its own sym_power(F, j).
+        for n in (21, 24, 26):
+            for shift in range(-3, 4):
+                F = SplitBundle(n, range(shift - 3, shift + 3))
+                r, k = F.rank, n - F.rank
+                want = [
+                    tensor_with_split(normalize_atom(n, r + j, F.c1), sym_power(F, j))
+                    for j in range(k, -1, -1)
+                ]
+                triples = en_complex_tangent(F, n)
+                assert [triples[0].a] + [tr.b for tr in triples] == want
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (40, "31737703730eed28f5efef60d7e5058bc8806980079a8a5509c7952234fc1c82"),
+            (80, "3e14c94085d9cd7b2110ff5597e82460400d8c0fb22225ba5ccb02880d248bae"),
+        ],
+    )
+    def test_large_tables_pinned(self, n, digest):
+        # sha256 of the table as computed by the per-degree convolution that
+        # the generating-function sweep replaced.
+        text = tangent_ideal_table(SplitBundle(n, range(-3, 3)), n).dumps()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="rank"):

@@ -15,6 +15,7 @@ from math import comb, factorial
 
 import pytest
 
+from singscheme.chase import en_complex_tangent
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
     CohomologyTable,
@@ -28,6 +29,7 @@ from singscheme.cohomology import (
     ext_power_tangent,
     normalize_atom,
     sym_power,
+    sym_powers,
     table,
     tangent_sheaf,
     tensor_with_split,
@@ -279,15 +281,24 @@ class TestVirtualSheaf:
         # h_row and chi_row against the per-twist h and chi, on twist lists
         # that cross both band edges (1 - min k for h^0, -1 - max k for
         # h^n): one long run, runs cut short of n+1 twists by gaps, and a
-        # sparse random list.
+        # sparse random list. The sheaves are random small ones and, at
+        # n = 20..30, terms Omega^{r+j} (x) Sym^j(F)(c1) of the tangent
+        # Eagon-Northcott complex, whose rows run far past the band.
         rng = random.Random(20261019)
+        sheaves = []
         for _ in range(200):
             n = rng.randint(1, 8)
             pairs = [
                 (normalize_atom(n, rng.randint(0, n), rng.randint(-10, 10)), rng.randint(1, 3))
                 for _ in range(rng.randint(1, 5))
             ]
-            s = VirtualSheaf.from_pairs(n, pairs)
+            sheaves.append(VirtualSheaf.from_pairs(n, pairs))
+        for n, shift in ((20, -3), (24, 0), (27, 2), (30, -1)):
+            triples = en_complex_tangent(SplitBundle(n, range(shift - 3, shift + 3)), n)
+            terms = [triples[0].a] + [tr.b for tr in triples]
+            sheaves += [terms[0], terms[len(terms) // 2], terms[-1]]
+        for s in sheaves:
+            n = s.n
             ks = [a.k for a, _ in s.atoms]
             lo, hi = -1 - max(ks) - rng.randint(0, 3 * n + 8), 1 - min(ks) + rng.randint(0, 3 * n + 8)
             run = list(range(lo, hi + 1))
@@ -298,9 +309,11 @@ class TestVirtualSheaf:
                 t += length + rng.randint(1, 3)
             sparse = sorted(rng.sample(run, rng.randint(0, len(run))))
             for ts in (run, short, sparse, []):
+                rows = [s.h_row(q, ts) for q in range(n + 1)]
                 assert s.chi_row(ts) == [s.chi(t) for t in ts]
+                assert s.chi_row(ts) == [sum((-1) ** q * h for q, h in enumerate(col)) for col in zip(*rows)]
                 for q in range(n + 1):
-                    assert s.h_row(q, ts) == [s.h(q, t) for t in ts]
+                    assert rows[q] == [s.h(q, t) for t in ts]
             for q in (-1, n + 1):
                 with pytest.raises(ValueError, match="0 <= p, q <= n"):
                     s.h_row(q, run)
@@ -359,6 +372,29 @@ class TestPowers:
                     assert got.counts == want.counts
                     assert got.twists == want.twists
                     assert (got.rank, got.c1) == (want.rank, want.c1)
+
+    def test_all_layers_match_enumeration(self):
+        # One sym_powers call gives Sym^0..Sym^k; each layer must equal the
+        # enumerated multisets, here on bundles whose twists repeat up to
+        # four times. Lambda^j is read at every j up to the rank.
+        def enumerated(bundle, j, pick):
+            return SplitBundle(bundle.n, tuple(sum(c) for c in pick(bundle.twists, j)))
+
+        rng = random.Random(20261020)
+        for _ in range(40):
+            twists = rng.sample(range(-5, 5), rng.randint(1, 3))
+            mults = [rng.randint(1, 4) for _ in twists]
+            base = SplitBundle(rng.randint(1, 8), [a for a, m in zip(twists, mults) for _ in range(m)])
+            k = 8 if base.rank <= 6 else 5
+            layers = sym_powers(base, k)
+            assert len(layers) == k + 1
+            for j, layer in enumerate(layers):
+                assert layer == enumerated(base, j, combinations_with_replacement)
+                assert layer == sym_power(base, j)
+            for j in range(base.rank + 1):
+                assert ext_power_split(base, j) == enumerated(base, j, combinations)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sym_powers(base, -1)
 
     def test_ext_power_tangent(self):
         assert ext_power_tangent(4, 1) == CotangentPower(3, 5)

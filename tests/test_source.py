@@ -99,3 +99,50 @@ def test_traced_benchmark_names_exist():
         if not callable(getattr(importlib.import_module(f"singscheme.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def _mods_layer(node):
+    """<layer> when node reads ctx.mods.<layer> or mods.<layer>, else None."""
+    if isinstance(node, ast.Attribute):
+        base = node.value
+        if isinstance(base, ast.Name) and base.id == "mods" or isinstance(base, ast.Attribute) and base.attr == "mods":
+            return node.attr
+    return None
+
+
+def test_benchmark_workload_names_exist():
+    # bench/workloads.py reaches the package as ctx.mods.<layer>.<name>,
+    # directly or through a local alias of ctx.mods.<layer> (co, C, ch, ...);
+    # a rename or deletion in the package would otherwise only show up as
+    # failed benchmark items.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads, ambiguous = set(), []
+    for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        bound: dict[str, set] = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    for name, value in pairs:
+                        if isinstance(name, ast.Name):
+                            bound.setdefault(name.id, set()).add(_mods_layer(value))
+        aliases = {name: layers.pop() for name, layers in bound.items() if layers != {None} and len(layers) == 1}
+        ambiguous += [f"{func.name}: {name}" for name, layers in bound.items() if len(layers) > 1 and layers - {None}]
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute):
+                layer = _mods_layer(node.value)
+                if layer is None and isinstance(node.value, ast.Name):
+                    layer = aliases.get(node.value.id)
+                if layer is not None:
+                    reads.add((layer, node.attr, node.lineno))
+    assert ambiguous == []
+    assert ("cohomology", "tangent_sheaf") in {(layer, name) for layer, name, _ in reads}
+    missing = [
+        f"workloads.py:{line} {layer}.{name}"
+        for layer, name, line in sorted(reads)
+        if not hasattr(importlib.import_module(f"singscheme.{layer}"), name)
+    ]
+    assert missing == []
