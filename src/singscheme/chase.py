@@ -13,10 +13,9 @@ neighborhood has enough zeros, an interval [lo, hi] from rank-nullity
 otherwise. A row's solve reads each of its four columns once, over the
 twists the row's window holds: a table's row, or a closed-form sheaf's
 h_row. Every triple is checked for Euler-characteristic consistency,
-row-wise, where the check can fail: at every twist it touched when
-tables are given, else where the one end row that the solve cannot
-balance is nonzero. ChaseResult.entries and the --explain payload, whose
-entries replay to the same numbers through the solve's own row reads,
+row-wise, where the check can fail: where the one end row that the solve
+cannot balance is nonzero. ChaseResult.entries and the --explain payload,
+whose entries replay to the same numbers through the solve's own row reads,
 are read off the plan and the tables.
 
 On top of the engine sit the complex builders used throughout: the
@@ -109,14 +108,13 @@ class ExactTriple:
         return getattr(self, pos)
 
 
-# Reads needed to solve one position at cohomological degree q, as
+# Reads needed to solve one end position at cohomological degree q, as
 # (role, dq) in the fixed order (kill1, keep1, kill2, keep2): the value is
 # forced(keep1, kill1) + forced(keep2, kill2), where forced(x, y) is the
 # part of x that y cannot absorb, [max(0, lo(x) - hi(y)), hi(x)].
 _READS = {
     "c": (("a", 0), ("b", 0), ("b", 1), ("a", 1)),
     "a": (("b", -1), ("c", -1), ("c", 0), ("b", 0)),
-    "b": (("c", -1), ("a", 0), ("a", 1), ("c", 0)),
 }
 
 
@@ -130,7 +128,9 @@ def _label(tr: ExactTriple) -> str:
 def _read_row(term: Term, q: int, ts: list, tables: dict) -> list:
     """The (lo, hi) of a term's row q at each chase twist of the strictly
     ascending list ts: a table's row dict, or a sheaf's h_row. The one
-    reader for the solve, the Euler check and the --explain payload."""
+    reader for the solve, the Euler check and the --explain payload. The
+    Euler check also reads rows at twists no solve wrote; value answers
+    those: zero outside the window, else [0, inf), which skips the check."""
     if isinstance(term, VirtualSheaf):
         return [(h, h) for h in (term.h_row(q, ts) if 0 <= q <= term.n else [0] * len(ts))]
     tab, off = tables[term.name], term.offset
@@ -155,7 +155,9 @@ def _row_reads(step, q: int, ss: list, tables: dict):
 
 def _solve(reads) -> DimValue:
     """forced(keep1, kill1) + forced(keep2, kill2) over the four (lo, hi)
-    reads, where forced(keep, kill) = [max(0, lo(keep) - hi(kill)), hi(keep)]."""
+    reads, where forced(keep, kill) = [max(0, lo(keep) - hi(kill)), hi(keep)].
+    A chase's own reads are finite; an open end (hi None) comes only from
+    a payload that replay_trace reads from outside."""
     (_, kill1), (lo1, hi1), (_, kill2), (lo2, hi2) = reads
     lo1 = 0 if kill1 is None else max(0, lo1 - kill1)
     lo2 = 0 if kill2 is None else max(0, lo2 - kill2)
@@ -171,7 +173,7 @@ def replay_trace(entry: dict) -> DimValue:
     rule = entry["rule"]
     if rule == "window":
         return _ZERO
-    if rule not in ("solve-a", "solve-b", "solve-c"):
+    if rule not in ("solve-a", "solve-c"):
         raise ValueError(f"unknown trace rule {rule!r}")
     reads = [DimValue.from_json(i["value"]) for i in entry["inputs"]]
     return _solve([(v.lo, v.hi) for v in reads])
@@ -181,9 +183,8 @@ def replay_trace(entry: dict) -> DimValue:
 class ChaseResult:
     """Everything a chase established, kept as its tables and plan.
 
-    tables holds the given tables and one table per solved unknown, whose
-    windows are complete (rows 0..n) and whose rows, written once each in
-    ascending twists, are the one store of the solved values; plan holds
+    tables holds one table per solved unknown, whose windows are complete
+    (rows 0..n) and whose rows, written once each in ascending twists, are the one store of the solved values; plan holds
     the (triple, position, name, offset) that solves each unknown, in
     solving order, and unknowns their names. entries, (unknown, q, twist)
     in the unknown's own coordinates to a value, in plan order, then q,
@@ -251,8 +252,7 @@ def _term_window(term: Term, q: int, tables: dict) -> Window:
     """Support window of a term's row q, in chase coordinates."""
     if isinstance(term, VirtualSheaf):
         return term.row_window(q)
-    w = tables[term.name].window(q)
-    return Window.everything() if w is None else w.shift(-term.offset)
+    return tables[term.name].window(q).shift(-term.offset)
 
 
 def _chi_row(term: Term, ts: list, tables: dict) -> list:
@@ -267,59 +267,46 @@ def _chi_row(term: Term, ts: list, tables: dict) -> list:
     ]
 
 
-def chase(triples, queries=(), given=None) -> ChaseResult:
+def chase(triples, queries=()) -> ChaseResult:
     """Solve an ordered list of exact triples for their unknowns.
 
     Each triple must introduce exactly one unknown not yet solved (its
-    other TableRefs must point at given tables or at unknowns solved by
-    earlier triples); anything else raises ChaseDependencyError. queries
-    is an iterable of (name, q, (lo, hi)) asking for an unknown's values
-    on an inclusive twist range, in the unknown's own coordinates; a query
-    on a name that no triple solves, a given table's included, raises
-    ValueError. On every triple, at every twist it materialized, the
+    other TableRefs must point at unknowns solved by earlier triples);
+    anything else raises ChaseDependencyError. That unknown must be an end
+    term, a or c; a fresh middle term raises ValueError. queries is an
+    iterable of (name, q, (lo, hi)) asking for an unknown's values on an
+    inclusive twist range, in the unknown's own coordinates; a query on a
+    name that no triple solves raises ValueError. On every triple the
     alternating sum of Euler characteristics must vanish whenever all three
-    columns are exact; a violation raises InconsistentTripleError. Given
-    tables that contradict their own certificates can cause one at any
-    twist. Without them only closed-form data that no short exact sequence
-    realizes can, and only where the one end row that the solve cannot
-    balance is nonzero, so only those twists are checked; the tests
-    recompute the identity at every twist. The result's explain_json is
-    the provenance of every value it holds, each entry replayable by
-    replay_trace.
+    columns are exact. Only closed-form data that no short exact sequence
+    realizes can break it, and only where the one end row that the solve
+    cannot balance is nonzero, so only those twists are checked, and a
+    violation raises InconsistentTripleError; the tests recompute the
+    identity at every twist. The result's explain_json is the provenance
+    of every value it holds, each entry replayable by replay_trace.
     """
-    return _materialize(_window_pass(triples, given), queries)
+    return _materialize(_window_pass(triples), queries)
 
 
-def _window_pass(triples, given) -> ChaseResult:
+def _window_pass(triples) -> ChaseResult:
     """Order the triples and bound the twist support of every unknown row.
 
-    Returns a ChaseResult whose tables are the given ones plus one
-    window-only table per unknown, and whose plan holds a (triple,
-    position, name, offset) per triple, in solving order.
+    Returns a ChaseResult with one window-only table per unknown, whose
+    plan holds a (triple, position, name, offset) per triple, in solving
+    order.
     """
     triples = list(triples)
-    given = dict(given or {})
-    n = triples[0].n if triples else None
+    if not triples:
+        raise ValueError("chase needs at least one triple")
+    n = triples[0].n
+    if any(tr.n != n for tr in triples):
+        raise ValueError("triples live on different projective spaces")
 
-    for tr in triples:
-        if tr.n != triples[0].n:
-            raise ValueError("triples live on different projective spaces")
-    for name, tab in given.items():
-        if not isinstance(tab, CohomologyTable):
-            raise ValueError(f"given[{name!r}] is not a cohomology table")
-        if n is None:
-            n = tab.n
-        if tab.n != n:
-            raise ValueError(f"given[{name!r}] lives on P^{tab.n}, chase on P^{n}")
-
-    if n is None:
-        raise ValueError("chase needs at least one triple or given table")
-
-    # Each triple defines the unique ref that is neither given nor solved.
-    # The support of that unknown's row lies in the union of the two rows
-    # it sits between in the long exact sequence (the keep reads of
-    # _READS), so the hull of their windows is a sound zero certificate.
-    tables = dict(given)
+    # Each triple defines the unique ref that is not yet solved. The
+    # support of that unknown's row lies in the union of the two rows it
+    # sits between in the long exact sequence (the keep reads of _READS),
+    # so the hull of their windows is a sound zero certificate.
+    tables = {}
     plan: list[tuple[ExactTriple, str, str, int]] = []
     for tr in triples:
         fresh = [
@@ -339,6 +326,8 @@ def _window_pass(triples, given) -> ChaseResult:
             raise ChaseDependencyError(f"triple {tr.label or tr}: {what}")
         pos = fresh[0]
         ref = tr.term(pos)
+        if pos not in _READS:
+            raise ValueError(f"triple {_label(tr)}: the middle term {ref.name!r} is never solved")
         windows = {}
         for q in range(n + 1):
             parts = [
@@ -375,7 +364,7 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
     for tr, pos, name, offset in reversed(plan):
         for p2, dq in _READS[pos]:
             other = tr.term(p2)
-            if isinstance(other, TableRef) and other.name in req:
+            if isinstance(other, TableRef):
                 shift = other.offset - offset
                 for q, ss in req[name].items():
                     if 0 <= q + dq <= n:
@@ -384,7 +373,6 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
     # Materialization, in order, a row at a time into each unknown's
     # table: the entries inside the row's window solve from four column
     # reads, and those outside it are certified zero.
-    has_given = any(name not in req for name in tables)
     for step in plan:
         tr, pos, name, offset = step
         for q in sorted(req[name]):
@@ -394,17 +382,16 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
             row.update(zip(inside, map(_solve, reads)))
             tables[name].rows[q] = row
 
-        # Euler-characteristic consistency at every twist this triple
-        # materialized, wherever all three columns are exact. Without given
-        # tables it can fail only where the end row the solve leaves out of
-        # the balance is nonzero: h^0(a) for a solve of c, h^n(c) for one
-        # of a, none for b. Such a twist has closed-form data that no short
-        # exact sequence realizes, such as h^0(a(t)) > 0 = h^0(b(t)).
+        # Euler-characteristic consistency at the twists this triple
+        # materialized, wherever all three columns are exact. It can fail
+        # only where the end row the solve leaves out of the balance is
+        # nonzero: h^0(a) for a solve of c, h^n(c) for one of a. Such a
+        # twist has closed-form data that no short exact sequence realizes,
+        # such as h^0(a(t)) > 0 = h^0(b(t)).
         twists = sorted({s - offset for ss in req[name].values() for s in ss})
-        if not has_given:
-            role, q = ("a", 0) if pos == "c" else ("c", n)
-            end = _read_row(tr.term(role), q, twists, tables) if pos != "b" else []
-            twists = [t for t, (_, hi) in zip(twists, end) if hi is None or hi > 0]
+        role, q = ("a", 0) if pos == "c" else ("c", n)
+        end = _read_row(tr.term(role), q, twists, tables)
+        twists = [t for t, (_, hi) in zip(twists, end) if hi is None or hi > 0]
         if not twists:
             continue
         chis = [_chi_row(tr.term(p2), twists, tables) for p2 in _POSITIONS]
@@ -421,11 +408,11 @@ def windowed_chase(triples, name: str, extra=()) -> ChaseResult:
     """Chase once: the window pass fixes the support windows, then every
     finite window row of the named unknown is materialized, plus any extra
     (name, q, (lo, hi)) queries."""
-    result = _window_pass(triples, None)
+    result = _window_pass(triples)
     queries = list(extra)
     for q in range(result.n + 1):
         w = result.table(name).window(q)
-        if w is not None and w.is_finite:
+        if w.is_finite:
             queries.append((name, q, (w.lo, w.hi)))
     return _materialize(result, queries)
 

@@ -23,6 +23,20 @@ def check_ambient_dimension(n: int) -> None:
         raise ValueError("ambient dimension must be positive")
 
 
+# Largest n of the closed-form side, whose cost grows about as n^2: a split
+# tangent chase of O(-3..2) at n = 300 takes 1.8 s and 141 MB (Python
+# 3.11, one core of a shared 2-core host).
+MAX_CLOSED_FORM_N = 300
+
+
+def check_closed_form_dimension(n: int) -> None:
+    """1 <= n <= MAX_CLOSED_FORM_N, checked before SplitBundle, VirtualSheaf
+    or a degree formula builds anything; forms has MAX_VARIABLES instead."""
+    check_ambient_dimension(n)
+    if n > MAX_CLOSED_FORM_N:
+        raise ValueError(f"ambient dimension {n} exceeds the cap of {MAX_CLOSED_FORM_N}")
+
+
 # Python's own default limit on the digits of an int read from a string
 # (sys.int_info.default_max_str_digits), for each side of a fraction alike.
 MAX_LITERAL_DIGITS = 4300
@@ -72,7 +86,7 @@ class SplitBundle:
         return bundle
 
     def _set_counts(self, n: int, mults: dict[int, int]) -> None:
-        check_ambient_dimension(n)
+        check_closed_form_dimension(n)
         if not mults:
             raise ValueError("a split bundle has rank at least one")
         if any(m <= 0 for m in mults.values()):
@@ -182,6 +196,7 @@ def singular_degree_formula(n: int, r: int, d_list) -> int:
     the number is an honest degree, but the identity itself is polynomial.
     In particular pullback-type bundles contribute entries d_i = -1.
     """
+    check_closed_form_dimension(n)
     d_list = [int(d) for d in d_list]
     if not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
@@ -196,6 +211,7 @@ def pullback_degree(n: int, k: int, d: int) -> int:
     """Degree of the singular scheme of a codimension-k pullback of a
     degree-d foliation by curves under a generic linear projection to
     P^{k+1}: the geometric sum d^{k+1} + d^k + ... + d + 1."""
+    check_closed_form_dimension(n)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if d < 0:

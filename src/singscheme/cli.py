@@ -22,6 +22,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from math import log10
 
 
 # ---------------------------------------------------------------- output
@@ -64,6 +65,11 @@ def _fmt_window(w) -> str:
     return f"nonzero only for {w.lo} <= t <= {w.hi}"
 
 
+def _too_long(name: str) -> ValueError:
+    from .chow import MAX_LITERAL_DIGITS
+    return ValueError(f"{name} is too long to print: more than {MAX_LITERAL_DIGITS} digits")
+
+
 def _check_printable(cells, name: str = "h^{}(t={})") -> None:
     """Refuse, by name, the first (*key, value) cell whose value, an int or
     a DimValue, holds a number of more than MAX_LITERAL_DIGITS digits: str()
@@ -74,7 +80,7 @@ def _check_printable(cells, name: str = "h^{}(t={})") -> None:
     for *key, v in cells:
         lo, hi = (v, v) if isinstance(v, int) else (v.lo, v.hi)
         if abs(lo) >= limit or (hi is not None and hi >= limit):
-            raise ValueError(f"{name.format(*key)} is too long to print: more than {MAX_LITERAL_DIGITS} digits")
+            raise _too_long(name.format(*key))
 
 
 def _emit_json(payload: dict) -> None:
@@ -236,8 +242,14 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_pullback_degree(args) -> int:
-    from .chow import pullback_degree
-    print(pullback_degree(args.n, args.k, args.d))
+    from .chow import MAX_LITERAL_DIGITS, pullback_degree
+    # For d >= 2 the sum is at least d^(k+1): refuse a degree that is too
+    # long by this bound before summing it, and by its value after.
+    if args.d >= 2 and 1 <= args.k < args.n and (args.k + 1) * log10(args.d) > MAX_LITERAL_DIGITS:
+        raise _too_long("the degree")
+    degree = pullback_degree(args.n, args.k, args.d)
+    _check_printable([(degree,)], "the degree")
+    print(degree)
     return 0
 
 

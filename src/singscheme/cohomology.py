@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate, islice, repeat
 from math import comb
 
-from .chow import SplitBundle, check_ambient_dimension, read_number
+from .chow import SplitBundle, check_ambient_dimension, check_closed_form_dimension, read_number
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,6 @@ class Window:
         return cls(None, None, empty=True)
 
     @classmethod
-    def everything(cls) -> "Window":
-        return cls(None, None)
-
-    @classmethod
     def hull(cls, *windows: "Window") -> "Window":
         live = [w for w in windows if not w.empty]
         if not live:
@@ -208,7 +204,7 @@ class VirtualSheaf:
     atoms: tuple[tuple[SheafAtom, int], ...]
 
     def __post_init__(self) -> None:
-        check_ambient_dimension(self.n)
+        check_closed_form_dimension(self.n)
         for atom, _ in self.atoms:
             if not 0 <= atom.p <= self.n:
                 raise ValueError(f"need 0 <= p <= n, got p={atom.p}")
@@ -453,10 +449,6 @@ class DimValue:
     @property
     def definitely_nonzero(self) -> bool:
         return self.lo > 0
-
-    def __add__(self, other: "DimValue") -> "DimValue":
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return DimValue(self.lo + other.lo, hi)
 
     def __str__(self) -> str:
         if self.is_exact:

@@ -389,10 +389,6 @@ class PolyVectorField:
                 return c.degree
         return -1
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
 
 def radial_field(nvars: int) -> PolyVectorField:
     """R = z0 d/dz0 + ... + z_n d/dz_n."""
@@ -599,14 +595,6 @@ def minors_ideal(one_forms) -> GradedIdeal:
         warnings.warn("degenerate system: all maximal minors vanish")
         return GradedIdeal(nvars, ())
     return coefficient_ideal(wedge_form)
-
-
-def distribution_degree_of_form(form: PolyKForm, n: int) -> int:
-    """radial_form_degree, once the radial condition i_R(form) = 0 is
-    checked."""
-    if not contract(form, radial_field(form.nvars)).is_zero:
-        raise ValueError("radial contraction is nonzero; form does not descend to P^n")
-    return radial_form_degree(form, n)
 
 
 def radial_form_degree(form: PolyKForm, n: int) -> int:

@@ -192,12 +192,10 @@ def _running_sums(coeffs, n: int, length: int) -> list[int]:
 
 
 def _gaps(num, n: int) -> list[int]:
-    """HP(t) - HF(t) for t < stable_from: running sums of N[n+1:] from the top."""
+    """HP(t) - HF(t) for t < stable_from: running sums of N[n+1:] from the
+    top. The last is +-N[-1], which _series_numerator keeps nonzero."""
     tail = num[:n:-1]
-    gaps = [-g if n % 2 else g for g in reversed(_running_sums(tail, n, len(tail)))]
-    while gaps and not gaps[-1]:
-        gaps.pop()
-    return gaps
+    return [-g if n % 2 else g for g in reversed(_running_sums(tail, n, len(tail)))]
 
 
 def _hilbert_polynomial(num, n: int) -> tuple[tuple, int, int]:

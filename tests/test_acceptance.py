@@ -44,9 +44,9 @@ from singscheme.forms import (
     PolyVectorField,
     coefficient_ideal,
     contract,
-    distribution_degree_of_form,
     parse_form,
     radial_field,
+    radial_form_degree,
     volume_contract_chain,
 )
 from singscheme.hilbert import hilbert_profile, scheme_degree_dim
@@ -109,7 +109,8 @@ def test_02_three_way_degree_oracle():
         assert porteous_singular_degree(3, SplitBundle(3, (-2, -2))) == 2
         form = parse_form(TWO_LINES_FORM, 4)
         assert scheme_degree_dim(coefficient_ideal(form)) == (1, 2)
-        assert distribution_degree_of_form(form, 3) == 1
+        assert contract(form, radial_field(4)).is_zero
+        assert radial_form_degree(form, 3) == 1
 
 
 def test_03_radial_identities():

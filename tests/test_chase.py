@@ -135,14 +135,17 @@ class TestChaseValidation:
         t2 = ExactTriple(O(4, -1), O(4, -1, 0), TableRef("Y"), 4)
         with pytest.raises(ValueError, match="different projective spaces"):
             chase([t1, t2])
-        t3 = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
-        with pytest.raises(ValueError, match="lives on P\\^3, chase on P\\^2"):
-            chase([t3], given={"A": zero_table(3)})
 
-    def test_given_must_be_a_table(self):
-        t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
-        with pytest.raises(ValueError, match="is not a cohomology table"):
-            chase([t], given={"A": 42})
+    def test_fresh_middle_term_refused(self):
+        # the chase solves kernels and cokernels of resolutions only
+        t = ExactTriple(O(3, -1), TableRef("X"), O(3, 0), 3)
+        with pytest.raises(ValueError) as exc:
+            chase([t], [("X", 0, (0, 0))])
+        assert str(exc.value) == "triple 0->O(-1)->X->O(0)->0: the middle term 'X' is never solved"
+        with pytest.raises(ValueError, match="^triple mid: the middle term 'X' is never solved$"):
+            windowed_chase([ExactTriple(O(3, -1), TableRef("X"), O(3, 0), 3, label="mid")], "X")
+        with pytest.raises(ValueError, match="unknown trace rule 'solve-b'"):
+            replay_trace({"rule": "solve-b", "inputs": []})
 
     def test_bad_query_range(self):
         t1 = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
@@ -150,12 +153,6 @@ class TestChaseValidation:
             chase([t1], [("X", 0, (2, 1))])
         with pytest.raises(ValueError, match="queries are \\(name, q, \\(lo, hi\\)\\) tuples"):
             chase([t1], [("X", 0)])
-
-
-def zero_table(n):
-    return CohomologyTable(
-        n, {}, {q: Window.nothing() for q in range(n + 1)}
-    )
 
 
 def explained(result):
@@ -169,59 +166,10 @@ def explained(result):
 
 
 class TestDegenerateAndUnbounded:
-    def test_zero_kernel_copies_middle(self):
-        # 0 -> 0 -> B -> X -> 0 forces h^q(X) = h^q(B) exactly.
-        b = VirtualSheaf.from_pairs(
-            3, [(CotangentPower(1, 2), 1), (LineBundle(-3), 1)]
-        )
-        t = ExactTriple(TableRef("zero"), b, TableRef("X"), 3)
-        res = chase(
-            [t],
-            [("X", q, (-6, 4)) for q in range(4)],
-            given={"zero": zero_table(3)},
-        )
-        for q in range(4):
-            for tw in range(-6, 5):
-                v = res.table("X").value(q, tw)
-                assert v.is_exact, (q, tw)
-                assert v.lo == b.h(q, tw), (q, tw)
-
-    def test_zero_cokernel_copies_middle(self):
-        # 0 -> X -> B -> 0 -> 0 forces h^q(X) = h^q(B) exactly.
-        b = O(3, -2, 1)
-        t = ExactTriple(TableRef("X"), b, TableRef("zero"), 3)
-        res = chase(
-            [t],
-            [("X", q, (-5, 3)) for q in range(4)],
-            given={"zero": zero_table(3)},
-        )
-        for q in range(4):
-            for tw in range(-5, 4):
-                assert res.table("X").value(q, tw) == DimValue.exact(b.h(q, tw))
-
-    def test_query_on_given_name(self):
-        # a given table is an input of the chase, not something it solves
-        b = O(3, -2, 1)
-        t = ExactTriple(TableRef("X"), b, TableRef("zero"), 3)
-        with pytest.raises(ValueError, match="'zero'"):
-            chase([t], [("zero", 1, (0, 0))], given={"zero": zero_table(3)})
-        res = chase([t], [("X", 1, (0, 0))], given={"zero": zero_table(3)})
-        assert res.table("zero").value(1, 0) == DimValue.exact(0)
-
     def test_unconstrained_query_raises(self):
         t = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
         with pytest.raises(ValueError, match="'Y'"):
             chase([t], [("X", 0, (0, 0)), ("Y", 1, (0, 2))])
-
-    def test_uncertified_given_solves_open_ended(self):
-        # 0 -> A -> O(-1) -> X -> 0 with nothing known of A: h^1(A) and
-        # h^2(A) bound neither h^0(X) nor h^1(X) from above
-        t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
-        res = chase([t], [("X", q, (-2, 2)) for q in (0, 1)], given={"A": CohomologyTable(2, {}, {})})
-        assert len(res.entries) == 10
-        assert set(explained(res)) == set(res.entries)
-        for key, v in res.entries.items():
-            assert v == DimValue(0, None), key
 
     def test_unconstrained_reads_raise(self):
         t = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
@@ -563,30 +511,6 @@ class TestSplitPfaffRankThree:
         )
 
 
-class TestEulerGuard:
-    def test_contradictory_given_table_raises(self):
-        # A claims an empty window everywhere yet carries h^1(A) = 1; the
-        # unknown's windows force zeros that cannot balance chi.
-        bad = CohomologyTable(
-            2,
-            {1: {0: DimValue.exact(1)}},
-            {q: Window.nothing() for q in range(3)},
-        )
-        t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
-        with pytest.raises(InconsistentTripleError, match="!= 0"):
-            chase([t], [("X", 0, (0, 0))], given={"A": bad})
-
-    def test_consistent_given_table_passes(self):
-        good = CohomologyTable(
-            2,
-            {1: {0: DimValue.exact(1)}},
-            {0: Window.nothing(), 1: Window(0, 0), 2: Window.nothing()},
-        )
-        t = ExactTriple(TableRef("A"), O(2, -1), TableRef("X"), 2)
-        res = chase([t], [("X", 0, (0, 0))], given={"A": good})
-        assert res.table("X").value(0, 0) == DimValue.exact(1)
-
-
 class TestTracesAndDeterminism:
     @staticmethod
     def run_once():
@@ -614,7 +538,7 @@ class TestTracesAndDeterminism:
         assert payload["n"] == 5
         assert set(payload["windows"]) == {"I_Z", "ker1"}
         rules = {e["rule"] for e in payload["entries"]}
-        assert rules <= {"solve-a", "solve-b", "solve-c", "window"}
+        assert rules <= {"solve-a", "solve-c", "window"}
         solve = [e for e in payload["entries"] if e["rule"].startswith("solve")]
         assert solve and all(len(e["inputs"]) == 4 for e in solve)
 
@@ -765,9 +689,13 @@ def split_distribution_chase(twists):
 
 
 def two_lines_distribution_chase():
-    """The distribution triple of degree 1 over the two-lines table; row 2
-    of F, with window -4..-3, is its one finite window row."""
-    return chase([distribution_triple(1, 3)], [("F", 2, (-4, -3))], given={"I_Z": two_lines_table()})
+    """The distribution triple of degree 1 after the two-lines resolution
+    0 -> O(-2)^2 -> Omega^1 -> I_Z -> 0; row 2 of F, with window -4..-3,
+    is its one finite window row."""
+    resolution = ExactTriple(
+        O(3, -2, -2), VirtualSheaf.from_atom(3, CotangentPower(1, 0)), TableRef("I_Z"), 3
+    )
+    return chase([resolution, distribution_triple(1, 3)], [("F", 2, (-4, -3))])
 
 
 class TestDistributionBounds:
@@ -912,10 +840,10 @@ EULER_SPECS = {
 
 
 class TestEulerIdentity:
-    """Without given tables the chase checks Euler characteristics only
-    where the end row of a triple's long exact sequence can be nonzero;
-    here the identity is recomputed, through public reads, at every twist
-    of chases whose values all come from the solve."""
+    """The chase checks Euler characteristics only where the end row of a
+    triple's long exact sequence can be nonzero; here the identity is
+    recomputed, through public reads, at every twist of chases whose
+    values all come from the solve."""
 
     @pytest.mark.parametrize("wide", [False, True], ids=["bare", "-20..20"])
     @pytest.mark.parametrize("spec", sorted(EULER_SPECS))
@@ -949,8 +877,9 @@ class TestEulerIdentity:
     def test_unrealizable_tangent_data_raises(self, n, shift, message):
         # O(shift + 2) cannot sit in T, and at the reported twist h^0 of the
         # first Eagon-Northcott term is positive where the next one has no
-        # sections: no short exact sequence has these terms, and no table
-        # is given, so only the closed-form data can be at fault
+        # sections: no short exact sequence has these terms, and every
+        # other value is solved from them, so only the closed-form data can
+        # be at fault
         E = SplitBundle(n, tuple(range(shift - 3, shift + 3)))
         extra = [("I_Z", q, (-20, 20)) for q in range(n + 1)]
         with pytest.raises(InconsistentTripleError) as exc:

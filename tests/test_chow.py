@@ -7,6 +7,7 @@ import pytest
 
 from singscheme.chow import (
     CLASSIFICATION,
+    MAX_CLOSED_FORM_N,
     DistributionParams,
     PorteousInapplicableError,
     SplitBundle,
@@ -16,6 +17,7 @@ from singscheme.chow import (
     pullback_degree,
     singular_degree_formula,
 )
+from singscheme.cohomology import LineBundle, VirtualSheaf
 
 
 # The truncated Chow ring Z[h]/(h^{n+1}) of P^n and the Chern classes of
@@ -290,6 +292,30 @@ class TestDistributionParams:
             DistributionParams(3, 3, 1)
         with pytest.raises(ValueError):
             DistributionParams(3, 1, -2)
+
+
+class TestClosedFormCap:
+    """One cap on n for the closed-form side, checked before anything is
+    built; the form side has its own cap on the variables."""
+
+    BUILDERS = {
+        "SplitBundle": lambda n: SplitBundle(n, (0, -1)),
+        "VirtualSheaf": lambda n: VirtualSheaf(n, ((LineBundle(0), 1),)),
+        "singular_degree_formula": lambda n: singular_degree_formula(n, 1, (1,)),
+        "pullback_degree": lambda n: pullback_degree(n, 1, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_refused_over_the_cap(self, name):
+        build = self.BUILDERS[name]
+        build(MAX_CLOSED_FORM_N)
+        # a billion would exhaust memory if anything were built before the check
+        for n in (MAX_CLOSED_FORM_N + 1, 10**9):
+            with pytest.raises(ValueError) as exc:
+                build(n)
+            assert str(exc.value) == f"ambient dimension {n} exceeds the cap of {MAX_CLOSED_FORM_N}"
+        with pytest.raises(ValueError, match="^ambient dimension must be positive$"):
+            build(0)
 
 
 class TestDegreeFormulas:

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from singscheme import chow
 from singscheme.chase import replay_trace
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_sheaf
-from singscheme.chow import MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
+from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
 from singscheme.forms import MAX_DEGREE, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
@@ -66,6 +67,28 @@ class TestDegreeCommands:
         code, out, err = run(capsys, "degree", "--n", "3", "--r", "1", "--d-list", "1" * MAX_LITERAL_DIGITS)
         message = f"the degree is too long to print: more than {MAX_LITERAL_DIGITS} digits"
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_pullback_degree_refused_by_its_bound_before_summing(self, capsys, monkeypatch):
+        # for d >= 2 the degree is at least d^(k+1), here of 300 * 15 digits
+        def summed(*args):
+            raise AssertionError("the sum ran")
+
+        monkeypatch.setattr(chow, "pullback_degree", summed)
+        code, out, err = run(capsys, "pullback-degree", "--n", "300", "--k", "299", "--d", str(10**15))
+        message = f"the degree is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_pullback_degree_too_long_to_print(self, capsys):
+        # at d = 10^2150, (k+1) log10 d = 4300 is not over the cap, but d^2
+        # has 4,301 digits: the exact check after the sum refuses it. At
+        # d - 1 the degree has exactly 4,300 digits and prints.
+        d = 10**2150
+        code, out, err = run(capsys, "pullback-degree", "--n", "3", "--k", "1", "--d", str(d))
+        message = f"the degree is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        code, out, err = run(capsys, "pullback-degree", "--n", "3", "--k", "1", "--d", str(d - 1))
+        assert (code, out, err) == (0, f"{d * d - d + 1}\n", "")
+        assert len(out) == MAX_LITERAL_DIGITS + 1
 
     def test_malformed_list_entry(self, capsys):
         for text in ("1,x", "1/2", "1,--1", "+"):
@@ -210,6 +233,39 @@ class TestTwistRangeCap:
         code, _, err = run(capsys, *argv, f"--twists=0..{MAX_TWIST_RANGE}")
         assert code == 1
         assert f"holds {MAX_TWIST_RANGE + 1} twists" in err
+
+
+class TestClosedFormCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("degree", "--r", "1", "--d-list", "1"),
+            ("pullback-degree", "--k", "1", "--d", "2"),
+            ("cohomology", "--sheaf", "O(0)", "--twists=0..0"),
+            ("split-check", "--sheaf", "T", "--criterion", "eg"),
+            ("chase", "--tangent=-1,-1"),
+            ("regularity", "--from-chase", "tangent:-1,-1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("n", [0, MAX_CLOSED_FORM_N + 1, 10**9])
+    def test_out_of_range_exits_one(self, capsys, argv, n):
+        # one owner of 1 <= n <= MAX_CLOSED_FORM_N, so one message each side
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        message = f"ambient dimension {n} exceeds the cap of {MAX_CLOSED_FORM_N}" if n else "ambient dimension must be positive"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_pfaff_data_over_the_cap(self, capsys):
+        # Pfaff data of rank r with m twists lives on P^{m + r}
+        twists = ",".join(["-2"] * (MAX_CLOSED_FORM_N - 1))
+        code, out, err = run(capsys, "chase", f"--pfaff={twists}", "--r", "2")
+        message = f"ambient dimension {MAX_CLOSED_FORM_N + 1} exceeds the cap of {MAX_CLOSED_FORM_N}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_cap_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "degree", "--n", str(MAX_CLOSED_FORM_N), "--r", "1", "--d-list", "1")
+        assert code == 0
+        assert int(out) == singular_degree_formula(MAX_CLOSED_FORM_N, 1, (1,))
 
 
 class TestSplitCheckCommand:

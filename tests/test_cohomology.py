@@ -464,10 +464,6 @@ class TestDimValue:
         u = DimValue.unknown()
         assert u.possibly_nonzero and not u.definitely_nonzero
 
-    def test_addition(self):
-        assert DimValue.exact(2) + DimValue.exact(3) == DimValue.exact(5)
-        assert (DimValue(1, 4) + DimValue.unknown()) == DimValue(1, None)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DimValue(-1, 0)

@@ -25,7 +25,6 @@ from singscheme.forms import (
     coefficient_ideal,
     constant_field,
     contract,
-    distribution_degree_of_form,
     form_str,
     minors_ideal,
     parse_form,
@@ -33,6 +32,7 @@ from singscheme.forms import (
     poly_str,
     pullback_form,
     radial_field,
+    radial_form_degree,
     volume_contract_chain,
     volume_form,
     wedge,
@@ -689,7 +689,8 @@ class TestPullbackForm:
         first = pullback_form(4, (1, 1, 0), 3)
         assert first == pullback_form(4, (1, 1, 0), 3)
         assert first.k == 1
-        assert distribution_degree_of_form(first, 4) == 2
+        assert contract(first, radial_field(5)).is_zero
+        assert radial_form_degree(first, 4) == 2
         assert contract(first, constant_field(5, (0, 0, 0, 0, 1))).is_zero
 
     def test_negative_degree(self):
@@ -791,24 +792,26 @@ class TestIdeals:
 class TestDistributionDegree:
     def test_two_lines_form_has_degree_one(self):
         w1, w2 = two_lines_pair()
-        assert distribution_degree_of_form(wedge(w1, w2), 3) == 1
+        form = wedge(w1, w2)
+        assert contract(form, radial_field(4)).is_zero
+        assert radial_form_degree(form, 3) == 1
 
     def test_radial_volume_contraction_degree_zero(self):
         out = volume_contract_chain(4, [])
-        assert distribution_degree_of_form(out, 4) == 0
+        assert contract(out, radial_field(5)).is_zero
+        assert radial_form_degree(out, 4) == 0
 
     def test_nonprojective_form_rejected(self):
         nvars = 3
         form = PolyKForm.from_dict(
             nvars, 2, {(0, 1): z(nvars, 0)}
         )
-        with pytest.raises(ValueError, match="radial"):
-            distribution_degree_of_form(form, 2)
+        assert not contract(form, radial_field(nvars)).is_zero
 
     def test_dimension_mismatch(self):
         w1, w2 = two_lines_pair()
-        with pytest.raises(ValueError):
-            distribution_degree_of_form(wedge(w1, w2), 4)
+        with pytest.raises(ValueError, match="lives on C\\^4, not C\\^5"):
+            radial_form_degree(wedge(w1, w2), 4)
 
 
 class TestGrammar:

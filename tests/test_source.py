@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 import singscheme
@@ -85,16 +87,23 @@ def test_module_layers():
     assert found == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _traced():
+    """bench/spans.py TRACED: {layer: names} that bench/run.py --trace 1 wraps."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED
+
+
 def test_traced_benchmark_names_exist():
     # bench/run.py --trace 1 wraps these functions by name; a rename in the
     # package would otherwise only show up as a broken traced run.
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     missing = [
         f"{layer}.{name}"
-        for layer, names in spans.TRACED.items()
+        for layer, names in _traced().items()
         for name in names
         if not callable(getattr(importlib.import_module(f"singscheme.{layer}"), name, None))
     ]
@@ -110,13 +119,11 @@ def _mods_layer(node):
     return None
 
 
-def test_benchmark_workload_names_exist():
-    # bench/workloads.py reaches the package as ctx.mods.<layer>.<name>,
-    # directly or through a local alias of ctx.mods.<layer> (co, C, ch, ...);
-    # a rename or deletion in the package would otherwise only show up as
-    # failed benchmark items.
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _workload_reads():
+    """(reads, ambiguous): every (layer, name, line) that bench/workloads.py
+    reads as ctx.mods.<layer>.<name>, directly or through a local alias of
+    ctx.mods.<layer> (co, C, ch, ...), and the aliases bound to two layers."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
     reads, ambiguous = set(), []
     for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
         bound: dict[str, set] = {}
@@ -138,6 +145,13 @@ def test_benchmark_workload_names_exist():
                     layer = aliases.get(node.value.id)
                 if layer is not None:
                     reads.add((layer, node.attr, node.lineno))
+    return reads, ambiguous
+
+
+def test_benchmark_workload_names_exist():
+    # a rename or deletion in the package would otherwise only show up as
+    # failed benchmark items
+    reads, ambiguous = _workload_reads()
     assert ambiguous == []
     assert ("cohomology", "tangent_sheaf") in {(layer, name) for layer, name, _ in reads}
     missing = [
@@ -146,3 +160,61 @@ def test_benchmark_workload_names_exist():
         if not hasattr(importlib.import_module(f"singscheme.{layer}"), name)
     ]
     assert missing == []
+
+
+def _names(tree) -> set:
+    """Every name that tree reads, as a Name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def _defined(node) -> list:
+    """The names a module-level statement defines, dunders left out."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [target.id for target in targets if isinstance(target, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("__")]
+
+
+# Module-level definitions that only the tests reach today. The list may
+# shrink; a new test-only definition belongs in tests/, not here.
+TEST_ONLY = ["chow.DistributionParams", "cohomology.bott_dim", "forms.parse_poly"]
+
+
+def test_definitions_are_reached_outside_the_tests():
+    # A definition is reached when src/ uses it outside its own body, when
+    # the benchmark traces or reads it, when a README python block names
+    # it, or when the CLI names it in a string of build_parser, as the
+    # set_defaults of acm-check names acm_check.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(singscheme.__file__).parent.glob("*.py"))
+    }
+    reached = {name for names in _traced().values() for name in names}
+    reached |= {name for _, name, _ in _workload_reads()[0]}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
+        reached |= _names(ast.parse(block))
+    build_parser = next(node for node in trees["cli"].body if getattr(node, "name", None) == "build_parser")
+    reached |= {node.value for node in ast.walk(build_parser) if isinstance(node, ast.Constant)}
+    # how many module-level statements of src/ name each name
+    statements = [(module, node, _names(node)) for module, tree in trees.items() for node in tree.body]
+    uses = Counter(name for _, _, names in statements for name in names)
+    found = [
+        f"{module}.{name}"
+        for module, node, names in statements
+        for name in _defined(node)
+        if name not in reached and uses[name] == (name in names)
+    ]
+    assert sorted(found) == TEST_ONLY
