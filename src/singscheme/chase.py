@@ -97,12 +97,6 @@ class ExactTriple:
                 raise ValueError(
                     f"term {pos} lives on P^{t.n}, triple on P^{self.n}"
                 )
-        if all(isinstance(self.term(p), VirtualSheaf) for p in _POSITIONS):
-            if self.b.rank != self.a.rank + self.c.rank:
-                raise ValueError(
-                    f"rank additivity fails: {self.b.rank} != "
-                    f"{self.a.rank} + {self.c.rank}"
-                )
 
     def term(self, pos: str) -> Term:
         return getattr(self, pos)

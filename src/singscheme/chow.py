@@ -6,13 +6,14 @@ the Chern series c(T)/c(F) in the Chow ring Z[h]/(h^{n+1}), read off as a
 sum of complete homogeneous polynomials in the twists. The Porteous degree
 of split Pfaff data is the same coefficient up to sign. All coefficients
 are arbitrary-precision integers; no floating point is used anywhere. The
-low-degree split-Pfaff classification rows live here too, as data.
+low-degree split-Pfaff classification rows live here too, as data whose
+foliation degrees are derived from the Pfaff twists.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -106,17 +107,6 @@ class SplitBundle:
     def c1(self) -> int:
         return sum(a * m for a, m in self.counts)
 
-    def twist(self, t: int) -> "SplitBundle":
-        return SplitBundle.from_counts(self.n, {a + t: m for a, m in self.counts})
-
-    def direct_sum(self, other: "SplitBundle") -> "SplitBundle":
-        if self.n != other.n:
-            raise ValueError("bundles live on different projective spaces")
-        mults = dict(self.counts)
-        for a, m in other.counts:
-            mults[a] = mults.get(a, 0) + m
-        return SplitBundle.from_counts(self.n, mults)
-
     def __repr__(self) -> str:
         return f"SplitBundle(n={self.n!r}, twists={self.twists!r})"
 
@@ -126,14 +116,13 @@ class SplitBundle:
 
 @dataclass(frozen=True)
 class DistributionParams:
-    """Numeric profile (n, r, k, d) of a distribution on P^n.
+    """Numeric profile (n, r, d) of a distribution on P^n.
 
-    r is the dimension of the distribution (the rank of its tangent sheaf),
-    k = n - r its codimension, and d its degree, defined through the tangency
-    divisor with a general linear P^k. The degree is tied to the determinant
-    convention det(F*) = O(d - r), equivalently c1(F) = r - d; it is NOT in
-    general the sum of twists of a split tangent sheaf. The associated
-    twisted form lives in Omega^k(d + k + 1).
+    r is the dimension of the distribution (the rank of its tangent sheaf)
+    and d its degree, defined through the tangency divisor with a general
+    linear P^{n-r}. The degree is tied to the determinant convention
+    det(F*) = O(d - r), equivalently c1(F) = r - d; it is NOT in general the
+    sum of twists of a split tangent sheaf.
     """
 
     n: int
@@ -145,23 +134,6 @@ class DistributionParams:
             raise ValueError("need 1 <= r <= n-1")
         if self.d < 0:
             raise ValueError("degree must be nonnegative")
-
-    @property
-    def k(self) -> int:
-        return self.n - self.r
-
-    @property
-    def form_twist(self) -> int:
-        """The twist of the defining k-form: deg L = d + k + 1."""
-        return self.d + self.k + 1
-
-    @classmethod
-    def from_tangent_twists(cls, n: int, twists) -> "DistributionParams":
-        """Profile of a distribution with split tangent sheaf ⊕O(a_i):
-        r = number of summands and d = r - sum(a_i)."""
-        twists = tuple(int(a) for a in twists)
-        r = len(twists)
-        return cls(n, r, r - sum(twists))
 
     @classmethod
     def from_pfaff(cls, n: int, pfaff: SplitBundle) -> "DistributionParams":
@@ -210,13 +182,15 @@ def singular_degree_formula(n: int, r: int, d_list) -> int:
 def pullback_degree(n: int, k: int, d: int) -> int:
     """Degree of the singular scheme of a codimension-k pullback of a
     degree-d foliation by curves under a generic linear projection to
-    P^{k+1}: the geometric sum d^{k+1} + d^k + ... + d + 1."""
+    P^{k+1}: the geometric sum d^{k+1} + d^k + ... + d + 1, in closed form."""
     check_closed_form_dimension(n)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return sum(d**j for j in range(k + 2))
+    if d == 1:
+        return k + 2
+    return (d ** (k + 2) - 1) // (d - 1)
 
 
 def porteous_singular_degree(n: int, pfaff: SplitBundle) -> int:
@@ -246,19 +220,24 @@ def porteous_singular_degree(n: int, pfaff: SplitBundle) -> int:
 
 @dataclass(frozen=True)
 class ClassificationEntry:
-    """One row of the low-degree split-Pfaff classification."""
+    """One row of the low-degree split-Pfaff classification; the foliation
+    degree is derived from the Pfaff twists."""
 
     n: int
-    degree: int
     pfaff_twists: tuple[int, ...]
     sing_description: str
+    degree: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        pfaff = SplitBundle(self.n, self.pfaff_twists)
+        object.__setattr__(self, "degree", DistributionParams.from_pfaff(self.n, pfaff).d)
 
 
 CLASSIFICATION = (
-    ClassificationEntry(4, 2, (-2, -2, -2), "smooth projected Veronese surface"),
-    ClassificationEntry(4, 3, (-2, -2, -3), "K3 surface of genus 7"),
-    ClassificationEntry(5, 3, (-2, -2, -2, -2), "a scroll over a plane cubic surface"),
-    ClassificationEntry(5, 4, (-2, -2, -2, -3), "P(R_2) ∩ Bl_{P^2} P^8"),
+    ClassificationEntry(4, (-2, -2, -2), "smooth projected Veronese surface"),
+    ClassificationEntry(4, (-2, -2, -3), "K3 surface of genus 7"),
+    ClassificationEntry(5, (-2, -2, -2, -2), "a scroll over a plane cubic surface"),
+    ClassificationEntry(5, (-2, -2, -2, -3), "P(R_2) ∩ Bl_{P^2} P^8"),
 )
 
 

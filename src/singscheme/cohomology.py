@@ -4,10 +4,10 @@ Every atom of the calculus is a twisted cotangent power Omega^p(k); the line
 bundle O(a) is Omega^0(a), and both atom classes expose the same (p, k), so
 dimensions, windows, ranks and sort order all read (p, k) alone. Atoms are
 closed under direct sum, twist, and Sym/Lambda of split parts. Every atom
-has the closed-form h^q of bott_dim at every twist, so any "vanishes at all
-twists" question is decidable: each row of an atom is nonzero only on the
-hull of the Bott regimes that apply to it (a ray, a singleton, or nothing),
-and those windows are carried on every table as certificates.
+has the closed-form h^q of Bott's formula at every twist, so any "vanishes
+at all twists" question is decidable: each row of an atom is nonzero only
+on the hull of the Bott regimes that apply to it (a ray, a singleton, or
+nothing), and those windows are carried on every table as certificates.
 
 Atoms are kept in normal form: Omega^0(k) is O(k) and Omega^n(k) is
 O(k-n-1), applied eagerly so equality of sheaves is syntactic. A split
@@ -86,22 +86,13 @@ def _twist_atom(atom: SheafAtom, t: int) -> SheafAtom:
     return CotangentPower(atom.p, atom.k + t)
 
 
-def bott_dim(n: int, p: int, k: int, q: int) -> int:
-    """h^q(P^n, Omega^p(k)) in closed form.
+def _bott(n: int, p: int, k: int, q: int) -> int:
+    """h^q(P^n, Omega^p(k)) in closed form, for 0 <= p, q <= n.
 
     Nonzero only in three regimes: global sections for k > p, the Hodge
     diagonal h^p(Omega^p) = 1 at k = 0, and top cohomology for k < p - n.
     The formula is its own Serre dual: (p, k, q) -> (n-p, -k, n-q) fixes it.
     """
-    check_ambient_dimension(n)
-    if not (0 <= p <= n and 0 <= q <= n):
-        raise ValueError("need 0 <= p, q <= n")
-    return _bott(n, p, k, q)
-
-
-def _bott(n: int, p: int, k: int, q: int) -> int:
-    """bott_dim without its range checks, for callers that validated n, p
-    and q once."""
     if q == 0 and k > p:
         return comb(k + n - p, k) * comb(k - 1, p)
     if q == p and k == 0:
@@ -234,11 +225,6 @@ class VirtualSheaf:
     @property
     def rank(self) -> int:
         return sum(m * comb(self.n, atom.p) for atom, m in self.atoms)
-
-    def twist(self, t: int) -> "VirtualSheaf":
-        return VirtualSheaf.from_pairs(
-            self.n, [(_twist_atom(atom, t), m) for atom, m in self.atoms]
-        )
 
     def direct_sum(self, other: "VirtualSheaf") -> "VirtualSheaf":
         if self.n != other.n:
@@ -469,25 +455,29 @@ class DimValue:
         return cls.exact(_json_value(data, int, "a dimension"))
 
 
+_NO_CERTIFICATE = Window(None, None)
+
+
 @dataclass
 class CohomologyTable:
     """Rows q = 0..n of twist -> DimValue with per-row zero certificates.
 
-    windows[q] is the Window outside which the row is certified zero, or
-    None when no certificate is available (then unmaterialized queries
-    answer with the trivial interval [0, inf)). dim_z tags tables that
+    windows[q] is the Window outside which the row is certified zero; a
+    row with no entry, like a null window in a table file, has the window
+    Window(None, None), which excludes no twist (unmaterialized queries
+    then answer with the trivial interval [0, inf)). dim_z tags tables that
     describe an ideal sheaf with the dimension of its subscheme.
     """
 
     n: int
     rows: dict[int, dict[int, DimValue]]
-    windows: dict[int, Window | None]
+    windows: dict[int, Window]
     dim_z: int | None = None
 
-    def window(self, q: int) -> Window | None:
+    def window(self, q: int) -> Window:
         if q < 0 or q > self.n:
             return Window.nothing()
-        return self.windows.get(q)
+        return self.windows.get(q, _NO_CERTIFICATE)
 
     def value(self, q: int, t: int) -> DimValue:
         if q < 0 or q > self.n:
@@ -495,8 +485,7 @@ class CohomologyTable:
         row = self.rows.get(q, {})
         if t in row:
             return row[t]
-        w = self.windows.get(q)
-        if w is not None and not w.contains(t):
+        if not self.windows.get(q, _NO_CERTIFICATE).contains(t):
             return DimValue.exact(0)
         return DimValue.unknown()
 
@@ -512,8 +501,7 @@ class CohomologyTable:
                 for q, row in sorted(self.rows.items())
             },
             "windows": {
-                str(q): None if w is None else w.to_json()
-                for q, w in sorted(self.windows.items())
+                str(q): w.to_json() for q, w in sorted(self.windows.items())
             },
         }
 
@@ -527,10 +515,7 @@ class CohomologyTable:
             q: {_json_key(t): DimValue.from_json(v) for t, v in _json_value(row, dict, f"row {q}").items()}
             for q, row in _row_items(data, "rows", n)
         }
-        windows = {
-            q: None if w is None else Window.from_json(w)
-            for q, w in _row_items(data, "windows", n)
-        }
+        windows = {q: Window.from_json(w) for q, w in _row_items(data, "windows", n) if w is not None}
         dim_z = data.get("dim_z")
         return cls(n, rows, windows, None if dim_z is None else _json_value(dim_z, int, "dim_z"))
 
@@ -571,7 +556,7 @@ def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
         raise ValueError("empty twist range")
     n = sheaf.n
     rows: dict[int, dict[int, DimValue]] = {}
-    windows: dict[int, Window | None] = {}
+    windows: dict[int, Window] = {}
     for q in range(n + 1):
         w = sheaf.row_window(q)
         windows[q] = w

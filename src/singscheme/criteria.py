@@ -57,15 +57,14 @@ class Verdict:
 
 def _row_status(table: CohomologyTable, q: int):
     """Classify row q: ('zero', None), ('nonzero', witness), or
-    ('unknown', reason). A definite nonzero wins even without a window."""
+    ('unknown', reason). A definite nonzero wins even in an unbounded window."""
     row = table.rows.get(q, {})
     for t in sorted(row):
         if row[t].definitely_nonzero:
             return "nonzero", (q, t, row[t])
     entries = possible_entries(table, q)
     if entries is None:
-        why = "has no zero certificate" if table.window(q) is None else "window is unbounded"
-        return "unknown", f"row {q} {why}"
+        return "unknown", f"row {q} window is unbounded"
     if entries:
         return "unknown", f"row {q} not pinned at twist {entries[0][0]}"
     return "zero", None
@@ -159,11 +158,9 @@ def possible_entries(
     """(twist, value) pairs, ascending, where row q is possibly nonzero at
     twists lo..hi. An open end (None) stops at the row's window: an empty
     window leaves nothing, and None means the twists cannot be enumerated
-    (no window, or one unbounded on an open end)."""
+    (the window is unbounded on an open end)."""
     if lo is None or hi is None:
         w = table.window(q)
-        if w is None:
-            return None
         if w.empty:
             return []
         lo = w.lo if lo is None else lo
@@ -321,10 +318,6 @@ def regularity(ideal_table: CohomologyTable) -> int:
     tops = []
     for q in range(1, ideal_table.n + 1):
         w = ideal_table.window(q)
-        if w is None:
-            raise ValueError(
-                f"row {q} has no zero certificate; regularity is undecidable"
-            )
         if w.empty:
             continue
         if w.hi is None:
@@ -355,8 +348,7 @@ def beilinson_rank_bound(table: CohomologyTable, n: int) -> int:
 
     entries = possible_entries(table, 0, hi=-2)
     if entries is None:
-        why = "has no zero certificate" if table.window(0) is None else "unbounded below"
-        raise InapplicableError(f"clause (i) not certifiable: row 0 {why}")
+        raise InapplicableError("clause (i) not certifiable: row 0 unbounded below")
     if entries:
         raise InapplicableError(
             f"clause (i) fails: h^0 at twist {entries[0][0]} not certified zero"

@@ -40,12 +40,14 @@ from .chow import check_ambient_dimension, read_number
 # against those guard bits. Among monomials of one degree, a smaller packed
 # int is the larger monomial in grevlex with z0 > z1 > ... The cap bounds
 # the work of one input too: `form sing` on z0^d dz1 - z1 z0^(d-1) dz0 on P^2
-# takes about 0.1 s at d = 999. MAX_VARIABLES bounds the ring and MAX_TERMS
-# the size of a product, both checked before anything is built.
+# takes about 0.1 s at d = 999. MAX_VARIABLES bounds the ring, MAX_TERMS the
+# size of a product and MAX_PRODUCT_WORK its count of coefficient products,
+# each checked before anything is built.
 FIELD_BITS = 16
 MAX_DEGREE = 1000
 MAX_VARIABLES = 1000
 MAX_TERMS = 100_000
+MAX_PRODUCT_WORK = 1_000_000
 _FIELD = (1 << FIELD_BITS) - 1
 
 
@@ -84,14 +86,18 @@ def variable_index(digits: str) -> int:
 
 def _check_product(nvars: int, degree: int, len_a: int, len_b: int) -> None:
     """Raise ValueError when a product of degree `degree` from len_a- and
-    len_b-term factors would exceed MAX_DEGREE or MAX_TERMS."""
+    len_b-term factors would exceed MAX_DEGREE, MAX_TERMS or, in its
+    len_a * len_b coefficient products, MAX_PRODUCT_WORK."""
     _check_degree(degree)
+    work = len_a * len_b
+    if work <= MAX_TERMS:
+        return
+    factors = f"product of {max(len_a, len_b)}- and {min(len_a, len_b)}-term polynomials"
     # the product has at most min(len_a * len_b, C(degree + n, n)) terms
-    if len_a * len_b > MAX_TERMS and comb(degree + nvars - 1, degree) > MAX_TERMS:
-        raise ValueError(
-            f"product of {max(len_a, len_b)}- and {min(len_a, len_b)}-term polynomials"
-            f" exceeds the cap of {MAX_TERMS} terms"
-        )
+    if comb(degree + nvars - 1, degree) > MAX_TERMS:
+        raise ValueError(f"{factors} exceeds the cap of {MAX_TERMS} terms")
+    if work > MAX_PRODUCT_WORK:
+        raise ValueError(f"{factors} exceeds the cap of {MAX_PRODUCT_WORK} coefficient products")
 
 
 def _accumulate(out: dict, a: dict, b: dict, sign: int) -> dict:
@@ -325,10 +331,6 @@ class PolyKForm:
             raise ValueError(f"mixed coefficient degrees {sorted(degrees)}")
         return cls(nvars, k, tuple(sorted(clean.items())))
 
-    @classmethod
-    def zero(cls, nvars: int, k: int) -> "PolyKForm":
-        return cls.from_dict(nvars, k, {})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -354,12 +356,6 @@ class PolyKForm:
 
     def __sub__(self, other: "PolyKForm") -> "PolyKForm":
         return self + (-other)
-
-    def scale(self, c) -> "PolyKForm":
-        c = Fraction(c)
-        if c == 0:
-            return PolyKForm.zero(self.nvars, self.k)
-        return PolyKForm(self.nvars, self.k, tuple((i, p * c) for i, p in self.coeffs))
 
     def __str__(self) -> str:
         return form_str(self)
@@ -776,13 +772,6 @@ def parse_form(text: str, nvars: int | None = None) -> PolyKForm:
     if not tokens:
         raise FormParseError("empty input")
     return _Parser(tokens, nvars).parse_form()
-
-
-def parse_poly(text: str, nvars: int) -> HomogeneousPoly:
-    form = parse_form(text, nvars)
-    if form.k != 0:
-        raise FormParseError("expected a polynomial, found differentials")
-    return form.coefficient(())
 
 
 def _monomial_str(expo: tuple[int, ...], coeff: Fraction) -> str:

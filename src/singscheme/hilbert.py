@@ -221,12 +221,12 @@ def _hilbert_polynomial(num, n: int) -> tuple[tuple, int, int]:
 class HilbertProfile:
     """Hilbert function values on [0, t_max] with the Hilbert polynomial
     (ascending rational coefficients, integer-valued), the first twist from
-    which the two agree, and the scheme's dimension and degree, all exact.
+    which the two agree, and the scheme's dimension and degree, all exact;
+    t_max is max(n + 2 + largest generator degree, stable_from + n + 1).
     numerator is N(t) of the Hilbert series N(t)/(1-t)^(n+1), which gives
     HF at every twist."""
 
     ideal: GradedIdeal
-    t_max: int
     values: dict
     polynomial: tuple
     stable_from: int
@@ -256,19 +256,15 @@ def hilbert_function(ideal: GradedIdeal, t: int) -> int:
     return _running_sums(_series_numerator(ideal), ideal.nvars - 1, t + 1)[t]
 
 
-def hilbert_profile(ideal: GradedIdeal, t_max: int | None = None) -> HilbertProfile:
-    """The exact profile, with values on [0, t_max]; by default t_max is
-    max(n + 2 + largest generator degree, stable_from + n + 1)."""
-    if t_max is not None and t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+def hilbert_profile(ideal: GradedIdeal) -> HilbertProfile:
+    """The exact profile of the ideal."""
     n = ideal.nvars - 1
     num = _series_numerator(ideal)
     poly, dim, deg = _hilbert_polynomial(num, n)
     stable_from = len(_gaps(num, n))
-    if t_max is None:
-        t_max = max(n + 2 + max(ideal.degrees, default=0), stable_from + n + 1)
+    t_max = max(n + 2 + max(ideal.degrees, default=0), stable_from + n + 1)
     values = dict(enumerate(_running_sums(num, n, t_max + 1)))
-    return HilbertProfile(ideal, t_max, values, poly, stable_from, dim, deg, num)
+    return HilbertProfile(ideal, values, poly, stable_from, dim, deg, num)
 
 
 def scheme_degree_dim(ideal: GradedIdeal):

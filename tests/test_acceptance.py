@@ -263,7 +263,7 @@ def test_09_hilbert_profile_units():
                 HomogeneousPoly.monomial(4, (0, 1, 0, 1)),
             ),
         )
-        profile = hilbert_profile(quad, 10)
+        profile = hilbert_profile(quad)
         assert (profile.scheme_dim, profile.scheme_deg) == (1, 2)
         assert profile.polynomial == (Fraction(2), Fraction(2))
         assert profile.stable_from <= 3
@@ -275,7 +275,7 @@ def test_09_hilbert_profile_units():
                 HomogeneousPoly.variable(4, 1),
             ),
         )
-        profile = hilbert_profile(line, 10)
+        profile = hilbert_profile(line)
         assert (profile.scheme_dim, profile.scheme_deg) == (1, 1)
         assert profile.polynomial == (Fraction(1), Fraction(1))
 

@@ -91,14 +91,6 @@ def two_lines_truth(q, t):
 
 
 class TestExactTriple:
-    def test_rank_additivity_enforced(self):
-        with pytest.raises(ValueError, match="rank additivity"):
-            ExactTriple(O(3, -1), O(3, 0), O(3, 0, 1), 3)
-
-    def test_rank_additivity_ok(self):
-        t = ExactTriple(O(3, -1), O(3, -1, 0), O(3, 0), 3)
-        assert t.term("b").rank == 2
-
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError, match="P\\^2"):
             ExactTriple(O(2, -1), O(3, -1, 0), TableRef("X"), 3)
@@ -125,6 +117,13 @@ class TestChaseValidation:
         t2 = ExactTriple(O(3, -2), O(3, -2, 5), TableRef("X"), 3)
         with pytest.raises(ChaseDependencyError, match="no new unknown"):
             chase([t1, t2])
+
+    @pytest.mark.parametrize("c", [O(3, 0), O(3, 0, 1)], ids=["ranks add up", "ranks do not add up"])
+    def test_triple_of_sheaves_is_refused(self, c):
+        # three closed-form terms leave nothing to solve, whatever their ranks
+        t = ExactTriple(O(3, -1), O(3, -1, 0), c, 3)
+        with pytest.raises(ChaseDependencyError, match="no new unknown"):
+            chase([t])
 
     def test_empty_chase(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -231,10 +231,9 @@ class TestSplitBundle:
         assert b.rank == 3
         assert b.c1 == -5
 
-    def test_dual_and_twist(self):
+    def test_dual(self):
         b = SplitBundle(3, (-2, -3))
         assert dual(b).twists == (3, 2)
-        assert b.twist(2).twists == (0, -1)
 
     def test_str_groups_multiplicities(self):
         assert str(SplitBundle(4, (-2, -2, -3))) == "O(-2)^2+O(-3)"
@@ -252,7 +251,6 @@ class TestSplitBundle:
         assert c.counts == ((1, 1), (-3, 2)) and c.twists == (1, -3, -3)
         assert repr(c) == "SplitBundle(n=4, twists=(1, -3, -3))"
         assert b != SplitBundle(4, (1, -3)) and b != SplitBundle(5, (-3, 1, -3))
-        assert b.direct_sum(SplitBundle(4, (1, 0))) == SplitBundle(4, (1, 1, 0, -3, -3))
         for bad in ({}, {0: 0}, {1: -1}):
             with pytest.raises(ValueError):
                 SplitBundle.from_counts(4, bad)
@@ -271,16 +269,6 @@ class TestSplitBundle:
 
 
 class TestDistributionParams:
-    def test_basic_fields(self):
-        p = DistributionParams(5, 2, 3)
-        assert p.k == 3
-        assert p.form_twist == 3 + 3 + 1
-
-    def test_from_tangent_twists(self):
-        # det F* = O(d - r): twists (1-d, 1, ..., 1) give degree d back
-        p = DistributionParams.from_tangent_twists(6, (1 - 4, 1, 1))
-        assert p.r == 3 and p.d == 4
-
     def test_from_pfaff_curve_case(self):
         # rank n-1 Pfaff bundle O(-d_i - 2) profiles a foliation by curves
         e = SplitBundle(3, (-2, -2))
@@ -344,6 +332,11 @@ class TestDegreeFormulas:
         assert pullback_degree(3, 2, 2) == 15
         assert pullback_degree(5, 3, 0) == 1
         assert pullback_degree(5, 1, 1) == 3
+
+    def test_pullback_degree_is_the_geometric_series(self):
+        for d in (0, 1, 2, 3, 10):
+            for n, k in ((2, 1), (3, 2), (5, 1), (5, 4), (9, 8), (40, 39), (300, 299)):
+                assert pullback_degree(n, k, d) == sum(d**j for j in range(k + 2))
 
     def test_pullback_degree_validation(self):
         with pytest.raises(ValueError):
@@ -417,6 +410,13 @@ class TestClassification:
         for entry in CLASSIFICATION:
             assert classification_entry(entry.n, entry.degree) is entry
             assert len(entry.pfaff_twists) == entry.n - 1
+
+    def test_degrees_are_derived_from_the_pfaff_twists(self):
+        assert [(e.n, e.degree) for e in CLASSIFICATION] == [(4, 2), (4, 3), (5, 3), (5, 4)]
+        for entry in CLASSIFICATION:
+            params = DistributionParams.from_pfaff(entry.n, SplitBundle(entry.n, entry.pfaff_twists))
+            assert (params.r, params.d) == (1, entry.degree)
+            assert asdict(entry)["degree"] == entry.degree
 
     def test_unknown_row_names_the_known_ones(self):
         with pytest.raises(ValueError, match=r"no classification row for n=6, degree=2; known: \(n=4, degree=2\)"):

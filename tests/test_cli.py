@@ -17,7 +17,7 @@ from singscheme.chase import replay_trace
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_sheaf
 from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
-from singscheme.forms import MAX_DEGREE, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from singscheme.forms import MAX_DEGREE, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -322,6 +322,22 @@ class TestTableChecks:
         assert code == 0
         assert out.splitlines()[0] == "acm: fails"
 
+    @pytest.mark.parametrize("windows", ['', ', "windows": {"0": null, "1": null}'], ids=["missing", "null"])
+    @pytest.mark.parametrize(
+        "argv, code, want",
+        [
+            (("acm-check", "--dim-z", "1"), 0, "acm: undetermined\n  acm: row 1 window is unbounded\n"),
+            (("regularity",), 1, "error: row 1 is unbounded above; regularity is undecidable\n"),
+            (("beilinson-bound",), 1, "error: clause (i) not certifiable: row 0 unbounded below\n"),
+        ],
+        ids=["acm", "regularity", "beilinson"],
+    )
+    def test_windowless_table_rows_exclude_no_twist(self, capsys, tmp_path, windows, argv, code, want):
+        path = tmp_path / "windowless.table.json"
+        path.write_text('{"n": 4' + windows + "}")
+        got = run(capsys, *argv, "--table", str(path))
+        assert (got[0], got[1] + got[2]) == (code, want)
+
     def test_tangent_chase_needs_n(self, capsys):
         code, _, err = run(capsys, "acm-check", "--from-chase", "tangent:-1,-2")
         assert code == 1
@@ -519,9 +535,13 @@ class TestClassifyCommand:
     def test_json_row(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "4", "--degree", "2", "--json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["pfaff_twists"] == [-2, -2, -2]
-        assert payload["sing_description"] == "smooth projected Veronese surface"
+        assert json.loads(out) == {
+            "n": 4,
+            "degree": 2,
+            "pfaff": "O(-2)^3",
+            "pfaff_twists": [-2, -2, -2],
+            "sing_description": "smooth projected Veronese surface",
+        }
 
     def test_unknown_row_exits_one(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "6", "--degree", "2")
@@ -763,6 +783,15 @@ class TestFormSing:
         path.write_text("(z0+z1+z2+z3+z4+z5)" * 30 + " dz1")
         code, out, err = run(capsys, "form", "sing", "--input", str(path))
         message = f"product of 98280- and 6-term polynomials exceeds the cap of {MAX_TERMS} terms"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_product_over_the_work_cap_exits_one(self, capsys, tmp_path):
+        # two dense degree-100 ternary forms: 20,301 terms, under the term
+        # cap, from 5151 x 5151 coefficient products
+        path = tmp_path / "much_work.form"
+        path.write_text("(" + "(z0+z1+z2)" * 100 + ")" + "(" + "(z0+z1+z2)" * 100 + ") dz1")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        message = f"product of 5151- and 5151-term polynomials exceeds the cap of {MAX_PRODUCT_WORK} coefficient products"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_generator_degree_beyond_forty(self, capsys, tmp_path):

@@ -24,7 +24,6 @@ from singscheme.cohomology import (
     LineBundle,
     VirtualSheaf,
     Window,
-    bott_dim,
     ext_power_split,
     ext_power_tangent,
     normalize_atom,
@@ -53,6 +52,19 @@ def chi_omega(n: int, p: int, k: int) -> int:
         (-1) ** (p - j) * comb(n + 1, j) * chi_line(n, k - j)
         for j in range(p + 1)
     )
+
+
+def bott_dim(n: int, p: int, k: int, q: int) -> int:
+    """h^q(P^n, Omega^p(k)) by Bott's formula, for 0 <= p, q <= n: the
+    reference that VirtualSheaf.h is compared against. Nonzero for q = 0
+    and k > p, at the Hodge diagonal q = p, k = 0, and for q = n, k < p - n."""
+    if q == 0 and k > p:
+        return comb(k + n - p, k) * comb(k - 1, p)
+    if q == p and k == 0:
+        return 1
+    if q == n and k < p - n:
+        return comb(p - k, -k) * comb(-k - 1, n - p)
+    return 0
 
 
 def chi_from_bott(n: int, p: int, k: int) -> int:
@@ -129,12 +141,12 @@ class TestBottDim:
             assert chi_omega(n, 1, 0) == -1
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            bott_dim(3, 4, 0, 0)
-        with pytest.raises(ValueError):
-            bott_dim(3, 1, 0, -1)
-        with pytest.raises(ValueError):
-            bott_dim(0, 0, 0, 0)
+        with pytest.raises(ValueError, match="need 0 <= p <= n"):
+            normalize_atom(3, 4, 0)
+        with pytest.raises(ValueError, match="need 0 <= p, q <= n"):
+            VirtualSheaf.from_atom(3, CotangentPower(1, 0)).h(-1)
+        with pytest.raises(ValueError, match="positive"):
+            normalize_atom(0, 0, 0)
 
 
 class TestNormalization:
@@ -224,7 +236,7 @@ class TestVirtualSheaf:
 
     def test_twist_and_sum(self):
         s = VirtualSheaf.from_atom(3, CotangentPower(1, 2))
-        assert s.twist(3).atoms == ((CotangentPower(1, 5), 1),)
+        assert tensor_with_split(s, SplitBundle(3, (3,))).atoms == ((CotangentPower(1, 5), 1),)
         both = s.direct_sum(VirtualSheaf.from_atom(3, LineBundle(0)))
         assert both.rank == 4
         with pytest.raises(ValueError):
@@ -450,8 +462,9 @@ class TestPowers:
 
     def test_twist_and_dual_helpers(self):
         t = tangent_sheaf(3)
-        assert t.twist(-4) == VirtualSheaf.from_atom(3, CotangentPower(2, 0))
-        assert all(t.twist(-4).h(q) == t.h(q, -4) for q in range(4))
+        twisted = tensor_with_split(t, SplitBundle(3, (-4,)))
+        assert twisted == VirtualSheaf.from_atom(3, CotangentPower(2, 0))
+        assert all(twisted.h(q) == t.h(q, -4) for q in range(4))
         assert dual(SplitBundle(3, (-1, 2))) == SplitBundle(3, (1, -2))
 
 
@@ -492,7 +505,8 @@ class TestTable:
         assert t.value(4, 0) == DimValue.exact(0)
 
     def test_uncertified_row_answers_unknown(self):
-        t = CohomologyTable(3, {1: {0: DimValue.exact(2)}}, {1: None})
+        t = CohomologyTable(3, {1: {0: DimValue.exact(2)}}, {})
+        assert t.window(1) == Window(None, None)
         assert t.value(1, 0) == DimValue.exact(2)
         assert t.value(1, 5) == DimValue.unknown()
 
@@ -522,14 +536,20 @@ class TestTable:
         t = CohomologyTable(
             2,
             {0: {0: DimValue(1, None), 1: DimValue(0, 4)}},
-            {0: None, 1: Window.nothing(), 2: Window(None, -3)},
+            {1: Window.nothing(), 2: Window(None, -3)},
         )
         back = CohomologyTable.loads(t.dumps())
         assert back.value(0, 0) == DimValue(1, None)
         assert back.value(0, 1) == DimValue(0, 4)
-        assert back.window(0) is None
+        assert back.window(0) == Window(None, None)
         assert back.window(1).empty
         assert back.window(2) == Window(None, -3)
+
+    def test_null_window_reads_as_no_twist_excluded(self):
+        back = CohomologyTable.loads('{"n": 2, "windows": {"0": null, "1": {"empty": true}}}')
+        assert back.window(0) == back.window(2) == Window(None, None)
+        assert back.value(0, 7) == DimValue.unknown()
+        assert back.window(1).empty
 
     def test_from_json_rejects_bad_row(self):
         with pytest.raises(ValueError):

@@ -94,10 +94,10 @@ class TestHorrocksCompleteness:
                 assert horrocks(t).decision == "fails"
 
     def test_uncertified_row_gives_undetermined(self):
-        t = CohomologyTable(3, {1: {0: DimValue.exact(0)}}, {1: None, 2: Window.nothing()})
+        t = CohomologyTable(3, {1: {0: DimValue.exact(0)}}, {2: Window.nothing()})
         v = horrocks(t)
         assert v.decision == "undetermined"
-        assert "no zero certificate" in v.certificate
+        assert "row 1 window is unbounded" in v.certificate
 
     def test_interval_entry_gives_undetermined(self):
         t = CohomologyTable(
@@ -108,7 +108,7 @@ class TestHorrocksCompleteness:
         assert horrocks(t).decision == "undetermined"
 
     def test_definite_witness_wins_even_without_window(self):
-        t = CohomologyTable(3, {1: {4: DimValue.exact(2)}}, {1: None, 2: Window.nothing()})
+        t = CohomologyTable(3, {1: {4: DimValue.exact(2)}}, {2: Window.nothing()})
         v = horrocks(t)
         assert v.decision == "fails"
         assert v.witnesses == ((1, 4, DimValue.exact(2)),)
@@ -337,8 +337,8 @@ class TestRegularity:
         assert checked_regularity(CohomologyTable(3, {2: zeros}, windows)) == -1
 
     def test_uncertified_row_raises(self):
-        t = CohomologyTable(3, {}, {1: None})
-        with pytest.raises(ValueError, match="row 1 has no zero certificate"):
+        t = CohomologyTable(3, {}, {})
+        with pytest.raises(ValueError, match="row 1 is unbounded above"):
             regularity(t)
         t2 = CohomologyTable(3, {}, {1: Window(0, None), 2: Window.nothing(), 3: Window.nothing()})
         with pytest.raises(ValueError, match="row 1 is unbounded above"):
@@ -353,14 +353,12 @@ class TestRegularity:
             base = checked_regularity(t)
             q = rng.randint(1, n)
             w = t.window(q)
-            old_top = w.hi if (w is not None and not w.empty) else -q - 1
+            old_top = -q - 1 if w.empty else w.hi
             t_new = old_top + rng.randint(1, 3)
             rows = {qq: dict(r) for qq, r in t.rows.items()}
             rows.setdefault(q, {})[t_new] = DimValue.exact(rng.randint(1, 3))
             windows = dict(t.windows)
-            windows[q] = Window.hull(
-                w if w is not None else Window.nothing(), Window(t_new, t_new)
-            )
+            windows[q] = Window.hull(w, Window(t_new, t_new))
             mutated = CohomologyTable(n, rows, windows)
             assert checked_regularity(mutated) >= base
             assert regularity(mutated) >= t_new + q + 1
@@ -404,7 +402,7 @@ class TestBeilinsonBound:
         t = CohomologyTable(
             4,
             {3: {-5: DimValue(0, 1)}},
-            {0: Window(-1, None), 1: None, 2: Window.nothing(),
+            {0: Window(-1, None), 2: Window.nothing(),
              3: Window(-5, -5), 4: Window(None, -5)},
         )
         with pytest.raises(InapplicableError, match="not exact"):

@@ -28,7 +28,6 @@ from singscheme.forms import (
     form_str,
     minors_ideal,
     parse_form,
-    parse_poly,
     poly_str,
     pullback_form,
     radial_field,
@@ -41,6 +40,20 @@ from singscheme.forms import (
 
 def z(nvars, i):
     return HomogeneousPoly.variable(nvars, i)
+
+
+def parse_poly(text, nvars):
+    """The polynomial that text spells, read as a 0-form."""
+    return parse_form(text, nvars).coefficient(())
+
+
+def scale(form, c):
+    """The form c * form."""
+    return PolyKForm.from_dict(form.nvars, form.k, [(i, p * c) for i, p in form.coeffs])
+
+
+def zero_form(nvars, k):
+    return PolyKForm.from_dict(nvars, k, {})
 
 
 def one_form(nvars, coeffs):
@@ -298,7 +311,7 @@ class TestVariableCap:
         with pytest.raises(ValueError, match=f"{forms.MAX_VARIABLES + 1} variables exceed the cap"):
             parse_form("z0 dz1 - z1 dz0", forms.MAX_VARIABLES + 1)
         with pytest.raises(ValueError, match="exceed the cap"):
-            parse_poly("z0", 10**9)
+            parse_form("z0", 10**9)
 
     def test_parser_rejects_an_index_with_too_many_digits(self):
         # a 5,000-digit index is refused on its digit count, before int()
@@ -434,6 +447,49 @@ class TestTermCap:
             pullback_form(6, (24, 0), 0)
 
 
+class TestWorkCap:
+    """MAX_PRODUCT_WORK bounds the len_a * len_b coefficient products of one
+    product, which MAX_TERMS does not: two dense degree-100 ternary forms
+    make at most 20,301 terms from 5151 x 5151 products."""
+
+    message = f"product of 5151- and 5151-term polynomials exceeds the cap of {forms.MAX_PRODUCT_WORK} coefficient products"
+
+    def test_product_over_the_cap_is_rejected_before_building(self):
+        a = dense(3, 100)
+        assert len(a.packed) ** 2 > forms.MAX_PRODUCT_WORK
+        with pytest.raises(ValueError) as exc:
+            a * a
+        assert str(exc.value) == self.message
+
+    def test_contract_and_wedge_check_the_cap_before_building(self):
+        a = dense(3, 100)
+        form = one_form(3, {0: a})
+        with pytest.raises(ValueError) as exc:
+            contract(form, PolyVectorField(3, (a, HomogeneousPoly.zero(3), HomogeneousPoly.zero(3))))
+        assert str(exc.value) == self.message
+        with pytest.raises(ValueError) as exc:
+            wedge(form, one_form(3, {1: a}))
+        assert str(exc.value) == self.message
+
+    def test_parser_checks_the_cap_before_building(self):
+        with pytest.raises(ValueError) as exc:
+            parse_form("(" + "(z0+z1+z2)" * 100 + ")" + "(" + "(z0+z1+z2)" * 100 + ") dz1", 3)
+        assert str(exc.value) == self.message
+
+    def test_products_under_the_cap_pass(self):
+        # 861 x 861 = 741,321 products into the C(82, 2) = 3,321 octics
+        a = dense(3, 40)
+        assert len(a.packed) ** 2 <= forms.MAX_PRODUCT_WORK
+        assert len((a * a).packed) == 3321
+
+    def test_the_term_cap_is_checked_first(self):
+        # 1540 x 1540 is over both caps; the term cap names it
+        cubic = dense(20, 3)
+        assert len(cubic.packed) ** 2 > forms.MAX_PRODUCT_WORK
+        with pytest.raises(ValueError, match=f"exceeds the cap of {forms.MAX_TERMS} terms"):
+            cubic * cubic
+
+
 class TestWedge:
     def test_basis_product(self):
         nvars = 4
@@ -458,7 +514,7 @@ class TestWedge:
             a = random_form(rng, nvars, ka, rng.randint(0, 2))
             b = random_form(rng, nvars, kb, rng.randint(0, 2))
             lhs = wedge(a, b)
-            rhs = wedge(b, a).scale((-1) ** (ka * kb))
+            rhs = scale(wedge(b, a), (-1) ** (ka * kb))
             assert lhs == rhs
 
     def test_bilinear(self):
@@ -516,14 +572,12 @@ class TestContract:
             b = random_form(rng, nvars, kb, rng.randint(0, 1))
             x = random_field(rng, nvars, rng.randint(0, 1))
             lhs = contract(wedge(a, b), x)
-            rhs = wedge(contract(a, x), b) + wedge(a, contract(b, x)).scale(
-                (-1) ** ka
-            )
+            rhs = wedge(contract(a, x), b) + scale(wedge(a, contract(b, x)), (-1) ** ka)
             assert lhs == rhs
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
-            contract(PolyKForm.zero(3, 0), radial_field(3))
+            contract(zero_form(3, 0), radial_field(3))
 
 
 # The sum-of-products wedge and contraction that the in-place ones
@@ -734,7 +788,7 @@ class TestIdeals:
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
-            coefficient_ideal(PolyKForm.zero(3, 1))
+            coefficient_ideal(zero_form(3, 1))
 
     def test_minors_single_form(self):
         w = one_form(4, {0: -z(4, 1), 1: z(4, 0)})
@@ -757,7 +811,7 @@ class TestIdeals:
                         [random_form(rng, n + 1, 1, rng.randint(0, 2)) for _ in range(m)]
                     )
         w1, w2 = two_lines_pair()
-        systems += [[w1, w2, w1.scale(3)], [w2, PolyKForm.zero(4, 1)], [PolyKForm.zero(3, 1)]]
+        systems += [[w1, w2, scale(w1, 3)], [w2, zero_form(4, 1)], [zero_form(3, 1)]]
         degenerate = 0
         for fs in systems:
             want = reference_minors(fs)
@@ -773,7 +827,7 @@ class TestIdeals:
         w1, _ = two_lines_pair()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ideal = minors_ideal([w1, w1.scale(2)])
+            ideal = minors_ideal([w1, scale(w1, 2)])
         assert ideal.generators == ()
         assert any("degenerate" in str(w.message) for w in caught)
 
@@ -888,8 +942,6 @@ class TestGrammar:
             parse_form("z0 @ dz1", 3)
         with pytest.raises(FormParseError):
             parse_form("(z0 dz1)", 3)
-        with pytest.raises(FormParseError):
-            parse_poly("z0 dz1", 3)
         with pytest.raises(FormParseError, match="zero denominator in 2/0"):
             parse_form("2/0 z0 dz1", 3)
 

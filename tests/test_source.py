@@ -187,27 +187,43 @@ def _defined(node) -> list:
     return [name for name in names if not name.startswith("__")]
 
 
-# Module-level definitions that only the tests reach today. The list may
-# shrink; a new test-only definition belongs in tests/, not here.
-TEST_ONLY = ["chow.DistributionParams", "cohomology.bott_dim", "forms.parse_poly"]
+# Module-level definitions that only the tests reach. It stays empty: a
+# test-only definition belongs in tests/, not in the package.
+TEST_ONLY: list[str] = []
+
+
+def _package_trees() -> dict:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(singscheme.__file__).parent.glob("*.py"))
+    }
+
+
+def _readme_blocks() -> list:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [ast.parse(block) for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)]
+
+
+def _parser_strings(trees) -> set:
+    """The strings of cli.build_parser, as the set_defaults of acm-check
+    names acm_check."""
+    build_parser = next(node for node in trees["cli"].body if getattr(node, "name", None) == "build_parser")
+    return {node.value for node in ast.walk(build_parser) if isinstance(node, ast.Constant)}
+
+
+def _attribute_reads(tree) -> Counter:
+    """How often tree reads each name as an attribute."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 
 
 def test_definitions_are_reached_outside_the_tests():
     # A definition is reached when src/ uses it outside its own body, when
     # the benchmark traces or reads it, when a README python block names
-    # it, or when the CLI names it in a string of build_parser, as the
-    # set_defaults of acm-check names acm_check.
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(Path(singscheme.__file__).parent.glob("*.py"))
-    }
-    reached = {name for names in _traced().values() for name in names}
+    # it, or when the CLI names it in a string of build_parser.
+    trees = _package_trees()
+    reached = _parser_strings(trees).union(*map(_names, _readme_blocks()))
+    reached |= {name for names in _traced().values() for name in names}
     reached |= {name for _, name, _ in _workload_reads()[0]}
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
-        reached |= _names(ast.parse(block))
-    build_parser = next(node for node in trees["cli"].body if getattr(node, "name", None) == "build_parser")
-    reached |= {node.value for node in ast.walk(build_parser) if isinstance(node, ast.Constant)}
     # how many module-level statements of src/ name each name
     statements = [(module, node, _names(node)) for module, tree in trees.items() for node in tree.body]
     uses = Counter(name for _, _, names in statements for name in names)
@@ -218,3 +234,26 @@ def test_definitions_are_reached_outside_the_tests():
         if name not in reached and uses[name] == (name in names)
     ]
     assert sorted(found) == TEST_ONLY
+
+
+def test_class_members_are_reached_outside_the_tests():
+    # A public method, property or classmethod of a public module-level
+    # class is reached when its name is read as an attribute in src/
+    # outside its own body, anywhere under bench/, in a README python
+    # block, or in a string of build_parser. Members are matched by name
+    # alone, so a name that two classes share is reached through either.
+    trees = _package_trees()
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "bench").rglob("*.py"))]
+    reached = _parser_strings(trees).union(*map(_attribute_reads, bench + _readme_blocks()))
+    reads = sum(map(_attribute_reads, trees.values()), Counter())
+    found = [
+        f"{module}.{cls.name}.{member.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        and member.name not in reached
+        and reads[member.name] == _attribute_reads(member)[member.name]
+    ]
+    assert found == []
