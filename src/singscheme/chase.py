@@ -10,13 +10,16 @@ its queries off its windows. The materialization pass then writes the
 requested rows of the solved unknowns, once each, into their
 CohomologyTables, the one store of the values: exact where the six-term
 neighborhood has enough zeros, an interval [lo, hi] from rank-nullity
-otherwise. A row's solve reads each of its four columns once, over the
-twists the row's window holds: a table's row, or a closed-form sheaf's
-h_row. Every triple is checked for Euler-characteristic consistency,
-row-wise, where the check can fail: where the one end row that the solve
-cannot balance is nonzero. ChaseResult.entries and the --explain payload,
-whose entries replay to the same numbers through the solve's own row reads,
-are read off the plan and the tables.
+otherwise. A requirement is a sorted list of merged twist runs per
+(unknown, q), and propagation shifts the runs. Each run of a row reads its
+four columns once, as lo and hi int lists (a table's row, or a
+closed-form sheaf's h_row), and one comprehension solves them. Every
+triple is checked for Euler-characteristic consistency where the check can
+fail: where the one end row that the solve cannot balance is nonzero. chi
+is folded term by term, the unknown just solved first, and a twist leaves
+the check at its first inexact row. ChaseResult.entries and the --explain
+payload, whose entries replay to the same numbers through the solve's own
+row reads, are read off the plan and the tables.
 
 On top of the engine sit the complex builders used throughout: the
 Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
@@ -27,14 +30,17 @@ by one resolution builder.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from math import inf
+from operator import add
 from types import MappingProxyType
 
 from .chow import SplitBundle, check_ambient_dimension
 from .cohomology import (
+    ZERO,
     CohomologyTable,
     DimValue,
     VirtualSheaf,
@@ -112,65 +118,80 @@ _READS = {
 }
 
 
-_ZERO = DimValue.exact(0)
-
-
 def _label(tr: ExactTriple) -> str:
     return tr.label or f"0->{tr.a}->{tr.b}->{tr.c}->0"
 
 
-def _read_row(term: Term, q: int, ts: list, tables: dict) -> list:
-    """The (lo, hi) of a term's row q at each chase twist of the strictly
-    ascending list ts: a table's row dict, or a sheaf's h_row. The one
+def _merge(runs) -> list:
+    """The inclusive twist runs (lo, hi) as the sorted list of the fewest
+    disjoint, non-adjacent runs that cover the same twists."""
+    out = []
+    for lo, hi in sorted(runs):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _read_row(term: Term, q: int, ts, tables: dict) -> tuple:
+    """The lo and hi lists of a term's row q at the chase twists of the
+    strictly ascending ts: a table's row dict, or a sheaf's h_row. The one
     reader for the solve, the Euler check and the --explain payload. The
     Euler check also reads rows at twists no solve wrote; value answers
-    those: zero outside the window, else [0, inf), which skips the check."""
+    those: zero outside the window, else [0, inf), which the check drops."""
     if isinstance(term, VirtualSheaf):
-        return [(h, h) for h in (term.h_row(q, ts) if 0 <= q <= term.n else [0] * len(ts))]
+        h = term.h_row(q, ts) if 0 <= q <= term.n else [0] * len(ts)
+        return h, h
     tab, off = tables[term.name], term.offset
-    row = tab.rows.get(q, {})
-    return [(v.lo, v.hi) for v in (row.get(t + off) or tab.value(q, t + off) for t in ts)]
+    if not 0 <= q <= tab.n:
+        return [0] * len(ts), [0] * len(ts)
+    vs = list(map(tab.rows.get(q, {}).get, map(off.__add__, ts)))
+    if None in vs:
+        vs = [v or tab.value(q, t + off) for v, t in zip(vs, ts)]
+    return [v.lo for v in vs], [v.hi for v in vs]
 
 
-def _row_reads(step, q: int, ss: list, tables: dict):
-    """For the plan step (triple, position, name, offset) and ss, strictly
-    ascending twists of row q of the unknown it solves: the twists of ss
-    that the row's window holds, and at each of them the four (lo, hi)
-    reads of _READS. The one row read of the solve and the payload."""
+def _row_reads(step, q: int, runs: list, tables: dict) -> list:
+    """For the plan step (triple, position, name, offset) and runs, sorted
+    disjoint twist runs of row q of the unknown it solves: each run cut to
+    the row's window, as (lo, hi, cols), cols the four columns of _READS
+    over lo..hi, each a (los, his) pair read once. The one row read of the
+    solve and the payload."""
     tr, pos, name, offset = step
     w = tables[name].window(q)
-    i = 0 if w.lo is None else bisect_left(ss, w.lo)
-    j = len(ss) if w.hi is None else bisect_right(ss, w.hi)
-    inside = [] if w.empty else ss[i:j]
-    ts = [s - offset for s in inside]
-    cols = [_read_row(tr.term(role), q + dq, ts, tables) for role, dq in _READS[pos]]
-    return inside, list(zip(*cols))
+    out = []
+    for lo, hi in [] if w.empty else runs:
+        lo, hi = lo if w.lo is None else max(lo, w.lo), hi if w.hi is None else min(hi, w.hi)
+        if lo <= hi:
+            ts = range(lo - offset, hi - offset + 1)
+            out.append((lo, hi, [_read_row(tr.term(role), q + dq, ts, tables) for role, dq in _READS[pos]]))
+    return out
 
 
-def _solve(reads) -> DimValue:
-    """forced(keep1, kill1) + forced(keep2, kill2) over the four (lo, hi)
-    reads, where forced(keep, kill) = [max(0, lo(keep) - hi(kill)), hi(keep)].
-    A chase's own reads are finite; an open end (hi None) comes only from
-    a payload that replay_trace reads from outside."""
-    (_, kill1), (lo1, hi1), (_, kill2), (lo2, hi2) = reads
-    lo1 = 0 if kill1 is None else max(0, lo1 - kill1)
-    lo2 = 0 if kill2 is None else max(0, lo2 - kill2)
-    if hi1 is None or hi2 is None:
-        return DimValue(lo1 + lo2, None)
-    return _ZERO if hi1 + hi2 == 0 else DimValue(lo1 + lo2, hi1 + hi2)
+def _solve(cols) -> list:
+    """forced(keep1, kill1) + forced(keep2, kill2) twist by twist down the
+    four (los, his) columns of _READS, where forced(keep, kill) =
+    [max(0, lo(keep) - hi(kill)), hi(keep)]; a value with hi 0 is the
+    shared ZERO. A chase's own reads are finite; replay_trace passes an
+    open end (hi None) as inf."""
+    (_, kill1), (lo1, hi1), (_, kill2), (lo2, hi2) = cols
+    los = [(x - y if x > y else 0) + (u - v if u > v else 0) for y, x, v, u in zip(kill1, lo1, kill2, lo2)]
+    return [ZERO if h == 0 else DimValue(lo, h) for lo, h in zip(los, map(add, hi1, hi2))]
 
 
 def replay_trace(entry: dict) -> DimValue:
     """Recompute the value of one entry of the --explain payload from the
     inputs it records: zero for the window rule, else the solve of its four
-    reads."""
+    reads, as columns of length one."""
     rule = entry["rule"]
     if rule == "window":
-        return _ZERO
+        return ZERO
     if rule not in ("solve-a", "solve-c"):
         raise ValueError(f"unknown trace rule {rule!r}")
     reads = [DimValue.from_json(i["value"]) for i in entry["inputs"]]
-    return _solve([(v.lo, v.hi) for v in reads])
+    (value,) = _solve([([v.lo], [inf if v.hi is None else v.hi]) for v in reads])
+    return DimValue(value.lo, None) if value.hi == inf else value
 
 
 @dataclass(frozen=True)
@@ -220,7 +241,9 @@ class ChaseResult:
             tr, pos, name, offset = step
             label, terms = _label(tr), {role: str(tr.term(role)) for role in _POSITIONS}
             for q, row in self.tables[name].rows.items():
-                solved = dict(zip(*_row_reads(step, q, list(row), self.tables)))
+                solved = {}
+                for lo, hi, cols in _row_reads(step, q, _merge((s, s) for s in row), self.tables):
+                    solved.update(zip(range(lo, hi + 1), zip(*(zip(*col) for col in cols))))
                 for s, v in row.items():
                     inputs = [
                         {"role": role, "term": terms[role], "q": q + dq, "twist": s - offset,
@@ -242,23 +265,23 @@ class ChaseResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _term_window(term: Term, q: int, tables: dict) -> Window:
-    """Support window of a term's row q, in chase coordinates."""
+def _chi_row(term: Term, ts: list, tables: dict) -> tuple:
+    """The twists of the strictly ascending list ts where every row of a
+    term is exact, and its Euler characteristic at each of them. A table's
+    rows are read in turn, and a twist is dropped at its first inexact
+    row."""
     if isinstance(term, VirtualSheaf):
-        return term.row_window(q)
-    return tables[term.name].window(q).shift(-term.offset)
-
-
-def _chi_row(term: Term, ts: list, tables: dict) -> list:
-    """Euler characteristic of a term at each chase twist of the strictly
-    ascending list ts; None where some row of it is not exact."""
-    if isinstance(term, VirtualSheaf):
-        return term.chi_row(ts)
-    cols = zip(*(_read_row(term, q, ts, tables) for q in range(tables[term.name].n + 1)))
-    return [
-        None if any(lo != hi for lo, hi in col) else sum((-1) ** q * lo for q, (lo, _) in enumerate(col))
-        for col in cols
-    ]
+        return ts, term.chi_row(ts)
+    chis = [0] * len(ts)
+    for q in range(tables[term.name].n + 1):
+        if not ts:
+            break
+        los, his = _read_row(term, q, ts, tables)
+        if los != his:
+            keep = [i for i, (lo, hi) in enumerate(zip(los, his)) if lo == hi]
+            ts, chis, los = [ts[i] for i in keep], [chis[i] for i in keep], [los[i] for i in keep]
+        chis = [c - x if q % 2 else c + x for c, x in zip(chis, los)]
+    return ts, chis
 
 
 def chase(triples, queries=()) -> ChaseResult:
@@ -270,14 +293,12 @@ def chase(triples, queries=()) -> ChaseResult:
     term, a or c; a fresh middle term raises ValueError. queries is an
     iterable of (name, q, (lo, hi)) asking for an unknown's values on an
     inclusive twist range, in the unknown's own coordinates; a query on a
-    name that no triple solves raises ValueError. On every triple the
-    alternating sum of Euler characteristics must vanish whenever all three
-    columns are exact. Only closed-form data that no short exact sequence
-    realizes can break it, and only where the one end row that the solve
-    cannot balance is nonzero, so only those twists are checked, and a
-    violation raises InconsistentTripleError; the tests recompute the
-    identity at every twist. The result's explain_json is the provenance
-    of every value it holds, each entry replayable by replay_trace.
+    name that no triple solves raises ValueError. A triple whose
+    closed-form data no short exact sequence realizes breaks the Euler
+    identity, which _materialize checks where it can fail, and raises
+    InconsistentTripleError; the tests recompute the identity at every
+    twist. The result's explain_json is the provenance of every value it
+    holds, each entry replayable by replay_trace.
     """
     return _materialize(_window_pass(triples), queries)
 
@@ -303,19 +324,10 @@ def _window_pass(triples) -> ChaseResult:
     tables = {}
     plan: list[tuple[ExactTriple, str, str, int]] = []
     for tr in triples:
-        fresh = [
-            pos
-            for pos in _POSITIONS
-            if isinstance(tr.term(pos), TableRef)
-            and tr.term(pos).name not in tables
-        ]
+        fresh = [pos for pos in _POSITIONS if isinstance(tr.term(pos), TableRef) and tr.term(pos).name not in tables]
         if len(fresh) != 1:
-            what = (
-                "adds no new unknown (cycle or duplicate definition)"
-                if not fresh
-                else "needs "
-                + ", ".join(repr(tr.term(p).name) for p in fresh)
-                + " before they are defined (cyclic or misordered)"
+            what = "adds no new unknown (cycle or duplicate definition)" if not fresh else (
+                f"needs {', '.join(repr(tr.term(p).name) for p in fresh)} before they are defined (cyclic or misordered)"
             )
             raise ChaseDependencyError(f"triple {tr.label or tr}: {what}")
         pos = fresh[0]
@@ -324,11 +336,19 @@ def _window_pass(triples) -> ChaseResult:
             raise ValueError(f"triple {_label(tr)}: the middle term {ref.name!r} is never solved")
         windows = {}
         for q in range(n + 1):
-            parts = [
-                _term_window(tr.term(p2), q + dq, tables)
-                for p2, dq in _READS[pos][1::2]
-            ]
-            windows[q] = Window.hull(*parts).shift(ref.offset)
+            los, his = [], []
+            for p2, dq in _READS[pos][1::2]:
+                term = tr.term(p2)
+                if isinstance(term, VirtualSheaf):
+                    w, shift = term.row_window(q + dq), ref.offset
+                else:
+                    w, shift = tables[term.name].window(q + dq), ref.offset - term.offset
+                if not w.empty:
+                    los.append(None if w.lo is None else w.lo + shift)
+                    his.append(None if w.hi is None else w.hi + shift)
+            windows[q] = Window(
+                None if None in los else min(los), None if None in his else max(his)
+            ) if los else Window.nothing()
         tables[ref.name] = CohomologyTable(n, {}, windows)
         plan.append((tr, pos, ref.name, ref.offset))
     return ChaseResult(n, tables, tuple(plan))
@@ -338,11 +358,13 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
     """Materialize the queried entries, and every entry their solves read,
     into the window pass's result, and check each triple's Euler
     characteristics; returns that result. Only values are stored, in the
-    solved unknowns' tables."""
+    solved unknowns' tables. Python-level work scales with rows and runs,
+    not twists; the Euler check reads the unknown just solved first, since
+    its rows are mostly intervals."""
     n, tables, plan = result.n, result.tables, result.plan
 
     # Requirements per unknown and row, walking consumers before definers.
-    req: dict[str, dict[int, set[int]]] = {name: {} for name in result.unknowns}
+    req: dict[str, dict[int, list]] = {name: {} for name in result.unknowns}
     for query in map(tuple, queries):
         if len(query) != 3:
             raise ValueError("queries are (name, q, (lo, hi)) tuples")
@@ -353,16 +375,17 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
         if name not in req:
             raise ValueError(f"query names {name!r}, which no triple of the chase solves")
         if 0 <= deg <= n:
-            req[name].setdefault(deg, set()).update(range(lo, hi + 1))
+            req[name].setdefault(deg, []).append((lo, hi))
 
     for tr, pos, name, offset in reversed(plan):
+        rows = req[name] = {q: _merge(runs) for q, runs in req[name].items()}
         for p2, dq in _READS[pos]:
             other = tr.term(p2)
             if isinstance(other, TableRef):
                 shift = other.offset - offset
-                for q, ss in req[name].items():
+                for q, runs in rows.items():
                     if 0 <= q + dq <= n:
-                        req[other.name].setdefault(q + dq, set()).update(s + shift for s in ss)
+                        req[other.name].setdefault(q + dq, []).extend((lo + shift, hi + shift) for lo, hi in runs)
 
     # Materialization, in order, a row at a time into each unknown's
     # table: the entries inside the row's window solve from four column
@@ -370,10 +393,10 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
     for step in plan:
         tr, pos, name, offset = step
         for q in sorted(req[name]):
-            ss = sorted(req[name][q])
-            inside, reads = _row_reads(step, q, ss, tables)
-            row = dict.fromkeys(ss, _ZERO)
-            row.update(zip(inside, map(_solve, reads)))
+            runs = req[name][q]
+            row = dict.fromkeys(chain.from_iterable(range(lo, hi + 1) for lo, hi in runs), ZERO)
+            for lo, hi, cols in _row_reads(step, q, runs, tables):
+                row.update(zip(range(lo, hi + 1), _solve(cols)))
             tables[name].rows[q] = row
 
         # Euler-characteristic consistency at the twists this triple
@@ -382,15 +405,18 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
         # nonzero: h^0(a) for a solve of c, h^n(c) for one of a. Such a
         # twist has closed-form data that no short exact sequence realizes,
         # such as h^0(a(t)) > 0 = h^0(b(t)).
-        twists = sorted({s - offset for ss in req[name].values() for s in ss})
+        runs = _merge(chain.from_iterable(req[name].values()))
+        twists = list(chain.from_iterable(range(lo - offset, hi - offset + 1) for lo, hi in runs))
         role, q = ("a", 0) if pos == "c" else ("c", n)
-        end = _read_row(tr.term(role), q, twists, tables)
-        twists = [t for t, (_, hi) in zip(twists, end) if hi is None or hi > 0]
-        if not twists:
-            continue
-        chis = [_chi_row(tr.term(p2), twists, tables) for p2 in _POSITIONS]
-        for t, a, b, c in zip(twists, *chis):
-            if None not in (a, b, c) and a - b + c != 0:
+        _, end = _read_row(tr.term(role), q, twists, tables)
+        twists = [t for t, hi in zip(twists, end) if hi is None or hi > 0]
+        chis = {}
+        for p2 in sorted(_POSITIONS, key=lambda p: p != pos):
+            twists, col = _chi_row(tr.term(p2), twists, tables)
+            chis[p2] = dict(zip(twists, col))
+        for t in twists:
+            a, b, c = (chis[p][t] for p in _POSITIONS)
+            if a - b + c != 0:
                 raise InconsistentTripleError(
                     f"triple {_label(tr)} at twist {t}: "
                     f"chi(a)-chi(b)+chi(c) = {a}-{b}+{c} != 0"

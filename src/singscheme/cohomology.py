@@ -131,18 +131,7 @@ class Window:
 
     @classmethod
     def nothing(cls) -> "Window":
-        return cls(None, None, empty=True)
-
-    @classmethod
-    def hull(cls, *windows: "Window") -> "Window":
-        live = [w for w in windows if not w.empty]
-        if not live:
-            return cls.nothing()
-        los = [w.lo for w in live]
-        his = [w.hi for w in live]
-        lo = None if any(v is None for v in los) else min(los)
-        hi = None if any(v is None for v in his) else max(his)
-        return cls(lo, hi)
+        return _NOTHING
 
     def contains(self, t: int) -> bool:
         if self.empty:
@@ -152,14 +141,6 @@ class Window:
         if self.hi is not None and t > self.hi:
             return False
         return True
-
-    def shift(self, dt: int) -> "Window":
-        if self.empty:
-            return self
-        return Window(
-            None if self.lo is None else self.lo + dt,
-            None if self.hi is None else self.hi + dt,
-        )
 
     @property
     def is_finite(self) -> bool:
@@ -180,6 +161,9 @@ class Window:
             None if lo is None else _json_value(lo, int, "a window end"),
             None if hi is None else _json_value(hi, int, "a window end"),
         )
+
+
+_NOTHING = Window(None, None, empty=True)
 
 
 @dataclass(frozen=True)
@@ -456,6 +440,10 @@ class DimValue:
 
 
 _NO_CERTIFICATE = Window(None, None)
+# The values CohomologyTable.value answers outside a row's entries, shared:
+# a certified zero, which chase stores too, and the trivial [0, inf).
+ZERO = DimValue.exact(0)
+_UNKNOWN = DimValue.unknown()
 
 
 @dataclass
@@ -481,13 +469,13 @@ class CohomologyTable:
 
     def value(self, q: int, t: int) -> DimValue:
         if q < 0 or q > self.n:
-            return DimValue.exact(0)
+            return ZERO
         row = self.rows.get(q, {})
         if t in row:
             return row[t]
         if not self.windows.get(q, _NO_CERTIFICATE).contains(t):
-            return DimValue.exact(0)
-        return DimValue.unknown()
+            return ZERO
+        return _UNKNOWN
 
     def with_dim_z(self, dim_z: int) -> "CohomologyTable":
         return CohomologyTable(self.n, self.rows, self.windows, dim_z)

@@ -18,6 +18,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, seed, settings
+from hypothesis import strategies as st
 
 from singscheme.chase import (
     _READS,
@@ -26,7 +28,9 @@ from singscheme.chase import (
     ExactTriple,
     InconsistentTripleError,
     TableRef,
+    _label,
     _solve,
+    _window_pass,
     chase,
     en_complex_pfaff,
     en_complex_tangent,
@@ -613,26 +617,74 @@ class TestEntriesView:
             res.entries[("I_Z", 0, 10**6)] = DimValue.exact(0)
 
 
+def _read(tables, n, term, q, t):
+    """The (lo, hi) of a term's row q at chase twist t, one twist at a
+    time: a per-twist sheaf read h(q, t), or a table lookup value(q, t)."""
+    if isinstance(term, TableRef):
+        v = tables[term.name].value(q, t + term.offset)
+        return v.lo, v.hi
+    h = term.h(q, t) if 0 <= q <= n else 0
+    return h, h
+
+
+def _entry(tables, n, step, q, s):
+    """The value of entry (q, s) of the unknown that the plan step solves,
+    on its own: zero outside the row's window, else the solve of its four
+    reads of _READS as columns of length one."""
+    tr, pos, name, offset = step
+    if not tables[name].window(q).contains(s):
+        return DimValue.exact(0)
+    reads = [_read(tables, n, tr.term(role), q + dq, s - offset) for role, dq in _READS[pos]]
+    return _solve([([lo], [hi]) for lo, hi in reads])[0]
+
+
 def per_entry_rows(result):
     """The rows of each unknown of result, materialized one entry at a time:
     each entry result holds is solved on its own from the four reads of
     _READS, in plan order, with per-twist sheaf reads h(q, t) and table
     lookups value(q, t). The reference for the row-at-a-time solve."""
     tables = {name: CohomologyTable(result.n, {}, result.tables[name].windows) for name in result.unknowns}
-    for tr, pos, name, offset in result.plan:
-        tab = tables[name]
+    for step in result.plan:
+        name = step[2]
         for _, q, s in sorted(key for key in result.entries if key[0] == name):
-            t, reads = s - offset, []
-            for role, dq in _READS[pos]:
-                term = tr.term(role)
-                if isinstance(term, TableRef):
-                    v = tables[term.name].value(q + dq, t + term.offset)
-                    reads.append((v.lo, v.hi))
-                else:
-                    h = term.h(q + dq, t) if 0 <= q + dq <= result.n else 0
-                    reads.append((h, h))
-            tab.rows.setdefault(q, {})[s] = _solve(reads) if tab.window(q).contains(s) else DimValue.exact(0)
+            tables[name].rows.setdefault(q, {})[s] = _entry(tables, result.n, step, q, s)
     return {name: tab.rows for name, tab in tables.items()}
+
+
+def set_oracle_chase(triples, queries):
+    """The materialization as it was before requirements became twist runs:
+    requirements are sets of twists, every entry is solved on its own, and
+    the Euler check reads every row of all three terms at each twist where
+    the end row the solve cannot balance may be nonzero. Returns the rows
+    of every unknown, or raises InconsistentTripleError with the first
+    violation, as chase does. The reference for _materialize."""
+    result = _window_pass(triples)
+    n, plan, tables = result.n, result.plan, result.tables
+    req = {name: {} for name in result.unknowns}
+    for name, q, (lo, hi) in queries:
+        if 0 <= q <= n:
+            req[name].setdefault(q, set()).update(range(lo, hi + 1))
+    for tr, pos, name, offset in reversed(plan):
+        for role, dq in _READS[pos]:
+            other = tr.term(role)
+            if isinstance(other, TableRef):
+                shift = other.offset - offset
+                for q, ss in req[name].items():
+                    if 0 <= q + dq <= n:
+                        req[other.name].setdefault(q + dq, set()).update(s + shift for s in ss)
+    for step in plan:
+        tr, pos, name, offset = step
+        for q in sorted(req[name]):
+            tables[name].rows[q] = {s: _entry(tables, n, step, q, s) for s in sorted(req[name][q])}
+        role, q = ("a", 0) if pos == "c" else ("c", n)
+        for t in sorted({s - offset for ss in req[name].values() for s in ss}):
+            hi = _read(tables, n, tr.term(role), q, t)[1]
+            chis = [_chi(result, tr.term(p), t) for p in "abc"]
+            if (hi is None or hi > 0) and None not in chis and chis[0] - chis[1] + chis[2] != 0:
+                raise InconsistentTripleError(
+                    f"triple {_label(tr)} at twist {t}: chi(a)-chi(b)+chi(c) = {chis[0]}-{chis[1]}+{chis[2]} != 0"
+                )
+    return {name: tables[name].rows for name in result.unknowns}
 
 
 PFAFF_GRID = [
@@ -838,6 +890,16 @@ EULER_SPECS = {
 }
 
 
+# Tangent data O(shift-3..shift+2) on P^n that no short exact sequence
+# realizes, with the first violation a chase over -20..20 reports.
+UNREALIZABLE_TANGENT = [
+    (7, 0, "triple en0 at twist 9: chi(a)-chi(b)+chi(c) = 1-0+0 != 0"),
+    (7, 3, "triple en0 at twist -12: chi(a)-chi(b)+chi(c) = 1-0+0 != 0"),
+    (8, 1, "triple en0 at twist 0: chi(a)-chi(b)+chi(c) = 11-0+-10 != 0"),
+    (8, 2, "triple en0 at twist -8: chi(a)-chi(b)+chi(c) = 11--1+-11 != 0"),
+]
+
+
 class TestEulerIdentity:
     """The chase checks Euler characteristics only where the end row of a
     triple's long exact sequence can be nonzero; here the identity is
@@ -864,15 +926,7 @@ class TestEulerIdentity:
         result = chase(triples, [("F", q, (-20, 20)) for q in range(n + 1)])
         assert _euler_checks(result) > 0
 
-    @pytest.mark.parametrize(
-        "n, shift, message",
-        [
-            (7, 0, "triple en0 at twist 9: chi(a)-chi(b)+chi(c) = 1-0+0 != 0"),
-            (7, 3, "triple en0 at twist -12: chi(a)-chi(b)+chi(c) = 1-0+0 != 0"),
-            (8, 1, "triple en0 at twist 0: chi(a)-chi(b)+chi(c) = 11-0+-10 != 0"),
-            (8, 2, "triple en0 at twist -8: chi(a)-chi(b)+chi(c) = 11--1+-11 != 0"),
-        ],
-    )
+    @pytest.mark.parametrize("n, shift, message", UNREALIZABLE_TANGENT)
     def test_unrealizable_tangent_data_raises(self, n, shift, message):
         # O(shift + 2) cannot sit in T, and at the reported twist h^0 of the
         # first Eagon-Northcott term is positive where the next one has no
@@ -884,3 +938,71 @@ class TestEulerIdentity:
         with pytest.raises(InconsistentTripleError) as exc:
             windowed_chase(en_complex_tangent(E, n), "I_Z", extra=extra)
         assert str(exc.value) == message
+
+
+# Every Pfaff point of PFAFF_GRID and every tangent spec of EULER_SPECS.
+RUN_SPECS = {
+    **{f"pfaff:{r}:{twists}": (SplitBundle(len(twists) + r, twists), r) for r, twists in PFAFF_GRID},
+    **{spec: (E, r) for spec, (E, r) in EULER_SPECS.items() if r is None},
+}
+
+
+@st.composite
+def query_unions(draw, unknowns, n, width=12):
+    """A few chains of twist ranges on drawn (unknown, q), q one past 0..n
+    at times, each range at most width + 1 twists long; each range of a
+    chain starts at most 6 before the end of the one before it and at most
+    4 after, so ranges overlap, touch or leave a gap."""
+    queries = []
+    for _ in range(draw(st.integers(1, 3))):
+        name, q = draw(st.sampled_from(unknowns)), draw(st.integers(-1, n + 1))
+        lo = draw(st.integers(-40, 40))
+        for _ in range(draw(st.integers(1, 4))):
+            hi = lo + draw(st.integers(0, width))
+            queries.append((name, q, (lo, hi)))
+            lo = hi + draw(st.integers(-6, 4))
+    return queries
+
+
+def _violation(run):
+    """The message of the InconsistentTripleError that run() raises, or None."""
+    try:
+        run()
+    except InconsistentTripleError as exc:
+        return str(exc)
+    return None
+
+
+class TestRunRequirements:
+    """Requirements as merged twist runs, column reads and the term-by-term
+    Euler fold, against the set-based oracle and the per-entry solve, on
+    seeded unions of query ranges over every unknown of a chase (the
+    intermediate kernels ker1, U0, ... too)."""
+
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_runs_match_the_set_oracle(self, data):
+        E, r = RUN_SPECS[data.draw(st.sampled_from(sorted(RUN_SPECS)), label="spec")]
+        triples = en_complex_tangent(E, E.n) if r is None else en_complex_pfaff(E, r, E.n)
+        unknowns = _window_pass(triples).unknowns
+        queries = data.draw(query_unions(unknowns, E.n), label="queries")
+        result = chase(triples, queries)
+        rows, oracle = {name: result.tables[name].rows for name in unknowns}, set_oracle_chase(triples, queries)
+        assert set(result.entries) == {(name, q, s) for name, table in oracle.items() for q, row in table.items() for s in row}
+        assert rows == oracle
+        assert rows == per_entry_rows(result)
+        assert all(list(row) == sorted(row) for table in rows.values() for row in table.values())
+
+    @pytest.mark.parametrize("n, shift", [(n, shift) for n, shift, _ in UNREALIZABLE_TANGENT])
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_euler_check_matches_the_full_read_oracle(self, n, shift, data):
+        triples = en_complex_tangent(SplitBundle(n, tuple(range(shift - 3, shift + 3))), n)
+        unknowns = _window_pass(triples).unknowns
+        queries = data.draw(query_unions(unknowns, n, width=30), label="queries")
+        message = _violation(lambda: chase(triples, queries))
+        expected = _violation(lambda: set_oracle_chase(triples, queries))
+        assert message == expected
+        event(f"raises {expected is not None}")

@@ -358,7 +358,7 @@ class TestRegularity:
             rows = {qq: dict(r) for qq, r in t.rows.items()}
             rows.setdefault(q, {})[t_new] = DimValue.exact(rng.randint(1, 3))
             windows = dict(t.windows)
-            windows[q] = Window.hull(w, Window(t_new, t_new))
+            windows[q] = Window(t_new if w.empty else w.lo, t_new)
             mutated = CohomologyTable(n, rows, windows)
             assert checked_regularity(mutated) >= base
             assert regularity(mutated) >= t_new + q + 1
