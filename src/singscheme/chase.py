@@ -40,6 +40,7 @@ from types import MappingProxyType
 
 from .chow import SplitBundle, check_ambient_dimension
 from .cohomology import (
+    NOTHING,
     ZERO,
     CohomologyTable,
     DimValue,
@@ -161,8 +162,8 @@ def _row_reads(step, q: int, runs: list, tables: dict) -> list:
     tr, pos, name, offset = step
     w = tables[name].window(q)
     out = []
-    for lo, hi in [] if w.empty else runs:
-        lo, hi = lo if w.lo is None else max(lo, w.lo), hi if w.hi is None else min(hi, w.hi)
+    for lo, hi in runs:
+        lo, hi = max(lo, w.lo), min(hi, w.hi)
         if lo <= hi:
             ts = range(lo - offset, hi - offset + 1)
             out.append((lo, hi, [_read_row(tr.term(role), q + dq, ts, tables) for role, dq in _READS[pos]]))
@@ -173,8 +174,8 @@ def _solve(cols) -> list:
     """forced(keep1, kill1) + forced(keep2, kill2) twist by twist down the
     four (los, his) columns of _READS, where forced(keep, kill) =
     [max(0, lo(keep) - hi(kill)), hi(keep)]; a value with hi 0 is the
-    shared ZERO. A chase's own reads are finite; replay_trace passes an
-    open end (hi None) as inf."""
+    shared ZERO. A chase's own reads are finite; replay_trace's may have
+    an open end, hi inf."""
     (_, kill1), (lo1, hi1), (_, kill2), (lo2, hi2) = cols
     los = [(x - y if x > y else 0) + (u - v if u > v else 0) for y, x, v, u in zip(kill1, lo1, kill2, lo2)]
     return [ZERO if h == 0 else DimValue(lo, h) for lo, h in zip(los, map(add, hi1, hi2))]
@@ -190,8 +191,8 @@ def replay_trace(entry: dict) -> DimValue:
     if rule not in ("solve-a", "solve-c"):
         raise ValueError(f"unknown trace rule {rule!r}")
     reads = [DimValue.from_json(i["value"]) for i in entry["inputs"]]
-    (value,) = _solve([([v.lo], [inf if v.hi is None else v.hi]) for v in reads])
-    return DimValue(value.lo, None) if value.hi == inf else value
+    (value,) = _solve([([v.lo], [v.hi]) for v in reads])
+    return value
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,7 @@ class ChaseResult:
             },
             "entries": entries,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _chi_row(term: Term, ts: list, tables: dict) -> tuple:
@@ -329,26 +330,23 @@ def _window_pass(triples) -> ChaseResult:
             what = "adds no new unknown (cycle or duplicate definition)" if not fresh else (
                 f"needs {', '.join(repr(tr.term(p).name) for p in fresh)} before they are defined (cyclic or misordered)"
             )
-            raise ChaseDependencyError(f"triple {tr.label or tr}: {what}")
+            raise ChaseDependencyError(f"triple {_label(tr)}: {what}")
         pos = fresh[0]
         ref = tr.term(pos)
         if pos not in _READS:
             raise ValueError(f"triple {_label(tr)}: the middle term {ref.name!r} is never solved")
         windows = {}
         for q in range(n + 1):
-            los, his = [], []
+            lo, hi = inf, -inf
             for p2, dq in _READS[pos][1::2]:
                 term = tr.term(p2)
                 if isinstance(term, VirtualSheaf):
                     w, shift = term.row_window(q + dq), ref.offset
                 else:
                     w, shift = tables[term.name].window(q + dq), ref.offset - term.offset
-                if not w.empty:
-                    los.append(None if w.lo is None else w.lo + shift)
-                    his.append(None if w.hi is None else w.hi + shift)
-            windows[q] = Window(
-                None if None in los else min(los), None if None in his else max(his)
-            ) if los else Window.nothing()
+                if w.lo <= w.hi:
+                    lo, hi = min(lo, w.lo + shift), max(hi, w.hi + shift)
+            windows[q] = Window(lo, hi) if lo <= hi else NOTHING
         tables[ref.name] = CohomologyTable(n, {}, windows)
         plan.append((tr, pos, ref.name, ref.offset))
     return ChaseResult(n, tables, tuple(plan))
@@ -409,7 +407,7 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
         twists = list(chain.from_iterable(range(lo - offset, hi - offset + 1) for lo, hi in runs))
         role, q = ("a", 0) if pos == "c" else ("c", n)
         _, end = _read_row(tr.term(role), q, twists, tables)
-        twists = [t for t, hi in zip(twists, end) if hi is None or hi > 0]
+        twists = [t for t, hi in zip(twists, end) if hi > 0]
         chis = {}
         for p2 in sorted(_POSITIONS, key=lambda p: p != pos):
             twists, col = _chi_row(tr.term(p2), twists, tables)

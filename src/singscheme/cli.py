@@ -22,7 +22,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
-from math import log10
+from math import inf, log10
 
 
 # ---------------------------------------------------------------- output
@@ -48,7 +48,7 @@ def _decision_word(decision: str) -> str:
 def _fmt_value(v) -> str:
     if v.lo == v.hi:
         return str(v.lo)
-    if v.hi is None:
+    if v.hi == inf:
         return f"{v.lo}+"
     return f"{v.lo}..{v.hi}"
 
@@ -56,11 +56,11 @@ def _fmt_value(v) -> str:
 def _fmt_window(w) -> str:
     if w.empty:
         return "zero at every twist"
-    if w.lo is None and w.hi is None:
+    if w.lo == -inf and w.hi == inf:
         return "no twist excluded"
-    if w.lo is None:
+    if w.lo == -inf:
         return f"nonzero only for t <= {w.hi}"
-    if w.hi is None:
+    if w.hi == inf:
         return f"nonzero only for t >= {w.lo}"
     return f"nonzero only for {w.lo} <= t <= {w.hi}"
 
@@ -79,12 +79,12 @@ def _check_printable(cells, name: str = "h^{}(t={})") -> None:
     limit = 10**MAX_LITERAL_DIGITS
     for *key, v in cells:
         lo, hi = (v, v) if isinstance(v, int) else (v.lo, v.hi)
-        if abs(lo) >= limit or (hi is not None and hi >= limit):
+        if abs(lo) >= limit or limit <= hi < inf:
             raise _too_long(name.format(*key))
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _report_verdict(args, label: str, head: dict, verdict) -> int:

@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, repeat
-from math import comb
+from math import comb, inf
 
 from .chow import SplitBundle, check_ambient_dimension, check_closed_form_dimension, read_number
 
@@ -102,9 +102,12 @@ def _bott(n: int, p: int, k: int, q: int) -> int:
     return 0
 
 
-def _json_value(value, kind: type, what: str):
-    """value if its JSON type is kind, int or dict; else ValueError (json
-    reads 1.5 as a float and true as a bool, and neither is an int)."""
+def _json_value(value, kind: type, what: str, null=None):
+    """value if its JSON type is kind, int or dict; null, an open end inf or
+    -inf where given, for a JSON null; else ValueError (json reads 1.5 as a
+    float and true as a bool, and neither is an int)."""
+    if value is None and null is not None:
+        return null
     if type(value) is not kind:
         noun = "an integer" if kind is int else "an object"
         raise ValueError(f"malformed table: {what} must be {noun}, got {value!r}")
@@ -113,57 +116,51 @@ def _json_value(value, kind: type, what: str):
 
 @dataclass(frozen=True)
 class Window:
-    """Set of twists outside which a cohomology row is certified zero.
+    """Set of twists lo <= t <= hi outside which a cohomology row is
+    certified zero.
 
-    lo=None means unbounded below, hi=None unbounded above; an empty window
-    certifies the whole row vanishes.
+    An open end is -inf or inf (math.inf), only ever a bound. lo > hi is
+    the empty window, which certifies that the whole row vanishes; every
+    empty window equals NOTHING, the identity of a hull and the zero of a
+    clip.
     """
 
-    lo: int | None
-    hi: int | None
-    empty: bool = False
+    lo: int | float
+    hi: int | float
 
     def __post_init__(self) -> None:
-        if self.empty or (self.lo is not None and self.hi is not None and self.lo > self.hi):
-            object.__setattr__(self, "empty", True)
-            object.__setattr__(self, "lo", None)
-            object.__setattr__(self, "hi", None)
+        if self.lo > self.hi:
+            object.__setattr__(self, "lo", inf)
+            object.__setattr__(self, "hi", -inf)
 
-    @classmethod
-    def nothing(cls) -> "Window":
-        return _NOTHING
+    @property
+    def empty(self) -> bool:
+        return self.lo > self.hi
 
     def contains(self, t: int) -> bool:
-        if self.empty:
-            return False
-        if self.lo is not None and t < self.lo:
-            return False
-        if self.hi is not None and t > self.hi:
-            return False
-        return True
+        return self.lo <= t <= self.hi
 
     @property
     def is_finite(self) -> bool:
-        return not self.empty and self.lo is not None and self.hi is not None
+        return -inf < self.lo <= self.hi < inf
 
     def to_json(self) -> dict:
         """{"empty": true}, or {"lo": .., "hi": ..} with null for an open end."""
         if self.empty:
             return {"empty": True}
-        return {"lo": self.lo, "hi": self.hi}
+        return {"lo": None if self.lo == -inf else self.lo, "hi": None if self.hi == inf else self.hi}
 
     @classmethod
     def from_json(cls, data: dict) -> "Window":
         if _json_value(data, dict, "a window").get("empty"):
-            return cls.nothing()
-        lo, hi = data.get("lo"), data.get("hi")
+            return NOTHING
         return cls(
-            None if lo is None else _json_value(lo, int, "a window end"),
-            None if hi is None else _json_value(hi, int, "a window end"),
+            _json_value(data.get("lo"), int, "a window end", -inf),
+            _json_value(data.get("hi"), int, "a window end", inf),
         )
 
 
-_NOTHING = Window(None, None, empty=True)
+NOTHING = Window(inf, -inf)
 
 
 @dataclass(frozen=True)
@@ -238,11 +235,10 @@ class VirtualSheaf:
             if 0 < atom.p < n:
                 mid[t] = mid.get(t, 0) + (-1) ** atom.p * m
         live = [(p, row) for p, row in enumerate(points) if row]
-        empty = Window.nothing()
         windows = (
-            Window(min(min(row) + p + (p > 0) for p, row in live), None),
-            *(Window(min(row), max(row)) if row else empty for row in points[1:n]),
-            Window(None, max(max(row) + p - n - (p < n) for p, row in live)),
+            Window(min(min(row) + p + (p > 0) for p, row in live), inf),
+            *(Window(min(row), max(row)) if row else NOTHING for row in points[1:n]),
+            Window(-inf, max(max(row) + p - n - (p < n) for p, row in live)),
         )
         edge = sorted((a.k - a.p, a.p, a.k, m) for a, m in self.atoms)
         edges = 1 + max(max(row) for _, row in live), min(min(row) for _, row in live) - 1
@@ -310,7 +306,7 @@ class VirtualSheaf:
 
     def row_window(self, q: int) -> Window:
         if not 0 <= q <= self.n:
-            return Window.nothing()
+            return NOTHING
         return self._rows[0][q]
 
     def __str__(self) -> str:
@@ -384,25 +380,21 @@ def tensor_with_split(sheaf, bundle: SplitBundle) -> VirtualSheaf:
 class DimValue:
     """A cohomology dimension, exact or boxed in an interval [lo, hi].
 
-    hi=None means no upper bound is known. Exact values have lo == hi.
+    hi=inf means no upper bound is known. Exact values have lo == hi.
     """
 
     lo: int
-    hi: int | None
+    hi: int | float
 
     def __post_init__(self) -> None:
         if self.lo < 0:
             raise ValueError("dimensions are nonnegative")
-        if self.hi is not None and self.hi < self.lo:
+        if self.hi < self.lo:
             raise ValueError("empty interval")
 
     @classmethod
     def exact(cls, v: int) -> "DimValue":
         return cls(v, v)
-
-    @classmethod
-    def unknown(cls) -> "DimValue":
-        return cls(0, None)
 
     @property
     def is_exact(self) -> bool:
@@ -414,7 +406,7 @@ class DimValue:
 
     @property
     def possibly_nonzero(self) -> bool:
-        return self.hi is None or self.hi > 0
+        return self.hi > 0
 
     @property
     def definitely_nonzero(self) -> bool:
@@ -423,27 +415,25 @@ class DimValue:
     def __str__(self) -> str:
         if self.is_exact:
             return str(self.lo)
-        hi = "inf" if self.hi is None else str(self.hi)
-        return f"[{self.lo},{hi}]"
+        return f"[{self.lo},{self.hi}]"
 
     def to_json(self):
         """The value itself when exact, else [lo, hi] with null for no bound."""
-        return self.lo if self.is_exact else [self.lo, self.hi]
+        return self.lo if self.is_exact else [self.lo, None if self.hi == inf else self.hi]
 
     @classmethod
     def from_json(cls, data) -> "DimValue":
         if isinstance(data, list) and len(data) == 2:
             lo, hi = data
-            hi = None if hi is None else _json_value(hi, int, "an upper bound")
-            return cls(_json_value(lo, int, "a lower bound"), hi)
+            return cls(_json_value(lo, int, "a lower bound"), _json_value(hi, int, "an upper bound", inf))
         return cls.exact(_json_value(data, int, "a dimension"))
 
 
-_NO_CERTIFICATE = Window(None, None)
+_NO_CERTIFICATE = Window(-inf, inf)
 # The values CohomologyTable.value answers outside a row's entries, shared:
 # a certified zero, which chase stores too, and the trivial [0, inf).
 ZERO = DimValue.exact(0)
-_UNKNOWN = DimValue.unknown()
+_UNKNOWN = DimValue(0, inf)
 
 
 @dataclass
@@ -452,7 +442,7 @@ class CohomologyTable:
 
     windows[q] is the Window outside which the row is certified zero; a
     row with no entry, like a null window in a table file, has the window
-    Window(None, None), which excludes no twist (unmaterialized queries
+    Window(-inf, inf), which excludes no twist (unmaterialized queries
     then answer with the trivial interval [0, inf)). dim_z tags tables that
     describe an ideal sheaf with the dimension of its subscheme.
     """
@@ -464,7 +454,7 @@ class CohomologyTable:
 
     def window(self, q: int) -> Window:
         if q < 0 or q > self.n:
-            return Window.nothing()
+            return NOTHING
         return self.windows.get(q, _NO_CERTIFICATE)
 
     def value(self, q: int, t: int) -> DimValue:
@@ -508,7 +498,7 @@ class CohomologyTable:
         return cls(n, rows, windows, None if dim_z is None else _json_value(dim_z, int, "dim_z"))
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def loads(cls, text: str) -> "CohomologyTable":

@@ -13,6 +13,7 @@ window is unbounded). Verdicts carry the witnesses, never just a boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .cohomology import CohomologyTable, DimValue
 
@@ -152,21 +153,17 @@ def acm_check(
     return vanishing_verdict(ideal_table, 1, dim_z, "acm")
 
 
-def possible_entries(
-    table: CohomologyTable, q: int, lo: int | None = None, hi: int | None = None
-):
+def possible_entries(table: CohomologyTable, q: int, lo=-inf, hi=inf):
     """(twist, value) pairs, ascending, where row q is possibly nonzero at
-    twists lo..hi. An open end (None) stops at the row's window: an empty
-    window leaves nothing, and None means the twists cannot be enumerated
-    (the window is unbounded on an open end)."""
-    if lo is None or hi is None:
-        w = table.window(q)
-        if w.empty:
-            return []
-        lo = w.lo if lo is None else lo
-        hi = w.hi if hi is None else hi
-        if lo is None or hi is None:
-            return None
+    twists lo..hi clipped to the row's window, which certifies every twist
+    outside it zero: an empty clip leaves nothing, and None means the twists
+    cannot be enumerated (the clip is open at an end)."""
+    w = table.window(q)
+    lo, hi = max(lo, w.lo), min(hi, w.hi)
+    if lo > hi:
+        return []
+    if lo == -inf or hi == inf:
+        return None
     out = []
     for t in range(lo, hi + 1):
         v = table.value(q, t)
@@ -289,7 +286,7 @@ def hilbert_deficiency_verdicts(dim_z: int, deficiency) -> tuple[Verdict, Verdic
     if dim_z == 0:
         return _empty_range(1, dim_z, "acm"), _NO_INTERMEDIATE_ROWS
     if deficiency:
-        acm = Verdict("fails", tuple((1, t, DimValue(gap, None)) for t, gap in deficiency))
+        acm = Verdict("fails", tuple((1, t, DimValue(gap, inf)) for t, gap in deficiency))
     else:
         acm = Verdict(
             "undetermined",
@@ -320,11 +317,11 @@ def regularity(ideal_table: CohomologyTable) -> int:
         w = ideal_table.window(q)
         if w.empty:
             continue
-        if w.hi is None:
+        if w.hi == inf:
             raise ValueError(
                 f"row {q} is unbounded above; regularity is undecidable"
             )
-        lo = w.lo if w.lo is not None else min([w.hi, *ideal_table.rows.get(q, {})]) - 1
+        lo = max(w.lo, min([w.hi, *ideal_table.rows.get(q, {})]) - 1)
         top = next((t for t in range(w.hi, lo - 1, -1) if ideal_table.value(q, t).possibly_nonzero), None)
         if top is not None:
             tops.append(top + q + 1)

@@ -14,7 +14,7 @@ witnesses when twist gaps break the Buchsbaum numerics.
 import hashlib
 import json
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, inf
 from pathlib import Path
 
 import pytest
@@ -41,6 +41,7 @@ from singscheme.chase import (
 )
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
+    NOTHING,
     CohomologyTable,
     CotangentPower,
     DimValue,
@@ -115,6 +116,15 @@ class TestChaseValidation:
         t2 = ExactTriple(TableRef("B"), O(3, 0), TableRef("A"), 3)
         with pytest.raises(ChaseDependencyError):
             chase([t1, t2])
+
+    def test_unlabeled_triple_is_named_by_its_terms(self):
+        # the same name as every other chase message, not the dataclass repr
+        t = ExactTriple(TableRef("A"), O(3, -2, -2), TableRef("B", 1), 3)
+        with pytest.raises(ChaseDependencyError) as exc:
+            chase([t])
+        assert str(exc.value) == (
+            "triple 0->A->O(-2)^2->B(+1)->0: needs 'A', 'B' before they are defined (cyclic or misordered)"
+        )
 
     def test_duplicate_definition(self):
         t1 = ExactTriple(O(3, -1), O(3, -1, 0), TableRef("X"), 3)
@@ -197,8 +207,8 @@ class TestTwoLines:
         assert tab.value(1, 5) == DimValue.exact(0)
         assert tab.value(1, -4) == DimValue.exact(0)
         # rows 2 and 3 are only bounded above, soundly containing the truth
-        assert tab.window(2) == Window(None, -2)
-        assert tab.window(3) == Window(None, -3)
+        assert tab.window(2) == Window(-inf, -2)
+        assert tab.window(3) == Window(-inf, -3)
 
     def test_windows_sound_against_truth(self):
         tab = two_lines_table()
@@ -263,7 +273,7 @@ class TestKoszulConic:
         # 0 -> O(-3) -> O(-1)+O(-2) -> I -> 0, the Koszul resolution of a
         # plane conic in P^3; its h^1 row must be certified empty.
         tab = resolution_table(O(3, -3), O(3, -1, -2))
-        assert tab.window(1) == Window.nothing()
+        assert tab.window(1) == NOTHING
         assert acm_check(tab).decision == "holds"
         assert buchsbaum_numeric(tab).decision == "holds"
 
@@ -680,7 +690,7 @@ def set_oracle_chase(triples, queries):
         for t in sorted({s - offset for ss in req[name].values() for s in ss}):
             hi = _read(tables, n, tr.term(role), q, t)[1]
             chis = [_chi(result, tr.term(p), t) for p in "abc"]
-            if (hi is None or hi > 0) and None not in chis and chis[0] - chis[1] + chis[2] != 0:
+            if hi > 0 and None not in chis and chis[0] - chis[1] + chis[2] != 0:
                 raise InconsistentTripleError(
                     f"triple {_label(tr)} at twist {t}: chi(a)-chi(b)+chi(c) = {chis[0]}-{chis[1]}+{chis[2]} != 0"
                 )

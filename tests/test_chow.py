@@ -5,9 +5,12 @@ from math import comb
 
 import pytest
 
+from singscheme import chow
 from singscheme.chow import (
     CLASSIFICATION,
     MAX_CLOSED_FORM_N,
+    MAX_DEGREE_WORK,
+    MAX_LITERAL_DIGITS,
     DistributionParams,
     PorteousInapplicableError,
     SplitBundle,
@@ -327,6 +330,31 @@ class TestDegreeFormulas:
         f = SplitBundle(4, (0, 1))
         q = chern_difference(tangent_chern(4), chern_total(f))
         assert singular_degree_formula(4, 2, [0, -1]) == q.coefficient(3)
+
+    def test_work_cap_refuses_before_the_sums(self, monkeypatch):
+        # (n - r + 1) x the digits of the largest |d_i| is at most
+        # MAX_DEGREE_WORK: 10 x 4,300 digits sums, 10 x 4,301 is refused
+        # before the complete homogeneous sums run, for the Porteous degree too
+        assert MAX_DEGREE_WORK == 10 * MAX_LITERAL_DIGITS
+        at_cap = singular_degree_formula(10, 1, [10**4300 - 1])
+        assert at_cap == sum(comb(11, 10 - i) * (10**4300 - 1) ** i for i in range(11))
+        assert singular_degree_formula(10, 1, [-(10**4299)]) > 0
+
+        def summed(*args):
+            raise AssertionError("the sums ran")
+
+        monkeypatch.setattr(chow, "_complete_homogeneous", summed)
+        message = "degree formula work (n - r + 1) x (digits of the largest |d_i|) = {} x {} exceeds the cap of 43000"
+        for n, r, d_list, shape in (
+            (10, 1, [-(10**4300)], (10, 4301)),
+            (300, 5, [10**4298, -(10**4298), 3, 0, 1], (296, 4299)),
+        ):
+            with pytest.raises(ValueError) as exc:
+                singular_degree_formula(n, r, d_list)
+            assert str(exc.value) == message.format(*shape)
+        with pytest.raises(ValueError) as exc:
+            porteous_singular_degree(300, SplitBundle(300, (-(10**300),) * 5))
+        assert str(exc.value) == message.format(296, 301)
 
     def test_pullback_degree_values(self):
         assert pullback_degree(3, 2, 2) == 15

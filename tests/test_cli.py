@@ -68,6 +68,18 @@ class TestDegreeCommands:
         message = f"the degree is too long to print: more than {MAX_LITERAL_DIGITS} digits"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_degree_refused_by_its_work_cap_before_summing(self, capsys, monkeypatch):
+        # five entries of 4,299 digits at n = 300: (n - r + 1) x digits is
+        # far over chow.MAX_DEGREE_WORK, so the sums never start
+        def summed(*args):
+            raise AssertionError("the sums ran")
+
+        monkeypatch.setattr(chow, "_complete_homogeneous", summed)
+        entry = "9" * (MAX_LITERAL_DIGITS - 1)
+        code, out, err = run(capsys, "degree", "--n", "300", "--r", "5", "--d-list", ",".join([entry] * 5))
+        message = f"degree formula work (n - r + 1) x (digits of the largest |d_i|) = 296 x 4299 exceeds the cap of {chow.MAX_DEGREE_WORK}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_pullback_degree_refused_by_its_bound_before_summing(self, capsys, monkeypatch):
         # for d >= 2 the degree is at least d^(k+1), here of 300 * 15 digits
         def summed(*args):

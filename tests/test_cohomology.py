@@ -11,13 +11,14 @@ formula. Window certificates are checked for soundness and tightness.
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import pytest
 
 from singscheme.chase import en_complex_tangent
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
+    NOTHING,
     CohomologyTable,
     CotangentPower,
     DimValue,
@@ -81,21 +82,21 @@ def atom_window(n: int, atom, q: int) -> Window:
     p, k = atom.p, atom.k
     regimes = []
     if q == 0:
-        regimes.append(Window(p - k + 1, None))
+        regimes.append(Window(p - k + 1, inf))
     if q == p:
         regimes.append(Window(-k, -k))
     if q == n:
-        regimes.append(Window(None, p - n - k - 1))
+        regimes.append(Window(-inf, p - n - k - 1))
     return hull(regimes)
 
 
 def hull(windows) -> Window:
-    """The least window that holds every window of windows."""
-    live = [w for w in windows if not w.empty]
-    if not live:
-        return Window.nothing()
-    los, his = [w.lo for w in live], [w.hi for w in live]
-    return Window(None if None in los else min(los), None if None in his else max(his))
+    """The least window that holds every window of windows, folded from
+    NOTHING, its identity."""
+    out = NOTHING
+    for w in windows:
+        out = Window(min(out.lo, w.lo), max(out.hi, w.hi))
+    return out
 
 
 class TestBottDim:
@@ -188,8 +189,8 @@ class TestWindows:
         w = Window(0, 7)
         assert w.contains(4)
         assert not w.contains(-1)
-        assert Window(0, None).contains(10**6)
-        assert not Window.nothing().contains(0)
+        assert Window(0, inf).contains(10**6)
+        assert not NOTHING.contains(0)
 
     def test_atom_windows_sound(self):
         rng = random.Random(20240118)
@@ -217,10 +218,10 @@ class TestWindows:
                     w = VirtualSheaf.from_atom(n, atom).row_window(q)
                     if w.empty:
                         continue
-                    if w.lo is not None:
+                    if w.lo > -inf:
                         assert atom_dim(n, atom, q, w.lo) > 0
                         assert atom_dim(n, atom, q, w.lo - 1) == 0
-                    if w.hi is not None:
+                    if w.hi < inf:
                         assert atom_dim(n, atom, q, w.hi) > 0
                         assert atom_dim(n, atom, q, w.hi + 1) == 0
 
@@ -477,7 +478,7 @@ class TestDimValue:
         assert v.is_exact and v.definitely_nonzero and not v.is_zero
         z = DimValue.exact(0)
         assert z.is_zero and not z.possibly_nonzero
-        u = DimValue.unknown()
+        u = DimValue(0, inf)
         assert u.possibly_nonzero and not u.definitely_nonzero
 
     def test_validation(self):
@@ -488,7 +489,7 @@ class TestDimValue:
 
     def test_str(self):
         assert str(DimValue.exact(7)) == "7"
-        assert str(DimValue(0, None)) == "[0,inf]"
+        assert str(DimValue(0, inf)) == "[0,inf]"
         assert str(DimValue(1, 5)) == "[1,5]"
 
 
@@ -509,9 +510,9 @@ class TestTable:
 
     def test_uncertified_row_answers_unknown(self):
         t = CohomologyTable(3, {1: {0: DimValue.exact(2)}}, {})
-        assert t.window(1) == Window(None, None)
+        assert t.window(1) == Window(-inf, inf)
         assert t.value(1, 0) == DimValue.exact(2)
-        assert t.value(1, 5) == DimValue.unknown()
+        assert t.value(1, 5) == DimValue(0, inf)
 
     def test_values_match_direct_formula(self):
         s = VirtualSheaf.from_pairs(
@@ -538,20 +539,20 @@ class TestTable:
     def test_json_round_trip_intervals_and_uncertified(self):
         t = CohomologyTable(
             2,
-            {0: {0: DimValue(1, None), 1: DimValue(0, 4)}},
-            {1: Window.nothing(), 2: Window(None, -3)},
+            {0: {0: DimValue(1, inf), 1: DimValue(0, 4)}},
+            {1: NOTHING, 2: Window(-inf, -3)},
         )
         back = CohomologyTable.loads(t.dumps())
-        assert back.value(0, 0) == DimValue(1, None)
+        assert back.value(0, 0) == DimValue(1, inf)
         assert back.value(0, 1) == DimValue(0, 4)
-        assert back.window(0) == Window(None, None)
+        assert back.window(0) == Window(-inf, inf)
         assert back.window(1).empty
-        assert back.window(2) == Window(None, -3)
+        assert back.window(2) == Window(-inf, -3)
 
     def test_null_window_reads_as_no_twist_excluded(self):
         back = CohomologyTable.loads('{"n": 2, "windows": {"0": null, "1": {"empty": true}}}')
-        assert back.window(0) == back.window(2) == Window(None, None)
-        assert back.value(0, 7) == DimValue.unknown()
+        assert back.window(0) == back.window(2) == Window(-inf, inf)
+        assert back.value(0, 7) == DimValue(0, inf)
         assert back.window(1).empty
 
     def test_from_json_rejects_bad_row(self):

@@ -4,12 +4,14 @@ paths, and the hypothesis gates of the rank bound."""
 
 import random
 from itertools import combinations_with_replacement
+from math import inf
 
 import pytest
 
 from singscheme.chase import pfaff_ideal_table
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
+    NOTHING,
     CohomologyTable,
     DimValue,
     VirtualSheaf,
@@ -46,10 +48,10 @@ def two_disjoint_lines_table():
         3: {-4: DimValue.exact(1), -5: DimValue.exact(4)},
     }
     windows = {
-        0: Window(1, None),
+        0: Window(1, inf),
         1: Window(0, 0),
-        2: Window(None, -2),
-        3: Window(None, -4),
+        2: Window(-inf, -2),
+        3: Window(-inf, -4),
     }
     return CohomologyTable(3, rows, windows, dim_z=1)
 
@@ -94,7 +96,7 @@ class TestHorrocksCompleteness:
                 assert horrocks(t).decision == "fails"
 
     def test_uncertified_row_gives_undetermined(self):
-        t = CohomologyTable(3, {1: {0: DimValue.exact(0)}}, {2: Window.nothing()})
+        t = CohomologyTable(3, {1: {0: DimValue.exact(0)}}, {2: NOTHING})
         v = horrocks(t)
         assert v.decision == "undetermined"
         assert "row 1 window is unbounded" in v.certificate
@@ -103,12 +105,12 @@ class TestHorrocksCompleteness:
         t = CohomologyTable(
             3,
             {1: {0: DimValue(0, 2)}},
-            {1: Window(0, 0), 2: Window.nothing()},
+            {1: Window(0, 0), 2: NOTHING},
         )
         assert horrocks(t).decision == "undetermined"
 
     def test_definite_witness_wins_even_without_window(self):
-        t = CohomologyTable(3, {1: {4: DimValue.exact(2)}}, {2: Window.nothing()})
+        t = CohomologyTable(3, {1: {4: DimValue.exact(2)}}, {2: NOTHING})
         v = horrocks(t)
         assert v.decision == "fails"
         assert v.witnesses == ((1, 4, DimValue.exact(2)),)
@@ -195,7 +197,7 @@ class TestBuchsbaum:
             {1: {0: DimValue.exact(1)}, 3: {-3: DimValue.exact(1)}},
             {
                 1: Window(0, 0),
-                2: Window.nothing(),
+                2: NOTHING,
                 3: Window(-3, -3),
             },
             dim_z=3,
@@ -212,7 +214,7 @@ class TestBuchsbaum:
         t = CohomologyTable(
             4,
             {1: {0: DimValue(0, 1)}, 3: {-3: DimValue.exact(1)}},
-            {1: Window(0, 0), 2: Window.nothing(), 3: Window(-3, -3)},
+            {1: Window(0, 0), 2: NOTHING, 3: Window(-3, -3)},
             dim_z=3,
         )
         assert buchsbaum_numeric(t).decision == "undetermined"
@@ -233,7 +235,7 @@ class TestBuchsbaum:
         assert "consecutive" in v.certificate
 
     def test_unbounded_row_undetermined(self):
-        t = CohomologyTable(3, {}, {1: Window(0, None)}, dim_z=1)
+        t = CohomologyTable(3, {}, {1: Window(0, inf)}, dim_z=1)
         assert buchsbaum_numeric(t).decision == "undetermined"
 
     def test_dim_zero_vacuous(self):
@@ -252,7 +254,7 @@ class TestHilbertDeficiencyVerdicts:
     def test_dim_one_gaps_fail_with_every_gap(self):
         acm, bb = hilbert_deficiency_verdicts(1, [(0, 3), (2, 1)])
         assert acm.decision == "fails"
-        assert acm.witnesses == ((1, 0, DimValue(3, None)), (1, 2, DimValue(1, None)))
+        assert acm.witnesses == ((1, 0, DimValue(3, inf)), (1, 2, DimValue(1, inf)))
         assert (bb.decision, bb.certificate) == (
             "holds", "deficiency support [0, 2]: no consecutive twists"
         )
@@ -289,9 +291,9 @@ def scanned_regularity(ideal_table):
         if w.empty:
             continue
         t = w.hi
-        while (w.lo is None or t >= w.lo) and ideal_table.value(q, t).is_zero:
+        while t >= w.lo and ideal_table.value(q, t).is_zero:
             t -= 1
-        if w.lo is None or t >= w.lo:
+        if t >= w.lo:
             best = t + q + 1 if best is None else max(best, t + q + 1)
     return 0 if best is None else best
 
@@ -333,14 +335,14 @@ class TestRegularity:
         # under the materialized zeros the row is not pinned, so its top is
         # the twist just below them: top_2 = -4
         zeros = {t: DimValue.exact(0) for t in range(-3, 1)}
-        windows = {1: Window.nothing(), 2: Window(None, 0), 3: Window.nothing()}
+        windows = {1: NOTHING, 2: Window(-inf, 0), 3: NOTHING}
         assert checked_regularity(CohomologyTable(3, {2: zeros}, windows)) == -1
 
     def test_uncertified_row_raises(self):
         t = CohomologyTable(3, {}, {})
         with pytest.raises(ValueError, match="row 1 is unbounded above"):
             regularity(t)
-        t2 = CohomologyTable(3, {}, {1: Window(0, None), 2: Window.nothing(), 3: Window.nothing()})
+        t2 = CohomologyTable(3, {}, {1: Window(0, inf), 2: NOTHING, 3: NOTHING})
         with pytest.raises(ValueError, match="row 1 is unbounded above"):
             regularity(t2)
 
@@ -402,8 +404,8 @@ class TestBeilinsonBound:
         t = CohomologyTable(
             4,
             {3: {-5: DimValue(0, 1)}},
-            {0: Window(-1, None), 2: Window.nothing(),
-             3: Window(-5, -5), 4: Window(None, -5)},
+            {0: Window(-1, inf), 2: NOTHING,
+             3: Window(-5, -5), 4: Window(-inf, -5)},
         )
         with pytest.raises(InapplicableError, match="not exact"):
             beilinson_rank_bound(t, 4)
@@ -413,7 +415,7 @@ class TestVerdictType:
     def test_serialization(self):
         v = Verdict(
             "fails",
-            ((1, 0, DimValue.exact(1)), (2, -3, DimValue(0, None))),
+            ((1, 0, DimValue.exact(1)), (2, -3, DimValue(0, inf))),
             "demo",
         )
         assert v.to_json() == {

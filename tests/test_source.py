@@ -20,6 +20,26 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_none_comparison_on_interval_ends():
+    # An open end of a Window or a DimValue is -inf or inf, so a clip or a
+    # hull is one min and one max; comparing a .lo or .hi with None would
+    # bring back the encoding that needed a branch at every end.
+    found = []
+    for path in sorted(Path(singscheme.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Attribute) and x.attr in ("lo", "hi") for x in operands) and any(
+                isinstance(x, ast.Constant) and x.value is None for x in operands
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_private_imports_between_modules():
     # A name a module keeps private has no contract with its siblings; what
     # another module needs is published under a public name.
