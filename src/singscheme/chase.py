@@ -21,10 +21,9 @@ the check at its first inexact row. ChaseResult.entries and the --explain
 payload, whose entries replay to the same numbers through the solve's own
 row reads, are read off the plan and the tables.
 
-On top of the engine sit the complex builders used throughout: the
-Eagon-Northcott complex of a split subsheaf of the tangent bundle and its
-analogues for split Pfaff data in dimensions 1..3, both cut into triples
-by one resolution builder.
+On top of the engine sits one Eagon-Northcott builder, whose terms are
+twisted Omega powers tensored with the Sym powers of a split bundle; the
+tangent complex and the Pfaff complex of every dimension r >= 1 call it.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .cohomology import (
     VirtualSheaf,
     Window,
     normalize_atom,
-    sym_power,
     sym_powers,
     tensor_with_split,
 )
@@ -435,55 +433,49 @@ def windowed_chase(triples, name: str, extra=()) -> ChaseResult:
     return _materialize(result, queries)
 
 
-def _resolution_triples(terms, kernels, n: int, prefix: str) -> list[ExactTriple]:
-    """Cut 0 -> T_0 -> T_1 -> ... -> T_k -> K_k -> 0 into the triples
-    0 -> K_{i-1} -> T_i -> K_i -> 0 for i = 1..k, with K_0 = T_0; terms
-    are T_0..T_k, kernels K_1..K_k, and triple i is labelled prefix(i-1)."""
-    lefts = [terms[0], *kernels[:-1]]
+def _en_triples(bundle: SplitBundle, n: int, ps, twist: int, kernels, prefix: str) -> list[ExactTriple]:
+    """0 -> T_0 -> .. -> T_k -> K_k -> 0, T_i = Omega^{ps[i]}(twist) (x)
+    Sym^{k-i}(bundle) from one sweep, cut into the triples 0 -> K_{i-1} ->
+    T_i -> K_i -> 0 labelled prefix(i-1), K_0 = T_0 and kernels K_1..K_k."""
+    if bundle.n != n:
+        raise ValueError(f"bundle lives on P^{bundle.n}, not P^{n}")
+    k = len(ps) - 1
+    syms = sym_powers(bundle, k)
+    terms = [tensor_with_split(normalize_atom(n, p, twist), syms[k - i]) for i, p in enumerate(ps)]
     return [
         ExactTriple(left, middle, kernel, n, label=f"{prefix}{i}")
-        for i, (left, middle, kernel) in enumerate(zip(lefts, terms[1:], kernels))
+        for i, (left, middle, kernel) in enumerate(zip([terms[0], *kernels[:-1]], terms[1:], kernels))
     ]
 
 
 def en_complex_tangent(F: SplitBundle, n: int) -> list[ExactTriple]:
     """Eagon-Northcott complex of a split subsheaf F of the tangent bundle.
 
-    The complex has terms Omega^{r+j} (x) Sym_j(F)(c1) for j = 0..k with
+    The complex has terms Omega^{r+j} (x) Sym_j(F)(c1) for j = k..0 with
     r = rank F, k = n - r and c1 = c1(F), and resolves the ideal sheaf of
     the degeneracy scheme; the final map is Omega^r(c1) -> I_Z. Returned
     broken into k short exact triples with unknowns U{k-2}, .., U0, I_Z.
     """
-    r = F.rank
-    k = n - r
-    if F.n != n:
-        raise ValueError(f"bundle lives on P^{F.n}, not P^{n}")
+    k = n - F.rank
     if k < 1:
         raise ValueError("need rank(F) <= n - 1")
-    syms = sym_powers(F, k)
-    terms = [
-        tensor_with_split(normalize_atom(n, r + j, F.c1), syms[j])
-        for j in range(k, -1, -1)
-    ]
     kernels = [TableRef(f"U{j}") for j in range(k - 2, -1, -1)] + [TableRef("I_Z")]
-    return _resolution_triples(terms, kernels, n, "en")
+    return _en_triples(F, n, range(n, F.rank - 1, -1), F.c1, kernels, "en")
 
 
 def en_complex_pfaff(E: SplitBundle, r: int, n: int) -> list[ExactTriple]:
-    """Eagon-Northcott triples for split Pfaff data of dimension r in {1,2,3}.
+    """Eagon-Northcott triples for split Pfaff data of dimension r >= 1.
 
     E = (+) O(a_i) has rank n - r and c = sum a_i; the complex, with
     Lambda^q T rewritten as Omega^{n-q}(n+1), runs
 
         0 -> Sym_r(E)(n+1+c) -> ... -> Omega^r(n+1+c) -> I_Z -> 0,
 
-    except that for r = 1 it degenerates to 0 -> E -> Omega^1 -> I_Z(d-1) -> 0
-    with d = -n - c the distribution degree.
+    except that for r = 1 it is kept untwisted, 0 -> E -> Omega^1 ->
+    I_Z(d-1) -> 0 with d = -n - c the distribution degree.
     """
-    if r not in (1, 2, 3):
-        raise ValueError(f"unsupported dimension r={r}: only 1, 2, 3")
-    if E.n != n:
-        raise ValueError(f"bundle lives on P^{E.n}, not P^{n}")
+    if r < 1:
+        raise ValueError(f"Pfaff data needs dimension r >= 1, got r={r}")
     if E.rank != n - r:
         raise ValueError(
             f"Pfaff data of dimension {r} on P^{n} needs rank {n - r}, "
@@ -492,13 +484,8 @@ def en_complex_pfaff(E: SplitBundle, r: int, n: int) -> list[ExactTriple]:
     # The r = 1 complex is the general one twisted by -(n+1+c) = d - 1,
     # which I_Z then carries as its offset.
     s = 0 if r == 1 else n + 1 + E.c1
-    terms = [
-        tensor_with_split(normalize_atom(n, p, s), sym_power(E, r - p))
-        for p in range(r + 1)
-    ]
-    kernels = [TableRef(f"ker{i}") for i in range(1, r)]
-    kernels.append(TableRef("I_Z", s - n - 1 - E.c1))
-    return _resolution_triples(terms, kernels, n, "pf")
+    kernels = [TableRef(f"ker{i}") for i in range(1, r)] + [TableRef("I_Z", s - n - 1 - E.c1)]
+    return _en_triples(E, n, range(r + 1), s, kernels, "pf")
 
 
 def tangent_ideal_table(F: SplitBundle, n: int, extra=()) -> CohomologyTable:

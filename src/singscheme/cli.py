@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tangent", help="twists of the split tangent sheaf, e.g. -1,-2")
     group.add_argument("--pfaff", help="twists of the split Pfaff sheaf, e.g. -2,-2,-2")
     p.add_argument("--n", type=int, help="ambient dimension (required for --tangent)")
-    p.add_argument("--r", type=int, help="distribution rank (required for --pfaff)")
+    p.add_argument("--r", type=int, help="distribution rank, any r >= 1; the data lives on P^(r + number of twists) (required for --pfaff)")
     p.add_argument("--twists", help="also materialize h^q(I_Z(t)) for t in lo..hi")
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")

@@ -318,17 +318,35 @@ def tangent_sheaf(n: int) -> VirtualSheaf:
     return VirtualSheaf.from_atom(n, ext_power_tangent(n, 1))
 
 
+# Most steps a Sym or Lambda sweep may take, as bounded before it starts:
+# about 0.4 s of sweeping. The tangent chases of O(-3..2) and of
+# O(-1)+O(-3)+O(-7)+O(-15) at n = 300 bound 1.29 and 2.45 million and take
+# 1.4 and 1.9 s in all (Python 3.11, one core of a shared 2-core host);
+# Sym^3 of 297 distinct twists bounds 13.2 million and holds 4.4 million.
+MAX_SWEEP_WORK = 4_000_000
+
+
 def _power_layers(bundle: SplitBundle, k: int, exterior: bool) -> list[SplitBundle]:
     """Degrees 0..k of prod_a (1 - x y^a)^(-m_a), the generating function
     of Sym, or of prod_a (1 + x y^a)^(m_a), that of Lambda. Each copy of a
     twist a multiplies in its factor with one in-place sweep layers[i] +=
     y^a layers[i-1]: ascending in i for Sym, so that layer i-1 already
-    holds every power of the factor, and descending for Lambda."""
+    holds every power of the factor, and descending for Lambda. Layer i
+    holds at most min(C(i+m-1, m-1), i*spread+1) twists, for m distinct
+    twists spread over max - min, so rank times their sum over i < k bounds
+    the steps; past MAX_SWEEP_WORK the request is refused unbuilt."""
     if k < 0 or exterior and k > bundle.rank:
         raise ValueError("exterior power degree out of range" if exterior else "symmetric power degree must be nonnegative")
+    counts = bundle.counts
+    distinct, spread = len(counts), counts[0][0] - counts[-1][0]
+    work = bundle.rank * sum(min(comb(i + distinct - 1, i), i * spread + 1) for i in range(k))
+    if work > MAX_SWEEP_WORK:
+        raise ValueError(
+            f"a degree-{k} power sweep over {distinct} distinct twists bounds {work} steps, over the cap of {MAX_SWEEP_WORK}"
+        )
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
     order = range(k, 0, -1) if exterior else range(1, k + 1)
-    for a, m in bundle.counts:
+    for a, m in counts:
         for _ in range(m):
             for i in order:
                 target = layers[i]
@@ -485,7 +503,9 @@ class CohomologyTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyTable":
-        """The one reader of the table format; ValueError on any other shape."""
+        """The one reader of the table format; ValueError on any other shape,
+        and on an entry with lo > 0 at a twist its row's window certifies
+        zero (a zero there is legal: the chase writes them)."""
         n = _json_value(_json_value(data, dict, "a table")["n"], int, "n")
         if n < 1:
             raise ValueError(f"malformed table: n must be positive, got {n}")
@@ -494,6 +514,11 @@ class CohomologyTable:
             for q, row in _row_items(data, "rows", n)
         }
         windows = {q: Window.from_json(w) for q, w in _row_items(data, "windows", n) if w is not None}
+        for q, row in rows.items():
+            w = windows.get(q, _NO_CERTIFICATE)
+            for t, v in row.items():
+                if v.definitely_nonzero and not w.contains(t):
+                    raise ValueError(f"malformed table: h^{q}(t={t}) = {v} lies outside the row's window")
         dim_z = data.get("dim_z")
         return cls(n, rows, windows, None if dim_z is None else _json_value(dim_z, int, "dim_z"))
 

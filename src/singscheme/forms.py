@@ -48,6 +48,11 @@ MAX_DEGREE = 1000
 MAX_VARIABLES = 1000
 MAX_TERMS = 100_000
 MAX_PRODUCT_WORK = 1_000_000
+# The coefficient products that one parse_form may take over all of its
+# products, since a chain of factors keeps each one under the caps above:
+# 165 factors (z0+z1+z2) take 2.29 million and parse in 0.9 s (Python 3.11,
+# one core of a shared 2-core host), and a 166th is refused.
+MAX_PARSE_WORK = 2_300_000
 _FIELD = (1 << FIELD_BITS) - 1
 
 
@@ -638,6 +643,17 @@ class _Parser:
         self.tokens = [*tokens, None]
         self.pos = 0
         self.nvars = nvars
+        self.work = 0
+
+    def times(self, a: HomogeneousPoly, b: HomogeneousPoly) -> HomogeneousPoly:
+        """a * b, whose len_a * len_b coefficient products count against
+        the MAX_PARSE_WORK of the whole parse once the product's own caps
+        have passed."""
+        out = a * b
+        self.work += len(a.packed) * len(b.packed)
+        if self.work > MAX_PARSE_WORK:
+            raise ValueError(f"the products of the form exceed the cap of {MAX_PARSE_WORK} coefficient products per parse")
+        return out
 
     def fail(self, message: str):
         raise FormParseError(f"{message} (token {self.pos})")
@@ -669,8 +685,9 @@ class _Parser:
     def parse_product(self) -> HomogeneousPoly | None:
         """Factors up to the next +, -, ) or dz token; None if there are none.
         Numbers and powers z_i^e fold into one (packed monomial, coefficient,
-        degree) term; only a parenthesized sum takes a polynomial product. The
-        written degree is capped even at coefficient 0; a zero sum adds 0."""
+        degree) term; only a parenthesized sum takes a polynomial product, and
+        a term 1 after one multiplies nothing. The written degree is capped
+        even at coefficient 0; a zero sum adds 0."""
         tokens = self.tokens
         poly, found = None, False
         mono, coeff, degree, written = 0, 1, 0, 0
@@ -687,8 +704,7 @@ class _Parser:
                 self.pos += 1
                 if tokens[self.pos - 1] != ")":
                     self.fail("missing )")
-                term = self.one_term(mono, coeff, degree)
-                poly = (term if poly is None else poly * term) * factor
+                poly = self.times(self.times_term(poly, mono, coeff, degree), factor)
                 mono, coeff, degree = 0, 1, 0
                 written += max(factor.degree, 0)
             elif tok[0].isdigit():
@@ -718,12 +734,16 @@ class _Parser:
             _check_degree(written)
         if not found:
             return None
-        term = self.one_term(mono, coeff, degree)
-        return term if poly is None else poly * term
+        return self.times_term(poly, mono, coeff, degree)
 
-    def one_term(self, mono: int, coeff, degree: int) -> HomogeneousPoly:
+    def times_term(self, poly: HomogeneousPoly | None, mono: int, coeff, degree: int) -> HomogeneousPoly:
+        """poly times the term coeff * mono: that term where poly is None,
+        and poly itself where the term is 1."""
+        if poly is not None and not mono and coeff == 1:
+            return poly
         packed = _canonical({mono: coeff})
-        return HomogeneousPoly(self.nvars, degree if packed else -1, packed)
+        term = HomogeneousPoly(self.nvars, degree if packed else -1, packed)
+        return term if poly is None else self.times(poly, term)
 
     def parse_poly_sum(self) -> HomogeneousPoly:
         summands = []

@@ -39,7 +39,7 @@ from singscheme.chase import (
     tangent_ideal_table,
     windowed_chase,
 )
-from singscheme.chow import SplitBundle
+from singscheme.chow import SplitBundle, porteous_singular_degree
 from singscheme.cohomology import (
     NOTHING,
     CohomologyTable,
@@ -393,9 +393,30 @@ class TestPfaffComplexTerms:
             (CotangentPower(2, -13), 1),
         )
 
+    def test_dimension_four_builds(self):
+        # every r >= 1 that the rank check passes: Sym^4(E)(n+1+c) down to
+        # Omega^4(n+1+c), all from one sweep
+        E = SplitBundle(7, (-2, -2, -2))
+        triples = en_complex_pfaff(E, 4, 7)
+        assert [t.label for t in triples] == ["pf0", "pf1", "pf2", "pf3"]
+        # s = n + 1 + c = 2: Sym_4 of rank 3 is O(-8)^15, twisted to O(-6)
+        assert triples[0].a.atoms == ((LineBundle(-6), 15),)
+        assert [t.b.atoms for t in triples] == [
+            ((CotangentPower(1, -4), 10),),
+            ((CotangentPower(2, -2), 6),),
+            ((CotangentPower(3, 0), 3),),
+            ((CotangentPower(4, 2), 1),),
+        ]
+        assert [t.c for t in triples] == [TableRef("ker1"), TableRef("ker2"), TableRef("ker3"), TableRef("I_Z")]
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rejects_dimension_below_one(self, r):
+        # the rank check alone would pass: rank E = n - r
+        with pytest.raises(ValueError) as exc:
+            en_complex_pfaff(SplitBundle(2 + r, (-2, -2)), r, 2 + r)
+        assert str(exc.value) == f"Pfaff data needs dimension r >= 1, got r={r}"
+
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="unsupported dimension"):
-            en_complex_pfaff(SplitBundle(7, (-2,) * 3), 4, 7)
         with pytest.raises(ValueError, match="needs rank 3"):
             en_complex_pfaff(SplitBundle(5, (-2, -2)), 2, 5)
         with pytest.raises(ValueError, match="bundle lives on P\\^4, not P\\^3"):
@@ -524,6 +545,63 @@ class TestSplitPfaffRankThree:
         )
 
 
+def en_hilbert_values(E, r, twists):
+    """HP_Z(s) = chi(O(s)) - chi(I_Z(s)) at each twist s >= 0 of the
+    ascending list twists, chi(I_Z) read off the built Eagon-Northcott
+    terms T_0..T_k as sum_i (-1)^(k-i) chi(T_i), at chase twist s minus the
+    offset I_Z carries."""
+    n = E.n
+    triples = en_complex_pfaff(E, r, n)
+    terms = [triples[0].a] + [tr.b for tr in triples]
+    k, ts = len(terms) - 1, [s - triples[-1].c.offset for s in twists]
+    chi_ideal = [sum((-1) ** (k - i) * c for i, c in enumerate(cs)) for cs in zip(*(t.chi_row(ts) for t in terms))]
+    return [comb(s + n, n) - c for s, c in zip(twists, chi_ideal)]
+
+
+# Split Pfaff data on P^n, n <= 8, of every dimension r = 1..6 whose
+# singular scheme has dimension n - r - 1 >= 1, with twists -2 and -3.
+EN_GRID = [
+    (r, twists)
+    for r in range(1, 7)
+    for rank in range(2, 9 - r)
+    for twists in combinations_with_replacement((-2, -3), rank)
+]
+
+
+class TestPfaffEveryDimension:
+    """Pfaff data of dimension r >= 4 through the same builder: the degree
+    of the Hilbert polynomial the Eagon-Northcott terms give is the Porteous
+    degree, and two curves pin their Hilbert polynomials and ACM verdicts."""
+
+    def test_grid_covers_dimensions_one_to_six(self):
+        assert len(EN_GRID) == 98
+        assert {r for r, _ in EN_GRID} == set(range(1, 7))
+
+    @pytest.mark.parametrize("r, twists", EN_GRID, ids=[f"r={r}:{t}" for r, t in EN_GRID])
+    def test_en_degree_is_the_porteous_degree(self, r, twists):
+        n = len(twists) + r
+        E = SplitBundle(n, twists)
+        dim_z = n - r - 1
+        diffs = en_hilbert_values(E, r, list(range(dim_z + 1)))
+        for _ in range(dim_z):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        assert diffs == [porteous_singular_degree(n, E)]
+
+    @pytest.mark.parametrize(
+        "n, r, slope, constant, decision",
+        [(6, 4, 3, 1, "holds"), (7, 5, 4, 4, "fails")],
+    )
+    def test_curves_pinned(self, n, r, slope, constant, decision):
+        # the curves that the wedge of two 1-forms on P^6 and P^7 cuts out:
+        # HP 3t + 1, ACM, and HP 4t + 4, not ACM
+        E = SplitBundle(n, (-2, -2))
+        assert en_hilbert_values(E, r, list(range(8))) == [slope * t + constant for t in range(8)]
+        assert porteous_singular_degree(n, E) == slope
+        tab = pfaff_ideal_table(E, r, n)
+        assert tab.dim_z == 1
+        assert acm_check(tab).decision == decision
+
+
 class TestTracesAndDeterminism:
     @staticmethod
     def run_once():
@@ -571,7 +649,7 @@ class TestLazyTraces:
         queries = [("I_Z", q, (-300, 300)) for q in range(n + 1)]
         return chase(en_complex_pfaff(E, r, n), queries)
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
     def test_every_entry_replays(self, r):
         res = self.run_pfaff(r)
         entries = explained(res)
@@ -699,7 +777,7 @@ def set_oracle_chase(triples, queries):
 
 PFAFF_GRID = [
     (r, twists)
-    for r in (1, 2, 3)
+    for r in (1, 2, 3, 4, 5, 6)
     for rank in (2, 3)
     for twists in combinations_with_replacement((-4, -3, -2), rank)
 ]

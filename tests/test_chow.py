@@ -332,9 +332,10 @@ class TestDegreeFormulas:
         assert singular_degree_formula(4, 2, [0, -1]) == q.coefficient(3)
 
     def test_work_cap_refuses_before_the_sums(self, monkeypatch):
-        # (n - r + 1) x the digits of the largest |d_i| is at most
-        # MAX_DEGREE_WORK: 10 x 4,300 digits sums, 10 x 4,301 is refused
-        # before the complete homogeneous sums run, for the Porteous degree too
+        # r x (n - r + 1) x the digits of the largest |d_i| is at most
+        # MAX_DEGREE_WORK: 1 x 10 x 4,300 digits sums, 1 x 10 x 4,301 is
+        # refused before the complete homogeneous sums run, for the Porteous
+        # degree too
         assert MAX_DEGREE_WORK == 10 * MAX_LITERAL_DIGITS
         at_cap = singular_degree_formula(10, 1, [10**4300 - 1])
         assert at_cap == sum(comb(11, 10 - i) * (10**4300 - 1) ** i for i in range(11))
@@ -344,17 +345,42 @@ class TestDegreeFormulas:
             raise AssertionError("the sums ran")
 
         monkeypatch.setattr(chow, "_complete_homogeneous", summed)
-        message = "degree formula work (n - r + 1) x (digits of the largest |d_i|) = {} x {} exceeds the cap of 43000"
+        message = "degree formula work r x (n - r + 1) x (digits of the largest |d_i|) = {} x {} x {} exceeds the cap of 43000"
         for n, r, d_list, shape in (
-            (10, 1, [-(10**4300)], (10, 4301)),
-            (300, 5, [10**4298, -(10**4298), 3, 0, 1], (296, 4299)),
+            (10, 1, [-(10**4300)], (1, 10, 4301)),
+            (300, 5, [10**4298, -(10**4298), 3, 0, 1], (5, 296, 4299)),
         ):
             with pytest.raises(ValueError) as exc:
                 singular_degree_formula(n, r, d_list)
             assert str(exc.value) == message.format(*shape)
         with pytest.raises(ValueError) as exc:
             porteous_singular_degree(300, SplitBundle(300, (-(10**300),) * 5))
-        assert str(exc.value) == message.format(296, 301)
+        assert str(exc.value) == message.format(5, 296, 301)
+
+    def test_work_cap_counts_the_entries(self, monkeypatch):
+        # each of the n - r + 1 sweeps multiplies in all r entries: 150
+        # entries of 284 digits at n = 300 are 150 x 151 x 284 = 6.4 million,
+        # where (n - r + 1) x digits alone is under the cap
+        d_list = [-(10**284 - 1)] * 150
+        assert 151 * 284 <= MAX_DEGREE_WORK
+        # at the cap, 10 x 43 x 100 = 43,000, the sums run; one digit more
+        # is refused before them
+        d = 10**100 - 1
+        assert singular_degree_formula(52, 10, [d] * 10) == sum(
+            comb(53, 43 - i) * comb(i + 9, 9) * d**i for i in range(44)
+        )
+
+        def summed(*args):
+            raise AssertionError("the sums ran")
+
+        monkeypatch.setattr(chow, "_complete_homogeneous", summed)
+        message = "degree formula work r x (n - r + 1) x (digits of the largest |d_i|) = {} x {} x {} exceeds the cap of 43000"
+        with pytest.raises(ValueError) as exc:
+            singular_degree_formula(300, 150, d_list)
+        assert str(exc.value) == message.format(150, 151, 284)
+        with pytest.raises(ValueError) as exc:
+            singular_degree_formula(52, 10, [10**100] * 10)
+        assert str(exc.value) == message.format(10, 43, 101)
 
     def test_pullback_degree_values(self):
         assert pullback_degree(3, 2, 2) == 15

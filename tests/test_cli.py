@@ -17,7 +17,8 @@ from singscheme.chase import replay_trace
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_sheaf
 from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
-from singscheme.forms import MAX_DEGREE, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from singscheme.cohomology import MAX_SWEEP_WORK
+from singscheme.forms import MAX_DEGREE, MAX_PARSE_WORK, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -69,15 +70,27 @@ class TestDegreeCommands:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_degree_refused_by_its_work_cap_before_summing(self, capsys, monkeypatch):
-        # five entries of 4,299 digits at n = 300: (n - r + 1) x digits is
-        # far over chow.MAX_DEGREE_WORK, so the sums never start
+        # five entries of 4,299 digits at n = 300: r x (n - r + 1) x digits
+        # is far over chow.MAX_DEGREE_WORK, so the sums never start
         def summed(*args):
             raise AssertionError("the sums ran")
 
         monkeypatch.setattr(chow, "_complete_homogeneous", summed)
         entry = "9" * (MAX_LITERAL_DIGITS - 1)
         code, out, err = run(capsys, "degree", "--n", "300", "--r", "5", "--d-list", ",".join([entry] * 5))
-        message = f"degree formula work (n - r + 1) x (digits of the largest |d_i|) = 296 x 4299 exceeds the cap of {chow.MAX_DEGREE_WORK}"
+        message = f"degree formula work r x (n - r + 1) x (digits of the largest |d_i|) = 5 x 296 x 4299 exceeds the cap of {chow.MAX_DEGREE_WORK}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_degree_work_counts_the_entries(self, capsys, monkeypatch):
+        # 150 entries of 284 digits at n = 300: (n - r + 1) x digits is
+        # under the cap, r x (n - r + 1) x digits far over it
+        def summed(*args):
+            raise AssertionError("the sums ran")
+
+        monkeypatch.setattr(chow, "_complete_homogeneous", summed)
+        entry = "-" + "9" * 284
+        code, out, err = run(capsys, "degree", "--n", "300", "--r", "150", f"--d-list={','.join([entry] * 150)}")
+        message = f"degree formula work r x (n - r + 1) x (digits of the largest |d_i|) = 150 x 151 x 284 exceeds the cap of {chow.MAX_DEGREE_WORK}"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_pullback_degree_refused_by_its_bound_before_summing(self, capsys, monkeypatch):
@@ -274,6 +287,21 @@ class TestClosedFormCap:
         message = f"ambient dimension {MAX_CLOSED_FORM_N + 1} exceeds the cap of {MAX_CLOSED_FORM_N}"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, k, distinct, bound",
+        [
+            (("--tangent=-1,-100,-10000,-1000000,-100000000", "--n", "300"), 295, 5, 96_282_284_670),
+            ((f"--pfaff={','.join(str(-(i * i + 2)) for i in range(297))}", "--r", "3"), 3, 297, 13_231_647),
+        ],
+        ids=["tangent", "pfaff"],
+    )
+    def test_sym_sweep_over_the_cap(self, capsys, argv, k, distinct, bound):
+        # refused before the sweep builds a layer: the tangent one would run
+        # out of memory, the Pfaff one ran past a minute
+        code, out, err = run(capsys, "chase", *argv)
+        message = f"a degree-{k} power sweep over {distinct} distinct twists bounds {bound} steps, over the cap of {MAX_SWEEP_WORK}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_cap_is_inclusive(self, capsys):
         code, out, _ = run(capsys, "degree", "--n", str(MAX_CLOSED_FORM_N), "--r", "1", "--d-list", "1")
         assert code == 0
@@ -324,6 +352,20 @@ class TestTableChecks:
                            "--n", "4", "--json")
         assert code == 0
         assert json.loads(out)["decision"] == "holds"
+
+    def test_table_contradicting_its_window_exits_one(self, capsys, tmp_path):
+        # h^2(-3) = 5 where row 2's own window 0..0 certifies it zero:
+        # acm-check would read the entry, possible_entries the window
+        path = tmp_path / "contradictory.table.json"
+        path.write_text(json.dumps({
+            "n": 4,
+            "rows": {"2": {"-3": 5, "0": 1}},
+            "windows": {"0": {"lo": 0, "hi": None}, "1": {"empty": True}, "2": {"lo": 0, "hi": 0}},
+        }))
+        for argv in (("acm-check", "--dim-z", "2"), ("beilinson-bound",)):
+            code, out, err = run(capsys, *argv, "--table", str(path))
+            message = "malformed table: h^2(t=-3) = 5 lies outside the row's window"
+            assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_table_file_round_trip(self, capsys, tmp_path):
         code, dumped, _ = run(capsys, "chase", "--pfaff=-2,-2,-2", "--r", "2", "--json")
@@ -804,6 +846,15 @@ class TestFormSing:
         path.write_text("(" + "(z0+z1+z2)" * 100 + ")" + "(" + "(z0+z1+z2)" * 100 + ") dz1")
         code, out, err = run(capsys, "form", "sing", "--input", str(path))
         message = f"product of 5151- and 5151-term polynomials exceeds the cap of {MAX_PRODUCT_WORK} coefficient products"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_chain_of_products_over_the_parse_budget_exits_one(self, capsys, tmp_path):
+        # 200 linear factors: each product is far under MAX_TERMS and
+        # MAX_PRODUCT_WORK, but the chain's products sum past MAX_PARSE_WORK
+        path = tmp_path / "long_chain.form"
+        path.write_text("(z0+z1+z2)" * 200 + " dz1")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        message = f"the products of the form exceed the cap of {MAX_PARSE_WORK} coefficient products per parse"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_generator_degree_beyond_forty(self, capsys, tmp_path):

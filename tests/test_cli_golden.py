@@ -2,8 +2,9 @@
 
 The golden file holds stdout, stderr and the exit code of every command
 that bench/ref/cli.json pins, of every `$ singscheme` line of the README,
-and of `chase` in text, --json and --explain on each chase spec of the
-benchmark, with and without --twists=-3..3. An output over GOLDEN_INLINE
+of `chase` in text, --json and --explain on each chase spec of the
+benchmark, with and without --twists=-3..3, and on Pfaff data of dimension
+4, `--pfaff=-2,-2 --r 4`. An output over GOLDEN_INLINE
 bytes is stored as its sha256 digest. Each command runs in-process
 through main(argv), in a directory holding the files the commands read.
 
@@ -74,6 +75,7 @@ def commands() -> list[str]:
     for base in chases:
         for twists in ("", " --twists=-3..3"):
             out += [f"{base}{twists}{mode}" for mode in ("", " --json", " --explain")]
+    out += [f"chase --pfaff=-2,-2 --r 4{mode}" for mode in ("", " --json", " --explain")]
     return list(dict.fromkeys(out))
 
 

@@ -15,9 +15,11 @@ from math import comb, factorial, inf
 
 import pytest
 
+from singscheme import cohomology
 from singscheme.chase import en_complex_tangent
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
+    MAX_SWEEP_WORK,
     NOTHING,
     CohomologyTable,
     CotangentPower,
@@ -472,6 +474,75 @@ class TestPowers:
         assert dual(SplitBundle(3, (-1, 2))) == SplitBundle(3, (1, -2))
 
 
+def sweep_bound(bundle, k):
+    """rank x sum_{i<k} min(C(i+m-1, m-1), i*spread+1), for the m distinct
+    twists of bundle spread over max - min: a bound on the widths of the
+    layers 0..k-1 that the sweep reads once per copy of each twist."""
+    distinct = sorted(set(bundle.twists))
+    m, spread = len(distinct), distinct[-1] - distinct[0]
+    return bundle.rank * sum(min(comb(i + m - 1, m - 1), i * spread + 1) for i in range(k))
+
+
+class TestSweepCap:
+    """Sym and Lambda sweeps are bounded before they run: rank x the widths
+    of the layers 0..k-1 is the count of steps, and sweep_bound bounds it."""
+
+    def test_bound_covers_every_step(self):
+        rng = random.Random(20261022)
+        for _ in range(80):
+            base = SplitBundle(9, [rng.choice((-7, -3, -2, 0, 1, 5)) for _ in range(rng.randint(1, 7))])
+            k = rng.randint(0, 9)
+            layers = sym_powers(base, k)
+            steps = base.rank * sum(len(layer.counts) for layer in layers[:k])
+            assert steps <= sweep_bound(base, k)
+            j = min(k, base.rank)
+            lams = [ext_power_split(base, i) for i in range(j)]
+            assert base.rank * sum(len(layer.counts) for layer in lams) <= sweep_bound(base, j)
+        # one distinct twist: every layer holds one twist, and the bound is exact
+        assert sweep_bound(SplitBundle(3, (-2,) * 4), 5) == 4 * 5
+
+    @pytest.mark.parametrize("power", [sym_power, ext_power_split], ids=["sym", "lambda"])
+    def test_cap_is_inclusive(self, monkeypatch, power):
+        base = SplitBundle(6, (-3, -3, -1, 0, 2))
+        bound = sweep_bound(base, 4)
+        monkeypatch.setattr(cohomology, "MAX_SWEEP_WORK", bound)
+        assert power(base, 4).rank == (comb(8, 4) if power is sym_power else comb(5, 4))
+        monkeypatch.setattr(cohomology, "MAX_SWEEP_WORK", bound - 1)
+        with pytest.raises(ValueError) as exc:
+            power(base, 4)
+        assert str(exc.value) == (
+            f"a degree-4 power sweep over 4 distinct twists bounds {bound} steps, over the cap of {bound - 1}"
+        )
+
+    @pytest.mark.parametrize(
+        "twists, k, bound",
+        [
+            # F of the tangent chase on P^300 with twists -1, -100, ..., -10^8:
+            # the sweep would run out of memory
+            ((-1, -100, -10_000, -1_000_000, -100_000_000), 295, 96_282_284_670),
+            # Sym^3 of 297 distinct twists, the Pfaff data of dimension 3 on P^300
+            (tuple(-(i * i + 2) for i in range(297)), 3, 13_231_647),
+        ],
+        ids=["tangent", "pfaff"],
+    )
+    def test_large_sweeps_refused_unbuilt(self, twists, k, bound):
+        base = SplitBundle(300, twists)
+        assert sweep_bound(base, k) == bound > MAX_SWEEP_WORK
+        with pytest.raises(ValueError) as exc:
+            sym_powers(base, k)
+        assert str(exc.value) == (
+            f"a degree-{k} power sweep over {len(twists)} distinct twists bounds {bound} steps,"
+            f" over the cap of {MAX_SWEEP_WORK}"
+        )
+
+    def test_cap_sits_above_the_largest_chases(self):
+        # the n = 80 table that test_chase pins, and O(-3..2) and
+        # O(-1)+O(-3)+O(-7)+O(-15) at the closed-form cap n = 300
+        for n, twists in ((80, range(-3, 3)), (300, range(-3, 3)), (300, (-1, -3, -7, -15))):
+            base = SplitBundle(n, twists)
+            assert sweep_bound(base, n - base.rank) <= MAX_SWEEP_WORK
+
+
 class TestDimValue:
     def test_exact_and_interval(self):
         v = DimValue.exact(3)
@@ -560,3 +631,31 @@ class TestTable:
             CohomologyTable.from_json(
                 {"n": 2, "rows": {"5": {"0": 1}}, "windows": {}}
             )
+
+    def test_from_json_refuses_an_entry_its_window_certifies_zero(self):
+        # h^2(-3) = 5 where the row's own window 0..0 certifies it zero
+        data = {"n": 4, "rows": {"2": {"-3": 5, "0": 1}}, "windows": {"2": {"lo": 0, "hi": 0}}}
+        with pytest.raises(ValueError) as exc:
+            CohomologyTable.from_json(data)
+        assert str(exc.value) == "malformed table: h^2(t=-3) = 5 lies outside the row's window"
+        data["rows"]["2"]["-3"] = [2, None]
+        with pytest.raises(ValueError, match=r"h\^2\(t=-3\) = \[2,inf\] lies outside"):
+            CohomologyTable.from_json(data)
+        data["windows"]["2"] = {"empty": True}
+        data["rows"]["2"] = {"0": 1}
+        with pytest.raises(ValueError, match=r"h\^2\(t=0\) = 1 lies outside"):
+            CohomologyTable.from_json(data)
+
+    def test_from_json_keeps_zeros_outside_the_window(self):
+        # the chase writes certified zeros outside a window; an interval
+        # that may be zero is kept too, and a row with no window excludes
+        # no twist
+        data = {
+            "n": 3,
+            "rows": {"1": {"-9": 0, "0": 1, "9": [0, 4]}, "2": {"-40": 7}},
+            "windows": {"1": {"lo": 0, "hi": 0}, "2": None},
+        }
+        back = CohomologyTable.from_json(data)
+        assert back.rows[1][-9] == DimValue.exact(0)
+        assert back.rows[1][9] == DimValue(0, 4)
+        assert back.value(2, -40) == DimValue.exact(7)

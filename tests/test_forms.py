@@ -490,6 +490,39 @@ class TestWorkCap:
             cubic * cubic
 
 
+class TestParseBudget:
+    """MAX_PARSE_WORK bounds the len_a * len_b coefficient products summed
+    over every product of one parse, which the per-product caps do not: a
+    chain of linear factors keeps each product small."""
+
+    message = f"the products of the form exceed the cap of {forms.MAX_PARSE_WORK} coefficient products per parse"
+
+    def test_chain_over_the_budget_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            parse_form("(z0+z1+z2)" * 200 + " dz1", 3)
+        assert str(exc.value) == self.message
+
+    def test_every_product_counts_once_per_parse(self, monkeypatch):
+        # (z0+z1)(z0+z1)(z0+z1): 1 x 2, 2 x 2 and 3 x 2 coefficient
+        # products; 3 z2 (z0+z1) z1: 1 x 2 then 2 x 1; (z2^3): 1 x 1.
+        # Numbers and powers fold into a term and take none, and a term 1
+        # after a factor is no product. The count restarts per parse.
+        text = "(z0+z1)(z0+z1)(z0+z1) dz2 + 3 z2 (z0+z1) z1 dz0 - (z2^3) dz1"
+        monkeypatch.setattr(forms, "MAX_PARSE_WORK", 17)
+        want = parse_form(text, 3)
+        assert parse_form(text, 3) == want
+        monkeypatch.setattr(forms, "MAX_PARSE_WORK", 16)
+        with pytest.raises(ValueError, match="exceed the cap of 16 coefficient products per parse"):
+            parse_form(text, 3)
+
+    def test_per_product_caps_speak_first(self):
+        # the 5151 x 5151 product is over MAX_PRODUCT_WORK; its own message
+        # names it, though the chain before it is counted too
+        text = "(" + "(z0+z1+z2)" * 100 + ")" + "(" + "(z0+z1+z2)" * 100 + ") dz1"
+        with pytest.raises(ValueError, match="product of 5151- and 5151-term polynomials"):
+            parse_form(text, 3)
+
+
 class TestWedge:
     def test_basis_product(self):
         nvars = 4
