@@ -24,6 +24,12 @@ def check_ambient_dimension(n: int) -> None:
         raise ValueError("ambient dimension must be positive")
 
 
+def check_pfaff_dimension(r: int) -> None:
+    """The one owner of the rule that Pfaff data has dimension r >= 1."""
+    if r < 1:
+        raise ValueError(f"Pfaff data needs dimension r >= 1, got r={r}")
+
+
 # Largest n of the closed-form side, whose cost grows about as n^2: a split
 # tangent chase of O(-3..2) at n = 300 takes 1.8 s and 141 MB (Python
 # 3.11, one core of a shared 2-core host).

@@ -180,14 +180,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(read_number(s, "a list entry") for s in items)
 
 
-def _chase_data(kind: str, text: str, r: int | None, n_flag: int | None):
+def _chase_data(text: str, r: int | None, n_flag: int | None):
     """(bundle, r) for split chase data: tangent data F on P^n with r None,
     or Pfaff data E of distribution rank r, which lives on P^{rank E + r}."""
-    from .chow import SplitBundle
-    if kind == "tangent":
+    from .chow import SplitBundle, check_pfaff_dimension
+    if r is None:
         if n_flag is None:
             raise ValueError("a tangent chase needs --n")
         return SplitBundle(n_flag, _parse_int_list(text)), None
+    check_pfaff_dimension(r)
     twists = _parse_int_list(text)
     n = len(twists) + r
     if n_flag is not None and n_flag != n:
@@ -212,7 +213,7 @@ def _chase_spec_data(spec: str, n_flag: int | None):
         raise ValueError(
             f"bad chase spec {spec!r}; use tangent:T1,T2,... or pfaff:R:T1,T2,..."
         )
-    return _chase_data(kind, rest, r, n_flag)
+    return _chase_data(rest, r, n_flag)
 
 
 def _ideal_table(bundle, r: int | None, extra=()):
@@ -278,11 +279,8 @@ def _cmd_split_check(args) -> int:
     from .cohomology import table
     from .criteria import evans_griffith, horrocks, kpr
     sheaf = parse_sheaf(args.sheaf, args.n)
-    if args.twists:
-        lo, hi = _parse_twist_range(args.twists)
-    else:
-        lo, hi = -2 * (args.n + 1), args.n + 2
-    tab = table(sheaf, lo, hi)
+    # the criteria read only the middle rows, which table holds whole
+    tab = table(sheaf, 0, 0)
     if args.criterion == "horrocks":
         verdict = horrocks(tab)
     elif args.criterion == "eg":
@@ -300,12 +298,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_chase(args) -> int:
     from .chase import en_complex_pfaff, en_complex_tangent, windowed_chase
-    if args.tangent is not None:
-        bundle, r = _chase_data("tangent", args.tangent, None, args.n)
-    elif args.r is None:
+    pfaff = args.tangent is None
+    if pfaff and args.r is None:
         raise ValueError("a Pfaff chase needs --r")
-    else:
-        bundle, r = _chase_data("pfaff", args.pfaff, args.r, args.n)
+    bundle, r = _chase_data(args.pfaff if pfaff else args.tangent, args.r if pfaff else None, args.n)
     extra = ()
     if args.twists:
         lo, hi = _parse_twist_range(args.twists)
@@ -556,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sheaf", required=True)
     p.add_argument("--criterion", required=True, choices=("horrocks", "eg", "kpr"))
-    p.add_argument("--twists", help="twist range lo..hi (default: wide)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_split_check)
 

@@ -14,26 +14,25 @@ O(k-n-1), applied eagerly so equality of sheaves is syntactic. A split
 bundle enters through SplitBundle.counts, one (twist, multiplicity) pair per
 distinct twist; its Sym^j (or Lambda^j) for all j <= k at once are the
 layers of a generating function, one in-place sweep per summand. The
-tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1). A VirtualSheaf
-reads its rows per sheaf: its windows come from one pass over its atoms,
-and h^q and chi at a twist sum only the atoms that can be nonzero there.
+tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1).
 
-Rows are read a list of twists at a time. The h^0 formula of Omega^p(u),
-C(u+n-p, u) C(u-1, p) read as a polynomial in u, is chi(Omega^p(u)) and
-vanishes on [-(n-p), -1] and [1, p]. So outside a band around the twists
--k of the atoms, rows 0 and n are +-chi, the middle rows are zero, and
-chi(F(t)) is an integer polynomial of degree <= n in t: h_row reads it off
-forward differences and calls the per-twist h inside the band only.
+A VirtualSheaf reads its windows in one pass over its atoms and its rows a
+list of twists at a time. Bott's h^0 formula C(u+n-p, n-p) C(u-1, p), read
+as a polynomial in u, is chi(Omega^p(u)) and equals h^0 from u = 1 on (from
+u = 0 on for a line bundle). So row 0, row n (by Serre duality) and chi
+are sums of polynomials of degree <= n in t that switch on atom by atom:
+one sweep of forward differences reads them.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, islice, repeat
 from math import comb, inf
+from operator import add
 
 from .chow import SplitBundle, check_ambient_dimension, check_closed_form_dimension, read_number
 
@@ -86,20 +85,61 @@ def _twist_atom(atom: SheafAtom, t: int) -> SheafAtom:
     return CotangentPower(atom.p, atom.k + t)
 
 
-def _bott(n: int, p: int, k: int, q: int) -> int:
-    """h^q(P^n, Omega^p(k)) in closed form, for 0 <= p, q <= n.
+def _chi_atom(n: int, p: int, u: int) -> int:
+    """chi(P^n, Omega^p(u)) = C(u+n-p, n-p) C(u-1, p), each C(x, j) read as
+    the polynomial x(x-1)..(x-j+1)/j! at any integer x."""
+    out = 1
+    for x, j in ((u + n - p, n - p), (u - 1, p)):
+        out *= comb(x, j) if x >= 0 else (-1) ** j * comb(j - x - 1, j)
+    return out
 
-    Nonzero only in three regimes: global sections for k > p, the Hodge
-    diagonal h^p(Omega^p) = 1 at k = 0, and top cohomology for k < p - n.
-    The formula is its own Serre dual: (p, k, q) -> (n-p, -k, n-q) fixes it.
-    """
-    if q == 0 and k > p:
-        return comb(k + n - p, k) * comb(k - 1, p)
-    if q == p and k == 0:
-        return 1
-    if q == n and k < p - n:
-        return comb(p - k, -k) * comb(-k - 1, n - p)
-    return 0
+
+def _differences(values: list) -> list:
+    """The forward differences of values at its first point, one per value."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _switch_table(n: int, p: int) -> tuple:
+    """The n + 1 forward differences of chi(Omega^p(u)) at the twist u
+    where it becomes h^0: u = 1, or u = 0 for p = 0."""
+    return tuple(_differences([_chi_atom(n, p, u) for u in range(p > 0, (p > 0) + n + 1)]))
+
+
+def _sweep(n: int, atoms: list, twists) -> list[int]:
+    """The sum of m chi(Omega^p(k+t)) over the sorted atoms (s, p, k, m)
+    with s <= t, at each t of a strictly ascending list. The atoms on sum to
+    a polynomial of degree <= n, so min(run length, n + 1) of its forward
+    differences give the run in int adds: each run of consecutive twists
+    seeds them from the atoms on at its start (none: zeros up to the first
+    switch-on), steps them, adds an atom's _switch_table where it switches
+    on, and past the last extends them by an accumulate chain."""
+    starts = [s for s, *_ in atoms]
+    out, i = [], 0
+    while i < len(twists):
+        j = bisect_right(range(len(twists)), twists[i] - i, lo=i, key=lambda m: twists[m] - m)
+        t, end, size = twists[i], twists[j - 1], min(j - i, n + 1)
+        on, last = bisect_right(starts, t), bisect_right(starts, end)
+        if not on:
+            out += repeat(0, min(starts[0], end + 1) - t)
+            t = min(starts[0], end + 1)
+        d = _differences([sum(m * _chi_atom(n, p, k + x) for _, p, k, m in atoms[:on]) for x in range(t, t + size)])
+        for s, p, k, m in atoms[on:last]:
+            for _ in range(s - t):
+                out.append(d[0])
+                d = [*map(add, d, d[1:]), d[-1]]
+            t = s
+            d = [x + m * c for x, c in zip(d, _switch_table(n, p))]
+        row = repeat(d.pop())
+        for c in reversed(d):
+            row = accumulate(row, initial=c)
+        out += islice(row, end - t + 1)
+        i = j
+    return out
 
 
 def _json_value(value, kind: type, what: str, null=None):
@@ -168,8 +208,8 @@ class VirtualSheaf:
     """Formal direct sum of atoms with positive multiplicities on P^n.
 
     The rows are read per sheaf, not per atom: one pass over the atoms
-    gives every row window, and h(q, t) sums only the atoms whose row q can
-    be nonzero at t. Atoms are validated once, here.
+    gives every row window, and one sweep reads rows 0 and n and chi.
+    Atoms are validated once, here.
     """
 
     n: int
@@ -214,95 +254,46 @@ class VirtualSheaf:
 
     @cached_property
     def _rows(self):
-        """(windows, edge, keys, points, mid, edges), one pass over the atoms.
-
-        points[p] maps each -k of the atoms Omega^p(k) to their summed
-        multiplicity: row p for 0 < p < n, where h^p = 1 exactly there. The
-        extreme keys of each points[p] give every row window, since an atom
-        lives on row 0 from -k+p+1 on, on row n up to -k+p-n-1, and at -k
-        on row p. mid maps t to the middle rows' share of chi(t). edge lists
-        (k-p, p, k, m) by ascending k-p, keys its k-p column: an atom's q=0
-        row is nonzero at twist t only if k-p >= -t, its q=n row only if
-        k-p <= -n-t. edges are the first twist with h^0 = chi (every k+t >=
-        1) and the last with h^n = (-1)^n chi (every k+t <= -1).
-        """
+        """(windows, points), one pass over the atoms. points[p] maps each
+        -k of the atoms Omega^p(k) to their summed multiplicity: row p for
+        0 < p < n, where h^p = 1 exactly there. The extreme keys of each
+        points[p] give every row window, since an atom lives on row 0 from
+        -k+p+1 on, on row n up to -k+p-n-1, and at -k on row p."""
         n = self.n
         points: list[dict[int, int]] = [{} for _ in range(n + 1)]
-        mid: dict[int, int] = {}
         for atom, m in self.atoms:
             row, t = points[atom.p], -atom.k
             row[t] = row.get(t, 0) + m
-            if 0 < atom.p < n:
-                mid[t] = mid.get(t, 0) + (-1) ** atom.p * m
         live = [(p, row) for p, row in enumerate(points) if row]
         windows = (
             Window(min(min(row) + p + (p > 0) for p, row in live), inf),
             *(Window(min(row), max(row)) if row else NOTHING for row in points[1:n]),
             Window(-inf, max(max(row) + p - n - (p < n) for p, row in live)),
         )
-        edge = sorted((a.k - a.p, a.p, a.k, m) for a, m in self.atoms)
-        edges = 1 + max(max(row) for _, row in live), min(min(row) for _, row in live) - 1
-        return windows, edge, [e[0] for e in edge], points, mid, edges
+        return windows, points
 
-    def h(self, q: int, twist: int = 0) -> int:
-        n = self.n
-        if not 0 <= q <= n:
-            raise ValueError("need 0 <= p, q <= n")
-        _, edge, keys, points, _, _ = self._rows
-        if 0 < q < n:
-            return points[q].get(twist, 0)
-        if q == 0:
-            live = edge[bisect_left(keys, -twist):]
-        else:
-            live = edge[: bisect_right(keys, -n - twist)]
-        return sum(m * _bott(n, p, k + twist, q) for _, p, k, m in live)
-
-    def chi(self, twist: int = 0) -> int:
-        """Euler characteristic sum_q (-1)^q h^q at the given twist."""
-        return self.h(0, twist) + (-1) ** self.n * self.h(self.n, twist) + self._rows[4].get(twist, 0)
+    @cached_property
+    def _sweeps(self):
+        """The _sweep atoms of row 0, and of row n as Serre duals at -t."""
+        return (
+            sorted(((a.p > 0) - a.k, a.p, a.k, m) for a, m in self.atoms),
+            sorted(((a.p < self.n) + a.k, self.n - a.p, -a.k, m) for a, m in self.atoms),
+        )
 
     def chi_row(self, twists) -> list[int]:
-        """chi at each twist of a strictly ascending list, in int adds: each
-        run of consecutive twists, where t - index is constant, reads its
-        first n+1 values and extends their forward differences past them,
-        since chi(F(t)) is a polynomial of degree <= n in t."""
-        out, i = [], 0
-        while i < len(twists):
-            j = bisect_right(range(len(twists)), twists[i] - i, lo=i, key=lambda m: twists[m] - m)
-            seeds = [self.chi(t) for t in twists[i : min(j, i + self.n + 1)]]
-            if len(seeds) == j - i:
-                out += seeds
-            else:
-                diffs, d = [], seeds
-                while d:
-                    diffs.append(d[0])
-                    d = [b - a for a, b in zip(d, d[1:])]
-                row = repeat(diffs.pop())
-                for c in reversed(diffs):
-                    row = accumulate(row, initial=c)
-                out += islice(row, j - i)
-            i = j
-        return out
+        """chi at each twist of a strictly ascending list: every atom on."""
+        return _sweep(self.n, [(-inf, a.p, a.k, m) for a, m in self.atoms], twists)
 
     def h_row(self, q: int, twists) -> list[int]:
-        """h^q at each twist of a strictly ascending list: +-chi_row beyond
-        the band edge, the per-twist h inside the band, zero outside the
-        window."""
+        """h^q at each twist of a strictly ascending list; rows 0 and n by _sweep."""
         n = self.n
         if not 0 <= q <= n:
             raise ValueError("need 0 <= p, q <= n")
-        windows, _, _, points, _, (first, last) = self._rows
         if 0 < q < n:
-            return [points[q].get(t, 0) for t in twists]
-        w = windows[q]
+            return list(map(self._rows[1][q].get, twists, repeat(0)))
         if q == 0:
-            j = bisect_left(twists, first)
-            i = min(j, bisect_left(twists, w.lo))
-            return [0] * i + [self.h(0, t) for t in twists[i:j]] + self.chi_row(twists[j:])
-        j = bisect_right(twists, last)
-        i = max(j, bisect_right(twists, w.hi))
-        tops = [(-1) ** n * c for c in self.chi_row(twists[:j])]
-        return tops + [self.h(n, t) for t in twists[j:i]] + [0] * (len(twists) - i)
+            return _sweep(n, self._sweeps[0], twists)
+        return _sweep(n, self._sweeps[1], [-t for t in reversed(twists)])[::-1]
 
     def row_window(self, q: int) -> Window:
         if not 0 <= q <= self.n:
@@ -557,15 +548,12 @@ def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
     """
     if twist_lo > twist_hi:
         raise ValueError("empty twist range")
-    n = sheaf.n
-    rows: dict[int, dict[int, DimValue]] = {}
-    windows: dict[int, Window] = {}
-    for q in range(n + 1):
-        w = sheaf.row_window(q)
-        windows[q] = w
+    windows = {q: sheaf.row_window(q) for q in range(sheaf.n + 1)}
+    rows = {}
+    for q, w in windows.items():
         ts = set(range(twist_lo, twist_hi + 1))
         if w.is_finite:
             ts.update(range(w.lo, w.hi + 1))
         ts = sorted(ts)
         rows[q] = dict(zip(ts, map(DimValue.exact, sheaf.h_row(q, ts))))
-    return CohomologyTable(n, rows, windows)
+    return CohomologyTable(sheaf.n, rows, windows)

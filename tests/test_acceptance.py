@@ -50,6 +50,7 @@ from singscheme.forms import (
     volume_contract_chain,
 )
 from singscheme.hilbert import hilbert_profile, scheme_degree_dim
+from test_cohomology import sheaf_h
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -204,7 +205,7 @@ def test_06_rank_two_pfaff_single_peak():
             assert tab.window(2) == Window(spike, spike)
             assert tab.value(2, spike) == DimValue(1, 1)
             assert tab.value(2, spike) == DimValue.exact(
-                VirtualSheaf.from_atom(n, CotangentPower(2, 0)).h(2, 0)
+                sheaf_h(VirtualSheaf.from_atom(n, CotangentPower(2, 0)), 2, 0)
             )
             for t in range(spike - 6, spike + 7):
                 if t != spike:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
+import singscheme.chase
 from singscheme.chase import (
     _READS,
     ChaseDependencyError,
@@ -39,7 +40,7 @@ from singscheme.chase import (
     tangent_ideal_table,
     windowed_chase,
 )
-from singscheme.chow import SplitBundle, porteous_singular_degree
+from singscheme.chow import SplitBundle, check_pfaff_dimension, porteous_singular_degree
 from singscheme.cohomology import (
     NOTHING,
     CohomologyTable,
@@ -63,6 +64,7 @@ from singscheme.criteria import (
     regularity,
     vanishing_verdict,
 )
+from test_cohomology import sheaf_chi, sheaf_h
 
 
 def O(n, *twists):
@@ -416,6 +418,16 @@ class TestPfaffComplexTerms:
             en_complex_pfaff(SplitBundle(2 + r, (-2, -2)), r, 2 + r)
         assert str(exc.value) == f"Pfaff data needs dimension r >= 1, got r={r}"
 
+    @pytest.mark.parametrize("r", [0, -1, -5])
+    def test_dimension_check_names_r(self, r):
+        # the one owner of the r >= 1 rule, which the CLI calls before it
+        # builds the bundle on P^{rank E + r}: for r = -5 and two twists
+        # that would be P^-3
+        with pytest.raises(ValueError) as exc:
+            check_pfaff_dimension(r)
+        assert str(exc.value) == f"Pfaff data needs dimension r >= 1, got r={r}"
+        check_pfaff_dimension(1)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="needs rank 3"):
             en_complex_pfaff(SplitBundle(5, (-2, -2)), 2, 5)
@@ -707,11 +719,12 @@ class TestEntriesView:
 
 def _read(tables, n, term, q, t):
     """The (lo, hi) of a term's row q at chase twist t, one twist at a
-    time: a per-twist sheaf read h(q, t), or a table lookup value(q, t)."""
+    time: a per-twist Bott sum over the sheaf's atoms, or a table lookup
+    value(q, t)."""
     if isinstance(term, TableRef):
         v = tables[term.name].value(q, t + term.offset)
         return v.lo, v.hi
-    h = term.h(q, t) if 0 <= q <= n else 0
+    h = sheaf_h(term, q, t) if 0 <= q <= n else 0
     return h, h
 
 
@@ -946,7 +959,7 @@ def _chi(result, term, t):
     """Euler characteristic of a triple's term at chase twist t, read off
     the chase's tables; None unless every row of it is exact there."""
     if isinstance(term, VirtualSheaf):
-        return term.chi(t)
+        return sheaf_chi(term, t)
     tab = result.tables[term.name]
     values = [tab.value(q, t + term.offset) for q in range(result.n + 1)]
     if not all(v.is_exact for v in values):
@@ -1081,6 +1094,19 @@ class TestRunRequirements:
         assert rows == oracle
         assert rows == per_entry_rows(result)
         assert all(list(row) == sorted(row) for table in rows.values() for row in table.values())
+
+    def test_entry_cap_is_inclusive(self, monkeypatch):
+        # the merged runs of every unknown are summed before any row is
+        # solved: a query overlapping the windows counts each entry once
+        triples = en_complex_pfaff(SplitBundle(5, (-2, -2, -2)), 2, 5)
+        queries = [("I_Z", q, (-40, 40)) for q in range(6)] + [("ker1", 2, (-50, 10))]
+        total = len(chase(triples, queries).entries)
+        monkeypatch.setattr(singscheme.chase, "MAX_CHASE_ENTRIES", total)
+        assert len(chase(triples, queries).entries) == total
+        monkeypatch.setattr(singscheme.chase, "MAX_CHASE_ENTRIES", total - 1)
+        with pytest.raises(ValueError) as exc:
+            chase(triples, queries)
+        assert str(exc.value) == f"the chase would write {total} entries, over the cap of {total - 1}"
 
     @pytest.mark.parametrize("n, shift", [(n, shift) for n, shift, _ in UNREALIZABLE_TANGENT])
     @seed(20261019)

@@ -6,6 +6,7 @@ codes are asserted directly; SINGSCHEME_COLOR=0 keeps output stable.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,12 @@ from pathlib import Path
 import pytest
 
 from singscheme import chow
-from singscheme.chase import replay_trace
+from singscheme.chase import MAX_CHASE_ENTRIES, replay_trace
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_sheaf
 from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
 from singscheme.cohomology import MAX_SWEEP_WORK
+from singscheme.criteria import InapplicableError, evans_griffith, horrocks, kpr
 from singscheme.forms import MAX_DEGREE, MAX_PARSE_WORK, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
@@ -234,7 +236,6 @@ class TestTwistRangeCap:
         "argv",
         [
             ("cohomology", "--n", "3", "--sheaf", "T"),
-            ("split-check", "--n", "3", "--sheaf", "T", "--criterion", "horrocks"),
             ("chase", "--n", "3", "--tangent=0,0"),
         ],
     )
@@ -332,6 +333,31 @@ class TestSplitCheckCommand:
         assert payload["criterion"] == "horrocks"
         assert payload["decision"] == "fails"
         assert payload["witnesses"] == [[3, -5, 1]]
+
+    def test_twists_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["split-check", "--n", "3", "--sheaf", "T", "--criterion", "horrocks", "--twists=-3..3"])
+        assert exc.value.code == 2
+
+    def test_verdicts_read_the_middle_rows_alone(self):
+        # why split-check takes no range: the criteria read rows 1..n-1,
+        # whose finite windows table materializes whole at any range
+        rng = random.Random(20261027)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            spec = "+".join(rng.choice([f"O({rng.randint(-6, 6)})", f"Om({rng.randint(1, n - 1)},{rng.randint(-6, 6)})", "T"])
+                            for _ in range(rng.randint(1, 4)))
+            sheaf = parse_sheaf(spec, n)
+            lo = rng.randint(-3 * n, n)
+            tables = [table(sheaf, 0, 0), table(sheaf, lo, lo + rng.randint(0, 3 * n))]
+            verdicts = [[horrocks(t)] for t in tables]
+            for rank_check in (evans_griffith, kpr):
+                for v, t in zip(verdicts, tables):
+                    try:
+                        v.append(rank_check(t, sheaf.rank, n))
+                    except InapplicableError as exc:
+                        v.append(str(exc))
+            assert verdicts[0] == verdicts[1], spec
 
 
 class TestTableChecks:
@@ -522,6 +548,22 @@ class TestChaseCommand:
         # the same message as cohomology: one owner for the n >= 1 rule
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", "error: ambient dimension must be positive\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("chase", "--pfaff=-2,-2", "--r", "-5"),
+        ("regularity", "--from-chase", "pfaff:-5:-2,-2"),
+    ], ids=["flags", "spec"])
+    def test_pfaff_dimension_named_before_the_bundle(self, capsys, argv):
+        # two twists with r = -5 would live on P^-3: r is named, not n
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: Pfaff data needs dimension r >= 1, got r=-5\n")
+
+    def test_entry_cap(self, capsys):
+        # O(-3..2) on P^60 over -151..151 writes 998,082 entries; over
+        # -1000..1000 it is refused before any row is solved
+        code, out, err = run(capsys, "chase", "--tangent=-3,-2,-1,0,1,2", "--n", "60", "--twists=-1000..1000")
+        message = f"the chase would write 6591294 entries, over the cap of {MAX_CHASE_ENTRIES}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestRegularityAndBeilinson:

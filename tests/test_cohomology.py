@@ -16,7 +16,7 @@ from math import comb, factorial, inf
 import pytest
 
 from singscheme import cohomology
-from singscheme.chase import en_complex_tangent
+from singscheme.chase import en_complex_pfaff, en_complex_tangent
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
     MAX_SWEEP_WORK,
@@ -59,7 +59,7 @@ def chi_omega(n: int, p: int, k: int) -> int:
 
 def bott_dim(n: int, p: int, k: int, q: int) -> int:
     """h^q(P^n, Omega^p(k)) by Bott's formula, for 0 <= p, q <= n: the
-    reference that VirtualSheaf.h is compared against. Nonzero for q = 0
+    reference that VirtualSheaf.h_row is compared against. Nonzero for q = 0
     and k > p, at the Hodge diagonal q = p, k = 0, and for q = n, k < p - n."""
     if q == 0 and k > p:
         return comb(k + n - p, k) * comb(k - 1, p)
@@ -76,6 +76,20 @@ def chi_from_bott(n: int, p: int, k: int) -> int:
 
 def atom_dim(n: int, atom, q: int, twist: int = 0) -> int:
     return bott_dim(n, atom.p, atom.k + twist, q)
+
+
+def sheaf_h(sheaf: VirtualSheaf, q: int, t: int = 0) -> int:
+    """h^q(F(t)) one twist at a time, the bott_dim sum over the atoms: the
+    per-twist oracle for h_row."""
+    return sum(m * bott_dim(sheaf.n, a.p, a.k + t, q) for a, m in sheaf.atoms)
+
+
+def sheaf_chi(sheaf: VirtualSheaf, t: int = 0) -> int:
+    """chi(F(t)) as the alternating bott_dim sum, over the rows 0, p and n
+    where an atom Omega^p(k) can be nonzero: the per-twist oracle for
+    chi_row."""
+    n = sheaf.n
+    return sum(m * (-1) ** q * bott_dim(n, a.p, a.k + t, q) for a, m in sheaf.atoms for q in {0, a.p, n})
 
 
 def atom_window(n: int, atom, q: int) -> Window:
@@ -120,9 +134,8 @@ class TestBottDim:
     def test_tangent_values(self):
         for n in range(2, 8):
             t = tangent_sheaf(n)
-            assert t.h(0, 0) == n * n + 2 * n
-            assert t.h(0, -1) == n + 1
-            assert t.h(n - 1, -n - 1) == 1
+            assert t.h_row(0, [-1, 0]) == [n + 1, n * n + 2 * n]
+            assert t.h_row(n - 1, [-n - 1]) == [1]
             # middle rows of T vanish at every twist
             for q in range(1, n - 1):
                 assert t.row_window(q).empty
@@ -156,7 +169,7 @@ class TestBottDim:
         with pytest.raises(ValueError, match="need 0 <= p <= n"):
             normalize_atom(3, 4, 0)
         with pytest.raises(ValueError, match="need 0 <= p, q <= n"):
-            VirtualSheaf.from_atom(3, CotangentPower(1, 0)).h(-1)
+            VirtualSheaf.from_atom(3, CotangentPower(1, 0)).h_row(-1, [0])
         with pytest.raises(ValueError, match="positive"):
             normalize_atom(0, 0, 0)
 
@@ -263,11 +276,11 @@ class TestVirtualSheaf:
             4, [(CotangentPower(1, 0), 2), (LineBundle(-5), 1)]
         )
         for q in range(5):
-            for t in (-3, 0, 3):
-                expected = 2 * atom_dim(4, CotangentPower(1, 0), q, t) + atom_dim(
-                    4, LineBundle(-5), q, t
-                )
-                assert s.h(q, t) == expected
+            expected = [
+                2 * atom_dim(4, CotangentPower(1, 0), q, t) + atom_dim(4, LineBundle(-5), q, t)
+                for t in (-3, 0, 3)
+            ]
+            assert s.h_row(q, (-3, 0, 3)) == expected
 
     def test_str(self):
         s = VirtualSheaf.from_pairs(
@@ -289,19 +302,23 @@ class TestVirtualSheaf:
             s = VirtualSheaf.from_pairs(n, pairs)
             for q in range(-1, n + 2):
                 assert s.row_window(q) == hull(atom_window(n, a, q) for a, _ in s.atoms)
-            for t in range(-2 * n - 10, 2 * n + 11):
-                hs = [sum(m * bott_dim(n, a.p, a.k + t, q) for a, m in s.atoms) for q in range(n + 1)]
-                assert [s.h(q, t) for q in range(n + 1)] == hs
-                assert s.chi(t) == sum((-1) ** q * h for q, h in enumerate(hs))
-                assert s.chi(t) == sum(m * chi_omega(n, a.p, a.k + t) for a, m in s.atoms)
+            ts = range(-2 * n - 10, 2 * n + 11)
+            rows = [[sheaf_h(s, q, t) for t in ts] for q in range(n + 1)]
+            assert [s.h_row(q, ts) for q in range(n + 1)] == rows
+            assert s.chi_row(ts) == [sum((-1) ** q * h for q, h in enumerate(hs)) for hs in zip(*rows)]
+            assert s.chi_row(ts) == [sum(m * chi_omega(n, a.p, a.k + t) for a, m in s.atoms) for t in ts]
 
     def test_rows_read_as_lists_match_per_twist_reads(self):
-        # h_row and chi_row against the per-twist h and chi, on twist lists
-        # that cross both band edges (1 - min k for h^0, -1 - max k for
-        # h^n): one long run, runs cut short of n+1 twists by gaps, and a
-        # sparse random list. The sheaves are random small ones and, at
-        # n = 20..30, terms Omega^{r+j} (x) Sym^j(F)(c1) of the tangent
-        # Eagon-Northcott complex, whose rows run far past the band.
+        # h_row and chi_row against the per-twist Bott sums, on twist lists
+        # that cross every atom's switch-on (1 - min k for h^0, -1 - max k
+        # for h^n): one long run, runs cut short of n+1 twists by gaps, and
+        # a sparse random list. A row switches an atom on where Bott's h^0
+        # polynomial becomes h^0: at u = 0 for a line bundle, u = 1 for
+        # Omega^p. The sheaves are random small ones; every p alone on
+        # P^1..P^8; dense bands whose switch-ons crowd the twists, 40
+        # random atoms and the terms of the Pfaff complex of dimension 3 with
+        # twists -(i^2+2); and, at n = 20..30, terms Omega^{r+j} (x)
+        # Sym^j(F)(c1) of the tangent Eagon-Northcott complex.
         rng = random.Random(20261019)
         sheaves = []
         for _ in range(200):
@@ -311,6 +328,13 @@ class TestVirtualSheaf:
                 for _ in range(rng.randint(1, 5))
             ]
             sheaves.append(VirtualSheaf.from_pairs(n, pairs))
+        for n in range(1, 9):
+            sheaves += [VirtualSheaf.from_atom(n, normalize_atom(n, p, k)) for p in range(n + 1) for k in (-1, 0, 2)]
+            band = [(normalize_atom(n, rng.randint(0, n), rng.randint(-12, 12)), rng.randint(1, 4)) for _ in range(40)]
+            sheaves.append(VirtualSheaf.from_pairs(n, band))
+            if n > 3:
+                triples = en_complex_pfaff(SplitBundle(n, [-(i * i + 2) for i in range(n - 3)]), 3, n)
+                sheaves += [triples[0].a] + [tr.b for tr in triples]
         for n, shift in ((20, -3), (24, 0), (27, 2), (30, -1)):
             triples = en_complex_tangent(SplitBundle(n, range(shift - 3, shift + 3)), n)
             terms = [triples[0].a] + [tr.b for tr in triples]
@@ -328,13 +352,38 @@ class TestVirtualSheaf:
             sparse = sorted(rng.sample(run, rng.randint(0, len(run))))
             for ts in (run, short, sparse, []):
                 rows = [s.h_row(q, ts) for q in range(n + 1)]
-                assert s.chi_row(ts) == [s.chi(t) for t in ts]
+                assert s.chi_row(ts) == [sheaf_chi(s, t) for t in ts]
                 assert s.chi_row(ts) == [sum((-1) ** q * h for q, h in enumerate(col)) for col in zip(*rows)]
                 for q in range(n + 1):
-                    assert rows[q] == [s.h(q, t) for t in ts]
+                    assert rows[q] == [sheaf_h(s, q, t) for t in ts]
             for q in (-1, n + 1):
                 with pytest.raises(ValueError, match="0 <= p, q <= n"):
                     s.h_row(q, run)
+
+    def test_sweep_work_does_not_grow_with_the_band(self, monkeypatch):
+        # The terms of the Pfaff complex of dimension 3 with 40 twists
+        # -(i^2+2), on P^43, spread up to 2,866 atoms over bands of up to
+        # 4,654 twists. Reading rows 0 and n over the whole band and over
+        # its upper half (seeded with half the atoms on) evaluates chi of an
+        # atom at most n+1 times per atom on at a run's start, plus n+1
+        # times per cached switch-on table: never band x atoms.
+        calls = []
+        real = cohomology._chi_atom
+        monkeypatch.setattr(cohomology, "_chi_atom", lambda n, p, u: calls.append(p) or real(n, p, u))
+        cohomology._switch_table.cache_clear()
+        n = 43
+        triples = en_complex_pfaff(SplitBundle(n, [-(i * i + 2) for i in range(40)]), 3, n)
+        for s in [triples[0].a] + [tr.b for tr in triples]:
+            ks = [a.k for a, _ in s.atoms]
+            lo, hi = -max(ks) - n - 2, -min(ks) + n + 2
+            calls.clear()
+            for ts in (range(lo, hi + 1), range((lo + hi) // 2, hi + 1)):
+                s.h_row(0, ts)
+                s.h_row(n, ts)
+            bound = 2 * (n + 1) * (len(s.atoms) + n + 1)
+            assert len(calls) <= bound
+            if len(s.atoms) > 100:
+                assert bound * 20 < (hi - lo) * len(s.atoms)
 
     def test_h_rejects_rows_outside_zero_to_n(self):
         for n in (1, 3, 6):
@@ -342,7 +391,7 @@ class TestVirtualSheaf:
             for q in (-2, -1, n + 1, n + 2):
                 for t in (-n - 1, 0, 3):
                     with pytest.raises(ValueError, match="0 <= p, q <= n"):
-                        s.h(q, t)
+                        s.h_row(q, [t])
 
     def test_atoms_validated_when_built(self):
         with pytest.raises(ValueError, match="0 <= p <= n"):
@@ -470,7 +519,7 @@ class TestPowers:
         t = tangent_sheaf(3)
         twisted = tensor_with_split(t, SplitBundle(3, (-4,)))
         assert twisted == VirtualSheaf.from_atom(3, CotangentPower(2, 0))
-        assert all(twisted.h(q) == t.h(q, -4) for q in range(4))
+        assert all(twisted.h_row(q, [0]) == t.h_row(q, [-4]) for q in range(4))
         assert dual(SplitBundle(3, (-1, 2))) == SplitBundle(3, (1, -2))
 
 
@@ -592,7 +641,7 @@ class TestTable:
         t = table(s, -9, 4)
         for q in range(6):
             for tw in range(-9, 5):
-                assert t.value(q, tw) == DimValue.exact(s.h(q, tw))
+                assert t.value(q, tw) == DimValue.exact(sheaf_h(s, q, tw))
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
