@@ -12,14 +12,15 @@ CohomologyTables, the one store of the values: exact where the six-term
 neighborhood has enough zeros, an interval [lo, hi] from rank-nullity
 otherwise. A requirement is a sorted list of merged twist runs per
 (unknown, q), and propagation shifts the runs. Each run of a row reads its
-four columns once, as lo and hi int lists (a table's row, or a
-closed-form sheaf's h_row), and one comprehension solves them. Every
-triple is checked for Euler-characteristic consistency where the check can
-fail: where the one end row that the solve cannot balance is nonzero. chi
-is folded term by term, the unknown just solved first, and a twist leaves
-the check at its first inexact row. ChaseResult.entries and the --explain
-payload, whose entries replay to the same numbers through the solve's own
-row reads, are read off the plan and the tables.
+four columns once, as lo and hi int columns (a table's row split by one
+zip, or a closed-form sheaf's h_row), and one comprehension solves them;
+the two result columns are checked once, and each value is built as a
+pair. Every triple is checked for Euler-characteristic consistency where
+the check can fail: where the one end row that the solve cannot balance is
+nonzero. chi is folded term by term, the unknown just solved first, and a
+twist leaves the check at its first inexact row. ChaseResult.entries and
+the --explain payload, whose entries replay to the same numbers through
+the solve's own row reads, are read off the plan and the tables.
 
 On top of the engine sits one Eagon-Northcott builder, whose terms are
 twisted Omega powers tensored with the Sym powers of a split bundle; the
@@ -45,6 +46,7 @@ from .cohomology import (
     DimValue,
     VirtualSheaf,
     Window,
+    check_columns,
     normalize_atom,
     sym_powers,
     tensor_with_split,
@@ -134,11 +136,13 @@ def _merge(runs) -> list:
 
 
 def _read_row(term: Term, q: int, ts, tables: dict) -> tuple:
-    """The lo and hi lists of a term's row q at the chase twists of the
-    strictly ascending ts: a table's row dict, or a sheaf's h_row. The one
-    reader for the solve, the Euler check and the --explain payload. The
-    Euler check also reads rows at twists no solve wrote; value answers
-    those: zero outside the window, else [0, inf), which the check drops."""
+    """The lo and hi columns of a term's row q at the chase twists of the
+    strictly ascending ts: a table's row dict, split into its two columns
+    by one zip (two empty columns for no twist), or a sheaf's h_row twice.
+    The one reader for the solve, the Euler check and the --explain
+    payload. The Euler check also reads rows at twists no solve wrote;
+    value answers those: zero outside the window, else [0, inf), which the
+    check drops."""
     if isinstance(term, VirtualSheaf):
         h = term.h_row(q, ts) if 0 <= q <= term.n else [0] * len(ts)
         return h, h
@@ -148,7 +152,7 @@ def _read_row(term: Term, q: int, ts, tables: dict) -> tuple:
     vs = list(map(tab.rows.get(q, {}).get, map(off.__add__, ts)))
     if not all(vs):
         vs = [v or tab.value(q, t + off) for v, t in zip(vs, ts)]
-    return [v.lo for v in vs], [v.hi for v in vs]
+    return tuple(zip(*vs)) or ((), ())
 
 
 def _row_reads(step, q: int, runs: list, tables: dict) -> list:
@@ -171,12 +175,15 @@ def _row_reads(step, q: int, runs: list, tables: dict) -> list:
 def _solve(cols) -> list:
     """forced(keep1, kill1) + forced(keep2, kill2) twist by twist down the
     four (los, his) columns of _READS, where forced(keep, kill) =
-    [max(0, lo(keep) - hi(kill)), hi(keep)]; a value with hi 0 is the
-    shared ZERO. A chase's own reads are finite; replay_trace's may have
-    an open end, hi inf."""
+    [max(0, lo(keep) - hi(kill)), hi(keep)]. The two result columns are
+    checked once, with DimValue's messages, and each value is built with
+    tuple.__new__; a value with hi 0 is the shared ZERO. A chase's own
+    reads are finite; replay_trace's may have an open end, hi inf."""
     (_, kill1), (lo1, hi1), (_, kill2), (lo2, hi2) = cols
     los = [(x - y if x > y else 0) + (u - v if u > v else 0) for y, x, v, u in zip(kill1, lo1, kill2, lo2)]
-    return [ZERO if h == 0 else DimValue(lo, h) for lo, h in zip(los, map(add, hi1, hi2))]
+    his = list(map(add, hi1, hi2))
+    check_columns(los, his)
+    return [ZERO if h == 0 else tuple.__new__(DimValue, (lo, h)) for lo, h in zip(los, his)]
 
 
 def replay_trace(entry: dict) -> DimValue:

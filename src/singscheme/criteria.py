@@ -58,11 +58,13 @@ class Verdict:
 
 def _row_status(table: CohomologyTable, q: int):
     """Classify row q: ('zero', None), ('nonzero', witness), or
-    ('unknown', reason). A definite nonzero wins even in an unbounded window."""
+    ('unknown', reason). A definite nonzero, lo > 0, wins even in an
+    unbounded window; the witness is the least such twist, found in one pass
+    over the row."""
     row = table.rows.get(q, {})
-    for t in sorted(row):
-        if row[t].definitely_nonzero:
-            return "nonzero", (q, t, row[t])
+    t = min((t for t, v in row.items() if v.lo > 0), default=None)
+    if t is not None:
+        return "nonzero", (q, t, row[t])
     entries = possible_entries(table, q)
     if entries is None:
         return "unknown", f"row {q} window is unbounded"
@@ -215,14 +217,7 @@ def buchsbaum_numeric(
     rows = range(1, dim_z + 1)
 
     # Definite gap violations first: they decide "fails" outright.
-    definite = {
-        q: sorted(
-            (t, v)
-            for t, v in ideal_table.rows.get(q, {}).items()
-            if v.definitely_nonzero
-        )
-        for q in rows
-    }
+    definite = {q: sorted((t, v) for t, v in ideal_table.rows.get(q, {}).items() if v.lo > 0) for q in rows}
     gap = _gap_violation(definite)
     if gap is not None:
         (p, i, _), (q, j, _) = gap

@@ -43,12 +43,14 @@ from singscheme.chase import (
 from singscheme.chow import SplitBundle, check_pfaff_dimension, porteous_singular_degree
 from singscheme.cohomology import (
     NOTHING,
+    ZERO,
     CohomologyTable,
     CotangentPower,
     DimValue,
     LineBundle,
     VirtualSheaf,
     Window,
+    check_columns,
     normalize_atom,
     sym_power,
     table,
@@ -730,13 +732,16 @@ def _read(tables, n, term, q, t):
 
 def _entry(tables, n, step, q, s):
     """The value of entry (q, s) of the unknown that the plan step solves,
-    on its own: zero outside the row's window, else the solve of its four
-    reads of _READS as columns of length one."""
+    on its own: zero outside the row's window, else forced(keep1, kill1) +
+    forced(keep2, kill2) of its four reads of _READS, built by the checking
+    DimValue constructor, not by _solve's column builder."""
     tr, pos, name, offset = step
     if not tables[name].window(q).contains(s):
         return DimValue.exact(0)
-    reads = [_read(tables, n, tr.term(role), q + dq, s - offset) for role, dq in _READS[pos]]
-    return _solve([([lo], [hi]) for lo, hi in reads])[0]
+    (_, kill1), (lo1, hi1), (_, kill2), (lo2, hi2) = (
+        _read(tables, n, tr.term(role), q + dq, s - offset) for role, dq in _READS[pos]
+    )
+    return DimValue(max(0, lo1 - kill1) + max(0, lo2 - kill2), hi1 + hi2)
 
 
 def per_entry_rows(result):
@@ -1120,3 +1125,58 @@ class TestRunRequirements:
         expected = _violation(lambda: set_oracle_chase(triples, queries))
         assert message == expected
         event(f"raises {expected is not None}")
+
+
+class TestColumnChecks:
+    """_solve checks its two result columns once and then builds each value
+    with tuple.__new__, past the DimValue constructor; the column check must
+    refuse what the constructor refuses, with the same message."""
+
+    @staticmethod
+    def constructor_message(lo, hi):
+        with pytest.raises(ValueError) as exc:
+            DimValue(lo, hi)
+        return str(exc.value)
+
+    def test_solve_refuses_an_inverted_column(self):
+        # keep1 reads [5, 1], so the sum of the forced parts is [5, 1]
+        zeros = ([0, 0], [0, 0])
+        cols = [zeros, ([0, 5], [0, 1]), zeros, zeros]
+        with pytest.raises(ValueError) as exc:
+            _solve(cols)
+        assert str(exc.value) == self.constructor_message(5, 1) == "empty interval"
+
+    def test_solve_refuses_a_negative_upper_end(self):
+        # hi = -1 + 0 lies under lo = 0
+        zeros = ([0], [0])
+        with pytest.raises(ValueError) as exc:
+            _solve([zeros, ([0], [-1]), zeros, zeros])
+        assert str(exc.value) == self.constructor_message(0, -1)
+
+    def test_column_check_refuses_a_negative_lower_end(self):
+        # _solve's forced parts are never negative, so a negative lower end
+        # reaches the shared check only from a crafted column
+        with pytest.raises(ValueError) as exc:
+            check_columns([0, -1], [0, 0])
+        assert str(exc.value) == self.constructor_message(-1, 0) == "dimensions are nonnegative"
+        check_columns([], [])
+
+    def test_solve_shares_zero_and_builds_checked_pairs(self):
+        cols = [([0, 0, 2], [0, 0, 2]), ([0, 3, 3], [0, 4, inf]), ([0, 0, 0], [0, 0, 0]), ([0, 0, 1], [0, 0, 1])]
+        values = _solve(cols)
+        assert values == [DimValue(0, 0), DimValue(3, 4), DimValue(2, inf)]
+        assert values[0] is ZERO
+        assert all(type(v) is DimValue for v in values)
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_chased_entry_is_a_checked_pair(self, data):
+        E, r = RUN_SPECS[data.draw(st.sampled_from(sorted(RUN_SPECS)), label="spec")]
+        triples = en_complex_tangent(E, E.n) if r is None else en_complex_pfaff(E, r, E.n)
+        queries = data.draw(query_unions(_window_pass(triples).unknowns, E.n), label="queries")
+        result = windowed_chase(triples, "I_Z", queries)
+        assert result.entries
+        for v in result.entries.values():
+            assert type(v) is DimValue and 0 <= v.lo <= v.hi
+            assert v is ZERO or v.hi > 0

@@ -18,7 +18,7 @@ from singscheme.chase import MAX_CHASE_ENTRIES, replay_trace
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
 from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_sheaf
 from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
-from singscheme.cohomology import MAX_SWEEP_WORK
+from singscheme.cohomology import MAX_SWEEP_WORK, MAX_TABLE_ENTRIES
 from singscheme.criteria import InapplicableError, evans_griffith, horrocks, kpr
 from singscheme.forms import MAX_DEGREE, MAX_PARSE_WORK, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
@@ -259,6 +259,16 @@ class TestTwistRangeCap:
         code, _, err = run(capsys, *argv, f"--twists=0..{MAX_TWIST_RANGE}")
         assert code == 1
         assert f"holds {MAX_TWIST_RANGE + 1} twists" in err
+
+
+class TestTableEntryCap:
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_wide_table_refused_before_building(self, capsys, flags):
+        # 301 rows of 10,000 twists each, every twist inside MAX_TWIST_RANGE
+        argv = ("cohomology", "--n", "300", "--sheaf", "O(0)", "--twists=-4999..5000", *flags)
+        code, out, err = run(capsys, *argv)
+        message = f"the table would hold 3010000 entries, over the cap of {MAX_TABLE_ENTRIES}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestClosedFormCap:

@@ -8,7 +8,11 @@ chi(Omega^p(k)) as an alternating binomial sum independent of any h^q
 formula. Window certificates are checked for soundness and tightness.
 """
 
+import copy
+import pickle
 import random
+from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, inf
@@ -20,7 +24,9 @@ from singscheme.chase import en_complex_pfaff, en_complex_tangent
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
     MAX_SWEEP_WORK,
+    MAX_TABLE_ENTRIES,
     NOTHING,
+    ZERO,
     CohomologyTable,
     CotangentPower,
     DimValue,
@@ -36,6 +42,7 @@ from singscheme.cohomology import (
     tangent_sheaf,
     tensor_with_split,
 )
+from singscheme.criteria import Verdict
 from test_chow import dual
 
 
@@ -193,6 +200,43 @@ class TestNormalization:
             for k in range(-3, 6):
                 for q in range(n + 1):
                     assert bott_dim(n, n, k, q) == bott_dim(n, 0, k - n - 1, q)
+
+
+class TestAtoms:
+    def test_repr_and_str(self):
+        assert repr(LineBundle(3)) == "LineBundle(a=3)"
+        assert repr(CotangentPower(1, 0)) == "CotangentPower(p=1, k=0)"
+        assert str(LineBundle(-2)) == "O(-2)" and str(CotangentPower(2, 5)) == "Om(2,5)"
+
+    def test_atoms_are_their_pairs(self):
+        assert LineBundle(3) == (0, 3) and (LineBundle(3).p, LineBundle(3).k) == (0, 3)
+        assert CotangentPower(2, -1) == (2, -1) and hash(CotangentPower(2, -1)) == hash((2, -1))
+        with pytest.raises(AttributeError):
+            LineBundle(3).k = 4
+
+    def test_copy_and_pickle_keep_the_class(self):
+        for atom in (LineBundle(-4), CotangentPower(2, 7)):
+            for back in (copy.copy(atom), copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
+                assert back == atom and type(back) is type(atom)
+        s = VirtualSheaf.from_pairs(4, [(CotangentPower(2, 0), 2), (LineBundle(1), 3)])
+        assert pickle.loads(pickle.dumps(s)) == s
+
+    def test_atom_order_is_the_old_key_order(self):
+        # natural tuple order on (p, k) against the (p, k) sort key and the
+        # dict merge that the dataclass atoms used
+        rng = random.Random(20261020)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            pairs = []
+            for _ in range(rng.randint(1, 12)):
+                p, k = rng.randint(0, n), rng.randint(-4, 4)
+                atom = LineBundle(k) if p == 0 and rng.random() < 0.5 else CotangentPower(p, k)
+                pairs.append((atom, rng.randint(1, 3)))
+            merged = Counter()
+            for atom, m in pairs:
+                merged[normalize_atom(n, atom.p, atom.k)] += m
+            expected = sorted(merged.items(), key=lambda it: (it[0].p, it[0].k))
+            assert VirtualSheaf.from_pairs(n, pairs).atoms == tuple(expected)
 
 
 class TestWindows:
@@ -612,6 +656,32 @@ class TestDimValue:
         assert str(DimValue(0, inf)) == "[0,inf]"
         assert str(DimValue(1, 5)) == "[1,5]"
 
+    def test_repr_and_messages(self):
+        assert repr(DimValue(1, 2)) == "DimValue(lo=1, hi=2)"
+        assert repr(DimValue(0, inf)) == "DimValue(lo=0, hi=inf)"
+        for lo, hi, message in ((-1, 0, "dimensions are nonnegative"), (2, 1, "empty interval")):
+            with pytest.raises(ValueError) as exc:
+                DimValue(lo, hi)
+            assert str(exc.value) == message
+
+    def test_immutable_pair(self):
+        v = DimValue(1, 2)
+        with pytest.raises(AttributeError):
+            v.lo = 0
+        assert v == (1, 2) and hash(v) == hash((1, 2))
+        assert tuple(v) == (v.lo, v.hi) == (1, 2)
+        assert DimValue.exact(0) == ZERO
+
+    def test_copy_pickle_and_asdict(self):
+        for v in (DimValue(1, 2), DimValue(0, inf), ZERO):
+            for back in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert back == v and type(back) is DimValue
+        verdict = Verdict("fails", ((1, 0, DimValue(2, inf)), (2, -3, DimValue.exact(1))), "acm: nonzero")
+        data = asdict(verdict)
+        assert data == {"decision": "fails", "witnesses": verdict.witnesses, "certificate": "acm: nonzero"}
+        assert all(type(v) is DimValue for _, _, v in data["witnesses"])
+        assert pickle.loads(pickle.dumps(verdict)) == verdict
+
 
 class TestTable:
     def test_materializes_requested_range_and_finite_windows(self):
@@ -646,6 +716,46 @@ class TestTable:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             table(tangent_sheaf(3), 2, 1)
+
+    def test_rows_share_zero_and_hold_checked_pairs(self):
+        t = table(tangent_sheaf(4), -8, 3)
+        values = [v for row in t.rows.values() for v in row.values()]
+        assert all(type(v) is DimValue and 0 <= v.lo == v.hi for v in values)
+        assert all(v is ZERO for v in values if v.hi == 0)
+
+    def test_row_column_check_keeps_the_constructor_message(self, monkeypatch):
+        monkeypatch.setattr(VirtualSheaf, "h_row", lambda self, q, ts: [-1] * len(ts))
+        with pytest.raises(ValueError) as exc:
+            table(tangent_sheaf(3), 0, 0)
+        assert str(exc.value) == "dimensions are nonnegative"
+
+    def test_entry_cap_is_inclusive(self, monkeypatch):
+        # the requested twists and each finite window outside them, counted
+        # once: every row holds -3..3, rows 2 and 3 also hold their window
+        # -5, and row 1's window 0 lies inside the range
+        s = VirtualSheaf.from_pairs(4, [(ext_power_tangent(4, 1), 1), (CotangentPower(2, 5), 1), (CotangentPower(1, 0), 1)])
+        total = sum(len(row) for row in table(s, -3, 3).rows.values())
+        assert total == 5 * 7 + 2
+        monkeypatch.setattr(cohomology, "MAX_TABLE_ENTRIES", total)
+        assert table(s, -3, 3).rows
+        monkeypatch.setattr(cohomology, "MAX_TABLE_ENTRIES", total - 1)
+        with pytest.raises(ValueError) as exc:
+            table(s, -3, 3)
+        assert str(exc.value) == f"the table would hold {total} entries, over the cap of {total - 1}"
+
+    def test_wide_table_refused_before_any_row(self, monkeypatch):
+        def never(self, q, ts):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(VirtualSheaf, "h_row", never)
+        with pytest.raises(ValueError) as exc:
+            table(VirtualSheaf.from_atom(300, LineBundle(0)), -4999, 5000)
+        assert str(exc.value) == f"the table would hold 3010000 entries, over the cap of {MAX_TABLE_ENTRIES}"
+
+    def test_cap_sits_above_the_largest_tables(self):
+        # the widest table the tests, goldens and bench/ ask for: one
+        # MAX_TWIST_RANGE of twists on P^1 (bench asks for at most 729)
+        rows = table(VirtualSheaf.from_atom(1, LineBundle(0)), 1, 10_000).rows
+        assert sum(map(len, rows.values())) == 20_000 <= MAX_TABLE_ENTRIES
 
     def test_json_round_trip(self):
         t = table(tangent_sheaf(4).direct_sum(
