@@ -30,15 +30,15 @@ tangent complex and the Pfaff complex of every dimension r >= 1 call it.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import inf
 from operator import add
 from types import MappingProxyType
 
-from .chow import SplitBundle, check_ambient_dimension, check_pfaff_dimension
+from .chow import SplitBundle, check_ambient_dimension, check_pfaff_dimension, refuse_write
 from .cohomology import (
     NOTHING,
     ZERO,
@@ -62,12 +62,10 @@ class InconsistentTripleError(ValueError):
     """Materialized dimensions violate rank-nullity along a triple."""
 
 
-@dataclass(frozen=True)
-class TableRef:
+class TableRef(namedtuple("TableRef", "name offset", defaults=(0,))):
     """A named unknown; at chase twist t it denotes the unknown at t + offset."""
 
-    name: str
-    offset: int = 0
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.offset == 0:
@@ -80,8 +78,7 @@ Term = VirtualSheaf | TableRef
 _POSITIONS = ("a", "b", "c")
 
 
-@dataclass(frozen=True)
-class ExactTriple:
+class ExactTriple(namedtuple("ExactTriple", "a b c n label")):
     """A short exact sequence 0 -> a -> b -> c -> 0 on P^n.
 
     Only the shape is used: no differentials are ever materialized. Terms
@@ -90,20 +87,14 @@ class ExactTriple:
     all three terms together.
     """
 
-    a: Term
-    b: Term
-    c: Term
-    n: int
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_ambient_dimension(self.n)
-        for pos in _POSITIONS:
-            t = self.term(pos)
-            if isinstance(t, VirtualSheaf) and t.n != self.n:
-                raise ValueError(
-                    f"term {pos} lives on P^{t.n}, triple on P^{self.n}"
-                )
+    def __new__(cls, a: Term, b: Term, c: Term, n: int, label: str = "") -> "ExactTriple":
+        check_ambient_dimension(n)
+        for pos, t in zip(_POSITIONS, (a, b, c)):
+            if isinstance(t, VirtualSheaf) and t.n != n:
+                raise ValueError(f"term {pos} lives on P^{t.n}, triple on P^{n}")
+        return tuple.__new__(cls, (a, b, c, n, label))
 
     def term(self, pos: str) -> Term:
         return getattr(self, pos)
@@ -200,8 +191,7 @@ def replay_trace(entry: dict) -> DimValue:
     return value
 
 
-@dataclass(frozen=True)
-class ChaseResult:
+class ChaseResult(namedtuple("ChaseResult", "n tables plan")):
     """Everything a chase established, kept as its tables and plan.
 
     tables holds one table per solved unknown, whose windows are complete
@@ -213,9 +203,7 @@ class ChaseResult:
     gives the provenance of every entry, reading each row as its solve did.
     """
 
-    n: int
-    tables: dict
-    plan: tuple
+    __setattr__ = __delattr__ = refuse_write
 
     @property
     def unknowns(self) -> tuple:

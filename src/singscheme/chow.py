@@ -12,10 +12,15 @@ foliation degrees are derived from the Pfaff twists.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import comb, log10
+
+
+def refuse_write(record, name: str, value=None):
+    """__setattr__ and __delattr__ of an immutable record that keeps a
+    __dict__ for cached_property, or that sets its __slots__ itself."""
+    raise AttributeError(f"{type(record).__name__} is immutable: {name!r} cannot change")
 
 
 def check_ambient_dimension(n: int) -> None:
@@ -78,8 +83,7 @@ class PorteousInapplicableError(ValueError):
     computation is violated (the candidate degree came out non-positive)."""
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class SplitBundle:
+class SplitBundle(namedtuple("SplitBundle", "n counts")):
     """A direct sum of line bundles O(a_1) + ... + O(a_m) on P^n.
 
     Stored as counts: one (twist, multiplicity) pair per distinct twist,
@@ -87,27 +91,23 @@ class SplitBundle:
     The descending tuple of all twists is expanded only when read.
     """
 
-    n: int
-    counts: tuple[tuple[int, int], ...]
-
-    def __init__(self, n: int, twists) -> None:
-        self._set_counts(n, Counter(int(a) for a in twists))
+    def __new__(cls, n: int, twists) -> "SplitBundle":
+        return cls.from_counts(n, Counter(int(a) for a in twists))
 
     @classmethod
     def from_counts(cls, n: int, mults: dict[int, int]) -> "SplitBundle":
         """The bundle (+) O(a)^m over the items (a, m) of mults, m > 0."""
-        bundle = cls.__new__(cls)
-        bundle._set_counts(n, mults)
-        return bundle
-
-    def _set_counts(self, n: int, mults: dict[int, int]) -> None:
         check_closed_form_dimension(n)
         if not mults:
             raise ValueError("a split bundle has rank at least one")
         if any(m <= 0 for m in mults.values()):
             raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "counts", tuple(sorted(mults.items(), reverse=True)))
+        return tuple.__new__(cls, (n, tuple(sorted(mults.items(), reverse=True))))
+
+    def __getnewargs__(self) -> tuple:
+        return self.n, self.twists
+
+    __setattr__ = __delattr__ = refuse_write
 
     @cached_property
     def twists(self) -> tuple[int, ...]:
@@ -128,8 +128,7 @@ class SplitBundle:
         return "+".join(f"O({a})" if m == 1 else f"O({a})^{m}" for a, m in self.counts)
 
 
-@dataclass(frozen=True)
-class DistributionParams:
+class DistributionParams(namedtuple("DistributionParams", "n r d")):
     """Numeric profile (n, r, d) of a distribution on P^n.
 
     r is the dimension of the distribution (the rank of its tangent sheaf)
@@ -139,15 +138,14 @@ class DistributionParams:
     sum of twists of a split tangent sheaf.
     """
 
-    n: int
-    r: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.r <= self.n - 1:
+    def __new__(cls, n: int, r: int, d: int) -> "DistributionParams":
+        if not 1 <= r <= n - 1:
             raise ValueError("need 1 <= r <= n-1")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("degree must be nonnegative")
+        return tuple.__new__(cls, (n, r, d))
 
     @classmethod
     def from_pfaff(cls, n: int, pfaff: SplitBundle) -> "DistributionParams":
@@ -246,19 +244,21 @@ def porteous_singular_degree(n: int, pfaff: SplitBundle) -> int:
     return degree
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(namedtuple("ClassificationEntry", "n pfaff_twists sing_description degree")):
     """One row of the low-degree split-Pfaff classification; the foliation
     degree is derived from the Pfaff twists."""
 
-    n: int
-    pfaff_twists: tuple[int, ...]
-    sing_description: str
-    degree: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        pfaff = SplitBundle(self.n, self.pfaff_twists)
-        object.__setattr__(self, "degree", DistributionParams.from_pfaff(self.n, pfaff).d)
+    def __new__(cls, n: int, pfaff_twists: tuple[int, ...], sing_description: str) -> "ClassificationEntry":
+        degree = DistributionParams.from_pfaff(n, SplitBundle(n, pfaff_twists)).d
+        return tuple.__new__(cls, (n, pfaff_twists, sing_description, degree))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]
+
+    def to_json(self) -> dict:
+        return self._asdict()
 
 
 CLASSIFICATION = (

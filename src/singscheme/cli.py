@@ -10,8 +10,9 @@ byte-identical across runs of the same invocation.
 
 Each subcommand imports the library modules it runs inside its own
 handler, not at the top of this module, because every command is a fresh
-process: `degree` then compiles `chow` alone, never the polynomial-form
-and Hilbert code that only `form` needs.
+process: `degree` then loads `chow` alone, only `form` the polynomial-form
+and Hilbert code, and no command `inspect`, `ast`, `dis` or `tokenize`,
+since every record is a namedtuple or __slots__ class.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from math import inf, log10
 
 
@@ -361,7 +361,7 @@ def _cmd_classify(args) -> int:
     entry = classification_entry(args.n, args.degree)
     pfaff = str(SplitBundle(entry.n, entry.pfaff_twists))
     if args.json:
-        _emit_json({**asdict(entry), "pfaff": pfaff})
+        _emit_json({**entry.to_json(), "pfaff": pfaff})
     else:
         print(f"{pfaff} / {entry.sing_description}")
     return 0

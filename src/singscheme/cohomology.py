@@ -30,13 +30,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, repeat
 from math import comb, inf
 from operator import add, gt
 
-from .chow import SplitBundle, check_ambient_dimension, check_closed_form_dimension, read_number
+from .chow import SplitBundle, check_ambient_dimension, check_closed_form_dimension, read_number, refuse_write
 
 
 class LineBundle(namedtuple("LineBundle", "p k")):
@@ -151,10 +150,9 @@ def _json_value(value, kind: type, what: str, null=None):
     return value
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "lo hi")):
     """Set of twists lo <= t <= hi outside which a cohomology row is
-    certified zero.
+    certified zero: the immutable pair (lo, hi).
 
     An open end is -inf or inf (math.inf), only ever a bound. lo > hi is
     the empty window, which certifies that the whole row vanishes; every
@@ -162,20 +160,18 @@ class Window:
     clip.
     """
 
-    lo: int | float
-    hi: int | float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            object.__setattr__(self, "lo", inf)
-            object.__setattr__(self, "hi", -inf)
+    def __new__(cls, lo: int | float, hi: int | float) -> "Window":
+        return tuple.__new__(cls, (lo, hi) if lo <= hi else (inf, -inf))
 
     @property
     def empty(self) -> bool:
         return self.lo > self.hi
 
     def contains(self, t: int) -> bool:
-        return self.lo <= t <= self.hi
+        lo, hi = self
+        return lo <= t <= hi
 
     @property
     def is_finite(self) -> bool:
@@ -200,23 +196,23 @@ class Window:
 NOTHING = Window(inf, -inf)
 
 
-@dataclass(frozen=True)
-class VirtualSheaf:
-    """Formal direct sum of atoms with positive multiplicities on P^n.
+class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
+    """Formal direct sum of atoms with positive multiplicities on P^n: the
+    pair (n, atoms), atoms a sorted tuple of distinct (atom, multiplicity).
 
     The rows are read per sheaf, not per atom: one pass over the atoms
     gives every row window, and one sweep reads rows 0 and n and chi.
     Atoms are validated once, here.
     """
 
-    n: int
-    atoms: tuple[tuple[SheafAtom, int], ...]
-
-    def __post_init__(self) -> None:
-        check_closed_form_dimension(self.n)
-        for atom, _ in self.atoms:
-            if not 0 <= atom.p <= self.n:
+    def __new__(cls, n: int, atoms: tuple[tuple[SheafAtom, int], ...]) -> "VirtualSheaf":
+        check_closed_form_dimension(n)
+        for atom, _ in atoms:
+            if not 0 <= atom.p <= n:
                 raise ValueError(f"need 0 <= p <= n, got p={atom.p}")
+        return tuple.__new__(cls, (n, atoms))
+
+    __setattr__ = __delattr__ = refuse_write
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "VirtualSheaf":
@@ -378,6 +374,12 @@ def tensor_with_split(sheaf, bundle: SplitBundle) -> VirtualSheaf:
     if sheaf.n != bundle.n:
         raise ValueError("operands live on different projective spaces")
     counts, new = bundle.counts, tuple.__new__
+    if len(sheaf.atoms) == 1:
+        # One atom times distinct twists: distinct atoms, descending in k
+        # as counts is, so reversed they are already in sorted order.
+        ((atom, mult),) = sheaf.atoms
+        cls, p, k = type(atom), atom.p, atom.k
+        return VirtualSheaf(sheaf.n, tuple((new(cls, (p, k + a)), mult * m) for a, m in reversed(counts)))
     pairs = [(new(type(atom), (atom.p, atom.k + a)), mult * m) for atom, mult in sheaf.atoms for a, m in counts]
     return VirtualSheaf.from_pairs(sheaf.n, pairs)
 
@@ -445,7 +447,6 @@ ZERO = DimValue.exact(0)
 _UNKNOWN = DimValue(0, inf)
 
 
-@dataclass
 class CohomologyTable:
     """Rows q = 0..n of twist -> DimValue with per-row zero certificates.
 
@@ -453,13 +454,23 @@ class CohomologyTable:
     row with no entry, like a null window in a table file, has the window
     Window(-inf, inf), which excludes no twist (unmaterialized queries
     then answer with the trivial interval [0, inf)). dim_z tags tables that
-    describe an ideal sheaf with the dimension of its subscheme.
+    describe an ideal sheaf with the dimension of its subscheme. A table is
+    mutable, equal to a table of the same four fields, and unhashable.
     """
 
-    n: int
-    rows: dict[int, dict[int, DimValue]]
-    windows: dict[int, Window]
-    dim_z: int | None = None
+    __slots__ = ("n", "rows", "windows", "dim_z")
+    __hash__ = None
+
+    def __init__(self, n: int, rows: dict[int, dict[int, DimValue]], windows: dict[int, Window], dim_z: int | None = None):
+        self.n, self.rows, self.windows, self.dim_z = n, rows, windows, dim_z
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.rows, self.windows, self.dim_z) == (other.n, other.rows, other.windows, other.dim_z)
+
+    def __repr__(self) -> str:
+        return f"CohomologyTable(n={self.n!r}, rows={self.rows!r}, windows={self.windows!r}, dim_z={self.dim_z!r})"
 
     def window(self, q: int) -> Window:
         if q < 0 or q > self.n:

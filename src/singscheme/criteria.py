@@ -12,7 +12,7 @@ window is unbounded). Verdicts carry the witnesses, never just a boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf
 
 from .cohomology import CohomologyTable, DimValue
@@ -22,8 +22,7 @@ class InapplicableError(ValueError):
     """A criterion's hypotheses exclude the given input."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "decision witnesses certificate")):
     """Outcome of a criterion: holds / fails / undetermined, justified.
 
     Witnesses are (q, twist, value) triples; fails always carries the
@@ -31,18 +30,17 @@ class Verdict:
     localized, and holds relies on the certificate string.
     """
 
-    decision: str
-    witnesses: tuple[tuple[int, int, DimValue], ...] = ()
-    certificate: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.decision not in ("holds", "fails", "undetermined"):
-            raise ValueError(f"unknown decision {self.decision!r}")
-        if self.decision in ("holds", "fails"):
-            if not self.witnesses and not self.certificate:
+    def __new__(cls, decision: str, witnesses: tuple[tuple[int, int, DimValue], ...] = (), certificate: str = "") -> "Verdict":
+        if decision not in ("holds", "fails", "undetermined"):
+            raise ValueError(f"unknown decision {decision!r}")
+        if decision in ("holds", "fails"):
+            if not witnesses and not certificate:
                 raise ValueError(
                     "holds/fails needs a witness or a certificate"
                 )
+        return tuple.__new__(cls, (decision, witnesses, certificate))
 
     @property
     def holds(self) -> bool:

@@ -22,14 +22,14 @@ from __future__ import annotations
 import random
 import re
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
 # The one literal reader and the one n >= 1 rule, shared with every command;
 # the parser's cap is importable from here too.
-from .chow import check_ambient_dimension, read_number
+from .chow import check_ambient_dimension, read_number, refuse_write
 
 
 # Monomial packing (Monagan-Pearce 2009): the exponent of z_i sits in bits
@@ -298,17 +298,36 @@ def _sum(nvars: int, polys) -> HomogeneousPoly:
     return HomogeneousPoly(nvars, degrees.pop(), out)
 
 
-@dataclass(frozen=True)
 class PolyKForm:
     """Polynomial k-form: strictly increasing index tuples -> coefficients.
 
     All nonzero coefficients share one polynomial degree; poly_degree is -1
-    for the zero form.
+    for the zero form. A form is immutable, equal and hashed by its three
+    fields; it is no tuple, so its only arithmetic is its own.
     """
 
-    nvars: int
-    k: int
-    coeffs: tuple[tuple[tuple[int, ...], HomogeneousPoly], ...]
+    __slots__ = ("nvars", "k", "coeffs")
+
+    def __init__(self, nvars: int, k: int, coeffs: tuple[tuple[tuple[int, ...], HomogeneousPoly], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = refuse_write
+
+    def __reduce__(self) -> tuple:
+        return PolyKForm, (self.nvars, self.k, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nvars, self.k, self.coeffs) == (other.nvars, other.k, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.k, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"PolyKForm(nvars={self.nvars!r}, k={self.k!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def from_dict(cls, nvars: int, k: int, coeffs) -> "PolyKForm":
@@ -366,22 +385,21 @@ class PolyKForm:
         return form_str(self)
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
+class PolyVectorField(namedtuple("PolyVectorField", "nvars components")):
     """Vector field sum f_i d/dz_i with homogeneous components of one degree."""
 
-    nvars: int
-    components: tuple[HomogeneousPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.components) != self.nvars:
+    def __new__(cls, nvars: int, components: tuple[HomogeneousPoly, ...]) -> "PolyVectorField":
+        if len(components) != nvars:
             raise ValueError("need one component per variable")
-        degrees = {c.degree for c in self.components if not c.is_zero}
+        degrees = {c.degree for c in components if not c.is_zero}
         if len(degrees) > 1:
             raise ValueError(f"mixed component degrees {sorted(degrees)}")
-        for c in self.components:
-            if c.nvars != self.nvars:
+        for c in components:
+            if c.nvars != nvars:
                 raise ValueError("component in wrong ring")
+        return tuple.__new__(cls, (nvars, components))
 
     @property
     def degree(self) -> int:
@@ -412,19 +430,18 @@ def volume_form(nvars: int) -> PolyKForm:
     )
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
+class GradedIdeal(namedtuple("GradedIdeal", "nvars generators")):
     """Ideal given by homogeneous generators, possibly of mixed degrees."""
 
-    nvars: int
-    generators: tuple[HomogeneousPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
+    def __new__(cls, nvars: int, generators: tuple[HomogeneousPoly, ...]) -> "GradedIdeal":
+        for g in generators:
             if g.is_zero:
                 raise ValueError("generators must be nonzero")
-            if g.nvars != self.nvars:
+            if g.nvars != nvars:
                 raise ValueError("generator in wrong ring")
+        return tuple.__new__(cls, (nvars, generators))
 
     @property
     def degrees(self) -> tuple[int, ...]:

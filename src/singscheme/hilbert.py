@@ -19,7 +19,7 @@ unsaturated ideal only moves stable_from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -217,8 +217,7 @@ def _hilbert_polynomial(num, n: int) -> tuple[tuple, int, int]:
     return tuple(Fraction(a, scale) for a in acc), dim, e[n - dim]
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(namedtuple("HilbertProfile", "ideal values polynomial stable_from scheme_dim scheme_deg numerator")):
     """Hilbert function values on [0, t_max] with the Hilbert polynomial
     (ascending rational coefficients, integer-valued), the first twist from
     which the two agree, and the scheme's dimension and degree, all exact;
@@ -226,13 +225,7 @@ class HilbertProfile:
     numerator is N(t) of the Hilbert series N(t)/(1-t)^(n+1), which gives
     HF at every twist."""
 
-    ideal: GradedIdeal
-    values: dict
-    polynomial: tuple
-    stable_from: int
-    scheme_dim: int
-    scheme_deg: int
-    numerator: tuple
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -1,5 +1,5 @@
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -470,7 +470,7 @@ class TestClassification:
         for entry in CLASSIFICATION:
             params = DistributionParams.from_pfaff(entry.n, SplitBundle(entry.n, entry.pfaff_twists))
             assert (params.r, params.d) == (1, entry.degree)
-            assert asdict(entry)["degree"] == entry.degree
+            assert entry.to_json()["degree"] == entry.degree
 
     def test_unknown_row_names_the_known_ones(self):
         with pytest.raises(ValueError, match=r"no classification row for n=6, degree=2; known: \(n=4, degree=2\)"):

@@ -12,7 +12,6 @@ import copy
 import pickle
 import random
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, inf
@@ -559,6 +558,22 @@ class TestPowers:
                 )
                 assert sum(m for _, m in bundle.counts) == bundle.rank
 
+    def test_one_atom_products_match_from_pairs(self):
+        # One atom times the distinct twists of counts is built in sorted
+        # order without the dict merge; from_pairs is the reference, and the
+        # atom classes are compared too, since LineBundle(k) equals the pair
+        # CotangentPower(0, k).
+        rng = random.Random(20261021)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            bundle = SplitBundle(n, [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))])
+            p, k, mult = rng.randint(0, n), rng.randint(-8, 8), rng.randint(1, 4)
+            atom = CotangentPower(p, k) if rng.random() < 0.5 else normalize_atom(n, p, k)
+            want = VirtualSheaf.from_pairs(n, [(CotangentPower(p, k + a), mult * m) for a, m in bundle.counts])
+            for sheaf in (VirtualSheaf.from_atom(n, atom, mult), *([atom] if mult == 1 else [])):
+                got = tensor_with_split(sheaf, bundle)
+                assert got == want and list(map(type, dict(got.atoms))) == list(map(type, dict(want.atoms)))
+
     def test_twist_and_dual_helpers(self):
         t = tangent_sheaf(3)
         twisted = tensor_with_split(t, SplitBundle(3, (-4,)))
@@ -677,7 +692,7 @@ class TestDimValue:
             for back in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
                 assert back == v and type(back) is DimValue
         verdict = Verdict("fails", ((1, 0, DimValue(2, inf)), (2, -3, DimValue.exact(1))), "acm: nonzero")
-        data = asdict(verdict)
+        data = verdict._asdict()
         assert data == {"decision": "fails", "witnesses": verdict.witnesses, "certificate": "acm: nonzero"}
         assert all(type(v) is DimValue for _, _, v in data["witnesses"])
         assert pickle.loads(pickle.dumps(verdict)) == verdict

@@ -13,7 +13,6 @@ refuses an inf that leaks into a number.
 """
 
 import json
-from dataclasses import dataclass
 from math import inf
 
 import pytest
@@ -150,12 +149,14 @@ def to_table(n, rows, windows) -> CohomologyTable:
     )
 
 
-@dataclass(frozen=True)
 class GivenWindows(VirtualSheaf):
     """A closed-form term whose row windows are given, so the window pass
     reads windows of any shape."""
 
-    given: tuple = ()
+    def __new__(cls, n: int, atoms: tuple, given: tuple):
+        sheaf = super().__new__(cls, n, atoms)
+        object.__setattr__(sheaf, "given", given)
+        return sheaf
 
     def row_window(self, q: int) -> Window:
         return self.given[q] if 0 <= q < len(self.given) else NOTHING

@@ -4,6 +4,8 @@ import ast
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -277,3 +279,42 @@ def test_class_members_are_reached_outside_the_tests():
         and reads[member.name] == _attribute_reads(member)[member.name]
     ]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # Importing dataclasses costs every one-shot command about 10 ms, as it
+    # pulls in inspect, ast, dis and tokenize, and each dataclass another
+    # millisecond to build; records are namedtuple or __slots__ classes.
+    found = []
+    for path in sorted(Path(singscheme.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+# Imports every package module and runs one chase --json through cli.main,
+# under -S so that no .pth file of the environment loads modules first.
+_START_UP_CHILD = """
+import contextlib, io, os, sys
+sys.path.insert(0, sys.argv[1])
+import singscheme.cli
+for name in os.listdir(os.path.join(sys.argv[1], "singscheme")):
+    if name.endswith(".py"):
+        __import__("singscheme." + name[:-3])
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = singscheme.cli.main(["chase", "--pfaff=-2,-2,-2", "--r", "2", "--json"])
+print(rc, bool(out.getvalue()), sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _START_UP_CHILD, str(Path(singscheme.__file__).parents[1])],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "[]"]
