@@ -29,7 +29,6 @@ tangent complex and the Pfaff complex of every dimension r >= 1 call it.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
@@ -256,6 +255,7 @@ class ChaseResult(namedtuple("ChaseResult", "n tables plan")):
             },
             "entries": entries,
         }
+        import json
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -12,13 +12,13 @@ Each subcommand imports the library modules it runs inside its own
 handler, not at the top of this module, because every command is a fresh
 process: `degree` then loads `chow` alone, only `form` the polynomial-form
 and Hilbert code, and no command `inspect`, `ast`, `dis` or `tokenize`,
-since every record is a namedtuple or __slots__ class.
+since every record is a namedtuple or __slots__ class. Only --json,
+--explain and a --table file load `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -84,6 +84,7 @@ def _check_printable(cells, name: str = "h^{}(t={})") -> None:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 

@@ -27,7 +27,6 @@ one sweep of forward differences reads them.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
@@ -525,10 +524,12 @@ class CohomologyTable:
         return cls(n, rows, windows, None if dim_z is None else _json_value(dim_z, int, "dim_z"))
 
     def dumps(self) -> str:
+        import json
         return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def loads(cls, text: str) -> "CohomologyTable":
+        import json
         return cls.from_json(json.loads(text, parse_int=lambda s: read_number(s, "a table entry")))
 
 

@@ -10,17 +10,21 @@ the degeneracy locus. All arithmetic is exact rational.
 A polynomial maps packed monomials (one int per exponent vector) to
 coefficients that are ints, or Fractions where not integral; its degree is
 at most MAX_DEGREE. Exponent vectors appear only at the edges: from_dict,
-the terms view, and printing. Forms map strictly increasing index tuples
+the terms view, printing and leading monomials, each read off the packed
+int's bytes as unsigned shorts. Forms map strictly increasing index tuples
 to polynomials, so the antisymmetric representation is canonical and
-equality is structural. One product kernel, _accumulate, is behind *,
-contract and wedge: each adds its products in place, one dict per output
-polynomial, after one check of the caps (_check_product).
+equality is structural. One product
+kernel, _accumulate, is behind *, contract and wedge: each adds its
+products in place, one dict per output polynomial, after one check of the
+caps (_check_product). The parser adds the signed summands of a sum term
+by term into one dict and checks its degrees once, as _sum does.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
 import warnings
 from collections import namedtuple
 from fractions import Fraction
@@ -53,7 +57,6 @@ MAX_PRODUCT_WORK = 1_000_000
 # 165 factors (z0+z1+z2) take 2.29 million and parse in 0.9 s (Python 3.11,
 # one core of a shared 2-core host), and a 166th is refused.
 MAX_PARSE_WORK = 2_300_000
-_FIELD = (1 << FIELD_BITS) - 1
 
 
 def pack_monomial(expo) -> int:
@@ -61,7 +64,8 @@ def pack_monomial(expo) -> int:
 
 
 def unpack_monomial(m: int, nvars: int) -> tuple[int, ...]:
-    return tuple((m >> (FIELD_BITS * i)) & _FIELD for i in range(nvars))
+    # each FIELD_BITS = 16 field is one unsigned short in native byte order
+    return tuple(memoryview(m.to_bytes(2 * nvars, sys.byteorder)).cast("H"))
 
 
 def _check_degree(degree: int) -> None:
@@ -79,8 +83,10 @@ def _check_variables(nvars: int) -> None:
 
 def variable_index(digits: str) -> int:
     """The index that the digits of a z<i> or dz<i> token spell. An index
-    with more digits than MAX_VARIABLES is over the cap whatever its value,
-    so it is refused before int() reads all of it."""
+    with more digits than MAX_VARIABLES, past leading zeros, is over the cap
+    whatever its value, so it is refused before int() reads all of it."""
+    if len(digits) <= len(str(MAX_VARIABLES)):
+        return int(digits)
     digits = digits.lstrip("0") or "0"
     if len(digits) > len(str(MAX_VARIABLES)):
         raise ValueError(
@@ -108,9 +114,10 @@ def _check_product(nvars: int, degree: int, len_a: int, len_b: int) -> None:
 def _accumulate(out: dict, a: dict, b: dict, sign: int) -> dict:
     """Add sign * c1 * c2 at m1 + m2 to out for each term pair of a and b."""
     get = out.get
+    a = list(a.items())
     for m2, c2 in b.items():
         c2 *= sign
-        for m1, c1 in a.items():
+        for m1, c1 in a:
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
     return out
@@ -280,17 +287,22 @@ class HomogeneousPoly:
 
 
 def _sum(nvars: int, polys) -> HomogeneousPoly:
-    """Sum of polynomials in one ring; ValueError when the terms that
-    survive cancellation have different degrees."""
+    """Sum of polynomials in one ring (see _summed)."""
     out: dict = {}
     get = out.get
     for p in polys:
         for m, c in p.packed.items():
             out[m] = get(m, 0) + c
+    return _summed(nvars, out, {p.degree for p in polys if p.packed})
+
+
+def _summed(nvars: int, out: dict, degrees: set) -> HomogeneousPoly:
+    """The polynomial of out, a packed sum of summands of the given degrees;
+    ValueError when the terms that survive cancellation have different
+    degrees."""
     out = _canonical(out)
     if not out:
         return HomogeneousPoly.zero(nvars)
-    degrees = {p.degree for p in polys if p.packed}
     if len(degrees) > 1:
         degrees = {sum(unpack_monomial(m, nvars)) for m in out}
         if len(degrees) > 1:
@@ -672,8 +684,8 @@ class _Parser:
             raise ValueError(f"the products of the form exceed the cap of {MAX_PARSE_WORK} coefficient products per parse")
         return out
 
-    def fail(self, message: str):
-        raise FormParseError(f"{message} (token {self.pos})")
+    def fail(self, message: str, pos: int | None = None):
+        raise FormParseError(f"{message} (token {self.pos if pos is None else pos})")
 
     def parse_form(self) -> PolyKForm:
         tokens = self.tokens
@@ -686,7 +698,8 @@ class _Parser:
                 self.pos += 1
             elif k is not None:
                 self.fail(f"expected + or - before {tok!r}")
-            poly = self.parse_product()
+            factors = self.parse_product()
+            poly = None if factors is None else self.times_term(*factors)
             indices = self.parse_chain() if (tokens[self.pos] or "").startswith("dz") else ()
             if poly is None and not indices:
                 self.fail("empty term")
@@ -699,59 +712,59 @@ class _Parser:
             if tokens[self.pos] is None:
                 return PolyKForm.from_dict(self.nvars, k, terms)
 
-    def parse_product(self) -> HomogeneousPoly | None:
-        """Factors up to the next +, -, ) or dz token; None if there are none.
-        Numbers and powers z_i^e fold into one (packed monomial, coefficient,
-        degree) term; only a parenthesized sum takes a polynomial product, and
-        a term 1 after one multiplies nothing. The written degree is capped
-        even at coefficient 0; a zero sum adds 0."""
-        tokens = self.tokens
+    def parse_product(self) -> tuple | None:
+        """Factors up to the next +, -, ) or dz token as times_term's
+        arguments, read by first character; None if there are none. Numbers
+        and powers z_i^e fold into one (packed monomial, coefficient, degree)
+        term; only a parenthesized sum takes a polynomial product, and a term
+        1 after one multiplies nothing. The written degree is capped even at
+        coefficient 0; a zero sum adds 0."""
+        tokens, nvars = self.tokens, self.nvars
+        pos = self.pos
         poly, found = None, False
         mono, coeff, degree, written = 0, 1, 0, 0
-        while True:
-            tok = tokens[self.pos]
-            if tok is None or tok in ("+", "-", ")") or tok.startswith("dz"):
-                break
-            self.pos += 1
-            if tok == "*":
+        while (tok := tokens[pos]) is not None and (first := tok[0]) not in "+-)d":
+            pos += 1
+            if first == "*":
                 continue
             found = True
-            if tok == "(":
-                factor = self.parse_poly_sum()
-                self.pos += 1
-                if tokens[self.pos - 1] != ")":
-                    self.fail("missing )")
-                poly = self.times(self.times_term(poly, mono, coeff, degree), factor)
-                mono, coeff, degree = 0, 1, 0
-                written += max(factor.degree, 0)
-            elif tok[0].isdigit():
-                try:
-                    coeff *= read_number(tok, "a coefficient")
-                except ZeroDivisionError:
-                    self.fail(f"zero denominator in {tok}")
-            elif tok[0] != "z":
-                self.fail(f"unexpected token {tok!r}")
-            else:
+            if first == "z":
                 i = variable_index(tok[1:])
-                if i >= self.nvars:
-                    self.fail(f"variable z{i} out of range for {self.nvars} variables")
+                if i >= nvars:
+                    self.fail(f"variable z{i} out of range for {nvars} variables", pos)
                 e = 1
-                if tokens[self.pos] == "^":
-                    power = tokens[self.pos + 1]
-                    self.pos += 2
+                if tokens[pos] == "^":
+                    power = tokens[pos + 1]
+                    pos += 2
                     if not (power or "").isdigit():
-                        self.fail("expected an integer power")
+                        self.fail("expected an integer power", pos)
                     digits = power.lstrip("0") or "0"
                     if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                        self.fail(f"power {digits} exceeds the degree cap of {MAX_DEGREE}")
+                        self.fail(f"power {digits} exceeds the degree cap of {MAX_DEGREE}", pos)
                     e = int(digits)
                 mono += e << (FIELD_BITS * i)
                 degree += e
                 written += e
-            _check_degree(written)
-        if not found:
-            return None
-        return self.times_term(poly, mono, coeff, degree)
+                _check_degree(written)
+            elif first.isdigit():
+                try:
+                    coeff *= read_number(tok, "a coefficient")
+                except ZeroDivisionError:
+                    self.fail(f"zero denominator in {tok}", pos)
+            elif first == "(":
+                self.pos = pos
+                factor = self.parse_poly_sum()
+                pos = self.pos + 1
+                if tokens[pos - 1] != ")":
+                    self.fail("missing )", pos)
+                poly = self.times(self.times_term(poly, mono, coeff, degree), factor)
+                mono, coeff, degree = 0, 1, 0
+                written += max(factor.degree, 0)
+                _check_degree(written)
+            else:
+                self.fail(f"unexpected token {tok!r}", pos)
+        self.pos = pos
+        return (poly, mono, coeff, degree) if found else None
 
     def times_term(self, poly: HomogeneousPoly | None, mono: int, coeff, degree: int) -> HomogeneousPoly:
         """poly times the term coeff * mono: that term where poly is None,
@@ -763,20 +776,33 @@ class _Parser:
         return term if poly is None else self.times(poly, term)
 
     def parse_poly_sum(self) -> HomogeneousPoly:
-        summands = []
+        """Signed summands, added term by term into one packed dict."""
+        out: dict = {}
+        get = out.get
+        degrees = set()
         while True:
             tok = self.tokens[self.pos]
-            sign = -1 if tok == "-" else 1
             if tok in ("+", "-"):
                 self.pos += 1
-            term = self.parse_product()
+            factors = self.parse_product()
+            if factors is not None:
+                poly, mono, coeff, degree = factors
+                if poly is None:  # one monomial: no polynomial is built for it
+                    terms = ((mono, coeff),) if coeff else ()
+                else:
+                    poly = self.times_term(poly, mono, coeff, degree)
+                    terms, degree = poly.packed.items(), poly.degree
             if (self.tokens[self.pos] or "").startswith("dz"):
                 self.fail("dz inside a coefficient")
-            if term is None:
+            if factors is None:
                 self.fail("empty summand in coefficient")
-            summands.append(term * sign)
+            if terms:
+                degrees.add(degree)
+                sign = -1 if tok == "-" else 1
+                for m, c in terms:
+                    out[m] = get(m, 0) + sign * c
             if self.tokens[self.pos] not in ("+", "-"):
-                return _sum(self.nvars, summands)
+                return _summed(self.nvars, out, degrees)
 
     def parse_chain(self):
         indices = []

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import warnings
+from array import array
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -247,6 +248,53 @@ class TestReferenceKernel:
         # terms at one index tuple merge, and cancel, before their degrees are compared
         w = PolyKForm.from_dict(2, 1, [((0,), z(2, 0)), ((0,), z(2, 1) * z(2, 1)), ((0,), -z(2, 1) * z(2, 1))])
         assert w.coefficient((0,)) == z(2, 0)
+
+
+def high_pairs(rng, nvars, degree):
+    """Up to five (exponent, coefficient) pairs of one degree >= 256, each
+    exponent vector with an entry of 256 or more, so that every exponent
+    spills past one byte; about half the coefficients are p/q fractions."""
+    pairs = []
+    for _ in range(rng.randint(1, 5)):
+        expo = [0] * nvars
+        expo[rng.randrange(nvars)] = rng.randint(256, degree)
+        for _ in range(degree - sum(expo)):
+            expo[rng.randrange(nvars)] += 1
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5 else rng.randint(-9, 9)
+        pairs.append((tuple(expo), c))
+    return pairs
+
+
+class TestPackedExponents:
+    def test_field_is_one_unsigned_short(self):
+        # unpack_monomial reads the packed int's bytes as unsigned shorts
+        assert forms.FIELD_BITS == 8 * array("H").itemsize == 16
+        for i in range(5):
+            assert forms.unpack_monomial(1 << (forms.FIELD_BITS * i), 5) == tuple(int(j == i) for j in range(5))
+        assert forms.unpack_monomial((1 << forms.FIELD_BITS) - 1 + (7 << forms.FIELD_BITS), 2) == (65535, 7)
+        assert forms.unpack_monomial(0, 3) == (0, 0, 0)
+
+    def test_unpack_inverts_pack_in_every_ring(self):
+        # entries up to MAX_DEGREE, many of 256 or more: a slip in byte
+        # order or field width moves them into a neighbouring field
+        rng = random.Random(3030)
+        choices = (0, 1, 255, 256, 257, 511, forms.MAX_DEGREE)
+        for nvars in range(1, forms.MAX_VARIABLES + 1):
+            expo = tuple(rng.choice(choices) if rng.random() < 0.5 else rng.randint(0, forms.MAX_DEGREE) for _ in range(nvars))
+            assert forms.unpack_monomial(forms.pack_monomial(expo), nvars) == expo
+
+    def test_terms_and_leading_monomial_match_the_tuple_reference(self):
+        rng = random.Random(3031)
+        for _ in range(300):
+            nvars = rng.randint(1, 7)
+            pairs = high_pairs(rng, nvars, rng.randint(256, forms.MAX_DEGREE))
+            p, ref = HomogeneousPoly.from_dict(nvars, pairs), ref_poly(pairs)
+            assert p.terms == ref_terms(ref)
+            normalized = p.content_normalized()
+            assert normalized.terms == ref_terms(ref_content_normalized(ref))
+            if ref:
+                # the lex-leading coefficient is the positive one
+                assert normalized.terms[0][0] == max(ref) and normalized.terms[0][1] > 0
 
 
 class TestDegreeCap:
@@ -959,6 +1007,41 @@ class TestGrammar:
         for _ in range(50):
             p = random_poly(rng, 4, rng.randint(0, 3))
             assert parse_poly(poly_str(p), 4) == p
+
+    def test_round_trip_with_fractions_and_high_powers(self):
+        rng = random.Random(3032)
+        for _ in range(60):
+            nvars = rng.randint(2, 5)
+            k = rng.randint(0, nvars)
+            degree = rng.randint(256, forms.MAX_DEGREE)
+            pool = list(combinations(range(nvars), k))
+            form = PolyKForm.from_dict(nvars, k, {
+                idx: HomogeneousPoly.from_dict(nvars, high_pairs(rng, nvars, degree))
+                for idx in rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+            })
+            if form.is_zero:
+                continue
+            text = form_str(form)
+            assert parse_form(text, nvars) == form
+            assert form_str(parse_form(text, nvars)) == text
+
+    def test_summands_cancel_before_their_degrees_are_compared(self):
+        assert parse_form("(z0^2 + z1 - z1) dz0", 3) == parse_form("z0^2 dz0", 3)
+        assert parse_form("(z1 - z0^2 + 1/2 z0^2 + 1/2 z0 z0) dz0", 3) == parse_form("z1 dz0", 3)
+
+    def test_mixed_degree_sum_keeps_its_message(self):
+        for text in ("(z0^2 + z1) dz0", "(z1 - z0^2) dz0", "(z0^2 + z1 - z1 + z2) dz0"):
+            with pytest.raises(ValueError) as exc:
+                parse_form(text, 3)
+            assert str(exc.value) == "not homogeneous: degrees [1, 2]"
+
+    def test_sum_that_cancels_to_zero(self):
+        zero = parse_form("(z0 - z0) dz1", 3)
+        assert zero == PolyKForm(3, 1, ()) and form_str(zero) == "0"
+        assert parse_form("(z0 - z0) dz1 + z1 dz0", 3) == parse_form("z1 dz0", 3)
+        assert parse_form("z2 (z0^3 - z0^3) dz1 + z1 dz0", 3) == parse_form("z1 dz0", 3)
+        # a zero summand adds nothing, and no degree
+        assert parse_form("(0 z0^2 + z1 - 0*z2^5) dz0", 3) == parse_form("z1 dz0", 3)
 
     def test_errors(self):
         with pytest.raises(FormParseError):

@@ -318,3 +318,41 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True", "[]"]
+
+
+# Runs four text commands, then one chase --json, through cli.main under
+# -S, and prints after each whether json has been loaded.
+_JSON_CHILD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import singscheme.cli
+for argv in (
+    ["degree", "--n", "3", "--r", "1", "--d-list", "1"],
+    ["cohomology", "--n", "3", "--sheaf", "O(-1)+O(-2)", "--twists=-1..2"],
+    ["regularity", "--from-chase", "pfaff:1:-2,-2"],
+    ["form", "sing", "--input", sys.argv[2]],
+    ["chase", "--pfaff=-2,-2,-2", "--r", "2", "--json"],
+):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = singscheme.cli.main(argv)
+    print(argv[0], rc, bool(out.getvalue()), "json" in sys.modules)
+"""
+
+
+def test_only_json_output_loads_json(tmp_path):
+    # json costs a one-shot command about 2.5 ms; only the commands that
+    # read or write JSON import it
+    form = tmp_path / "two_lines.form"
+    form.write_text("z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _JSON_CHILD, str(Path(singscheme.__file__).parents[1]), str(form)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "degree 0 True False",
+        "cohomology 0 True False",
+        "regularity 0 True False",
+        "form 0 True False",
+        "chase 0 True True",
+    ]
