@@ -17,7 +17,11 @@ equality is structural. One product
 kernel, _accumulate, is behind *, contract and wedge: each adds its
 products in place, one dict per output polynomial, after one check of the
 caps (_check_product). The parser adds the signed summands of a sum term
-by term into one dict and checks its degrees once, as _sum does.
+by term into one dict and checks its degrees once, as _sum does. Text is
+read and written a monomial at a time: a *-joined run of z<i> and z<i>^<e>
+factors is one token, checked where a parse_form call first meets it and
+looked up in a per-call dict after; form_str, through a per-call dict too,
+unpacks and writes each distinct packed monomial once.
 """
 
 from __future__ import annotations
@@ -644,48 +648,93 @@ class FormParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|dz\d+|z\d+|[+\-*^()])")
+# Tokens: numbers, dz<i>, + - * ^ ( ) and monomials, a *-joined run of z<i>
+# and z<i>^<e> (e no numerator), which an error counts as the (z count) + 2 x
+# (^ count) + (* count) tokens of the grammar. findall steps over whitespace.
+_POWER = r"(?:\^\d+(?!\d|/\d))?"
+_TOKEN = re.compile(rf"\d+(?:/\d+)?|dz\d+|z\d+{_POWER}(?:\*z\d+{_POWER})*|[+\-*^()]")
+_FACTOR = re.compile(r"z(\d+)(?:\^(\d*))?")
+# Parentheses nest at most this deep; each level takes two parser frames.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
     """The tokens of text, in one pass. Tokens hold no whitespace and never
     overlap, so they cover text when their lengths add up to its count of
-    other characters; otherwise the match is walked to where it fails, and
-    the first character there that is not whitespace is named."""
+    other characters; else the first character outside them is named."""
     tokens = _TOKEN.findall(text)
     if sum(map(len, tokens)) == len("".join(text.split())):
         return tokens
     pos = 0
-    while m := _TOKEN.match(text, pos):
+    for m in _TOKEN.finditer(text):
+        if text[pos : m.start()].strip():
+            break
         pos = m.end()
     pos = len(text) - len(text[pos:].lstrip())
     raise FormParseError(f"unexpected character at position {pos}: {text[pos]!r}")
 
 
+def _head(tok):
+    """The first grammar token of tok: a monomial's first z<i>."""
+    return f"z{_FACTOR.match(tok)[1]}" if tok and tok[0] == "z" else tok
+
+
 class _Parser:
     """Terms are <poly factors> <dz chain>, joined by + and -. Polynomial
-    factors are numbers, variables with optional ^power, and parenthesized
-    sums; * between factors is optional. dz indices wedge with ^. The token
-    list ends in None, where every read either stops or fails."""
+    factors are numbers, monomials (a power may stand apart: z0 ^ 2) and
+    parenthesized sums; * between factors is optional. dz indices wedge with
+    ^. The token list ends in None, where every read either stops or fails;
+    seen maps each monomial token read to its (packed monomial, degree)."""
 
     def __init__(self, tokens, nvars: int):
         self.tokens = [*tokens, None]
         self.pos = 0
         self.nvars = nvars
         self.work = 0
+        self.depth = 0
+        self.seen = {}
 
-    def times(self, a: HomogeneousPoly, b: HomogeneousPoly) -> HomogeneousPoly:
+    def times(self, a: HomogeneousPoly | None, b: HomogeneousPoly) -> HomogeneousPoly:
         """a * b, whose len_a * len_b coefficient products count against
         the MAX_PARSE_WORK of the whole parse once the product's own caps
-        have passed."""
-        out = a * b
-        self.work += len(a.packed) * len(b.packed)
+        have passed. An a of None is the constant 1: b is taken as it is,
+        checked and counted as the product 1 * b."""
+        out = b if a is None else a * b
+        if a is None:
+            _check_product(self.nvars, b.degree, 1, len(b.packed))
+        self.work += (1 if a is None else len(a.packed)) * len(b.packed)
         if self.work > MAX_PARSE_WORK:
             raise ValueError(f"the products of the form exceed the cap of {MAX_PARSE_WORK} coefficient products per parse")
         return out
 
-    def fail(self, message: str, pos: int | None = None):
-        raise FormParseError(f"{message} (token {self.pos if pos is None else pos})")
+    def fail(self, message: str, pos: int | None = None, tail: str = ""):
+        """Raise at the grammar token after tokens[:pos] and the part tail
+        of tokens[pos] that was read."""
+        read = self.tokens[: self.pos if pos is None else pos] + ([tail] if tail != "" else [])
+        index = sum(t.count("z") + 2 * t.count("^") + t.count("*") if t and t[0] == "z" else 1 for t in read)
+        raise FormParseError(f"{message} (token {index})")
+
+    def monomial(self, tok: str, pos: int, written: int) -> tuple[int, int]:
+        """(packed monomial, degree) of the monomial token tok at pos: each
+        factor's index, ring, power and the term's written degree checked."""
+        mono = degree = 0
+        for m in _FACTOR.finditer(tok):
+            digits, power = m.groups()
+            i = variable_index(digits)
+            if i >= self.nvars:
+                self.fail(f"variable z{i} out of range for {self.nvars} variables", pos, tok[: m.end(1)])
+            e = 1
+            if power is not None:
+                if not power:
+                    self.fail("expected an integer power", pos, tok)
+                power = power.lstrip("0") or "0"
+                if len(power) > len(str(MAX_DEGREE)) or int(power) > MAX_DEGREE:
+                    self.fail(f"power {power} exceeds the degree cap of {MAX_DEGREE}", pos, tok[: m.end()])
+                e = int(power)
+            mono += e << (FIELD_BITS * i)
+            degree += e
+            _check_degree(written + degree)
+        return mono, degree
 
     def parse_form(self) -> PolyKForm:
         tokens = self.tokens
@@ -697,7 +746,7 @@ class _Parser:
             if tok in ("+", "-"):
                 self.pos += 1
             elif k is not None:
-                self.fail(f"expected + or - before {tok!r}")
+                self.fail(f"expected + or - before {_head(tok)!r}")
             factors = self.parse_product()
             poly = None if factors is None else self.times_term(*factors)
             indices = self.parse_chain() if (tokens[self.pos] or "").startswith("dz") else ()
@@ -715,11 +764,12 @@ class _Parser:
     def parse_product(self) -> tuple | None:
         """Factors up to the next +, -, ) or dz token as times_term's
         arguments, read by first character; None if there are none. Numbers
-        and powers z_i^e fold into one (packed monomial, coefficient, degree)
-        term; only a parenthesized sum takes a polynomial product, and a term
-        1 after one multiplies nothing. The written degree is capped even at
-        coefficient 0; a zero sum adds 0."""
-        tokens, nvars = self.tokens, self.nvars
+        and monomials fold into one (packed monomial, coefficient, degree)
+        term, each monomial token looked up in seen; only a parenthesized
+        sum takes a polynomial product, none when it opens the product, and
+        a term 1 after one multiplies nothing. The written degree is capped
+        even at coefficient 0; a zero sum adds 0."""
+        tokens, seen = self.tokens, self.seen
         pos = self.pos
         poly, found = None, False
         mono, coeff, degree, written = 0, 1, 0, 0
@@ -729,35 +779,36 @@ class _Parser:
                 continue
             found = True
             if first == "z":
-                i = variable_index(tok[1:])
-                if i >= nvars:
-                    self.fail(f"variable z{i} out of range for {nvars} variables", pos)
-                e = 1
-                if tokens[pos] == "^":
+                start = pos - 1
+                if tokens[pos] == "^" and "^" not in tok[tok.rfind("z") :]:
+                    # a power written apart, as in z0 ^ 2; any other token there is no power
                     power = tokens[pos + 1]
                     pos += 2
-                    if not (power or "").isdigit():
-                        self.fail("expected an integer power", pos)
-                    digits = power.lstrip("0") or "0"
-                    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                        self.fail(f"power {digits} exceeds the degree cap of {MAX_DEGREE}", pos)
-                    e = int(digits)
-                mono += e << (FIELD_BITS * i)
-                degree += e
-                written += e
-                _check_degree(written)
+                    tok += "^" + (power if (power or "").isdigit() else "")
+                hit = seen.get(tok)
+                if hit is None or written + hit[1] > MAX_DEGREE:
+                    hit = seen[tok] = self.monomial(tok, start, written)
+                mono += hit[0]
+                degree += hit[1]
+                written += hit[1]
             elif first.isdigit():
                 try:
                     coeff *= read_number(tok, "a coefficient")
                 except ZeroDivisionError:
                     self.fail(f"zero denominator in {tok}", pos)
             elif first == "(":
+                if self.depth == MAX_NESTING:
+                    self.fail(f"parentheses nest deeper than the cap of {MAX_NESTING} levels", pos)
+                self.depth += 1
                 self.pos = pos
                 factor = self.parse_poly_sum()
+                self.depth -= 1
                 pos = self.pos + 1
                 if tokens[pos - 1] != ")":
                     self.fail("missing )", pos)
-                poly = self.times(self.times_term(poly, mono, coeff, degree), factor)
+                if poly is not None or mono or coeff != 1:
+                    poly = self.times_term(poly, mono, coeff, degree)
+                poly = self.times(poly, factor)
                 mono, coeff, degree = 0, 1, 0
                 written += max(factor.degree, 0)
                 _check_degree(written)
@@ -810,7 +861,7 @@ class _Parser:
             tok = self.tokens[self.pos]
             self.pos += 1
             if not (tok or "").startswith("dz"):
-                self.fail(f"expected dz token, got {tok!r}")
+                self.fail(f"expected dz token, got {_head(tok)!r}", self.pos - 1, _head(tok))
             i = variable_index(tok[2:])
             if i >= self.nvars:
                 self.fail(f"dz{i} out of range for {self.nvars} variables")
@@ -828,29 +879,13 @@ def parse_form(text: str, nvars: int | None = None) -> PolyKForm:
     smallest that holds every z<i> and dz<i> of the text."""
     tokens = _tokenize(text)
     if nvars is None:
-        nvars = 1 + max((variable_index(t.lstrip("dz")) for t in tokens if t[0] in "dz"), default=-1)
+        nvars = 1 + max(map(variable_index, re.findall(r"z(\d+)", text)), default=-1)
         if nvars == 0:
             raise FormParseError("cannot infer the ambient dimension from the form; pass --n")
     _check_variables(nvars)
     if not tokens:
         raise FormParseError("empty input")
     return _Parser(tokens, nvars).parse_form()
-
-
-def _monomial_str(expo: tuple[int, ...], coeff: Fraction) -> str:
-    factors = []
-    for i, e in enumerate(expo):
-        if e == 1:
-            factors.append(f"z{i}")
-        elif e > 1:
-            factors.append(f"z{i}^{e}")
-    mono = "*".join(factors)
-    mag = abs(coeff)
-    if not mono:
-        return str(mag)
-    if mag == 1:
-        return mono
-    return f"{mag}*{mono}"
 
 
 def signed_sum(terms) -> str:
@@ -865,19 +900,36 @@ def signed_sum(terms) -> str:
     return "".join(parts) or "0"
 
 
+def _poly_terms(poly: HomogeneousPoly, seen: dict):
+    """(negative, body) of each term of poly, descending by exponent vector.
+    seen maps a packed monomial to its (exponent vector, text), so one call
+    of the printer unpacks and writes each monomial once."""
+    nvars = poly.nvars
+    rows = []
+    for m, c in poly.packed.items():
+        if (hit := seen.get(m)) is None:
+            expo = unpack_monomial(m, nvars)
+            hit = seen[m] = (expo, "*".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in enumerate(expo) if e))
+        rows.append((hit, c))
+    rows.sort(reverse=True)
+    for (_, text), c in rows:
+        mag = abs(c)
+        yield c < 0, f"{mag}*{text}" if text and mag != 1 else text or str(mag)
+
+
 def poly_str(poly: HomogeneousPoly) -> str:
-    return signed_sum((coeff < 0, _monomial_str(expo, coeff)) for expo, coeff in poly.terms)
+    return signed_sum(_poly_terms(poly, {}))
 
 
-def _form_term(indices: tuple[int, ...], poly: HomogeneousPoly) -> tuple[bool, str]:
+def _form_term(indices: tuple[int, ...], poly: HomogeneousPoly, seen: dict) -> tuple[bool, str]:
     """(negative, body) of one form term: a single-monomial coefficient is
     inline and carries the sign, a longer one is parenthesized."""
     chain = "^".join(f"dz{i}" for i in indices)
+    terms = _poly_terms(poly, seen)
     if len(poly.packed) > 1:
-        return False, f"({poly_str(poly)}) {chain}"
-    (expo, coeff), = poly.terms
-    body = _monomial_str(expo, coeff)
-    return coeff < 0, chain if body == "1" else f"{body} {chain}"
+        return False, f"({signed_sum(terms)}) {chain}"
+    (negative, body), = terms
+    return negative, chain if body == "1" else f"{body} {chain}"
 
 
 def form_str(form: PolyKForm) -> str:
@@ -886,4 +938,5 @@ def form_str(form: PolyKForm) -> str:
     output reproduces the form exactly."""
     if form.k == 0:
         return poly_str(form.coefficient(()))
-    return signed_sum(_form_term(indices, poly) for indices, poly in form.coeffs)
+    seen: dict = {}
+    return signed_sum(_form_term(indices, poly, seen) for indices, poly in form.coeffs)

@@ -20,7 +20,7 @@ from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_shea
 from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
 from singscheme.cohomology import MAX_SWEEP_WORK, MAX_TABLE_ENTRIES
 from singscheme.criteria import InapplicableError, evans_griffith, horrocks, kpr
-from singscheme.forms import MAX_DEGREE, MAX_PARSE_WORK, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from singscheme.forms import MAX_DEGREE, MAX_NESTING, MAX_PARSE_WORK, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -810,6 +810,13 @@ class TestFormSing:
         path = tmp_path / "malformed.form"
         path.write_text(text)
         code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_deep_nesting_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "deep.form"
+        path.write_text("(" * 1000 + "z0" + ")" * 1000 + " dz1 - z1 dz0")
+        code, out, err = run(capsys, "form", "sing", "--input", str(path))
+        message = f"parentheses nest deeper than the cap of {MAX_NESTING} levels (token {MAX_NESTING + 1})"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_zero_denominator_is_a_parse_error(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ extraction, and the text grammar round trip."""
 import json
 import random
 import re
+import sys
 import warnings
 from array import array
 from fractions import Fraction
@@ -563,12 +564,69 @@ class TestParseBudget:
         with pytest.raises(ValueError, match="exceed the cap of 16 coefficient products per parse"):
             parse_form(text, 3)
 
+    def test_a_sum_that_opens_a_product_counts_its_terms(self, monkeypatch):
+        # each (z0+z1+z2) is taken as it is, yet counts its 3 terms as the
+        # product 1 x 3 would; 3 (z0+z1) takes 1 x 2
+        text = "(z0+z1+z2) dz1 + (z0+z1+z2) dz0 + 3 (z0+z1) dz2"
+        monkeypatch.setattr(forms, "MAX_PARSE_WORK", 8)
+        assert parse_form(text, 3) == ref_parse_form(text, 3)
+        monkeypatch.setattr(forms, "MAX_PARSE_WORK", 7)
+        for parse in (parse_form, ref_parse_form):
+            with pytest.raises(ValueError) as exc:
+                parse(text, 3)
+            assert str(exc.value) == "the products of the form exceed the cap of 7 coefficient products per parse"
+
+    def test_a_sum_over_the_term_cap_is_refused(self, monkeypatch):
+        # with MAX_TERMS at 5, a 6-term sum is refused wherever it stands,
+        # with the message of the product 1 * sum
+        monkeypatch.setattr(forms, "MAX_TERMS", 5)
+        message = "product of 6- and 1-term polynomials exceeds the cap of 5 terms"
+        for text in ("(z0+z1+z2+z3+z4+z5) dz0", "((z0+z1+z2+z3+z4+z5)) dz0", "z6 (z0+z1+z2+z3+z4+z5) dz0"):
+            for parse in (parse_form, ref_parse_form):
+                with pytest.raises(ValueError) as exc:
+                    parse(text, 8)
+                assert str(exc.value) == message
+        assert parse_form("(z0+z1+z2+z3+z4) dz0", 8) == ref_parse_form("(z0+z1+z2+z3+z4) dz0", 8)
+
     def test_per_product_caps_speak_first(self):
         # the 5151 x 5151 product is over MAX_PRODUCT_WORK; its own message
         # names it, though the chain before it is counted too
         text = "(" + "(z0+z1+z2)" * 100 + ")" + "(" + "(z0+z1+z2)" * 100 + ") dz1"
         with pytest.raises(ValueError, match="product of 5151- and 5151-term polynomials"):
             parse_form(text, 3)
+
+
+def deepest_nesting(text):
+    depth = deepest = 0
+    for c in text:
+        if c in "()":
+            depth = max(depth + (1 if c == "(" else -1), 0)
+            deepest = max(deepest, depth)
+    return deepest
+
+
+class TestNestingCap:
+    message = f"parentheses nest deeper than the cap of {forms.MAX_NESTING} levels (token {forms.MAX_NESTING + 1})"
+
+    def test_input_nested_to_the_cap_parses(self):
+        depth = forms.MAX_NESTING
+        text = "(" * depth + "z0 - z1" + ")" * depth + " dz1"
+        assert parse_form(text, 3) == parse_form("(z0 - z1) dz1", 3)
+
+    @pytest.mark.parametrize("depth", [forms.MAX_NESTING + 1, 330, 1000])
+    def test_deeper_input_is_refused_naming_the_cap(self, depth):
+        with pytest.raises(FormParseError) as exc:
+            parse_form("(" * depth + "z0" + ")" * depth + " dz1", 3)
+        assert str(exc.value) == self.message
+
+    def test_the_cap_is_far_inside_the_recursion_limit(self):
+        # the parser takes two frames per level
+        assert 2 * forms.MAX_NESTING <= sys.getrecursionlimit() // 4
+
+    def test_the_cap_is_above_every_nesting_written_in_the_repository(self):
+        root = Path(__file__).resolve().parents[1]
+        paths = [root / "README.md", *root.glob("tests/*.json"), *root.glob("bench/**/*.json"), *root.glob("bench/*.py")]
+        assert max(deepest_nesting(path.read_text(encoding="utf-8")) for path in paths) < forms.MAX_NESTING
 
 
 class TestWedge:
@@ -1127,3 +1185,337 @@ class TestGrammar:
         want = parse_form("z0 dz1 - z1 dz0", 3)
         for space in ("\u00a0", "\u2009", "\u3000", "\t", "\n"):
             assert parse_form(f"z0{space}dz1 - z1{space}dz0{space}", 3) == want
+
+
+# The text path before monomial tokens, kept as the reference that the
+# differential tests compare parse_form and form_str with: one token per
+# z<i>, ^, power and *, each checked where it stands, a parenthesized sum
+# that opens a product multiplied by 1, and a printer that unpacks and
+# writes every term on its own. Caps are read from forms at call time, so
+# a monkeypatched cap holds for both.
+REF_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|dz\d+|z\d+|[+\-*^()])")
+
+
+def ref_tokenize(text):
+    tokens = REF_TOKEN.findall(text)
+    if sum(map(len, tokens)) == len("".join(text.split())):
+        return tokens
+    pos = 0
+    while m := REF_TOKEN.match(text, pos):
+        pos = m.end()
+    pos = len(text) - len(text[pos:].lstrip())
+    raise FormParseError(f"unexpected character at position {pos}: {text[pos]!r}")
+
+
+class RefParser:
+    def __init__(self, tokens, nvars):
+        self.tokens = [*tokens, None]
+        self.pos = 0
+        self.nvars = nvars
+        self.work = 0
+
+    def times(self, a, b):
+        out = a * b
+        self.work += len(a.packed) * len(b.packed)
+        if self.work > forms.MAX_PARSE_WORK:
+            raise ValueError(f"the products of the form exceed the cap of {forms.MAX_PARSE_WORK} coefficient products per parse")
+        return out
+
+    def fail(self, message, pos=None):
+        raise FormParseError(f"{message} (token {self.pos if pos is None else pos})")
+
+    def parse_form(self):
+        tokens = self.tokens
+        terms = []
+        k = None
+        while True:
+            tok = tokens[self.pos]
+            sign = -1 if tok == "-" else 1
+            if tok in ("+", "-"):
+                self.pos += 1
+            elif k is not None:
+                self.fail(f"expected + or - before {tok!r}")
+            factors = self.parse_product()
+            poly = None if factors is None else self.times_term(*factors)
+            indices = self.parse_chain() if (tokens[self.pos] or "").startswith("dz") else ()
+            if poly is None and not indices:
+                self.fail("empty term")
+            k = len(indices) if k is None else k
+            if len(indices) != k:
+                self.fail(f"mixed form degrees {k} and {len(indices)}")
+            if (canon := forms._canonical_indices(indices)) is not None:
+                coeff = HomogeneousPoly.constant(self.nvars, 1) if poly is None else poly
+                terms.append((canon[0], coeff * (sign * canon[1])))
+            if tokens[self.pos] is None:
+                return PolyKForm.from_dict(self.nvars, k, terms)
+
+    def parse_product(self):
+        tokens, nvars = self.tokens, self.nvars
+        pos = self.pos
+        poly, found = None, False
+        mono, coeff, degree, written = 0, 1, 0, 0
+        while (tok := tokens[pos]) is not None and (first := tok[0]) not in "+-)d":
+            pos += 1
+            if first == "*":
+                continue
+            found = True
+            if first == "z":
+                i = forms.variable_index(tok[1:])
+                if i >= nvars:
+                    self.fail(f"variable z{i} out of range for {nvars} variables", pos)
+                e = 1
+                if tokens[pos] == "^":
+                    power = tokens[pos + 1]
+                    pos += 2
+                    if not (power or "").isdigit():
+                        self.fail("expected an integer power", pos)
+                    digits = power.lstrip("0") or "0"
+                    if len(digits) > len(str(forms.MAX_DEGREE)) or int(digits) > forms.MAX_DEGREE:
+                        self.fail(f"power {digits} exceeds the degree cap of {forms.MAX_DEGREE}", pos)
+                    e = int(digits)
+                mono += e << (forms.FIELD_BITS * i)
+                degree += e
+                written += e
+                forms._check_degree(written)
+            elif first.isdigit():
+                try:
+                    coeff *= read_number(tok, "a coefficient")
+                except ZeroDivisionError:
+                    self.fail(f"zero denominator in {tok}", pos)
+            elif first == "(":
+                self.pos = pos
+                factor = self.parse_poly_sum()
+                pos = self.pos + 1
+                if tokens[pos - 1] != ")":
+                    self.fail("missing )", pos)
+                poly = self.times(self.times_term(poly, mono, coeff, degree), factor)
+                mono, coeff, degree = 0, 1, 0
+                written += max(factor.degree, 0)
+                forms._check_degree(written)
+            else:
+                self.fail(f"unexpected token {tok!r}", pos)
+        self.pos = pos
+        return (poly, mono, coeff, degree) if found else None
+
+    def times_term(self, poly, mono, coeff, degree):
+        if poly is not None and not mono and coeff == 1:
+            return poly
+        packed = forms._canonical({mono: coeff})
+        term = HomogeneousPoly(self.nvars, degree if packed else -1, packed)
+        return term if poly is None else self.times(poly, term)
+
+    def parse_poly_sum(self):
+        out = {}
+        get = out.get
+        degrees = set()
+        while True:
+            tok = self.tokens[self.pos]
+            if tok in ("+", "-"):
+                self.pos += 1
+            factors = self.parse_product()
+            if factors is not None:
+                poly, mono, coeff, degree = factors
+                if poly is None:
+                    terms = ((mono, coeff),) if coeff else ()
+                else:
+                    poly = self.times_term(poly, mono, coeff, degree)
+                    terms, degree = poly.packed.items(), poly.degree
+            if (self.tokens[self.pos] or "").startswith("dz"):
+                self.fail("dz inside a coefficient")
+            if factors is None:
+                self.fail("empty summand in coefficient")
+            if terms:
+                degrees.add(degree)
+                sign = -1 if tok == "-" else 1
+                for m, c in terms:
+                    out[m] = get(m, 0) + sign * c
+            if self.tokens[self.pos] not in ("+", "-"):
+                return forms._summed(self.nvars, out, degrees)
+
+    def parse_chain(self):
+        indices = []
+        while True:
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            if not (tok or "").startswith("dz"):
+                self.fail(f"expected dz token, got {tok!r}")
+            i = forms.variable_index(tok[2:])
+            if i >= self.nvars:
+                self.fail(f"dz{i} out of range for {self.nvars} variables")
+            indices.append(i)
+            if self.tokens[self.pos] != "^":
+                return tuple(indices)
+            self.pos += 1
+            if (self.tokens[self.pos] or "").isdigit():
+                self.pos += 1
+                self.fail("dz factors cannot carry powers")
+
+
+def ref_parser(text, nvars=None):
+    """The reference parser, ready to parse text, and its ring."""
+    tokens = ref_tokenize(text)
+    if nvars is None:
+        nvars = 1 + max((forms.variable_index(t.lstrip("dz")) for t in tokens if t[0] in "dz"), default=-1)
+        if nvars == 0:
+            raise FormParseError("cannot infer the ambient dimension from the form; pass --n")
+    forms._check_variables(nvars)
+    if not tokens:
+        raise FormParseError("empty input")
+    return RefParser(tokens, nvars)
+
+
+def ref_parse_form(text, nvars=None):
+    return ref_parser(text, nvars).parse_form()
+
+
+def ref_monomial_str(expo, coeff):
+    factors = []
+    for i, e in enumerate(expo):
+        if e == 1:
+            factors.append(f"z{i}")
+        elif e > 1:
+            factors.append(f"z{i}^{e}")
+    mono = "*".join(factors)
+    mag = abs(coeff)
+    if not mono:
+        return str(mag)
+    if mag == 1:
+        return mono
+    return f"{mag}*{mono}"
+
+
+def ref_poly_str(poly):
+    return forms.signed_sum((coeff < 0, ref_monomial_str(expo, coeff)) for expo, coeff in poly.terms)
+
+
+def ref_form_term(indices, poly):
+    chain = "^".join(f"dz{i}" for i in indices)
+    if len(poly.packed) > 1:
+        return False, f"({ref_poly_str(poly)}) {chain}"
+    (expo, coeff), = poly.terms
+    body = ref_monomial_str(expo, coeff)
+    return coeff < 0, chain if body == "1" else f"{body} {chain}"
+
+
+def ref_form_str(form):
+    if form.k == 0:
+        return ref_poly_str(form.coefficient(()))
+    return forms.signed_sum(ref_form_term(indices, poly) for indices, poly in form.coeffs)
+
+
+def outcome(parse, show, text, nvars):
+    """(form, its text) that parse reads from text and show prints, or the
+    (exception type, message) that the read raises."""
+    try:
+        form = parse(text, nvars)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return form, show(form)
+
+
+# Pieces of random token strings: monomials and the tokens they join,
+# leading zeros, powers at and past MAX_DEGREE, fractions, zero
+# coefficients, parentheses, dz chains, a non-ASCII digit and characters
+# that no token holds.
+TEXT_PIECES = (
+    "z0", "z1", "z2", "z3", "z7", "z9", "z01", "z0007", "z٣", "z0^2", "z1^03", "z2^0", "z0^999",
+    "z1^1000", "z0^1001", "z0^00001000", "z0*z1", "z0^2*z2", "z1*z1*z1", "z3^2*z0", "dz0", "dz1", "dz2",
+    "dz3", "dz7", "dz01", "^", "^", "^", "*", "*", "+", "+", "-", "-", "(", "(", ")", ")", "0", "1", "2",
+    "007", "1000", "٣", "3/2", "2/4", "1/0", "0/3", "2/", "@", "z", "dz", "z0 ^ 2", "z0 * z2dz1 ^ dz3",
+    "z0^2^3", "z0^", "z1^2/3", "(z0 + z1)", "(z0^2 - z1 z2)", "dz1^dz3", "dz0 ^ dz2", "z0*z1^", "z0*z9",
+    "z9*z0", "z0^999*z1^2*z2", "z0^5000*z1", "z0*z1^2/3", "z0^2z1", "z00001*z1^0",
+)
+
+
+def random_text(rng):
+    pieces = [rng.choice(TEXT_PIECES) for _ in range(rng.randint(1, 12))]
+    return "".join(p + rng.choice(("", " ", " ", "  ", "\t")) for p in pieces)
+
+
+def homogeneous_text(rng, nvars, degree, depth):
+    """A signed sum of products of the written degree `degree`: numbers,
+    powers and parenthesized sums, joined by *, a space or nothing."""
+    summands = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [rng.choice(("2", "0", "3/2", "7/7", "0003"))] if rng.random() < 0.5 else []
+        left = degree
+        while left:
+            e = rng.randint(1, left)
+            if depth and rng.random() < 0.3:
+                factors.append(f"({homogeneous_text(rng, nvars, e, depth - 1)})")
+            else:
+                i = rng.randrange(nvars)
+                factors.append(f"z{i}" if e == 1 and rng.random() < 0.5 else f"z{i}^{e}")
+            left -= e
+        summands.append(rng.choice(("*", " ", "")).join(factors) or "1")
+    return "".join(rng.choice((" + ", " - ", "-", "+")) + s for s in summands).lstrip("+ ")
+
+
+def structured_text(rng, nvars):
+    k = rng.randint(0, min(3, nvars))
+    degree = rng.choice((0, 1, 2, 3, 4, forms.MAX_DEGREE - 1, forms.MAX_DEGREE, forms.MAX_DEGREE + 1))
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        chain = "^".join(f"dz{rng.randrange(nvars)}" for _ in range(k))
+        # nested sums of sums only at low degree, where their products stay small
+        coeff = homogeneous_text(rng, nvars, degree, 2 if degree < 5 else 1)
+        terms.append(f"({coeff}) {chain}" if rng.random() < 0.8 else f"{coeff} {chain}")
+    text = " + ".join(terms)
+    # star optional, powers written apart, or as written
+    return rng.choice((text, text.replace("*", " "), text.replace("^", " ^ ")))
+
+
+class TestReferenceText:
+    """parse_form and form_str against the reference text path above."""
+
+    def test_random_token_strings_read_alike(self):
+        rng = random.Random(3131)
+        for _ in range(4000):
+            text = random_text(rng)
+            for nvars in (3, 4, 8):
+                assert outcome(parse_form, form_str, text, nvars) == outcome(ref_parse_form, ref_form_str, text, nvars), text
+
+    def test_structured_forms_read_alike(self):
+        rng = random.Random(3132)
+        for _ in range(600):
+            nvars = rng.choice((3, 4, 8))
+            text = structured_text(rng, nvars)
+            for ring in (nvars, None):
+                assert outcome(parse_form, form_str, text, ring) == outcome(ref_parse_form, ref_form_str, text, ring), text
+
+    def test_parse_budget_boundary_falls_alike(self, monkeypatch):
+        # a parse that takes W coefficient products passes at a cap of W
+        # and is refused at W - 1, with the same message from both
+        rng = random.Random(3133)
+        checked = 0
+        cap = forms.MAX_PARSE_WORK
+        while checked < 150:
+            nvars = rng.choice((3, 4, 8))
+            text = structured_text(rng, nvars)
+            monkeypatch.setattr(forms, "MAX_PARSE_WORK", cap)
+            try:
+                parser = ref_parser(text, nvars)
+                parser.parse_form()
+            except ValueError:
+                continue
+            if not parser.work:
+                continue
+            checked += 1
+            for boundary in (parser.work, parser.work - 1):
+                monkeypatch.setattr(forms, "MAX_PARSE_WORK", boundary)
+                assert outcome(parse_form, form_str, text, nvars) == outcome(ref_parse_form, ref_form_str, text, nvars), text
+            assert outcome(parse_form, form_str, text, nvars)[0] is ValueError
+
+    def test_printers_agree_on_fraction_forms(self):
+        rng = random.Random(3134)
+        for _ in range(400):
+            nvars = rng.randint(2, 6)
+            k = rng.randint(0, nvars)
+            degree = rng.choice((0, 1, 2, 3, rng.randint(256, forms.MAX_DEGREE)))
+            form = fraction_form(rng, nvars, k, degree) if degree < 256 else PolyKForm.from_dict(
+                nvars, k, {idx: HomogeneousPoly.from_dict(nvars, high_pairs(rng, nvars, degree))
+                           for idx in rng.sample(list(combinations(range(nvars), k)), 1)}
+            )
+            assert form_str(form) == ref_form_str(form)
+            for _, poly in form.coeffs:
+                assert poly_str(poly) == ref_poly_str(poly)
