@@ -143,8 +143,6 @@ def parse_sheaf(spec: str, n: int):
             atom = normalize_atom(n, 0, read_number(m.group("a"), "a twist"))  # O(a) = Omega^0(a)
         part = VirtualSheaf.from_atom(n, atom, mult)
         total = part if total is None else total.direct_sum(part)
-    if total is None:
-        raise ValueError("empty sheaf spec")
     return total
 
 
@@ -217,17 +215,12 @@ def _chase_spec_data(spec: str, n_flag: int | None):
     return _chase_data(rest, r, n_flag)
 
 
-def _ideal_table(bundle, r: int | None, extra=()):
-    from .chase import pfaff_ideal_table, tangent_ideal_table
-    if r is None:
-        return tangent_ideal_table(bundle, bundle.n, extra)
-    return pfaff_ideal_table(bundle, r, bundle.n, extra)
-
-
 def _input_table(args):
-    from .cohomology import CohomologyTable
     if args.table is None:
-        return _ideal_table(*_chase_spec_data(args.from_chase, args.n))
+        from .chase import ideal_chase
+        bundle, r = _chase_spec_data(args.from_chase, args.n)
+        return ideal_chase(bundle, bundle.n, r).table("I_Z")
+    from .cohomology import CohomologyTable
     with open(args.table, "r", encoding="utf-8") as fh:
         return CohomologyTable.loads(fh.read())
 
@@ -298,7 +291,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_chase(args) -> int:
-    from .chase import en_complex_pfaff, en_complex_tangent, windowed_chase
+    from .chase import ideal_chase
     pfaff = args.tangent is None
     if pfaff and args.r is None:
         raise ValueError("a Pfaff chase needs --r")
@@ -307,12 +300,11 @@ def _cmd_chase(args) -> int:
     if args.twists:
         lo, hi = _parse_twist_range(args.twists)
         extra = [("I_Z", q, (lo, hi)) for q in range(bundle.n + 1)]
+    result = ideal_chase(bundle, bundle.n, r, extra)
     if args.explain:
-        n = bundle.n
-        triples = en_complex_tangent(bundle, n) if r is None else en_complex_pfaff(bundle, r, n)
-        print(windowed_chase(triples, "I_Z", extra).explain_json())
+        print(result.explain_json())
         return 0
-    tab = _ideal_table(bundle, r, extra)
+    tab = result.table("I_Z")
     if args.json:
         print(tab.dumps())
         return 0

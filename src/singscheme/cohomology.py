@@ -32,7 +32,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, repeat
 from math import comb, inf
-from operator import add, gt
+from operator import add
 
 from .chow import SplitBundle, check_ambient_dimension, check_closed_form_dimension, read_number, refuse_write
 
@@ -388,9 +388,9 @@ class DimValue(namedtuple("DimValue", "lo hi")):
     immutable pair (lo, hi), equal and hashed as that tuple.
 
     hi=inf means no upper bound is known. Exact values have lo == hi. The
-    constructor checks 0 <= lo <= hi; the bulk builders (chase._solve,
-    table) check whole columns the same way, with the same messages, and
-    then build each pair with tuple.__new__.
+    constructor and from_json check 0 <= lo <= hi on values from outside;
+    the bulk builders (chase._solve, table) build each pair with
+    tuple.__new__ from values that hold it by construction.
     """
 
     __slots__ = ()
@@ -559,16 +559,6 @@ def _row_items(data: dict, key: str, n: int):
 MAX_TABLE_ENTRIES = 1_000_000
 
 
-def check_columns(los, his) -> None:
-    """The DimValue checks, 0 <= lo <= hi, over whole columns of lower and
-    upper ends, raising the constructor's messages: the bulk builders check
-    here once, then build each pair with tuple.__new__."""
-    if min(los, default=0) < 0:
-        raise ValueError("dimensions are nonnegative")
-    if any(map(gt, los, his)):
-        raise ValueError("empty interval")
-
-
 def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
     """Exact cohomology table of a virtual sheaf.
 
@@ -576,8 +566,9 @@ def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
     whole of every finite row window, so vanishing questions about the
     middle rows are decided by the table alone. The entries are counted
     first, and over MAX_TABLE_ENTRIES the table is refused unbuilt. Each
-    row is one h_row column, checked once by check_columns; its zeros are
-    the shared ZERO.
+    row is one h_row column of Bott values, nonnegative by construction,
+    built into exact pairs with tuple.__new__; its zeros are the shared
+    ZERO.
     """
     if twist_lo > twist_hi:
         raise ValueError("empty twist range")
@@ -596,6 +587,5 @@ def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
             ts.update(range(w.lo, w.hi + 1))
         ts = sorted(ts)
         h = sheaf.h_row(q, ts)
-        check_columns(h, h)
         rows[q] = dict(zip(ts, [ZERO if x == 0 else tuple.__new__(DimValue, (x, x)) for x in h]))
     return CohomologyTable(sheaf.n, rows, windows)

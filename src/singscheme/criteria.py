@@ -139,18 +139,26 @@ def kpr(table: CohomologyTable, rank: int, n: int) -> Verdict:
     return vanishing_verdict(table, 2, n - 2, "kpr")
 
 
-def acm_check(
-    ideal_table: CohomologyTable, dim_z: int | None = None
-) -> Verdict:
-    """Arithmetically Cohen-Macaulay: rows 1..dim Z of the ideal sheaf
-    vanish at all twists."""
+def _dim_z(ideal_table: CohomologyTable, dim_z: int | None) -> int:
+    """The scheme dimension of an ideal-sheaf check: the override, else the
+    table's own, refused unless it lies in -1 (the empty scheme) .. n-1."""
     if dim_z is None:
         dim_z = ideal_table.dim_z
     if dim_z is None:
         raise ValueError("dimension of the subscheme is required")
     if dim_z > ideal_table.n - 1:
         raise ValueError("a proper subscheme has dimension at most n-1")
-    return vanishing_verdict(ideal_table, 1, dim_z, "acm")
+    if dim_z < -1:
+        raise ValueError("a subscheme has dimension at least -1 (the empty scheme)")
+    return dim_z
+
+
+def acm_check(
+    ideal_table: CohomologyTable, dim_z: int | None = None
+) -> Verdict:
+    """Arithmetically Cohen-Macaulay: rows 1..dim Z of the ideal sheaf
+    vanish at all twists."""
+    return vanishing_verdict(ideal_table, 1, _dim_z(ideal_table, dim_z), "acm")
 
 
 def possible_entries(table: CohomologyTable, q: int, lo=-inf, hi=inf):
@@ -205,10 +213,7 @@ def buchsbaum_numeric(
     certified -> holds; gap condition intact but the multiplication
     criterion not certifiable -> undetermined.
     """
-    if dim_z is None:
-        dim_z = ideal_table.dim_z
-    if dim_z is None:
-        raise ValueError("dimension of the subscheme is required")
+    dim_z = _dim_z(ideal_table, dim_z)
     if dim_z <= 0:
         return _NO_INTERMEDIATE_ROWS
 

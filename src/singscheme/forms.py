@@ -595,12 +595,8 @@ def coefficient_ideal(form: PolyKForm) -> GradedIdeal:
     form vanishes. Generators are content-normalized and deduplicated."""
     if form.is_zero:
         raise ValueError("zero form has no coefficient ideal")
-    seen: list[HomogeneousPoly] = []
-    for _, poly in form.coeffs:
-        g = poly.content_normalized()
-        if g not in seen:
-            seen.append(g)
-    return GradedIdeal(form.nvars, tuple(seen))
+    gens = dict.fromkeys(poly.content_normalized() for _, poly in form.coeffs)
+    return GradedIdeal(form.nvars, tuple(gens))
 
 
 def minors_ideal(one_forms) -> GradedIdeal:

@@ -35,6 +35,7 @@ from singscheme.chase import (
     chase,
     en_complex_pfaff,
     en_complex_tangent,
+    ideal_chase,
     pfaff_ideal_table,
     replay_trace,
     tangent_ideal_table,
@@ -50,7 +51,6 @@ from singscheme.cohomology import (
     LineBundle,
     VirtualSheaf,
     Window,
-    check_columns,
     normalize_atom,
     sym_power,
     table,
@@ -916,12 +916,10 @@ def _spec_cases(spec, E, r):
     n = E.n
 
     def explain(extra):
-        triples = en_complex_tangent(E, n) if r is None else en_complex_pfaff(E, r, n)
-        return windowed_chase(triples, "I_Z", extra=extra).explain_json()
+        return ideal_chase(E, n, r, extra).explain_json()
 
     def ideal_table():
-        tab = tangent_ideal_table(E, n) if r is None else pfaff_ideal_table(E, r, n)
-        return tab.dumps()
+        return ideal_chase(E, n, r).table("I_Z").dumps()
 
     twists = [("I_Z", q, (-3, 3)) for q in range(n + 1)]
     return {
@@ -958,6 +956,27 @@ class TestGoldenOutput:
     def test_matches_recorded_output(self, key):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert GOLDEN_CASES[key]() == golden[key]
+
+
+class TestIdealChase:
+    """ideal_chase is the one road from split data to the I_Z chase: it
+    picks the Eagon-Northcott complex and dim Z, and the two table views
+    and a hand-built chase of the same complex agree with it."""
+
+    @pytest.mark.parametrize("twists", [None, (-3, 3)], ids=["windows", "windows -3..3"])
+    @pytest.mark.parametrize("spec", sorted(GOLDEN_SPECS))
+    def test_matches_the_views_and_the_hand_built_chase(self, spec, twists):
+        E, r = GOLDEN_SPECS[spec]
+        n = E.n
+        extra = [] if twists is None else [("I_Z", q, twists) for q in range(n + 1)]
+        result = ideal_chase(E, n, r, extra)
+        if r is None:
+            view, triples, dim_z = tangent_ideal_table(E, n, extra), en_complex_tangent(E, n), E.rank - 1
+        else:
+            view, triples, dim_z = pfaff_ideal_table(E, r, n, extra), en_complex_pfaff(E, r, n), n - r - 1
+        assert result.table("I_Z") == view
+        assert view.dim_z == dim_z
+        assert result.explain_json() == windowed_chase(triples, "I_Z", extra).explain_json()
 
 
 def _chi(result, term, t):
@@ -1128,38 +1147,9 @@ class TestRunRequirements:
 
 
 class TestColumnChecks:
-    """_solve checks its two result columns once and then builds each value
-    with tuple.__new__, past the DimValue constructor; the column check must
-    refuse what the constructor refuses, with the same message."""
-
-    @staticmethod
-    def constructor_message(lo, hi):
-        with pytest.raises(ValueError) as exc:
-            DimValue(lo, hi)
-        return str(exc.value)
-
-    def test_solve_refuses_an_inverted_column(self):
-        # keep1 reads [5, 1], so the sum of the forced parts is [5, 1]
-        zeros = ([0, 0], [0, 0])
-        cols = [zeros, ([0, 5], [0, 1]), zeros, zeros]
-        with pytest.raises(ValueError) as exc:
-            _solve(cols)
-        assert str(exc.value) == self.constructor_message(5, 1) == "empty interval"
-
-    def test_solve_refuses_a_negative_upper_end(self):
-        # hi = -1 + 0 lies under lo = 0
-        zeros = ([0], [0])
-        with pytest.raises(ValueError) as exc:
-            _solve([zeros, ([0], [-1]), zeros, zeros])
-        assert str(exc.value) == self.constructor_message(0, -1)
-
-    def test_column_check_refuses_a_negative_lower_end(self):
-        # _solve's forced parts are never negative, so a negative lower end
-        # reaches the shared check only from a crafted column
-        with pytest.raises(ValueError) as exc:
-            check_columns([0, -1], [0, 0])
-        assert str(exc.value) == self.constructor_message(-1, 0) == "dimensions are nonnegative"
-        check_columns([], [])
+    """_solve builds each value with tuple.__new__, past the DimValue
+    constructor, trusting that its reads hold 0 <= lo <= hi; these tests
+    keep that invariant, and the sharing of ZERO, under test."""
 
     def test_solve_shares_zero_and_builds_checked_pairs(self):
         cols = [([0, 0, 2], [0, 0, 2]), ([0, 3, 3], [0, 4, inf]), ([0, 0, 0], [0, 0, 0]), ([0, 0, 1], [0, 0, 1])]

@@ -475,3 +475,17 @@ class TestClassification:
     def test_unknown_row_names_the_known_ones(self):
         with pytest.raises(ValueError, match=r"no classification row for n=6, degree=2; known: \(n=4, degree=2\)"):
             classification_entry(6, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: singular_degree_formula(3, 2, [1]), "expected 2 twist entries, got 1"),
+        (lambda: porteous_singular_degree(4, SplitBundle(3, (-2,))), "bundle does not live on P^n"),
+    ],
+    ids=["degree formula entries", "porteous ambient"],
+)
+def test_input_checks_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -53,6 +53,10 @@ class TestDegreeCommands:
         assert (code, out) == (0, "15\n")
         assert int(out) == pullback_degree(3, 2, 2)
 
+    def test_entry_count_must_match_the_rank(self, capsys):
+        got = run(capsys, "degree", "--n", "3", "--r", "2", "--d-list", "1")
+        assert got == (1, "", "error: expected 2 twist entries, got 1\n")
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run(capsys, "degree", "--n", "3", "--r", "9",
                            "--d-list", "1,1,1,1,1,1,1,1,1")
@@ -168,6 +172,13 @@ class TestSheafGrammar:
                            "--twists", "0..1")
         assert code == 1
         assert "grammar" in err
+
+    @pytest.mark.parametrize("spec", ["", " ", "+", "O(1)+"])
+    def test_empty_summand_names_the_grammar(self, capsys, spec):
+        # "".split("+") is [""], so every empty summand meets the grammar
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", spec, "--twists=0..1")
+        grammar = "grammar: O(a), Om(p,k), T, sums with '+', powers with '^m'"
+        assert (code, out, err) == (1, "", f"error: bad sheaf spec ''; {grammar}\n")
 
 
 class TestCohomologyCommand:
@@ -490,6 +501,43 @@ class TestTableChecks:
         code, out, err = run(capsys, "regularity", "--table", str(path))
         message = f"a table entry of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["acm-check", "buchsbaum-check"])
+    @pytest.mark.parametrize(
+        "dim_z, message",
+        [
+            ("3", "a proper subscheme has dimension at most n-1"),
+            ("5", "a proper subscheme has dimension at most n-1"),
+            ("-2", "a subscheme has dimension at least -1 (the empty scheme)"),
+            ("-3", "a subscheme has dimension at least -1 (the empty scheme)"),
+        ],
+    )
+    def test_impossible_dim_z_is_refused(self, capsys, tmp_path, command, dim_z, message):
+        got = run(capsys, command, "--from-chase", "tangent:0,0", "--n", "3", f"--dim-z={dim_z}")
+        assert got == (1, "", f"error: {message}\n")
+        path = tmp_path / "z.table.json"
+        path.write_text(json.dumps({"n": 3, "dim_z": int(dim_z)}))
+        assert run(capsys, command, "--table", str(path)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, dim_z, want",
+        [
+            ("acm-check", "-1", "acm: holds\n  acm: empty row range 1..-1\n"),
+            ("acm-check", "2", "acm: undetermined\n  acm: row 2 window is unbounded\n"),
+            ("buchsbaum-check", "-1", "buchsbaum(numeric): holds\n  buchsbaum: no intermediate rows\n"),
+            ("buchsbaum-check", "2", "buchsbaum(numeric): undetermined\n"
+             "  buchsbaum: row 2 cannot be enumerated (missing or unbounded window)\n"),
+        ],
+    )
+    def test_dim_z_from_the_empty_scheme_to_n_minus_one(self, capsys, command, dim_z, want):
+        got = run(capsys, command, "--from-chase", "tangent:0,0", "--n", "3", f"--dim-z={dim_z}")
+        assert got == (0, want, "")
+
+    def test_open_interval_witness(self, capsys, tmp_path):
+        path = tmp_path / "open.table.json"
+        path.write_text('{"n": 3, "dim_z": 1, "rows": {"1": {"0": [2, null]}}, "windows": {}}')
+        code, out, err = run(capsys, "acm-check", "--table", str(path))
+        assert (code, out, err) == (0, "acm: fails\n  witness: h^1(t=0) = 2+\n  acm: nonzero intermediate cohomology\n", "")
 
     def test_missing_field_message_kept(self, capsys, tmp_path):
         path = tmp_path / "bad.table.json"

@@ -738,12 +738,6 @@ class TestTable:
         assert all(type(v) is DimValue and 0 <= v.lo == v.hi for v in values)
         assert all(v is ZERO for v in values if v.hi == 0)
 
-    def test_row_column_check_keeps_the_constructor_message(self, monkeypatch):
-        monkeypatch.setattr(VirtualSheaf, "h_row", lambda self, q, ts: [-1] * len(ts))
-        with pytest.raises(ValueError) as exc:
-            table(tangent_sheaf(3), 0, 0)
-        assert str(exc.value) == "dimensions are nonnegative"
-
     def test_entry_cap_is_inclusive(self, monkeypatch):
         # the requested twists and each finite window outside them, counted
         # once: every row holds -3..3, rows 2 and 3 also hold their window
@@ -833,3 +827,22 @@ class TestTable:
         assert back.rows[1][-9] == DimValue.exact(0)
         assert back.rows[1][9] == DimValue(0, 4)
         assert back.value(2, -40) == DimValue.exact(7)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: VirtualSheaf.from_pairs(3, [(LineBundle(0), 0)]), "multiplicities must be positive"),
+        (lambda: VirtualSheaf.from_pairs(3, [(LineBundle(0), -1)]), "multiplicities must be positive"),
+        (lambda: VirtualSheaf.from_pairs(3, []), "a virtual sheaf needs at least one atom"),
+        (lambda: tangent_sheaf(3).direct_sum(tangent_sheaf(4)), "sheaves live on different projective spaces"),
+        (lambda: tensor_with_split(tangent_sheaf(3), SplitBundle(4, (0,))), "operands live on different projective spaces"),
+        (lambda: ext_power_tangent(3, 4), "need 0 <= q <= n"),
+        (lambda: ext_power_tangent(3, -1), "need 0 <= q <= n"),
+    ],
+    ids=["multiplicity 0", "multiplicity -1", "no atoms", "direct sum", "tensor", "q above n", "q below 0"],
+)
+def test_input_checks_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

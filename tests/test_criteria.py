@@ -243,6 +243,48 @@ class TestBuchsbaum:
         assert buchsbaum_numeric(t).holds
 
 
+UPPER = "a proper subscheme has dimension at most n-1"
+LOWER = "a subscheme has dimension at least -1 (the empty scheme)"
+
+
+class TestDimZ:
+    """acm_check and buchsbaum_numeric read dim Z one way: the override,
+    else the table's own, refused outside -1 (the empty scheme) .. n-1."""
+
+    @pytest.mark.parametrize("check", [acm_check, buchsbaum_numeric])
+    @pytest.mark.parametrize("dim_z, message", [(3, UPPER), (5, UPPER), (-2, LOWER), (-3, LOWER)])
+    def test_refuses_impossible_dimensions(self, check, dim_z, message):
+        t = split_table(3, [0])
+        for args in ((t, dim_z), (t.with_dim_z(dim_z),)):
+            with pytest.raises(ValueError) as exc:
+                check(*args)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("check", [acm_check, buchsbaum_numeric])
+    @pytest.mark.parametrize("dim_z", [-1, 2])
+    def test_accepts_both_ends(self, check, dim_z):
+        # O(0) on P^3 has no intermediate cohomology
+        t = split_table(3, [0])
+        assert check(t, dim_z).holds
+        assert check(t.with_dim_z(dim_z)).holds
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: evans_griffith(t, 0, 4), "rank must be positive"),
+        (lambda t: kpr(t, 0, 4), "rank must be positive"),
+        (lambda t: kpr(t, 1, 5), "n does not match the table"),
+        (lambda t: beilinson_rank_bound(t, 5), "n does not match the table"),
+    ],
+    ids=["evans-griffith rank", "kpr rank", "kpr n", "beilinson n"],
+)
+def test_input_checks_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(split_table(4, [0]))
+    assert str(exc.value) == message
+
+
 class TestHilbertDeficiencyVerdicts:
     @pytest.mark.parametrize(
         "dim_z, why", [(2, "dim Z >= 2"), (3, "dim Z >= 2"), (-1, "empty scheme")]

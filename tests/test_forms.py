@@ -1519,3 +1519,51 @@ class TestReferenceText:
             assert form_str(form) == ref_form_str(form)
             for _, poly in form.coeffs:
                 assert poly_str(poly) == ref_poly_str(poly)
+
+
+def _x(nvars, i):
+    return HomogeneousPoly.variable(nvars, i)
+
+
+def _one_form(nvars, i):
+    """z_i dz_i on C^nvars."""
+    return PolyKForm.from_dict(nvars, 1, {(i,): _x(nvars, i)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: HomogeneousPoly.variable(3, 3), "variable index 3 out of range"),
+        (lambda: HomogeneousPoly.variable(3, -1), "variable index -1 out of range"),
+        (lambda: PolyKForm.from_dict(3, 4, {}), "form degree 4 out of range for 3 variables"),
+        (lambda: PolyKForm.from_dict(3, -1, {}), "form degree -1 out of range for 3 variables"),
+        (lambda: PolyKForm.from_dict(3, 2, {(1, 0): _x(3, 0)}), "index tuple (1, 0) is not strictly increasing of length 2"),
+        (lambda: PolyKForm.from_dict(3, 2, {(1, 1): _x(3, 0)}), "index tuple (1, 1) is not strictly increasing of length 2"),
+        (lambda: PolyKForm.from_dict(3, 1, {(3,): _x(3, 0)}), "index tuple (3,) out of range"),
+        (lambda: PolyKForm.from_dict(3, 1, {(0,): _x(3, 0), (1,): HomogeneousPoly.constant(3, 1)}),
+         "mixed coefficient degrees [0, 1]"),
+        (lambda: volume_form(3) + _one_form(3, 0), "forms of different shape"),
+        (lambda: _one_form(4, 0) + _one_form(3, 0), "forms of different shape"),
+        (lambda: PolyVectorField(3, (_x(3, 0), _x(3, 1))), "need one component per variable"),
+        (lambda: PolyVectorField(2, (_x(2, 0), HomogeneousPoly.constant(2, 1))), "mixed component degrees [0, 1]"),
+        (lambda: PolyVectorField(2, (_x(2, 0), _x(3, 0))), "component in wrong ring"),
+        (lambda: GradedIdeal(2, (_x(3, 0),)), "generator in wrong ring"),
+        (lambda: wedge(_one_form(3, 0), _one_form(4, 0)), "forms in different variable counts"),
+        (lambda: contract(_one_form(3, 0), radial_field(4)), "form and field in different variable counts"),
+        (lambda: volume_contract_chain(2, [radial_field(4)]), "field in wrong ring"),
+        (lambda: minors_ideal([_one_form(3, i) for i in range(3)]), "at most 2 forms on C^3"),
+        (lambda: radial_form_degree(PolyKForm.from_dict(3, 1, {}), 2), "zero form"),
+        (lambda: radial_form_degree(PolyKForm.from_dict(3, 1, {(0,): HomogeneousPoly.constant(3, 1)}), 2),
+         "coefficients must have positive degree"),
+    ],
+    ids=[
+        "variable above", "variable below", "k above", "k below", "indices descending", "indices repeated",
+        "index out of range", "mixed coefficient degrees", "add k", "add ring", "field components",
+        "field degrees", "field ring", "ideal ring", "wedge ring", "contract ring", "chain ring",
+        "minors count", "radial zero form", "radial degree 0",
+    ],
+)
+def test_input_checks_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -590,3 +590,10 @@ class TestIntegerProfile:
         for ideal in oracle_ideals()[::3]:
             scaled = tuple(g * Fraction(rng.choice((-5, -1, 2, 7)), rng.choice((3, 4, 9))) for g in ideal.generators)
             assert leading_monomials(GradedIdeal(ideal.nvars, scaled)) == leading_monomials(ideal)
+
+
+def test_hilbert_function_refuses_a_negative_degree():
+    ideal = GradedIdeal(3, (HomogeneousPoly.variable(3, 0),))
+    with pytest.raises(ValueError) as exc:
+        hilbert_function(ideal, -1)
+    assert str(exc.value) == "degree must be nonnegative"

@@ -109,6 +109,20 @@ def test_module_layers():
     assert found == []
 
 
+def test_cli_reaches_the_ideal_chase_through_one_road():
+    # chase.ideal_chase picks the Eagon-Northcott complex and dim Z; a CLI
+    # that builds a complex or a chase itself would pick them a second time.
+    tree = ast.parse((Path(singscheme.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        f"cli.py:{node.lineno} {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("en_complex_tangent", "en_complex_pfaff", "windowed_chase")
+    ]
+    assert found == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
