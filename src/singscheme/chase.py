@@ -198,7 +198,7 @@ class ChaseResult(namedtuple("ChaseResult", "n tables plan")):
     the (triple, position, name, offset) that solves each unknown, in
     solving order, and unknowns their names. entries, (unknown, q, twist)
     in the unknown's own coordinates to a value, in plan order, then q,
-    then twist, is a read-only mapping built on first read. explain_json
+    then twist, is a read-only mapping built on first read. explain
     gives the provenance of every entry, reading each row as its solve did.
     """
 
@@ -216,19 +216,16 @@ class ChaseResult(namedtuple("ChaseResult", "n tables plan")):
                 entries.update(((name, q, s), v) for s, v in row.items())
         return MappingProxyType(entries)
 
-    def table(self, name: str, dim_z: int | None = None) -> CohomologyTable:
+    def table(self, name: str) -> CohomologyTable:
         if name not in self.tables:
             raise ValueError(f"unknown {name!r} was never constrained")
-        t = self.tables[name]
-        if dim_z is not None and t.dim_z != dim_z:
-            return t.with_dim_z(dim_z)
-        return t
+        return self.tables[name]
 
-    def explain_json(self) -> str:
-        """The --explain payload, as deterministic JSON: n, every unknown's
-        windows, and one entry per chased value, sorted by (unknown, q,
-        twist), with its rule, its triple and the four reads its solve made
-        (none for the window rule); replay_trace recomputes each entry."""
+    def explain(self) -> dict:
+        """The --explain payload: n, every unknown's windows, and one entry
+        per chased value, sorted by (unknown, q, twist), with its rule, its
+        triple and the four reads its solve made (none for the window rule);
+        replay_trace recomputes each entry."""
         entries = []
         for step in self.plan:
             tr, pos, name, offset = step
@@ -247,7 +244,7 @@ class ChaseResult(namedtuple("ChaseResult", "n tables plan")):
                     entries.append({"unknown": name, "q": q, "twist": s, "value": v.to_json(),
                                     "rule": rule, "triple": label, "inputs": inputs})
         entries.sort(key=lambda e: (e["unknown"], e["q"], e["twist"]))
-        payload = {
+        return {
             "n": self.n,
             "windows": {
                 name: {str(q): w.to_json() for q, w in sorted(self.tables[name].windows.items())}
@@ -255,8 +252,6 @@ class ChaseResult(namedtuple("ChaseResult", "n tables plan")):
             },
             "entries": entries,
         }
-        import json
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _chi_row(term: Term, ts: list, tables: dict) -> tuple:
@@ -291,7 +286,7 @@ def chase(triples, queries=()) -> ChaseResult:
     closed-form data no short exact sequence realizes breaks the Euler
     identity, which _materialize checks where it can fail, and raises
     InconsistentTripleError; the tests recompute the identity at every
-    twist. The result's explain_json is the provenance of every value it
+    twist. The result's explain is the provenance of every value it
     holds, each entry replayable by replay_trace.
     """
     return _materialize(_window_pass(triples), queries)

@@ -72,14 +72,14 @@ def _too_long(name: str) -> ValueError:
 
 def _check_printable(cells, name: str = "h^{}(t={})") -> None:
     """Refuse, by name, the first (*key, value) cell whose value, an int or
-    a DimValue, holds a number of more than MAX_LITERAL_DIGITS digits: str()
-    would refuse it mid-output, with a message that names no value. name
-    formats the key."""
+    a pair (lo, hi) such as a DimValue or its JSON form, holds a number of
+    more than MAX_LITERAL_DIGITS digits: str() would refuse it mid-output,
+    with a message that names no value. name formats the key."""
     from .chow import MAX_LITERAL_DIGITS
     limit = 10**MAX_LITERAL_DIGITS
     for *key, v in cells:
-        lo, hi = (v, v) if isinstance(v, int) else (v.lo, v.hi)
-        if abs(lo) >= limit or limit <= hi < inf:
+        lo, hi = (v, v) if isinstance(v, int) else v
+        if abs(lo) >= limit or hi is not None and limit <= hi < inf:
             raise _too_long(name.format(*key))
 
 
@@ -286,7 +286,7 @@ def _cmd_split_check(args) -> int:
 
 def _cmd_check(args) -> int:
     from . import criteria
-    verdict = getattr(criteria, args.check)(_input_table(args), args.dim_z)
+    verdict = getattr(criteria, args.check)(_input_table(args))
     return _report_verdict(args, args.label, {"check": args.command.removesuffix("-check")}, verdict)
 
 
@@ -302,9 +302,15 @@ def _cmd_chase(args) -> int:
         extra = [("I_Z", q, (lo, hi)) for q in range(bundle.n + 1)]
     result = ideal_chase(bundle, bundle.n, r, extra)
     if args.explain:
-        print(result.explain_json())
+        payload, cells = result.explain(), []
+        for e in payload["entries"]:
+            cells.append((e["q"], e["twist"], e["unknown"], e["value"]))
+            cells += ((x["q"], x["twist"], x["term"], x["value"]) for x in e["inputs"])
+        _check_printable(cells, "h^{}(t={}) of {}")
+        _emit_json(payload)
         return 0
     tab = result.table("I_Z")
+    _check_printable((q, t, v) for q, row in sorted(tab.rows.items()) for t, v in row.items())
     if args.json:
         print(tab.dumps())
         return 0
@@ -554,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"{what} on an ideal-sheaf table")
         _add_table_source(p)
-        p.add_argument("--dim-z", type=int, help="override the scheme dimension")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_check, check=check, label=label)
 

@@ -453,8 +453,10 @@ class CohomologyTable:
     row with no entry, like a null window in a table file, has the window
     Window(-inf, inf), which excludes no twist (unmaterialized queries
     then answer with the trivial interval [0, inf)). dim_z tags tables that
-    describe an ideal sheaf with the dimension of its subscheme. A table is
-    mutable, equal to a table of the same four fields, and unhashable.
+    describe an ideal sheaf with the dimension of its subscheme, which the
+    ACM and Buchsbaum checks read: chase.ideal_chase sets it, and from_json
+    reads it from a file. A table is mutable, equal to a table of the same
+    four fields, and unhashable.
     """
 
     __slots__ = ("n", "rows", "windows", "dim_z")
@@ -485,9 +487,6 @@ class CohomologyTable:
         if not self.windows.get(q, _NO_CERTIFICATE).contains(t):
             return ZERO
         return _UNKNOWN
-
-    def with_dim_z(self, dim_z: int) -> "CohomologyTable":
-        return CohomologyTable(self.n, self.rows, self.windows, dim_z)
 
     def to_json(self) -> dict:
         return {

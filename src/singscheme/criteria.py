@@ -139,11 +139,10 @@ def kpr(table: CohomologyTable, rank: int, n: int) -> Verdict:
     return vanishing_verdict(table, 2, n - 2, "kpr")
 
 
-def _dim_z(ideal_table: CohomologyTable, dim_z: int | None) -> int:
-    """The scheme dimension of an ideal-sheaf check: the override, else the
-    table's own, refused unless it lies in -1 (the empty scheme) .. n-1."""
-    if dim_z is None:
-        dim_z = ideal_table.dim_z
+def _dim_z(ideal_table: CohomologyTable) -> int:
+    """The scheme dimension of an ideal-sheaf check, the table's own dim_z,
+    refused unless it lies in -1 (the empty scheme) .. n-1."""
+    dim_z = ideal_table.dim_z
     if dim_z is None:
         raise ValueError("dimension of the subscheme is required")
     if dim_z > ideal_table.n - 1:
@@ -153,12 +152,10 @@ def _dim_z(ideal_table: CohomologyTable, dim_z: int | None) -> int:
     return dim_z
 
 
-def acm_check(
-    ideal_table: CohomologyTable, dim_z: int | None = None
-) -> Verdict:
+def acm_check(ideal_table: CohomologyTable) -> Verdict:
     """Arithmetically Cohen-Macaulay: rows 1..dim Z of the ideal sheaf
-    vanish at all twists."""
-    return vanishing_verdict(ideal_table, 1, _dim_z(ideal_table, dim_z), "acm")
+    vanish at all twists, dim Z being the table's own."""
+    return vanishing_verdict(ideal_table, 1, _dim_z(ideal_table), "acm")
 
 
 def possible_entries(table: CohomologyTable, q: int, lo=-inf, hi=inf):
@@ -199,21 +196,19 @@ def _first_consecutive(twists) -> int | None:
     return next((t for t in sorted(twists) if t + 1 in twists), None)
 
 
-def buchsbaum_numeric(
-    ideal_table: CohomologyTable, dim_z: int | None = None
-) -> Verdict:
+def buchsbaum_numeric(ideal_table: CohomologyTable) -> Verdict:
     """Numeric sufficient criterion for arithmetically Buchsbaum.
 
-    Two conditions over rows 1..dim Z. The gap condition: nonzero h^p(I(i))
-    and h^q(I(j)) with p < q force (p+i) - (q+j) != 1; violated by two
-    definite nonzeros -> fails. The multiplication condition concerns maps,
-    which a table cannot see; the sufficient numeric form used here is that
-    no row is possibly nonzero at two consecutive twists, so every
-    multiplication map lands in (or starts from) a zero group. Both
-    certified -> holds; gap condition intact but the multiplication
-    criterion not certifiable -> undetermined.
+    Two conditions over rows 1..dim Z, dim Z being the table's own. The gap
+    condition: nonzero h^p(I(i)) and h^q(I(j)) with p < q force
+    (p+i) - (q+j) != 1; violated by two definite nonzeros -> fails. The
+    multiplication condition concerns maps, which a table cannot see; the
+    sufficient numeric form used here is that no row is possibly nonzero at
+    two consecutive twists, so every multiplication map lands in (or starts
+    from) a zero group. Both certified -> holds; gap condition intact but
+    the multiplication criterion not certifiable -> undetermined.
     """
-    dim_z = _dim_z(ideal_table, dim_z)
+    dim_z = _dim_z(ideal_table)
     if dim_z <= 0:
         return _NO_INTERMEDIATE_ROWS
 

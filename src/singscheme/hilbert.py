@@ -31,14 +31,24 @@ from .forms import FIELD_BITS, GradedIdeal, pack_monomial, unpack_monomial
 # clear of its guard bit while the pair degree is below _MAX_DEGREE.
 _MAX_DEGREE = 1 << (FIELD_BITS - 1)
 
+# Most work one leading_monomials call may do, in the units _step counts:
+# terms updated times 64-bit words of the two multipliers, so the count
+# grows with the coefficients, as the time does. The largest basis of the
+# tests and the benchmark, the n = 5 pullback with field degrees 1,1, takes
+# about 1.2 million; form pullback --n 12 --field-degrees 1 takes 476
+# million in about 7 s, and --n 13 is refused after about as long.
+MAX_GROEBNER_WORK = 500_000_000
 
-def _step(p: dict, lm: int, lm_g: int, g: dict) -> dict:
-    """a*p - b*z^(lm - lm_g)*g with a, b coprime, cancelling p's term at lm;
-    p itself may be updated in place."""
+
+def _step(p: dict, lm: int, lm_g: int, g: dict) -> tuple[dict, int]:
+    """a*p - b*z^(lm - lm_g)*g with a, b coprime, cancelling p's term at lm,
+    and its work; p itself may be updated in place."""
     a, b = g[lm_g], p[lm]
     q = gcd(a, b)
     a, b = a // q, b // q
+    terms = len(g)
     if a != 1:
+        terms += len(p)
         p = {m: a * c for m, c in p.items()}
     shift = lm - lm_g
     for m, c in g.items():
@@ -48,23 +58,25 @@ def _step(p: dict, lm: int, lm_g: int, g: dict) -> dict:
             p[m] = v
         else:
             del p[m]
-    return p
+    return p, terms * (1 + (a.bit_length() + b.bit_length()) // 64)
 
 
-def _reduce(p: dict, lms: list, polys: list, guard: int) -> dict:
+def _reduce(p: dict, lms: list, polys: list, guard: int) -> tuple[dict, int]:
     """Top-reduce p by the basis; the primitive remainder, empty when p
-    reduces to zero."""
+    reduces to zero, and the work of its steps."""
+    work = 0
     while p:
         lm = min(p)
         top = lm | guard
         for lm_g, g in zip(lms, polys):
             if (top - lm_g) & guard == guard:
-                p = _step(p, lm, lm_g, g)
+                p, w = _step(p, lm, lm_g, g)
+                work += w
                 break
         else:
             content = gcd(*p.values())
-            return {m: c // content for m, c in p.items()} if content > 1 else p
-    return p
+            return {m: c // content for m, c in p.items()} if content > 1 else p, work
+    return p, work
 
 
 def _update(pairs: list, lms: list, expos: list, guard: int) -> list:
@@ -118,19 +130,24 @@ def leading_monomials(ideal: GradedIdeal) -> list[tuple[int, ...]]:
     polys: list[dict] = []
     expos: list[tuple[int, ...]] = []
     pairs: list[tuple[int, int, int, int]] = []  # (degree, lcm, i, j)
+    work = 0
     while gens or pairs:
         d = min([p[0] for p in pairs] + [deg for deg, _ in gens[-1:]])
         if d >= _MAX_DEGREE:
             raise ValueError(f"degree {d} exceeds the monomial packing")
         batch = []
         for _, lcm, i, j in (p for p in pairs if p[0] == d):
-            s = {m + lcm - lms[i]: c for m, c in polys[i].items()}
-            batch.append(_step(s, lcm, lms[j], polys[j]))
+            s, w = _step({m + lcm - lms[i]: c for m, c in polys[i].items()}, lcm, lms[j], polys[j])
+            batch.append(s)
+            work += w
         pairs = [p for p in pairs if p[0] != d]
         while gens and gens[-1][0] == d:
             batch.append(gens.pop()[1])
         for f in batch:
-            r = _reduce(f, lms, polys, guard)
+            r, w = _reduce(f, lms, polys, guard)
+            work += w
+            if work > MAX_GROEBNER_WORK:
+                raise ValueError(f"the Groebner basis exceeds the cap of {MAX_GROEBNER_WORK} units of work")
             if r:
                 lm = min(r)
                 lms.append(lm)

@@ -21,6 +21,7 @@ from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degr
 from singscheme.cohomology import MAX_SWEEP_WORK, MAX_TABLE_ENTRIES
 from singscheme.criteria import InapplicableError, evans_griffith, horrocks, kpr
 from singscheme.forms import MAX_DEGREE, MAX_NESTING, MAX_PARSE_WORK, MAX_PRODUCT_WORK, MAX_TERMS, MAX_VARIABLES, HomogeneousPoly, PolyVectorField, form_str, volume_contract_chain
+from test_chase import GOLDEN_SPECS
 
 TWO_LINES_FORM = (
     "z0*z2 dz1^dz3 - z0*z3 dz1^dz2 - z1*z2 dz0^dz3 + z1*z3 dz0^dz2"
@@ -406,10 +407,11 @@ class TestTableChecks:
         path = tmp_path / "contradictory.table.json"
         path.write_text(json.dumps({
             "n": 4,
+            "dim_z": 2,
             "rows": {"2": {"-3": 5, "0": 1}},
             "windows": {"0": {"lo": 0, "hi": None}, "1": {"empty": True}, "2": {"lo": 0, "hi": 0}},
         }))
-        for argv in (("acm-check", "--dim-z", "2"), ("beilinson-bound",)):
+        for argv in (("acm-check",), ("beilinson-bound",)):
             code, out, err = run(capsys, *argv, "--table", str(path))
             message = "malformed table: h^2(t=-3) = 5 lies outside the row's window"
             assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -427,7 +429,7 @@ class TestTableChecks:
     @pytest.mark.parametrize(
         "argv, code, want",
         [
-            (("acm-check", "--dim-z", "1"), 0, "acm: undetermined\n  acm: row 1 window is unbounded\n"),
+            (("acm-check",), 0, "acm: undetermined\n  acm: row 1 window is unbounded\n"),
             (("regularity",), 1, "error: row 1 is unbounded above; regularity is undecidable\n"),
             (("beilinson-bound",), 1, "error: clause (i) not certifiable: row 0 unbounded below\n"),
         ],
@@ -435,7 +437,7 @@ class TestTableChecks:
     )
     def test_windowless_table_rows_exclude_no_twist(self, capsys, tmp_path, windows, argv, code, want):
         path = tmp_path / "windowless.table.json"
-        path.write_text('{"n": 4' + windows + "}")
+        path.write_text('{"n": 4, "dim_z": 1' + windows + "}")
         got = run(capsys, *argv, "--table", str(path))
         assert (got[0], got[1] + got[2]) == (code, want)
 
@@ -502,6 +504,28 @@ class TestTableChecks:
         message = f"a table entry of 5000 digits exceeds the cap of {MAX_LITERAL_DIGITS} digits"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @staticmethod
+    def chased_file(capsys, tmp_path, dim_z):
+        """The file that chase --json writes for tangent:0,0 on P^3, where
+        dim Z = 1, with its dim_z set to dim_z."""
+        code, dumped, _ = run(capsys, "chase", "--tangent=0,0", "--n", "3", "--json")
+        assert code == 0
+        data = json.loads(dumped)
+        data["dim_z"] = dim_z
+        path = tmp_path / "chased.table.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("command", ["acm-check", "buchsbaum-check"])
+    def test_dim_z_option_is_gone(self, capsys, command):
+        # dim Z is a fact about Z: the table that the chase makes carries it
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--from-chase", "pfaff:2:-2,-2,-2", "--dim-z", "0"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: singscheme ")
+        assert err.endswith("error: unrecognized arguments: --dim-z 0\n")
+
     @pytest.mark.parametrize("command", ["acm-check", "buchsbaum-check"])
     @pytest.mark.parametrize(
         "dim_z, message",
@@ -513,8 +537,8 @@ class TestTableChecks:
         ],
     )
     def test_impossible_dim_z_is_refused(self, capsys, tmp_path, command, dim_z, message):
-        got = run(capsys, command, "--from-chase", "tangent:0,0", "--n", "3", f"--dim-z={dim_z}")
-        assert got == (1, "", f"error: {message}\n")
+        path = self.chased_file(capsys, tmp_path, int(dim_z))
+        assert run(capsys, command, "--table", str(path)) == (1, "", f"error: {message}\n")
         path = tmp_path / "z.table.json"
         path.write_text(json.dumps({"n": 3, "dim_z": int(dim_z)}))
         assert run(capsys, command, "--table", str(path)) == (1, "", f"error: {message}\n")
@@ -529,9 +553,29 @@ class TestTableChecks:
              "  buchsbaum: row 2 cannot be enumerated (missing or unbounded window)\n"),
         ],
     )
-    def test_dim_z_from_the_empty_scheme_to_n_minus_one(self, capsys, command, dim_z, want):
-        got = run(capsys, command, "--from-chase", "tangent:0,0", "--n", "3", f"--dim-z={dim_z}")
-        assert got == (0, want, "")
+    def test_dim_z_from_the_empty_scheme_to_n_minus_one(self, capsys, tmp_path, command, dim_z, want):
+        path = self.chased_file(capsys, tmp_path, int(dim_z))
+        assert run(capsys, command, "--table", str(path)) == (0, want, "")
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    @pytest.mark.parametrize("command", ["acm-check", "buchsbaum-check"])
+    @pytest.mark.parametrize("spec", sorted(GOLDEN_SPECS))
+    def test_chased_table_file_reads_as_the_chase(self, capsys, tmp_path, spec, command, flags):
+        # dim Z travels inside the table: the file that chase --json writes
+        # gives each check exactly what --from-chase gives it
+        E, r = GOLDEN_SPECS[spec]
+        twists = spec.partition(":")[2]
+        if r is None:
+            data, n = (f"--tangent={twists}",), ("--n", str(E.n))
+        else:
+            data, n = (f"--pfaff={twists.partition(':')[2]}", "--r", str(r)), ()
+        code, dumped, _ = run(capsys, "chase", *data, *n, "--json")
+        assert code == 0
+        path = tmp_path / "chased.table.json"
+        path.write_text(dumped)
+        want = run(capsys, command, "--from-chase", spec, *n, *flags)
+        assert want[0] == 0
+        assert run(capsys, command, "--table", str(path), *flags) == want
 
     def test_open_interval_witness(self, capsys, tmp_path):
         path = tmp_path / "open.table.json"
@@ -587,6 +631,25 @@ class TestChaseCommand:
         assert {e["rule"] for e in entries} >= {"window", "solve-c"}
         for entry in entries:
             assert replay_trace(entry) == DimValue.from_json(entry["value"]), entry
+
+    @pytest.mark.parametrize(
+        "flags, whose", [((), ""), (("--json",), ""), (("--explain",), " of I_Z")], ids=["text", "json", "explain"]
+    )
+    def test_value_too_long_to_print(self, capsys, flags, whose):
+        # h^0(I_Z(t)) for F = O(0) on P^3 grows like t^3: about 6,000 digits
+        # at t = 10^2000, which str() refuses; it is named before any output
+        t = 10**2000
+        code, out, err = run(capsys, "chase", "--tangent=0", "--n", "3", f"--twists={t}..{t}", *flags)
+        message = f"h^0(t={t}){whose} is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--explain",)], ids=["text", "json", "explain"])
+    def test_long_values_below_the_limit_print(self, capsys, flags):
+        # about 3,900 digits at t = 10^1300, inputs of --explain included
+        t = 10**1300
+        code, out, err = run(capsys, "chase", "--tangent=0", "--n", "3", f"--twists={t}..{t}", *flags)
+        assert (code, err) == (0, "")
+        assert str(t) in out
 
     def test_pfaff_needs_rank(self, capsys):
         code, _, err = run(capsys, "chase", "--pfaff=-2,-2")
@@ -705,6 +768,27 @@ class TestClassifyCommand:
 
 
 class TestFormSing:
+    def test_report_skips_zero_coefficients_of_the_polynomial(self, capsys, tmp_path):
+        # HP = 3t has a zero constant term, which the rendering leaves out
+        path = tmp_path / "cubics.form"
+        path.write_text(
+            "(z0^3 + z1^3 + z2^3) dz0^dz1 + z3*z0^2 dz0^dz2 + z3*z1^2 dz0^dz3"
+            " + z3*z2^2 dz1^dz2 + z3^3 dz1^dz3"
+        )
+        assert run(capsys, "form", "sing", "--input", str(path)) == (
+            0,
+            "form: 2-form on P^3, coefficient degree 3\n"
+            "radial contraction: NONZERO (not projective)\n"
+            "ideal: 5 generators, degrees 3,3,3,3,3\n"
+            "scheme: dim 1, degree 3\n"
+            "hilbert polynomial: 3t (stable from t=6)\n"
+            "ACM: undetermined\n"
+            "  no deficiency at t >= 0; twists t < 0 are invisible to a Hilbert function\n"
+            "Buchsbaum(numeric): holds\n"
+            "  no visible deficiency module\n",
+            "",
+        )
+
     def test_two_lines_report(self, capsys, tmp_path):
         path = tmp_path / "two_lines.form"
         path.write_text(TWO_LINES_FORM)
@@ -1044,6 +1128,12 @@ class TestFormPullback:
         code, out, err = run(capsys, "form", "pullback", "--n", str(MAX_VARIABLES), "--field-degrees", "1")
         message = f"{MAX_VARIABLES + 1} variables exceed the cap of {MAX_VARIABLES}"
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_groebner_work_over_the_cap_exits_one(self, capsys, monkeypatch):
+        from singscheme import hilbert
+        monkeypatch.setattr(hilbert, "MAX_GROEBNER_WORK", 1000)
+        code, out, err = run(capsys, "form", "pullback", "--n", "5", "--field-degrees", "1,1")
+        assert (code, out, err) == (1, "", "error: the Groebner basis exceeds the cap of 1000 units of work\n")
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_ambient_dimension_below_one_exits_one(self, capsys, n):

@@ -769,7 +769,7 @@ class TestTable:
     def test_json_round_trip(self):
         t = table(tangent_sheaf(4).direct_sum(
             VirtualSheaf.from_atom(4, LineBundle(-3))), -2, 2)
-        t = t.with_dim_z(1)
+        t.dim_z = 1
         back = CohomologyTable.loads(t.dumps())
         assert back.n == t.n and back.dim_z == 1
         assert back.rows == t.rows

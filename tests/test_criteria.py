@@ -34,9 +34,11 @@ from singscheme.criteria import (
 )
 
 
-def split_table(n, twists, lo=None, hi=None):
+def split_table(n, twists, lo=None, hi=None, dim_z=None):
     s = VirtualSheaf.from_split(SplitBundle(n, tuple(twists)))
-    return table(s, -n - 3 if lo is None else lo, n + 3 if hi is None else hi)
+    tab = table(s, -n - 3 if lo is None else lo, n + 3 if hi is None else hi)
+    tab.dim_z = dim_z
+    return tab
 
 
 def two_disjoint_lines_table():
@@ -162,7 +164,7 @@ class TestKPR:
 
 class TestACM:
     def test_all_zero_rows_holds(self):
-        t = split_table(4, [0]).with_dim_z(2)
+        t = split_table(4, [0], dim_z=2)
         assert acm_check(t).holds
 
     def test_two_disjoint_lines_fails(self):
@@ -170,21 +172,18 @@ class TestACM:
         assert v.decision == "fails"
         assert v.witnesses == ((1, 0, DimValue.exact(1)),)
 
-    def test_explicit_dim_overrides(self):
-        t = two_disjoint_lines_table()
-        assert acm_check(t, 0).holds  # vacuous below the h^1 row
-
     def test_requires_dimension(self):
         t = split_table(3, [0])
+        with pytest.raises(ValueError, match="dimension of the subscheme is required"):
+            acm_check(t)
+        t.dim_z = 3
         with pytest.raises(ValueError):
             acm_check(t)
-        with pytest.raises(ValueError):
-            acm_check(t, 3)
 
 
 class TestBuchsbaum:
     def test_acm_table_holds(self):
-        t = split_table(4, [0]).with_dim_z(2)
+        t = split_table(4, [0], dim_z=2)
         assert buchsbaum_numeric(t).holds
 
     def test_two_disjoint_lines_holds(self):
@@ -248,25 +247,21 @@ LOWER = "a subscheme has dimension at least -1 (the empty scheme)"
 
 
 class TestDimZ:
-    """acm_check and buchsbaum_numeric read dim Z one way: the override,
-    else the table's own, refused outside -1 (the empty scheme) .. n-1."""
+    """acm_check and buchsbaum_numeric read dim Z one way, the table's own,
+    refused outside -1 (the empty scheme) .. n-1."""
 
     @pytest.mark.parametrize("check", [acm_check, buchsbaum_numeric])
     @pytest.mark.parametrize("dim_z, message", [(3, UPPER), (5, UPPER), (-2, LOWER), (-3, LOWER)])
     def test_refuses_impossible_dimensions(self, check, dim_z, message):
-        t = split_table(3, [0])
-        for args in ((t, dim_z), (t.with_dim_z(dim_z),)):
-            with pytest.raises(ValueError) as exc:
-                check(*args)
-            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            check(split_table(3, [0], dim_z=dim_z))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("check", [acm_check, buchsbaum_numeric])
     @pytest.mark.parametrize("dim_z", [-1, 2])
     def test_accepts_both_ends(self, check, dim_z):
         # O(0) on P^3 has no intermediate cohomology
-        t = split_table(3, [0])
-        assert check(t, dim_z).holds
-        assert check(t.with_dim_z(dim_z)).holds
+        assert check(split_table(3, [0], dim_z=dim_z)).holds
 
 
 @pytest.mark.parametrize(

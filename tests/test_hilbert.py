@@ -36,7 +36,9 @@ from singscheme.forms import (
     volume_contract_chain,
     wedge,
 )
+from singscheme import hilbert
 from singscheme.hilbert import (
+    MAX_GROEBNER_WORK,
     HilbertProfile,
     hilbert_function,
     hilbert_profile,
@@ -590,6 +592,27 @@ class TestIntegerProfile:
         for ideal in oracle_ideals()[::3]:
             scaled = tuple(g * Fraction(rng.choice((-5, -1, 2, 7)), rng.choice((3, 4, 9))) for g in ideal.generators)
             assert leading_monomials(GradedIdeal(ideal.nvars, scaled)) == leading_monomials(ideal)
+
+
+class TestGroebnerWorkCap:
+    """MAX_GROEBNER_WORK bounds one leading_monomials call, in work units
+    that grow with the coefficients as the time does."""
+
+    def test_over_the_cap_is_refused_by_name(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "MAX_GROEBNER_WORK", 1000)
+        ideal = coefficient_ideal(pullback_form(5, (1, 1), 0))
+        with pytest.raises(ValueError) as exc:
+            leading_monomials(ideal)
+        assert str(exc.value) == "the Groebner basis exceeds the cap of 1000 units of work"
+
+    def test_largest_basis_of_the_tests_is_far_below_the_cap(self, monkeypatch):
+        # the n = 5 pullback with field degrees 1,1 takes about 1.2 million
+        # units, the most of any basis the tests and the benchmark ask for
+        ideal = coefficient_ideal(pullback_form(5, (1, 1), 0))
+        want = leading_monomials(ideal)
+        monkeypatch.setattr(hilbert, "MAX_GROEBNER_WORK", MAX_GROEBNER_WORK // 100)
+        assert leading_monomials(ideal) == want
+        assert hilbert_profile(ideal).scheme_deg == 15
 
 
 def test_hilbert_function_refuses_a_negative_degree():

@@ -235,6 +235,21 @@ def _package_trees() -> dict:
     }
 
 
+def test_every_cap_is_named_in_the_readme():
+    # The README lists the caps that bound the work of each input; every
+    # module-level MAX_* constant of the package is named there.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    caps = [
+        (module, name)
+        for module, tree in _package_trees().items()
+        for node in tree.body
+        for name in _defined(node)
+        if name.startswith("MAX_")
+    ]
+    assert len(caps) >= 14
+    assert [cap for cap in caps if not re.search(rf"\b{cap[1]}\b", readme)] == []
+
+
 def _readme_blocks() -> list:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return [ast.parse(block) for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)]
