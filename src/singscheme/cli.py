@@ -71,15 +71,15 @@ def _too_long(name: str) -> ValueError:
 
 
 def _check_printable(cells, name: str = "h^{}(t={})") -> None:
-    """Refuse, by name, the first (*key, value) cell whose value, an int or
-    a pair (lo, hi) such as a DimValue or its JSON form, holds a number of
-    more than MAX_LITERAL_DIGITS digits: str() would refuse it mid-output,
-    with a message that names no value. name formats the key."""
+    """Refuse, by name, the first (*key, value) cell whose value, a number
+    or a pair (lo, hi) such as a DimValue or its JSON form, holds a finite
+    number of more than MAX_LITERAL_DIGITS digits: str() would refuse it
+    mid-output, with a message that names no value. name formats the key."""
     from .chow import MAX_LITERAL_DIGITS
     limit = 10**MAX_LITERAL_DIGITS
     for *key, v in cells:
-        lo, hi = (v, v) if isinstance(v, int) else v
-        if abs(lo) >= limit or hi is not None and limit <= hi < inf:
+        lo, hi = v if isinstance(v, (tuple, list)) else (v, v)
+        if limit <= abs(lo) < inf or hi is not None and limit <= hi < inf:
             raise _too_long(name.format(*key))
 
 
@@ -120,7 +120,7 @@ def parse_sheaf(spec: str, n: int):
     """Parse 'O(-2)^3+Om(1,4)+T' into a VirtualSheaf on P^n."""
     from .chow import read_number
     from .cohomology import VirtualSheaf, ext_power_tangent, normalize_atom
-    total = None
+    pairs = []
     for chunk in spec.split("+"):
         m = _TERM.match(chunk)
         if m is None:
@@ -141,9 +141,8 @@ def parse_sheaf(spec: str, n: int):
             atom = normalize_atom(n, p, k)
         else:
             atom = normalize_atom(n, 0, read_number(m.group("a"), "a twist"))  # O(a) = Omega^0(a)
-        part = VirtualSheaf.from_atom(n, atom, mult)
-        total = part if total is None else total.direct_sum(part)
-    return total
+        pairs.append((atom, mult))
+    return VirtualSheaf.from_pairs(n, pairs)
 
 
 # Most twists one --twists range may hold. Every twist costs a table column
@@ -252,6 +251,10 @@ def _cmd_cohomology(args) -> int:
     from .cohomology import table
     sheaf = parse_sheaf(args.sheaf, args.n)
     lo, hi = _parse_twist_range(args.twists)
+    # Refuse before building: h^0 at hi and h^n at lo are the table's
+    # largest values, since h^0(F(t)) grows with t (F is torsion-free),
+    # h^n(F(t)) falls (Serre duality), and the middle rows hold multiplicities.
+    _check_printable([(0, hi, *sheaf.h_row(0, [hi])), (args.n, lo, *sheaf.h_row(args.n, [lo]))])
     tab = table(sheaf, lo, hi)
     if args.json:
         _check_printable((q, t, v) for q, row in sorted(tab.rows.items()) for t, v in sorted(row.items()))
@@ -295,7 +298,9 @@ def _cmd_chase(args) -> int:
     pfaff = args.tangent is None
     if pfaff and args.r is None:
         raise ValueError("a Pfaff chase needs --r")
-    bundle, r = _chase_data(args.pfaff if pfaff else args.tangent, args.r if pfaff else None, args.n)
+    if not pfaff and args.r is not None:
+        raise ValueError("a tangent chase takes no --r")
+    bundle, r = _chase_data(args.pfaff if pfaff else args.tangent, args.r, args.n)
     extra = ()
     if args.twists:
         lo, hi = _parse_twist_range(args.twists)
@@ -327,7 +332,9 @@ def _cmd_chase(args) -> int:
 
 def _cmd_regularity(args) -> int:
     from .criteria import regularity
-    print(regularity(_input_table(args)))
+    reg = regularity(_input_table(args))
+    _check_printable([(reg,)], "the regularity")
+    print(reg)
     return 0
 
 
@@ -335,6 +342,7 @@ def _cmd_beilinson(args) -> int:
     from .criteria import beilinson_rank_bound
     tab = _input_table(args)
     bound = beilinson_rank_bound(tab, tab.n)
+    _check_printable([(bound,)], "the bound")
     if args.rank is None:
         if args.json:
             _emit_json({"bound": bound})

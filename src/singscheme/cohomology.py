@@ -227,21 +227,12 @@ class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
         return cls(n, tuple(sorted(merged.items())))
 
     @classmethod
-    def from_atom(cls, n: int, atom: SheafAtom, mult: int = 1) -> "VirtualSheaf":
-        return cls.from_pairs(n, [(atom, mult)])
-
-    @classmethod
     def from_split(cls, bundle: SplitBundle) -> "VirtualSheaf":
         return cls.from_pairs(bundle.n, [(LineBundle(a), m) for a, m in bundle.counts])
 
     @property
     def rank(self) -> int:
         return sum(m * comb(self.n, atom.p) for atom, m in self.atoms)
-
-    def direct_sum(self, other: "VirtualSheaf") -> "VirtualSheaf":
-        if self.n != other.n:
-            raise ValueError("sheaves live on different projective spaces")
-        return VirtualSheaf.from_pairs(self.n, self.atoms + other.atoms)
 
     @cached_property
     def _rows(self):
@@ -297,7 +288,7 @@ class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
 
 def tangent_sheaf(n: int) -> VirtualSheaf:
     """The tangent sheaf, Lambda^1 T, as a virtual sheaf."""
-    return VirtualSheaf.from_atom(n, ext_power_tangent(n, 1))
+    return VirtualSheaf.from_pairs(n, [(ext_power_tangent(n, 1), 1)])
 
 
 # Most steps a Sym or Lambda sweep may take, as bounded before it starts:
@@ -362,25 +353,16 @@ def ext_power_tangent(n: int, q: int) -> SheafAtom:
     return normalize_atom(n, n - q, n + 1)
 
 
-def tensor_with_split(sheaf, bundle: SplitBundle) -> VirtualSheaf:
-    """Tensor an atom or virtual sheaf with a split bundle, distributing
-    each distinct twist of bundle.counts over atoms: Omega^p(k) (x) O(a)
-    is the pair (p, k + a) of the atom's own class. Omega (x) Omega
-    products are outside the calculus and cannot be expressed here by
-    construction."""
-    if isinstance(sheaf, (LineBundle, CotangentPower)):
-        sheaf = VirtualSheaf.from_atom(bundle.n, sheaf)
-    if sheaf.n != bundle.n:
-        raise ValueError("operands live on different projective spaces")
-    counts, new = bundle.counts, tuple.__new__
-    if len(sheaf.atoms) == 1:
-        # One atom times distinct twists: distinct atoms, descending in k
-        # as counts is, so reversed they are already in sorted order.
-        ((atom, mult),) = sheaf.atoms
-        cls, p, k = type(atom), atom.p, atom.k
-        return VirtualSheaf(sheaf.n, tuple((new(cls, (p, k + a)), mult * m) for a, m in reversed(counts)))
-    pairs = [(new(type(atom), (atom.p, atom.k + a)), mult * m) for atom, mult in sheaf.atoms for a, m in counts]
-    return VirtualSheaf.from_pairs(sheaf.n, pairs)
+def tensor_with_split(atom: SheafAtom, bundle: SplitBundle) -> VirtualSheaf:
+    """Tensor an atom with a split bundle, one atom per distinct twist of
+    bundle.counts: Omega^p(k) (x) O(a) is the pair (p, k + a) of the
+    normalized atom's own class. Omega (x) Omega products are outside the
+    calculus and cannot be expressed here by construction."""
+    atom = normalize_atom(bundle.n, atom.p, atom.k)
+    cls, p, k, new = type(atom), atom.p, atom.k, tuple.__new__
+    # distinct atoms, descending in k as counts is, so reversed they are
+    # already in sorted order
+    return VirtualSheaf(bundle.n, tuple((new(cls, (p, k + a)), m) for a, m in reversed(bundle.counts)))
 
 
 class DimValue(namedtuple("DimValue", "lo hi")):

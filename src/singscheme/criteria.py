@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import inf
 
-from .cohomology import CohomologyTable, DimValue
+from .cohomology import MAX_TABLE_ENTRIES, CohomologyTable, DimValue
 
 
 class InapplicableError(ValueError):
@@ -58,7 +58,7 @@ def _row_status(table: CohomologyTable, q: int):
     """Classify row q: ('zero', None), ('nonzero', witness), or
     ('unknown', reason). A definite nonzero, lo > 0, wins even in an
     unbounded window; the witness is the least such twist, found in one pass
-    over the row."""
+    over the row. Else the first possibly nonzero twist decides."""
     row = table.rows.get(q, {})
     t = min((t for t, v in row.items() if v.lo > 0), default=None)
     if t is not None:
@@ -66,8 +66,9 @@ def _row_status(table: CohomologyTable, q: int):
     entries = possible_entries(table, q)
     if entries is None:
         return "unknown", f"row {q} window is unbounded"
-    if entries:
-        return "unknown", f"row {q} not pinned at twist {entries[0][0]}"
+    first = next(entries, None)
+    if first:
+        return "unknown", f"row {q} not pinned at twist {first[0]}"
     return "zero", None
 
 
@@ -159,35 +160,32 @@ def acm_check(ideal_table: CohomologyTable) -> Verdict:
 
 
 def possible_entries(table: CohomologyTable, q: int, lo=-inf, hi=inf):
-    """(twist, value) pairs, ascending, where row q is possibly nonzero at
-    twists lo..hi clipped to the row's window, which certifies every twist
-    outside it zero: an empty clip leaves nothing, and None means the twists
-    cannot be enumerated (the clip is open at an end)."""
+    """An iterator of the (twist, value) pairs, ascending, where row q is
+    possibly nonzero at twists lo..hi clipped to the row's window, which
+    certifies every twist outside it zero: an empty clip leaves nothing, and
+    None means the twists cannot be enumerated (the clip is open at an end).
+    It is lazy, so the first pair costs one step per exact zero before it: a
+    twist that is no entry of the row is possibly nonzero."""
     w = table.window(q)
     lo, hi = max(lo, w.lo), min(hi, w.hi)
     if lo > hi:
-        return []
+        return iter(())
     if lo == -inf or hi == inf:
         return None
-    out = []
-    for t in range(lo, hi + 1):
-        v = table.value(q, t)
-        if v.possibly_nonzero:
-            out.append((t, v))
-    return out
+    return ((t, v) for t in range(lo, hi + 1) if (v := table.value(q, t)).possibly_nonzero)
 
 
-def _gap_violation(entries: dict[int, list]):
+def _gap_violation(entries: dict[int, dict]):
     """First pair (p, i, vp), (q, j, vq) with p < q and (p+i) - (q+j) = 1
-    among per-row lists of (twist, value), or None."""
-    for p in entries:
-        for q in entries:
-            if p >= q:
-                continue
-            for i, vp in entries[p]:
-                for j, vq in entries[q]:
-                    if (p + i) - (q + j) == 1:
-                        return (p, i, vp), (q, j, vq)
+    among per-row dicts of twist -> value, in row order and then twist
+    order, or None: the partner of (p, i) in row q is the one twist
+    j = p + i - q - 1."""
+    for p, row_p in entries.items():
+        for q, row_q in entries.items():
+            if p < q:
+                for i, vp in row_p.items():
+                    if (j := p + i - q - 1) in row_q:
+                        return (p, i, vp), (q, j, row_q[j])
     return None
 
 
@@ -215,7 +213,7 @@ def buchsbaum_numeric(ideal_table: CohomologyTable) -> Verdict:
     rows = range(1, dim_z + 1)
 
     # Definite gap violations first: they decide "fails" outright.
-    definite = {q: sorted((t, v) for t, v in ideal_table.rows.get(q, {}).items() if v.lo > 0) for q in rows}
+    definite = {q: dict(sorted((t, v) for t, v in ideal_table.rows.get(q, {}).items() if v.lo > 0)) for q in rows}
     gap = _gap_violation(definite)
     if gap is not None:
         (p, i, _), (q, j, _) = gap
@@ -225,17 +223,17 @@ def buchsbaum_numeric(ideal_table: CohomologyTable) -> Verdict:
             f"buchsbaum: gap condition violated, (p+i)-(q+j)=1 at p={p}, i={i}, q={q}, j={j}",
         )
 
-    # For a positive verdict every row must be enumerable.
-    possible: dict[int, list] = {}
+    # For a positive verdict every row must be enumerable, and no row that
+    # table() or the chase writes is wider than MAX_TABLE_ENTRIES twists.
+    possible: dict[int, dict] = {}
     for q in rows:
-        entries = possible_entries(ideal_table, q)
-        if entries is None:
-            return Verdict(
-                "undetermined",
-                (),
-                f"buchsbaum: row {q} cannot be enumerated (missing or unbounded window)",
+        entries, w = possible_entries(ideal_table, q), ideal_table.window(q)
+        if entries is None or w.hi - w.lo >= MAX_TABLE_ENTRIES:
+            why = "missing or unbounded window" if entries is None else (
+                f"window of {w.hi - w.lo + 1} twists, over the cap of {MAX_TABLE_ENTRIES}"
             )
-        possible[q] = entries
+            return Verdict("undetermined", (), f"buchsbaum: row {q} cannot be enumerated ({why})")
+        possible[q] = dict(entries)
 
     gap = _gap_violation(possible)
     if gap is not None:
@@ -247,7 +245,7 @@ def buchsbaum_numeric(ideal_table: CohomologyTable) -> Verdict:
         )
 
     for q in rows:
-        vs = dict(possible[q])
+        vs = possible[q]
         t = _first_consecutive(vs)
         if t is not None:
             return Verdict(
@@ -339,22 +337,23 @@ def beilinson_rank_bound(table: CohomologyTable, n: int) -> int:
     entries = possible_entries(table, 0, hi=-2)
     if entries is None:
         raise InapplicableError("clause (i) not certifiable: row 0 unbounded below")
-    if entries:
+    first = next(entries, None)
+    if first:
         raise InapplicableError(
-            f"clause (i) fails: h^0 at twist {entries[0][0]} not certified zero"
+            f"clause (i) fails: h^0 at twist {first[0]} not certified zero"
         )
 
     for q in range(2, n - 1):
-        entries = possible_entries(table, q, -n - 2, -2)
-        if entries:
+        first = next(possible_entries(table, q, -n - 2, -2), None)
+        if first:
             raise InapplicableError(
-                f"clause (ii) fails: h^{q} at twist {entries[0][0]} not certified zero"
+                f"clause (ii) fails: h^{q} at twist {first[0]} not certified zero"
             )
 
-    entries = [(s, v) for s, v in possible_entries(table, n - 1, -n - 2, -2) if s != -n - 1]
-    if entries:
+    s = next((s for s, _ in possible_entries(table, n - 1, -n - 2, -2) if s != -n - 1), None)
+    if s is not None:
         raise InapplicableError(
-            f"clause (iii) fails: h^{n - 1} at twist {entries[0][0]} not certified zero"
+            f"clause (iii) fails: h^{n - 1} at twist {s} not certified zero"
         )
 
     a = table.value(n - 1, -n - 1)

@@ -154,7 +154,7 @@ def test_04_splitting_criteria_spot_checks():
                     pass
 
             omega = table(
-                VirtualSheaf.from_atom(n, CotangentPower(1, 0)), -2 * n - 4, n + 4
+                VirtualSheaf.from_pairs(n, [(CotangentPower(1, 0), 1)]), -2 * n - 4, n + 4
             )
             v = horrocks(omega)
             assert not v.holds
@@ -205,7 +205,7 @@ def test_06_rank_two_pfaff_single_peak():
             assert tab.window(2) == Window(spike, spike)
             assert tab.value(2, spike) == DimValue(1, 1)
             assert tab.value(2, spike) == DimValue.exact(
-                sheaf_h(VirtualSheaf.from_atom(n, CotangentPower(2, 0)), 2, 0)
+                sheaf_h(VirtualSheaf.from_pairs(n, [(CotangentPower(2, 0), 1)]), 2, 0)
             )
             for t in range(spike - 6, spike + 7):
                 if t != spike:

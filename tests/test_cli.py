@@ -9,14 +9,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from singscheme import chow
+from singscheme import chow, cohomology
 from singscheme.chase import MAX_CHASE_ENTRIES, replay_trace
 from singscheme.cli import MAX_TWIST_RANGE, main, parse_sheaf
-from singscheme.cohomology import CohomologyTable, DimValue, table, tangent_sheaf
+from singscheme.cohomology import CohomologyTable, CotangentPower, DimValue, LineBundle, VirtualSheaf, table, tangent_sheaf
 from singscheme.chow import MAX_CLOSED_FORM_N, MAX_LITERAL_DIGITS, pullback_degree, singular_degree_formula
 from singscheme.cohomology import MAX_SWEEP_WORK, MAX_TABLE_ENTRIES
 from singscheme.criteria import InapplicableError, evans_griffith, horrocks, kpr
@@ -168,6 +169,30 @@ class TestSheafGrammar:
         code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", spec, "--twists=0..1")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_one_from_pairs_call_per_spec(self, monkeypatch):
+        calls = []
+        build = VirtualSheaf.from_pairs
+        monkeypatch.setattr(VirtualSheaf, "from_pairs", staticmethod(lambda n, pairs: calls.append(n) or build(n, pairs)))
+        # repeated atoms merge, and Om(0,k) and Om(n,k) fold into line bundles
+        assert parse_sheaf("O(1)+O(1)^2+T+Om(1,-1)+T", 3) == build(
+            3, [(LineBundle(1), 3), (CotangentPower(1, -1), 1), (CotangentPower(2, 4), 2)]
+        )
+        assert parse_sheaf("Om(0,2)+Om(4,1)+O(-2)^3+Om(2,1)", 4) == build(
+            4, [(LineBundle(-4), 1), (LineBundle(-2), 3), (LineBundle(2), 1), (CotangentPower(2, 1), 1)]
+        )
+        assert parse_sheaf("+".join(f"O({a})" for a in range(1, 1001)), 5).rank == 1000
+        assert calls == [3, 4, 5]
+
+    def test_many_summands_build_at_once(self, capsys):
+        # 15,000 distinct summands, 123,893 characters: folding a sum a
+        # summand at a time re-sorted every atom seen so far, about 52 s
+        spec = "+".join(f"O({a})" for a in range(1, 15_001))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", spec, "--twists=0..0")
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out.startswith(f"h^q(F(t)) on P^3 for F = {spec}\n")
+
     def test_cli_reports_grammar_error(self, capsys):
         code, _, err = run(capsys, "cohomology", "--n", "3", "--sheaf", "Q(3)",
                            "--twists", "0..1")
@@ -241,6 +266,32 @@ class TestCohomologyCommand:
         code, out, err = run(capsys, *argv, "--sheaf", sheaf + "+O(0)")
         message = f"h^0(t=0) is too long to print: more than {MAX_LITERAL_DIGITS} digits"
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_too_long_table_refused_before_building(self, capsys, monkeypatch, flags):
+        # h^0 at the top twist is the largest value of row 0; building the
+        # table first took about 24 s and 361 MB
+        def never(*args):
+            raise AssertionError("the table was built")
+        monkeypatch.setattr(cohomology, "table", never)
+        t = 10**4000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cohomology", "--n", "99", "--sheaf", "O(0)", f"--twists={t}..{t + 999}", *flags)
+        assert time.perf_counter() - start < 2
+        message = f"h^0(t={t + 999}) is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", "O(0)", f"--twists=-{t + 9}..-{t}", *flags)
+        message = f"h^3(t=-{t + 9}) is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_long_values_below_the_limit_print(self, capsys, flags):
+        # about 3,000 digits at t = 10^1000
+        t = 10**1000
+        code, out, err = run(capsys, "cohomology", "--n", "3", "--sheaf", "O(0)", f"--twists={t}..{t + 9}", *flags)
+        assert (code, err) == (0, "")
+        assert str((t + 9 + 3) * (t + 9 + 2) * (t + 9 + 1) // 6) in out
 
 
 class TestTwistRangeCap:
@@ -415,6 +466,55 @@ class TestTableChecks:
             code, out, err = run(capsys, *argv, "--table", str(path))
             message = "malformed table: h^2(t=-3) = 5 lies outside the row's window"
             assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, width, shown",
+        [
+            ("acm-check", 10**6, ["acm: undetermined", "  acm: row 1 not pinned at twist 3"]),
+            ("acm-check", 10**5, ["acm: undetermined", "  acm: row 1 not pinned at twist 3"]),
+            (
+                "buchsbaum-check",
+                10**5,
+                [
+                    "buchsbaum(numeric): undetermined",
+                    "  witness: h^1(t=3) = 0+",
+                    "  witness: h^1(t=4) = 0+",
+                    "  buchsbaum: multiplication criterion not certifiable, row 1 possibly nonzero at consecutive twists 3, 4",
+                ],
+            ),
+            (
+                "buchsbaum-check",
+                10**6,
+                [
+                    "buchsbaum(numeric): undetermined",
+                    f"  buchsbaum: row 1 cannot be enumerated (window of 1000001 twists, over the cap of {MAX_TABLE_ENTRIES})",
+                ],
+            ),
+        ],
+    )
+    def test_wide_window_is_read_to_its_first_open_twist(self, capsys, tmp_path, command, width, shown):
+        # a file of about 100 bytes whose row 1 window spans 0..width; a
+        # walk over every twist of the window took 1.25 s at 10^6
+        path = tmp_path / "wide.table.json"
+        path.write_text(json.dumps({
+            "n": 3, "dim_z": 1, "rows": {"1": {"0": 0, "1": 0, "2": 0}}, "windows": {"1": {"lo": 0, "hi": width}},
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--table", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out.splitlines(), err) == (0, shown, "")
+
+    def test_beilinson_clause_stops_at_the_first_open_twist(self, capsys, tmp_path):
+        # row 0 of O(10^6) on P^4 is certified zero below -10^6 only; the
+        # walk to -2 took 1.1 s, and about 20 min at O(10^9)
+        code, dumped, _ = run(capsys, "cohomology", "--n", "4", "--sheaf", "O(1000000)", "--twists=0..0", "--json")
+        path = tmp_path / "o.table.json"
+        path.write_text(dumped)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "beilinson-bound", "--table", str(path))
+        assert time.perf_counter() - start < 1
+        message = "clause (i) fails: h^0 at twist -1000000 not certified zero"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_table_file_round_trip(self, capsys, tmp_path):
         code, dumped, _ = run(capsys, "chase", "--pfaff=-2,-2,-2", "--r", "2", "--json")
@@ -656,6 +756,10 @@ class TestChaseCommand:
         assert code == 1
         assert "needs --r" in err
 
+    def test_tangent_data_refuses_rank(self, capsys):
+        code, out, err = run(capsys, "chase", "--tangent=-1,-2", "--n", "4", "--r", "3")
+        assert (code, out, err) == (1, "", "error: a tangent chase takes no --r\n")
+
     def test_n_conflict_rejected(self, capsys):
         code, _, err = run(capsys, "chase", "--pfaff=-2,-2", "--r", "1", "--n", "7")
         assert code == 1
@@ -729,6 +833,27 @@ class TestRegularityAndBeilinson:
         path.write_text(table(tangent_sheaf(4), -6, -1).dumps())
         code, out, err = run(capsys, "beilinson-bound", "--table", str(path), "--rank", "0")
         assert (code, out, err) == (1, "", "error: rank must be positive\n")
+
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--rank", "3")])
+    def test_bound_too_long_to_print(self, capsys, tmp_path, flags):
+        # 4 x h^3(t=-5), a value of 4,300 nines, has 4,301 digits
+        path = tmp_path / "t.table.json"
+        path.write_text(json.dumps({
+            "n": 4,
+            "rows": {"3": {"-5": 10**MAX_LITERAL_DIGITS - 1}},
+            "windows": {"0": {"lo": 0, "hi": None}, "2": {"empty": True}, "3": {"lo": -5, "hi": -5}},
+        }))
+        code, out, err = run(capsys, "beilinson-bound", "--table", str(path), *flags)
+        message = f"the bound is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_regularity_too_long_to_print(self, capsys, tmp_path):
+        # row 1 may be nonzero up to 10^4300 - 1, so the regularity is 10^4300 + 1
+        path = tmp_path / "t.table.json"
+        path.write_text(json.dumps({"n": 3, "windows": {"1": {"lo": 0, "hi": 10**MAX_LITERAL_DIGITS - 1}, "2": {"empty": True}, "3": {"empty": True}}}))
+        code, out, err = run(capsys, "regularity", "--table", str(path))
+        message = f"the regularity is too long to print: more than {MAX_LITERAL_DIGITS} digits"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_inapplicable_table_is_reported_before_the_rank(self, capsys, tmp_path):
         path = tmp_path / "t3.table.json"

@@ -175,7 +175,7 @@ class TestBottDim:
         with pytest.raises(ValueError, match="need 0 <= p <= n"):
             normalize_atom(3, 4, 0)
         with pytest.raises(ValueError, match="need 0 <= p, q <= n"):
-            VirtualSheaf.from_atom(3, CotangentPower(1, 0)).h_row(-1, [0])
+            VirtualSheaf.from_pairs(3, [(CotangentPower(1, 0), 1)]).h_row(-1, [0])
         with pytest.raises(ValueError, match="positive"):
             normalize_atom(0, 0, 0)
 
@@ -260,7 +260,7 @@ class TestWindows:
                 atom = CotangentPower(rng.randint(1, n - 1), rng.randint(-10, 10))
             q = rng.randint(0, n)
             t = rng.randint(-16, 16)
-            if not VirtualSheaf.from_atom(n, atom).row_window(q).contains(t):
+            if not VirtualSheaf.from_pairs(n, [(atom, 1)]).row_window(q).contains(t):
                 assert atom_dim(n, atom, q, t) == 0
 
     def test_atom_windows_tight_at_finite_ends(self):
@@ -273,7 +273,7 @@ class TestWindows:
             ]
             for atom in atoms:
                 for q in range(n + 1):
-                    w = VirtualSheaf.from_atom(n, atom).row_window(q)
+                    w = VirtualSheaf.from_pairs(n, [(atom, 1)]).row_window(q)
                     if w.empty:
                         continue
                     if w.lo > -inf:
@@ -285,7 +285,7 @@ class TestWindows:
 
     def test_middle_row_windows_empty_for_line_bundles(self):
         for q in range(1, 4):
-            assert VirtualSheaf.from_atom(4, LineBundle(-2)).row_window(q).empty
+            assert VirtualSheaf.from_pairs(4, [(LineBundle(-2), 1)]).row_window(q).empty
 
 
 class TestVirtualSheaf:
@@ -297,12 +297,9 @@ class TestVirtualSheaf:
         assert s.rank == 2 * comb(4, 2) + 3
 
     def test_twist_and_sum(self):
-        s = VirtualSheaf.from_atom(3, CotangentPower(1, 2))
-        assert tensor_with_split(s, SplitBundle(3, (3,))).atoms == ((CotangentPower(1, 5), 1),)
-        both = s.direct_sum(VirtualSheaf.from_atom(3, LineBundle(0)))
+        assert tensor_with_split(CotangentPower(1, 2), SplitBundle(3, (3,))).atoms == ((CotangentPower(1, 5), 1),)
+        both = VirtualSheaf.from_pairs(3, [(CotangentPower(1, 2), 1), (LineBundle(0), 1)])
         assert both.rank == 4
-        with pytest.raises(ValueError):
-            s.direct_sum(VirtualSheaf.from_atom(4, LineBundle(0)))
 
     def test_split_round_trip_and_dual(self):
         b = SplitBundle(3, (-1, -1, 2))
@@ -372,7 +369,7 @@ class TestVirtualSheaf:
             ]
             sheaves.append(VirtualSheaf.from_pairs(n, pairs))
         for n in range(1, 9):
-            sheaves += [VirtualSheaf.from_atom(n, normalize_atom(n, p, k)) for p in range(n + 1) for k in (-1, 0, 2)]
+            sheaves += [VirtualSheaf.from_pairs(n, [(normalize_atom(n, p, k), 1)]) for p in range(n + 1) for k in (-1, 0, 2)]
             band = [(normalize_atom(n, rng.randint(0, n), rng.randint(-12, 12)), rng.randint(1, 4)) for _ in range(40)]
             sheaves.append(VirtualSheaf.from_pairs(n, band))
             if n > 3:
@@ -519,18 +516,16 @@ class TestPowers:
         # tensoring with O is the identity
         o = SplitBundle(4, (0,))
         t = tangent_sheaf(4)
-        assert tensor_with_split(t, o) == t
+        assert tensor_with_split(ext_power_tangent(4, 1), o) == t
         # rank multiplies
-        assert tensor_with_split(t, b).rank == t.rank * b.rank
+        assert tensor_with_split(ext_power_tangent(4, 1), b).rank == t.rank * b.rank
 
     def test_merged_products_match_per_summand_reference(self):
         # The per-summand algorithm: one pair for every summand of the
         # bundle, equal twists left to from_pairs to merge.
-        def per_summand_tensor(sheaf, bundle):
+        def per_summand_tensor(atom, bundle):
             return VirtualSheaf.from_pairs(bundle.n, [
-                (normalize_atom(bundle.n, atom.p, atom.k + a), mult)
-                for atom, mult in sheaf.atoms
-                for a in bundle.twists
+                (normalize_atom(bundle.n, atom.p, atom.k + a), 1) for a in bundle.twists
             ])
 
         def per_summand_split(bundle):
@@ -544,40 +539,31 @@ class TestPowers:
             bundles = [base, sym_power(base, j)]
             if j <= base.rank:
                 bundles.append(ext_power_split(base, j))
-            pairs = [
-                (normalize_atom(n, rng.randint(0, n), rng.randint(-6, 6)), rng.randint(1, 3))
-                for _ in range(rng.randint(1, 3))
-            ]
-            sheaf = VirtualSheaf.from_pairs(n, pairs)
+            atom = normalize_atom(n, rng.randint(0, n), rng.randint(-6, 6))
             for bundle in bundles:
                 assert VirtualSheaf.from_split(bundle) == per_summand_split(bundle)
-                assert tensor_with_split(sheaf, bundle) == per_summand_tensor(sheaf, bundle)
-                atom = pairs[0][0]
-                assert tensor_with_split(atom, bundle) == per_summand_tensor(
-                    VirtualSheaf.from_atom(n, atom), bundle
-                )
+                assert tensor_with_split(atom, bundle) == per_summand_tensor(atom, bundle)
                 assert sum(m for _, m in bundle.counts) == bundle.rank
 
     def test_one_atom_products_match_from_pairs(self):
         # One atom times the distinct twists of counts is built in sorted
         # order without the dict merge; from_pairs is the reference, and the
         # atom classes are compared too, since LineBundle(k) equals the pair
-        # CotangentPower(0, k).
+        # CotangentPower(0, k). Atoms off normal form are normalized.
         rng = random.Random(20261021)
         for _ in range(300):
             n = rng.randint(1, 7)
             bundle = SplitBundle(n, [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))])
-            p, k, mult = rng.randint(0, n), rng.randint(-8, 8), rng.randint(1, 4)
+            p, k = rng.randint(0, n), rng.randint(-8, 8)
             atom = CotangentPower(p, k) if rng.random() < 0.5 else normalize_atom(n, p, k)
-            want = VirtualSheaf.from_pairs(n, [(CotangentPower(p, k + a), mult * m) for a, m in bundle.counts])
-            for sheaf in (VirtualSheaf.from_atom(n, atom, mult), *([atom] if mult == 1 else [])):
-                got = tensor_with_split(sheaf, bundle)
-                assert got == want and list(map(type, dict(got.atoms))) == list(map(type, dict(want.atoms)))
+            want = VirtualSheaf.from_pairs(n, [(CotangentPower(p, k + a), m) for a, m in bundle.counts])
+            got = tensor_with_split(atom, bundle)
+            assert got == want and list(map(type, dict(got.atoms))) == list(map(type, dict(want.atoms)))
 
     def test_twist_and_dual_helpers(self):
         t = tangent_sheaf(3)
-        twisted = tensor_with_split(t, SplitBundle(3, (-4,)))
-        assert twisted == VirtualSheaf.from_atom(3, CotangentPower(2, 0))
+        twisted = tensor_with_split(ext_power_tangent(3, 1), SplitBundle(3, (-4,)))
+        assert twisted == VirtualSheaf.from_pairs(3, [(CotangentPower(2, 0), 1)])
         assert all(twisted.h_row(q, [0]) == t.h_row(q, [-4]) for q in range(4))
         assert dual(SplitBundle(3, (-1, 2))) == SplitBundle(3, (1, -2))
 
@@ -709,7 +695,7 @@ class TestTable:
         assert t.window(2).empty
 
     def test_value_outside_row_range_is_zero(self):
-        t = table(VirtualSheaf.from_atom(3, LineBundle(0)), 0, 0)
+        t = table(VirtualSheaf.from_pairs(3, [(LineBundle(0), 1)]), 0, 0)
         assert t.value(-1, 0) == DimValue.exact(0)
         assert t.value(4, 0) == DimValue.exact(0)
 
@@ -757,18 +743,17 @@ class TestTable:
             raise AssertionError("a row was built")
         monkeypatch.setattr(VirtualSheaf, "h_row", never)
         with pytest.raises(ValueError) as exc:
-            table(VirtualSheaf.from_atom(300, LineBundle(0)), -4999, 5000)
+            table(VirtualSheaf.from_pairs(300, [(LineBundle(0), 1)]), -4999, 5000)
         assert str(exc.value) == f"the table would hold 3010000 entries, over the cap of {MAX_TABLE_ENTRIES}"
 
     def test_cap_sits_above_the_largest_tables(self):
         # the widest table the tests, goldens and bench/ ask for: one
         # MAX_TWIST_RANGE of twists on P^1 (bench asks for at most 729)
-        rows = table(VirtualSheaf.from_atom(1, LineBundle(0)), 1, 10_000).rows
+        rows = table(VirtualSheaf.from_pairs(1, [(LineBundle(0), 1)]), 1, 10_000).rows
         assert sum(map(len, rows.values())) == 20_000 <= MAX_TABLE_ENTRIES
 
     def test_json_round_trip(self):
-        t = table(tangent_sheaf(4).direct_sum(
-            VirtualSheaf.from_atom(4, LineBundle(-3))), -2, 2)
+        t = table(VirtualSheaf.from_pairs(4, [(ext_power_tangent(4, 1), 1), (LineBundle(-3), 1)]), -2, 2)
         t.dim_z = 1
         back = CohomologyTable.loads(t.dumps())
         assert back.n == t.n and back.dim_z == 1
@@ -835,12 +820,11 @@ class TestTable:
         (lambda: VirtualSheaf.from_pairs(3, [(LineBundle(0), 0)]), "multiplicities must be positive"),
         (lambda: VirtualSheaf.from_pairs(3, [(LineBundle(0), -1)]), "multiplicities must be positive"),
         (lambda: VirtualSheaf.from_pairs(3, []), "a virtual sheaf needs at least one atom"),
-        (lambda: tangent_sheaf(3).direct_sum(tangent_sheaf(4)), "sheaves live on different projective spaces"),
-        (lambda: tensor_with_split(tangent_sheaf(3), SplitBundle(4, (0,))), "operands live on different projective spaces"),
+        (lambda: tensor_with_split(CotangentPower(5, 0), SplitBundle(4, (0,))), "need 0 <= p <= n, got p=5"),
         (lambda: ext_power_tangent(3, 4), "need 0 <= q <= n"),
         (lambda: ext_power_tangent(3, -1), "need 0 <= q <= n"),
     ],
-    ids=["multiplicity 0", "multiplicity -1", "no atoms", "direct sum", "tensor", "q above n", "q below 0"],
+    ids=["multiplicity 0", "multiplicity -1", "no atoms", "tensor atom above n", "q above n", "q below 0"],
 )
 def test_input_checks_keep_their_messages(call, message):
     with pytest.raises(ValueError) as exc:

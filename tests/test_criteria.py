@@ -3,15 +3,19 @@ the cotangent powers, hand-built fixtures for the ACM/Buchsbaum/regularity
 paths, and the hypothesis gates of the rank bound."""
 
 import random
+import time
 from itertools import combinations_with_replacement
 from math import inf
 
 import pytest
 
+from singscheme import criteria
 from singscheme.chase import pfaff_ideal_table
 from singscheme.chow import SplitBundle
 from singscheme.cohomology import (
+    MAX_TABLE_ENTRIES,
     NOTHING,
+    ZERO,
     CohomologyTable,
     DimValue,
     VirtualSheaf,
@@ -23,6 +27,7 @@ from singscheme.cohomology import (
 from singscheme.criteria import (
     InapplicableError,
     Verdict,
+    _gap_violation,
     acm_check,
     beilinson_rank_bound,
     buchsbaum_numeric,
@@ -80,7 +85,7 @@ class TestSplitSoundness:
 
 class TestHorrocksCompleteness:
     def test_cotangent_fails_with_hodge_witness(self):
-        t = table(VirtualSheaf.from_atom(4, normalize_atom(4, 1, 0)), -2, 2)
+        t = table(VirtualSheaf.from_pairs(4, [(normalize_atom(4, 1, 0), 1)]), -2, 2)
         v = horrocks(t)
         assert v.decision == "fails"
         assert (1, 0, DimValue.exact(1)) in v.witnesses
@@ -94,7 +99,7 @@ class TestHorrocksCompleteness:
     def test_every_middle_cotangent_power_fails(self):
         for n in range(2, 8):
             for p in range(1, n):
-                t = table(VirtualSheaf.from_atom(n, normalize_atom(n, p, 0)), 0, 0)
+                t = table(VirtualSheaf.from_pairs(n, [(normalize_atom(n, p, 0), 1)]), 0, 0)
                 assert horrocks(t).decision == "fails"
 
     def test_uncertified_row_gives_undetermined(self):
@@ -120,11 +125,11 @@ class TestHorrocksCompleteness:
 
 class TestEvansGriffith:
     def test_rank_one_vacuous(self):
-        t = table(VirtualSheaf.from_atom(4, normalize_atom(4, 1, 0)), 0, 0)
+        t = table(VirtualSheaf.from_pairs(4, [(normalize_atom(4, 1, 0), 1)]), 0, 0)
         assert evans_griffith(t, 1, 4).holds
 
     def test_cotangent_rank_n_fails(self):
-        t = table(VirtualSheaf.from_atom(4, normalize_atom(4, 1, 0)), 0, 0)
+        t = table(VirtualSheaf.from_pairs(4, [(normalize_atom(4, 1, 0), 1)]), 0, 0)
         assert evans_griffith(t, 4, 4).decision == "fails"
 
     def test_rank_above_n_inapplicable(self):
@@ -236,6 +241,57 @@ class TestBuchsbaum:
     def test_unbounded_row_undetermined(self):
         t = CohomologyTable(3, {}, {1: Window(0, inf)}, dim_z=1)
         assert buchsbaum_numeric(t).decision == "undetermined"
+
+    def test_row_wider_than_the_table_cap_undetermined(self, monkeypatch):
+        # no row that table() or the chase writes is this wide
+        t = CohomologyTable(3, {1: {0: ZERO}}, {1: Window(0, MAX_TABLE_ENTRIES)}, dim_z=1)
+        v = buchsbaum_numeric(t)
+        why = f"window of {MAX_TABLE_ENTRIES + 1} twists, over the cap of {MAX_TABLE_ENTRIES}"
+        assert v == Verdict("undetermined", (), f"buchsbaum: row 1 cannot be enumerated ({why})")
+        # the cap is inclusive
+        monkeypatch.setattr(criteria, "MAX_TABLE_ENTRIES", 10)
+        t.windows[1] = Window(0, 9)
+        assert "possibly nonzero at consecutive twists 1, 2" in buchsbaum_numeric(t).certificate
+        t.windows[1] = Window(0, 10)
+        assert "cannot be enumerated (window of 11 twists, over the cap of 10)" in buchsbaum_numeric(t).certificate
+
+    def test_gap_witness_matches_the_pairwise_scan(self):
+        # the partner lookup against the scan over every pair of entries,
+        # on per-row dicts ascending in twist as buchsbaum_numeric builds them
+        def pairwise_scan(entries):
+            for p in entries:
+                for q in entries:
+                    if p >= q:
+                        continue
+                    for i, vp in entries[p].items():
+                        for j, vq in entries[q].items():
+                            if (p + i) - (q + j) == 1:
+                                return (p, i, vp), (q, j, vq)
+            return None
+
+        rng = random.Random(20261021)
+        found = 0
+        for _ in range(500):
+            entries = {
+                q: {t: DimValue.exact(rng.randint(1, 3)) for t in sorted(rng.sample(range(-8, 9), rng.randint(0, 6)))}
+                for q in range(1, rng.randint(2, 5))
+            }
+            want = pairwise_scan(entries)
+            assert _gap_violation(entries) == want
+            found += want is not None
+        assert 100 < found < 400
+
+    def test_definite_rows_are_read_in_linear_time(self):
+        # 10,000 definite entries in each of rows 1 and 2 with no definite
+        # gap violation: the pairwise scan took about 8 s
+        w = Window(0, 20_000)
+        rows = {1: {2 * t: DimValue.exact(1) for t in range(10_000)}, 2: {2 * t + 1: DimValue.exact(1) for t in range(10_000)}}
+        t = CohomologyTable(3, rows, {1: w, 2: w}, dim_z=2)
+        start = time.perf_counter()
+        v = buchsbaum_numeric(t)
+        assert time.perf_counter() - start < 1
+        assert v.decision == "undetermined"
+        assert v.certificate == "buchsbaum: possible gap-condition violation at p=1, i=2, q=2, j=0"
 
     def test_dim_zero_vacuous(self):
         t = CohomologyTable(3, {}, {}, dim_z=0)
@@ -428,12 +484,12 @@ class TestBeilinsonBound:
             beilinson_rank_bound(t, 4)
 
     def test_clause_ii_violation(self):
-        t = table(VirtualSheaf.from_atom(5, normalize_atom(5, 2, 2)), -8, 0)
+        t = table(VirtualSheaf.from_pairs(5, [(normalize_atom(5, 2, 2), 1)]), -8, 0)
         with pytest.raises(InapplicableError, match=r"clause \(ii\)"):
             beilinson_rank_bound(t, 5)
 
     def test_clause_iii_violation(self):
-        t = table(VirtualSheaf.from_atom(5, normalize_atom(5, 4, 3)), -8, 0)
+        t = table(VirtualSheaf.from_pairs(5, [(normalize_atom(5, 4, 3), 1)]), -8, 0)
         with pytest.raises(InapplicableError, match=r"clause \(iii\)"):
             beilinson_rank_bound(t, 5)
 

@@ -35,7 +35,7 @@ def _z(i: int) -> HomogeneousPoly:
 
 
 def _line(n: int, a: int) -> VirtualSheaf:
-    return VirtualSheaf.from_atom(n, LineBundle(a))
+    return VirtualSheaf.from_pairs(n, [(LineBundle(a), 1)])
 
 
 # name -> (make, repr); each call of make returns a fresh, equal record.
