@@ -5,22 +5,25 @@ neighboring terms vanish, ranks are forced. ExactTriple records a short
 exact sequence whose terms are virtual sheaves or named unknowns; chase()
 walks an ordered list of such triples in two passes. The window pass
 orders the triples and bounds the twist support of every unknown row by
-window propagation; it runs once per chase, and windowed_chase picks
-its queries off its windows. The materialization pass then writes the
-requested rows of the solved unknowns, once each, into their
-CohomologyTables, the one store of the values: exact where the six-term
-neighborhood has enough zeros, an interval [lo, hi] from rank-nullity
-otherwise. A requirement is a sorted list of merged twist runs per
-(unknown, q), and propagation shifts the runs. Each run of a row reads its
-four columns once, as lo and hi int columns (a table's row split by one
-zip, or a closed-form sheaf's h_row), and one comprehension solves them
-into pairs. Every triple is checked for Euler-characteristic consistency
+window propagation, hulling whole columns of windows over q (a sheaf's
+windows, read off its sorted atoms, or an earlier unknown's), so it
+scales with triples and rows, not atoms; it runs once per chase, and
+windowed_chase picks its queries off its windows. The materialization
+pass then writes the requested rows of the solved unknowns, once each,
+into their CohomologyTables, the one store of the values: exact where
+the six-term neighborhood has enough zeros, an interval [lo, hi] from
+rank-nullity otherwise; a step with no requirement reads nothing. A
+requirement is a sorted list of merged twist runs per (unknown, q), and
+propagation shifts the runs. Each run of a row reads its four columns
+once, as lo and hi int columns (a table's row split by one zip, or a
+closed-form sheaf's h_row), and one comprehension solves them into
+pairs. Every triple is checked for Euler-characteristic consistency
 where the check can fail: where the one end row that the solve cannot
 balance is nonzero. chi is folded term by term, the unknown just solved
 first, and a twist leaves the check at its first inexact row.
 ChaseResult.entries and the --explain payload, whose entries replay to the
 same numbers through the solve's own row reads, are read off the plan and
-the tables.
+the tables; the payload prints the terms of a step only if it has entries.
 
 On top of the engine sits one Eagon-Northcott builder, whose terms are
 twisted Omega powers tensored with the Sym powers of a split bundle; the
@@ -35,7 +38,6 @@ from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain
-from math import inf
 from operator import add
 from types import MappingProxyType
 
@@ -229,8 +231,11 @@ class ChaseResult(namedtuple("ChaseResult", "n tables plan")):
         entries = []
         for step in self.plan:
             tr, pos, name, offset = step
+            rows = self.tables[name].rows
+            if not rows:
+                continue
             label, terms = _label(tr), {role: str(tr.term(role)) for role in _POSITIONS}
-            for q, row in self.tables[name].rows.items():
+            for q, row in rows.items():
                 solved = {}
                 for lo, hi, cols in _row_reads(step, q, _merge((s, s) for s in row), self.tables):
                     solved.update(zip(range(lo, hi + 1), zip(*(zip(*col) for col in cols))))
@@ -292,6 +297,19 @@ def chase(triples, queries=()) -> ChaseResult:
     return _materialize(_window_pass(triples), queries)
 
 
+def _keep_column(term: Term, dq: int, offset: int, columns: dict) -> tuple:
+    """(windows, shift): a keep read's windows of rows q + dq for q = 0..n,
+    NOTHING past either end, taken from a sheaf's windows or an earlier
+    unknown's column, and the shift into the coordinates of the unknown
+    at offset."""
+    if isinstance(term, VirtualSheaf):
+        ws, shift = term.windows, offset
+    else:
+        ws, shift = columns[term.name], offset - term.offset
+    pad = (NOTHING,) * abs(dq)
+    return (ws + pad)[dq:] if dq >= 0 else (pad + ws)[:dq], shift
+
+
 def _window_pass(triples) -> ChaseResult:
     """Order the triples and bound the twist support of every unknown row.
 
@@ -309,11 +327,13 @@ def _window_pass(triples) -> ChaseResult:
     # Each triple defines the unique ref that is not yet solved. The
     # support of that unknown's row lies in the union of the two rows it
     # sits between in the long exact sequence (the keep reads of _READS),
-    # so the hull of their windows is a sound zero certificate. It skips
-    # empty ones, most rows of a tangent chase: folding them in cost 1.7x.
-    # An empty hull is the shared NOTHING: building it through Window
-    # costs the window pass of an n = 24 tangent chase about a sixth more.
-    tables = {}
+    # so the hull of their windows is a sound zero certificate. The hull
+    # is taken a column at a time: each keep read is the whole sequence of
+    # its term's windows over q, and every empty window is (inf, -inf),
+    # which min and max pass over at any shift. Most rows of a tangent
+    # chase are the shared NOTHING in both reads, and skipping the
+    # arithmetic there halves the hull; an empty hull is NOTHING too.
+    tables, columns = {}, {}
     plan: list[tuple[ExactTriple, str, str, int]] = []
     for tr in triples:
         fresh = [pos for pos in _POSITIONS if isinstance(tr.term(pos), TableRef) and tr.term(pos).name not in tables]
@@ -326,19 +346,17 @@ def _window_pass(triples) -> ChaseResult:
         ref = tr.term(pos)
         if pos not in _READS:
             raise ValueError(f"triple {_label(tr)}: the middle term {ref.name!r} is never solved")
-        windows = {}
-        for q in range(n + 1):
-            lo, hi = inf, -inf
-            for p2, dq in _READS[pos][1::2]:
-                term = tr.term(p2)
-                if isinstance(term, VirtualSheaf):
-                    w, shift = term.row_window(q + dq), ref.offset
-                else:
-                    w, shift = tables[term.name].window(q + dq), ref.offset - term.offset
-                if w.lo <= w.hi:
-                    lo, hi = min(lo, w.lo + shift), max(hi, w.hi + shift)
-            windows[q] = Window(lo, hi) if lo <= hi else NOTHING
-        tables[ref.name] = CohomologyTable(n, {}, windows)
+        (ws1, s1), (ws2, s2) = (_keep_column(tr.term(role), dq, ref.offset, columns) for role, dq in _READS[pos][1::2])
+        column = []
+        for w1, w2 in zip(ws1, ws2):
+            if w1 is w2 is NOTHING:
+                column.append(NOTHING)
+                continue
+            (a, b), (c, d) = w1, w2
+            lo, hi = min(a + s1, c + s2), max(b + s1, d + s2)
+            column.append(tuple.__new__(Window, (lo, hi)) if lo <= hi else NOTHING)
+        columns[ref.name] = column = tuple(column)
+        tables[ref.name] = CohomologyTable(n, {}, dict(enumerate(column)))
         plan.append((tr, pos, ref.name, ref.offset))
     return ChaseResult(n, tables, tuple(plan))
 
@@ -388,9 +406,13 @@ def _materialize(result: ChaseResult, queries) -> ChaseResult:
 
     # Materialization, in order, a row at a time into each unknown's
     # table: the entries inside the row's window solve from four column
-    # reads, and those outside it are certified zero.
+    # reads, and those outside it are certified zero. A step with no
+    # requirement neither writes nor reads, so it cannot fail its Euler
+    # check either.
     for step in plan:
         tr, pos, name, offset = step
+        if not req[name]:
+            continue
         for q in sorted(req[name]):
             runs = req[name][q]
             row = dict.fromkeys(chain.from_iterable(range(lo, hi + 1) for lo, hi in runs), ZERO)

@@ -248,12 +248,14 @@ def _cmd_pullback_degree(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    from .cohomology import table
+    from .cohomology import table, table_windows
     sheaf = parse_sheaf(args.sheaf, args.n)
     lo, hi = _parse_twist_range(args.twists)
-    # Refuse before building: h^0 at hi and h^n at lo are the table's
-    # largest values, since h^0(F(t)) grows with t (F is torsion-free),
-    # h^n(F(t)) falls (Serre duality), and the middle rows hold multiplicities.
+    # Refuse before building, first by the entry count, which reads only
+    # the windows: h^0 at hi and h^n at lo are the table's largest values,
+    # since h^0(F(t)) grows with t (F is torsion-free), h^n(F(t)) falls
+    # (Serre duality), and the middle rows hold multiplicities.
+    table_windows(sheaf, lo, hi)
     _check_printable([(0, hi, *sheaf.h_row(0, [hi])), (args.n, lo, *sheaf.h_row(args.n, [lo]))])
     tab = table(sheaf, lo, hi)
     if args.json:

@@ -17,17 +17,18 @@ distinct twist; its Sym^j (or Lambda^j) for all j <= k at once are the
 layers of a generating function, one in-place sweep per summand. The
 tangent bundle enters as Lambda^q T = Omega^{n-q}(n+1).
 
-A VirtualSheaf reads its windows in one pass over its atoms and its rows a
-list of twists at a time. Bott's h^0 formula C(u+n-p, n-p) C(u-1, p), read
-as a polynomial in u, is chi(Omega^p(u)) and equals h^0 from u = 1 on (from
-u = 0 on for a line bundle). So row 0, row n (by Serre duality) and chi
-are sums of polynomials of degree <= n in t that switch on atom by atom:
-one sweep of forward differences reads them.
+A VirtualSheaf reads its row windows off the two ends of each run of
+atoms of one p, found by bisect, and its rows a list of twists at a time.
+Bott's h^0 formula C(u+n-p, n-p) C(u-1, p), read as a polynomial in u, is
+chi(Omega^p(u)) and equals h^0 from u = 1 on (from u = 0 on for a line
+bundle). So row 0, row n (by Serre duality) and chi are sums of
+polynomials of degree <= n in t that switch on atom by atom: one sweep of
+forward differences reads them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, repeat
@@ -199,8 +200,8 @@ class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
     """Formal direct sum of atoms with positive multiplicities on P^n: the
     pair (n, atoms), atoms a sorted tuple of distinct (atom, multiplicity).
 
-    The rows are read per sheaf, not per atom: one pass over the atoms
-    gives every row window, and one sweep reads rows 0 and n and chi.
+    The rows are read per sheaf, not per atom: the first and last atom of
+    each p give every row window, and one sweep reads rows 0 and n and chi.
     Atoms are validated once, here.
     """
 
@@ -235,24 +236,33 @@ class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
         return sum(m * comb(self.n, atom.p) for atom, m in self.atoms)
 
     @cached_property
-    def _rows(self):
-        """(windows, points), one pass over the atoms. points[p] maps each
-        -k of the atoms Omega^p(k) to their summed multiplicity: row p for
-        0 < p < n, where h^p = 1 exactly there. The extreme keys of each
-        points[p] give every row window, since an atom lives on row 0 from
-        -k+p+1 on, on row n up to -k+p-n-1, and at -k on row p."""
-        n = self.n
-        points: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    def windows(self) -> tuple:
+        """The n + 1 row windows, read off the sorted atoms: the atoms
+        Omega^p(k) of one p are a run ascending in k, found by bisect, and
+        only its first and last k bound a row. Such an atom lives on row 0
+        from -k+p+1 on (-k for p = 0), on row n up to -k+p-n-1 (-k for
+        p = n), and at -k on row p."""
+        n, atoms, ends, i = self.n, self.atoms, {}, 0
+        while i < len(atoms):
+            p = atoms[i][0].p
+            j = bisect_left(atoms, p + 1, i, key=lambda entry: entry[0].p)
+            ends[p], i = (atoms[i][0].k, atoms[j - 1][0].k), j
+        rows = [NOTHING] * (n + 1)
+        for p, (lo, hi) in ends.items():
+            rows[p] = Window(-hi, -lo)
+        rows[0] = Window(min(p + (p > 0) - hi for p, (_, hi) in ends.items()), inf)
+        rows[n] = Window(-inf, max(p - n - (p < n) - lo for p, (lo, _) in ends.items()))
+        return tuple(rows)
+
+    @cached_property
+    def _points(self) -> dict:
+        """points[p] maps each -k of the atoms Omega^p(k) to their summed
+        multiplicity: row p for 0 < p < n, where h^p = 1 exactly there."""
+        points: dict[int, dict[int, int]] = {}
         for atom, m in self.atoms:
-            row, t = points[atom.p], -atom.k
+            row, t = points.setdefault(atom.p, {}), -atom.k
             row[t] = row.get(t, 0) + m
-        live = [(p, row) for p, row in enumerate(points) if row]
-        windows = (
-            Window(min(min(row) + p + (p > 0) for p, row in live), inf),
-            *(Window(min(row), max(row)) if row else NOTHING for row in points[1:n]),
-            Window(-inf, max(max(row) + p - n - (p < n) for p, row in live)),
-        )
-        return windows, points
+        return points
 
     @cached_property
     def _sweeps(self):
@@ -264,6 +274,8 @@ class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
 
     def chi_row(self, twists) -> list[int]:
         """chi at each twist of a strictly ascending list: every atom on."""
+        if not twists:
+            return []
         return _sweep(self.n, [(-inf, a.p, a.k, m) for a, m in self.atoms], twists)
 
     def h_row(self, q: int, twists) -> list[int]:
@@ -271,8 +283,10 @@ class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
         n = self.n
         if not 0 <= q <= n:
             raise ValueError("need 0 <= p, q <= n")
+        if not twists:
+            return []
         if 0 < q < n:
-            return list(map(self._rows[1][q].get, twists, repeat(0)))
+            return list(map(self._points.get(q, {}).get, twists, repeat(0)))
         if q == 0:
             return _sweep(n, self._sweeps[0], twists)
         return _sweep(n, self._sweeps[1], [-t for t in reversed(twists)])[::-1]
@@ -280,7 +294,7 @@ class VirtualSheaf(namedtuple("VirtualSheaf", "n atoms")):
     def row_window(self, q: int) -> Window:
         if not 0 <= q <= self.n:
             return NOTHING
-        return self._rows[0][q]
+        return self.windows[q]
 
     def __str__(self) -> str:
         return "+".join(str(a) if m == 1 else f"{a}^{m}" for a, m in self.atoms)
@@ -540,17 +554,10 @@ def _row_items(data: dict, key: str, n: int):
 MAX_TABLE_ENTRIES = 1_000_000
 
 
-def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
-    """Exact cohomology table of a virtual sheaf.
-
-    Materializes every twist in [twist_lo, twist_hi], and additionally the
-    whole of every finite row window, so vanishing questions about the
-    middle rows are decided by the table alone. The entries are counted
-    first, and over MAX_TABLE_ENTRIES the table is refused unbuilt. Each
-    row is one h_row column of Bott values, nonnegative by construction,
-    built into exact pairs with tuple.__new__; its zeros are the shared
-    ZERO.
-    """
+def table_windows(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> dict[int, Window]:
+    """The row windows of table(sheaf, twist_lo, twist_hi), once the
+    entries it would hold are counted: over MAX_TABLE_ENTRIES, ValueError.
+    Counting reads the windows alone, so no value is computed."""
     if twist_lo > twist_hi:
         raise ValueError("empty twist range")
     windows = {q: sheaf.row_window(q) for q in range(sheaf.n + 1)}
@@ -561,6 +568,21 @@ def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
             total += w.hi - w.lo + 1 - max(0, min(w.hi, twist_hi) - max(w.lo, twist_lo) + 1)
     if total > MAX_TABLE_ENTRIES:
         raise ValueError(f"the table would hold {total} entries, over the cap of {MAX_TABLE_ENTRIES}")
+    return windows
+
+
+def table(sheaf: VirtualSheaf, twist_lo: int, twist_hi: int) -> CohomologyTable:
+    """Exact cohomology table of a virtual sheaf.
+
+    Materializes every twist in [twist_lo, twist_hi], and additionally the
+    whole of every finite row window, so vanishing questions about the
+    middle rows are decided by the table alone. The entries are counted
+    first by table_windows, and over MAX_TABLE_ENTRIES the table is refused
+    unbuilt. Each row is one h_row column of Bott values, nonnegative by
+    construction, built into exact pairs with tuple.__new__; its zeros are
+    the shared ZERO.
+    """
+    windows = table_windows(sheaf, twist_lo, twist_hi)
     rows = {}
     for q, w in windows.items():
         ts = set(range(twist_lo, twist_hi + 1))

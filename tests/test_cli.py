@@ -333,6 +333,18 @@ class TestTableEntryCap:
         message = f"the table would hold 3010000 entries, over the cap of {MAX_TABLE_ENTRIES}"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_count_comes_before_the_print_check(self, capsys, monkeypatch, flags):
+        # over both caps: the print pre-check would compute h^0 at t = T + 9999,
+        # about 1.2 million digits, where the count reads the windows alone
+        def never(*args):
+            raise AssertionError("a row was read")
+        monkeypatch.setattr(VirtualSheaf, "h_row", never)
+        t = 10**4000
+        code, out, err = run(capsys, "cohomology", "--n", "300", "--sheaf", "O(0)", f"--twists={t}..{t + 9999}", *flags)
+        message = f"the table would hold 3010000 entries, over the cap of {MAX_TABLE_ENTRIES}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestClosedFormCap:
     @pytest.mark.parametrize(

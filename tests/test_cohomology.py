@@ -17,6 +17,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, inf
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from singscheme import cohomology
 from singscheme.chase import en_complex_pfaff, en_complex_tangent
@@ -286,6 +288,35 @@ class TestWindows:
     def test_middle_row_windows_empty_for_line_bundles(self):
         for q in range(1, 4):
             assert VirtualSheaf.from_pairs(4, [(LineBundle(-2), 1)]).row_window(q).empty
+
+    @seed(20261022)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_windows_off_the_sorted_atoms_match_per_atom_hulls(self, data):
+        # Multi-p sheaves with atoms at p = 0, in the middle and at p = n,
+        # built directly, since from_pairs folds Omega^n(k) into O(k-n-1):
+        # each row window is the hull of the atom windows, and each middle
+        # row reads the Bott sum over the atoms.
+        n = data.draw(st.integers(1, 9), label="n")
+        ps = st.sampled_from([0, n] + list(range(1, n)) * 2)
+        drawn = data.draw(
+            st.lists(st.tuples(ps, st.integers(-12, 12), st.integers(1, 3)), min_size=1, max_size=12), label="atoms"
+        )
+        merged = Counter()
+        for p, k, m in drawn:
+            merged[LineBundle(k) if p == 0 else CotangentPower(p, k)] += m
+        s = VirtualSheaf(n, tuple(sorted(merged.items())))
+        for q in range(-1, n + 2):
+            assert s.row_window(q) == hull(atom_window(n, a, q) for a, _ in s.atoms), q
+        ts = range(-16, 17)
+        for q in range(1, n):
+            assert s.h_row(q, ts) == [sheaf_h(s, q, t) for t in ts], q
+
+    def test_empty_twist_lists_read_no_atoms(self):
+        s = VirtualSheaf.from_pairs(4, [(CotangentPower(2, 1), 2), (LineBundle(-3), 1)])
+        assert [s.h_row(q, []) for q in range(5)] == [[]] * 5
+        assert s.chi_row([]) == [] and s.chi_row(range(0)) == []
+        assert vars(s) == {}
 
 
 class TestVirtualSheaf:

@@ -174,7 +174,9 @@ def test_chase_result_round_trips_keep_tables_and_plan():
 def test_cached_properties_survive_the_write_refusal():
     sheaf, bundle = RECORDS["VirtualSheaf"][0](), RECORDS["SplitBundle"][0]()
     sheaf.h_row(0, [0, 1]), sheaf.row_window(1)
-    assert set(vars(sheaf)) == {"_rows", "_sweeps"}
+    assert set(vars(sheaf)) == {"windows", "_sweeps"}
+    sheaf.h_row(1, [0, 1])
+    assert set(vars(sheaf)) == {"windows", "_points", "_sweeps"}
     assert bundle.twists is bundle.twists and set(vars(bundle)) == {"twists"}
 
 
